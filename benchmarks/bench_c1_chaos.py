@@ -21,7 +21,7 @@ Claims measured:
 
 import dataclasses
 
-from repro.campaign import CampaignRunner, ParameterGrid, chaos_trial
+from repro.campaign import CampaignRunner, ParameterGrid, spec_trial
 from repro.chaos import ChaosSpec, ServerOutage
 from repro.scenarios.spec import population_spec
 
@@ -62,7 +62,7 @@ GRID = ParameterGrid.over_spec(
     name="c1_chaos",
 )
 
-RUNNER = CampaignRunner(chaos_trial, trials_per_point=TRIALS,
+RUNNER = CampaignRunner(spec_trial, trials_per_point=TRIALS,
                         base_seed=930, cache_dir=CACHE_DIR,
                         journal_dir=JOURNAL_DIR)
 
@@ -76,7 +76,7 @@ SMOKE_GRID = ParameterGrid.over_spec(
     name="c1_chaos_smoke",
 )
 
-SMOKE_RUNNER = CampaignRunner(chaos_trial, base_seed=930,
+SMOKE_RUNNER = CampaignRunner(spec_trial, base_seed=930,
                               cache_dir=CACHE_DIR)
 
 MTTR_GRID = ParameterGrid.over_spec(
@@ -85,7 +85,7 @@ MTTR_GRID = ParameterGrid.over_spec(
     name="c1_mttr",
 )
 
-MTTR_RUNNER = CampaignRunner(chaos_trial, trials_per_point=TRIALS,
+MTTR_RUNNER = CampaignRunner(spec_trial, trials_per_point=TRIALS,
                              base_seed=931, cache_dir=CACHE_DIR,
                              journal_dir=JOURNAL_DIR)
 
@@ -95,7 +95,7 @@ MTTR_SMOKE_GRID = ParameterGrid.over_spec(
     name="c1_mttr_smoke",
 )
 
-MTTR_SMOKE_RUNNER = CampaignRunner(chaos_trial, base_seed=931,
+MTTR_SMOKE_RUNNER = CampaignRunner(spec_trial, base_seed=931,
                                    cache_dir=CACHE_DIR)
 
 #: Tiny uncached grid for the serial==parallel identity check (cached
@@ -189,9 +189,9 @@ def bench_c1_chaos(benchmark, emit_table, smoke, results_dir):
               "outage ends, so MTTR tracks duration.")
 
     # --- serial == parallel bit-identity ----------------------------
-    serial = CampaignRunner(chaos_trial, base_seed=932,
+    serial = CampaignRunner(spec_trial, base_seed=932,
                             executor="serial").run(IDENTITY_GRID)
-    parallel = CampaignRunner(chaos_trial, base_seed=932,
+    parallel = CampaignRunner(spec_trial, base_seed=932,
                               executor="processes",
                               workers=2).run(IDENTITY_GRID)
     assert serial.records == parallel.records, (

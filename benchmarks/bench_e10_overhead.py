@@ -6,51 +6,52 @@ the *slowest* resolver (not the sum), while bytes on the wire grow
 linearly with N. We sweep N and report virtual latency, wire bytes and
 upstream queries against the single-resolver plain-DNS baseline.
 
-Declared as a campaign over an explicit point list (the baseline plus
-one point per N); the shared :func:`repro.campaign.overhead_trial`
-measures one acquisition per point.
+Declared as two campaigns through one runner: the plain-DNS baseline
+(the ``mechanism`` knob of :func:`repro.campaign.overhead_trial` over a
+fixed one-provider spec) and the distributed-DoH sweep over
+``provider.count``; the trial measures one acquisition per point.
 """
 
 from repro.campaign import CampaignRunner, ParameterGrid, overhead_trial
 
 from benchmarks.conftest import CACHE_DIR, run_once
 
-from repro.scenarios import build_pool_scenario
+from repro.scenarios import materialize, pool_spec, set_path
 
 N_SWEEP = [1, 3, 5, 9, 15]
 
-POINTS = ([{"mechanism": "plain-dns", "num_providers": 1}]
-          + [{"mechanism": "distributed-doh", "num_providers": n}
-             for n in N_SWEEP])
+BASE_SPEC = pool_spec(pool_size=40, answers_per_query=4)
 
-GRID = ParameterGrid.from_points(
-    POINTS,
-    fixed={"pool_size": 40, "answers_per_query": 4},
-    name="e10_overhead",
+BASELINE_GRID = ParameterGrid.from_points(
+    [{"mechanism": "plain-dns"}],
+    fixed={"spec": set_path(BASE_SPEC, "provider.count", 1)},
+    name="e10_overhead_baseline",
 )
+
+GRID = ParameterGrid.over_spec(
+    BASE_SPEC, {"provider.count": N_SWEEP}, name="e10_overhead")
 
 RUNNER = CampaignRunner(overhead_trial, base_seed=701, cache_dir=CACHE_DIR)
 
-SMOKE_GRID = ParameterGrid.from_points(
-    POINTS[:3],
-    fixed={"pool_size": 40, "answers_per_query": 4},
-    name="e10_overhead_smoke",
-)
+SMOKE_GRID = ParameterGrid.over_spec(
+    BASE_SPEC, {"provider.count": N_SWEEP[:2]}, name="e10_overhead_smoke")
 
 
 def bench_e10_overhead(benchmark, emit_table, smoke, results_dir):
     grid = SMOKE_GRID if smoke else GRID
-    result = run_once(benchmark, lambda: RUNNER.run(grid))
+    baseline, result = run_once(
+        benchmark, lambda: (RUNNER.run(BASELINE_GRID), RUNNER.run(grid)))
+    baseline.write_json(results_dir / "e10_overhead_baseline.json")
     result.write_json(results_dir / "e10_overhead.json")
 
     rows = []
-    for summary in result.summaries:
-        mechanism = summary.params["mechanism"]
+    for summary in baseline.summaries + result.summaries:
+        mechanism = summary.params.get("mechanism", "distributed-doh")
         label = ("plain DNS (baseline)" if mechanism == "plain-dns"
                  else "distributed DoH")
         rows.append([
             label,
-            summary.params["num_providers"],
+            summary.params["spec"].provider.count,
             f"{summary['latency'].mean * 1000:.1f} ms",
             round(summary["bytes"].mean),
             round(summary["packets"].mean),
@@ -69,8 +70,7 @@ def bench_e10_overhead(benchmark, emit_table, smoke, results_dir):
 
     if not smoke:
         def doh(metric, n):
-            return result.metric(metric, mechanism="distributed-doh",
-                                 num_providers=n).mean
+            return result.metric(metric, **{"provider.count": n}).mean
 
         # Parallel fan-out: going 3 -> 15 resolvers must cost far less
         # than 5x the latency (it is bounded by the slowest, plus
@@ -83,8 +83,7 @@ def bench_e10_generation_wallclock(benchmark):
     """Real (host) wall-clock of a full N=3 generation, for regression
     tracking of the simulator itself."""
     def one_generation():
-        scenario = build_pool_scenario(seed=711, num_providers=3,
-                                       pool_size=40)
+        scenario = materialize(pool_spec(num_providers=3, pool_size=40), 711)
         return scenario.generate_pool_sync()
 
     pool = benchmark(one_generation)

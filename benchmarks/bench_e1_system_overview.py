@@ -6,17 +6,20 @@ DoH resolvers (steps 1-2), each resolver recurses to the c/d/e.ntpns.org
 nameservers (steps 3-4), the answers are combined (step 5) and the
 resulting pool drives a successful Chronos synchronisation.
 
-Declared as a (single-point) campaign grid over the ``figure1`` preset;
-the shared :func:`repro.campaign.figure1_system_trial` reports the
-per-resolver answer/latency breakdown the Figure 1 table shows.
+Declared as a (single-point) campaign grid over the ``figure1`` preset
+spec — Figure 1's three providers; the shared
+:func:`repro.campaign.figure1_system_trial` reports the per-resolver
+answer/latency breakdown the Figure 1 table shows.
 """
 
 from repro.campaign import CampaignRunner, ParameterGrid, figure1_system_trial
+from repro.scenarios import get_spec_preset
 
 from benchmarks.conftest import CACHE_DIR, run_once
 
-GRID = ParameterGrid(
-    {"preset": ("figure1",)},
+GRID = ParameterGrid.over_spec(
+    get_spec_preset("figure1")(),
+    {"provider.count": (3,)},
     name="e1_system_overview",
 )
 

@@ -11,40 +11,42 @@ NONE lets it grow toward 100%; MEDIAN holds while honest resolvers are
 the median but is weaker than SHORTEST in mixed corruption.
 
 Declared as a campaign grid over (inflation × policy), executed
-end-to-end by the shared :func:`repro.campaign.pool_attack_trial` with
-the ``inflate`` compromise behaviour.
+end-to-end by :func:`repro.campaign.spec_trial` with the ``inflate``
+compromise behaviour.
 """
 
 from repro.analysis.poolquality import (
     pool_fraction_with_truncation,
     pool_fraction_without_truncation,
 )
-from repro.campaign import CampaignRunner, ParameterGrid, pool_attack_trial
+from repro.campaign import CampaignRunner, ParameterGrid, spec_trial
 from repro.core.policy import TruncationPolicy
+from repro.scenarios import pool_spec
 
 from benchmarks.conftest import CACHE_DIR, run_once
 
 INFLATION = [4, 8, 16, 32, 64]
-POLICIES = [TruncationPolicy.SHORTEST, TruncationPolicy.MEDIAN,
-            TruncationPolicy.NONE]
+POLICIES = ["shortest", "median", "none"]
 # The attacker's servers (recycled by the inflate behaviour as needed).
 FORGED = tuple(f"203.0.113.{i + 1}" for i in range(8))
 
-GRID = ParameterGrid(
-    {"inflate_to": INFLATION, "truncation": POLICIES},
-    fixed={"num_providers": 3, "answers_per_query": 4, "corrupted": 1,
-           "behavior": "inflate", "forged": FORGED},
+BASE_SPEC = pool_spec(num_providers=3, answers_per_query=4)
+FIXED = {"provider.corrupted": 1, "provider.behavior": "inflate",
+         "provider.forged": FORGED}
+
+GRID = ParameterGrid.over_spec(
+    BASE_SPEC,
+    {"provider.inflate_to": INFLATION, "pool.truncation": POLICIES},
+    fixed=FIXED,
     name="e5_truncation_defense",
 )
 
-RUNNER = CampaignRunner(pool_attack_trial, base_seed=300,
-                        cache_dir=CACHE_DIR)
+RUNNER = CampaignRunner(spec_trial, base_seed=300, cache_dir=CACHE_DIR)
 
-SMOKE_GRID = ParameterGrid(
-    {"inflate_to": (4, 32),
-     "truncation": (TruncationPolicy.SHORTEST, TruncationPolicy.NONE)},
-    fixed={"num_providers": 3, "answers_per_query": 4, "corrupted": 1,
-           "behavior": "inflate", "forged": FORGED},
+SMOKE_GRID = ParameterGrid.over_spec(
+    BASE_SPEC,
+    {"provider.inflate_to": (4, 32), "pool.truncation": ("shortest", "none")},
+    fixed=FIXED,
     name="e5_truncation_defense_smoke",
 )
 
@@ -56,8 +58,8 @@ def bench_e5_truncation_defense(benchmark, emit_table, smoke, results_dir):
 
     rows = []
     for summary in result.summaries:
-        inflate_to = summary.params["inflate_to"]
-        policy = summary.params["truncation"]
+        inflate_to = summary.params["provider.inflate_to"]
+        policy = TruncationPolicy(summary.params["pool.truncation"])
         share = summary["attacker_share"].mean
         if policy is TruncationPolicy.SHORTEST:
             closed = pool_fraction_with_truncation(3, 1, 4, inflate_to)
@@ -82,8 +84,8 @@ def bench_e5_truncation_defense(benchmark, emit_table, smoke, results_dir):
               "NONE lets inflation buy a majority — the [1] attack.")
 
     for summary in result.summaries:
-        inflate_to = summary.params["inflate_to"]
-        policy = summary.params["truncation"]
+        inflate_to = summary.params["provider.inflate_to"]
+        policy = TruncationPolicy(summary.params["pool.truncation"])
         share = summary["attacker_share"].mean
         if policy is TruncationPolicy.SHORTEST:
             assert abs(share - 1 / 3) < 1e-9

@@ -9,7 +9,7 @@ availability/strength trade-off, including its interaction with answer
 rotation (heavy rotation starves the vote of overlap).
 
 Declared as a campaign grid over the pool population; the shared
-:func:`repro.campaign.pool_attack_trial` reports both the combined pool
+:func:`repro.campaign.spec_trial` reports both the combined pool
 and the per-address vote for every point. The voted pool size is the
 one genuinely noisy metric here (rotation overlap varies per world), so
 the full run samples it adaptively: every point gets at least
@@ -22,8 +22,9 @@ from repro.campaign import (
     AdaptiveSampling,
     CampaignRunner,
     ParameterGrid,
-    pool_attack_trial,
+    spec_trial,
 )
+from repro.scenarios import pool_spec
 
 from benchmarks.conftest import CACHE_DIR, JOURNAL_DIR, run_once
 
@@ -32,21 +33,21 @@ FORGED = tuple(f"203.0.113.{i + 1}" for i in range(4))
 TRIALS = 5          # floor: rotation overlap varies per world
 MAX_TRIALS = 12     # adaptive budget for high-variance points
 
-GRID = ParameterGrid(
-    {"pool_size": (4, 8, 20, 60)},
-    fixed={"num_providers": 3, "answers_per_query": 4, "corrupted": 1,
-           "forged": FORGED},
+GRID = ParameterGrid.over_spec(
+    pool_spec(num_providers=3, answers_per_query=4),
+    {"pool.size": (4, 8, 20, 60)},
+    fixed={"provider.corrupted": 1, "provider.forged": FORGED},
     name="e8_majority_vote",
 )
 
-RUNNER = CampaignRunner(pool_attack_trial, trials_per_point=TRIALS,
+RUNNER = CampaignRunner(spec_trial, trials_per_point=TRIALS,
                         base_seed=500, cache_dir=CACHE_DIR,
                         journal_dir=JOURNAL_DIR,
                         adaptive=AdaptiveSampling(max_trials=MAX_TRIALS,
                                                   ci_width=1.0,
                                                   metric="voted_size"))
 
-SMOKE_RUNNER = CampaignRunner(pool_attack_trial, base_seed=500,
+SMOKE_RUNNER = CampaignRunner(spec_trial, base_seed=500,
                               cache_dir=CACHE_DIR)
 
 
@@ -59,7 +60,7 @@ def bench_e8_majority_vote(benchmark, emit_table, smoke, results_dir):
     for summary in result.summaries:
         voted = summary["voted_size"]
         rows.append([
-            summary.params["pool_size"],
+            summary.params["pool.size"],
             round(summary["pool_size"].mean),
             f"{summary['attacker_share'].mean:.0%}",
             f"{voted.mean:.1f}",
@@ -87,7 +88,9 @@ def bench_e8_majority_vote(benchmark, emit_table, smoke, results_dir):
         assert abs(summary["attacker_share"].mean - 1 / 3) < 1e-9
         assert summary["voted_attacker_share"].mean == 0.0  # vote soundness
     # Overlap economics: tiny population => the vote keeps everything.
-    assert result.metric("voted_size", pool_size=4).mean == 4
+    def voted_size(population):
+        return result.metric("voted_size", **{"pool.size": population}).mean
+
+    assert voted_size(4) == 4
     # Heavy rotation => fewer (possibly zero) quorum winners.
-    assert (result.metric("voted_size", pool_size=60).mean
-            <= result.metric("voted_size", pool_size=4).mean)
+    assert voted_size(60) <= voted_size(4)

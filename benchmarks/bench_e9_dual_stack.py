@@ -14,8 +14,8 @@ Declared as a campaign grid whose axis is the dual-stack policy family;
 the shared trial reports per-family attacker shares directly.
 """
 
-from repro.campaign import CampaignRunner, ParameterGrid, pool_attack_trial
-from repro.core.policy import DualStackPolicy
+from repro.campaign import CampaignRunner, ParameterGrid, spec_trial
+from repro.scenarios import pool_spec
 
 from benchmarks.conftest import CACHE_DIR, run_once
 
@@ -23,17 +23,18 @@ FORGED_V6 = tuple(f"2001:db8:bad::{i + 1:x}" for i in range(3))
 
 TRIALS = 5          # independent world seeds per policy
 
-GRID = ParameterGrid(
-    {"policy": (DualStackPolicy.UNION, DualStackPolicy.PER_FAMILY)},
-    fixed={"num_providers": 3, "pool_size": 12, "answers_per_query": 3,
-           "dual_stack": True, "corrupted": 1, "forged": FORGED_V6},
+GRID = ParameterGrid.over_spec(
+    pool_spec(num_providers=3, pool_size=12, answers_per_query=3,
+              dual_stack=True),
+    {"pool.dual_stack_policy": ("union", "per-family")},
+    fixed={"provider.corrupted": 1, "provider.forged": FORGED_V6},
     name="e9_dual_stack",
 )
 
-RUNNER = CampaignRunner(pool_attack_trial, trials_per_point=TRIALS,
+RUNNER = CampaignRunner(spec_trial, trials_per_point=TRIALS,
                         base_seed=600, cache_dir=CACHE_DIR)
 
-SMOKE_RUNNER = CampaignRunner(pool_attack_trial, base_seed=600,
+SMOKE_RUNNER = CampaignRunner(spec_trial, base_seed=600,
                               cache_dir=CACHE_DIR)
 
 
@@ -46,7 +47,7 @@ def bench_e9_dual_stack(benchmark, emit_table, smoke, results_dir):
     for summary in result.summaries:
         share = summary["attacker_share"]
         rows.append([
-            summary.params["policy"].value,
+            summary.params["pool.dual_stack_policy"],
             round(summary["pool_size"].mean),
             f"{share.mean:.0%}",
             f"±{(share.ci_high - share.ci_low) / 2:.1%}",
@@ -65,8 +66,8 @@ def bench_e9_dual_stack(benchmark, emit_table, smoke, results_dir):
               "exactly 1/3 — an app using only v6 addresses must demand "
               "the per-family guarantee, as the footnote warns.")
 
-    union = result.summary(policy=DualStackPolicy.UNION)
-    per_family = result.summary(policy=DualStackPolicy.PER_FAMILY)
+    union = result.summary(**{"pool.dual_stack_policy": "union"})
+    per_family = result.summary(**{"pool.dual_stack_policy": "per-family"})
     assert union["attacker_share"].mean <= 1 / 3 + 1e-9
     assert per_family["v4_share"].mean == 0.0
     assert abs(per_family["v6_share"].mean - 1 / 3) < 1e-9

@@ -30,12 +30,7 @@ import json
 import time
 from pathlib import Path
 
-from repro.campaign import (
-    CampaignRunner,
-    ParameterGrid,
-    hierarchy_trial,
-    spec_trial,
-)
+from repro.campaign import CampaignRunner, ParameterGrid, spec_trial
 from repro.scenarios import materialize, set_path
 from repro.scenarios.presets import (
     hierarchy_population_spec,
@@ -63,7 +58,7 @@ GRID = ParameterGrid.over_spec(
     name="h1_hierarchy",
 )
 
-RUNNER = CampaignRunner(hierarchy_trial, trials_per_point=TRIALS,
+RUNNER = CampaignRunner(spec_trial, trials_per_point=TRIALS,
                         base_seed=900, cache_dir=CACHE_DIR,
                         journal_dir=JOURNAL_DIR)
 
@@ -76,7 +71,7 @@ SMOKE_GRID = ParameterGrid.over_spec(
     name="h1_hierarchy_smoke",
 )
 
-SMOKE_RUNNER = CampaignRunner(hierarchy_trial, base_seed=900,
+SMOKE_RUNNER = CampaignRunner(spec_trial, base_seed=900,
                               cache_dir=CACHE_DIR)
 
 # E2 re-run over the hierarchy: same corruption axis, single-client
@@ -226,9 +221,9 @@ def bench_h1_hierarchy(benchmark, emit_table, smoke, results_dir):
               "either.")
 
     # --- serial == parallel bit-identity ----------------------------
-    serial = CampaignRunner(hierarchy_trial, base_seed=920,
+    serial = CampaignRunner(spec_trial, base_seed=920,
                             executor="serial").run(IDENTITY_GRID)
-    parallel = CampaignRunner(hierarchy_trial, base_seed=920,
+    parallel = CampaignRunner(spec_trial, base_seed=920,
                               executor="processes",
                               workers=2).run(IDENTITY_GRID)
     assert serial.records == parallel.records, (

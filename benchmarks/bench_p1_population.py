@@ -30,10 +30,9 @@ Claims reproduced at population scale:
 from repro.campaign import (
     CampaignRunner,
     ParameterGrid,
-    pool_attack_trial,
     spec_trial,
 )
-from repro.scenarios.spec import population_spec
+from repro.scenarios.spec import pool_spec, population_spec
 
 from benchmarks.conftest import CACHE_DIR, JOURNAL_DIR, run_once
 
@@ -69,13 +68,13 @@ SMOKE_RUNNER = CampaignRunner(spec_trial, base_seed=1000,
 
 # Single-client E2 reference sweep (attacker share of one generated
 # pool per world) for the full-grid trend comparison.
-E2_REFERENCE_GRID = ParameterGrid(
-    {"corrupted": CORRUPTED},
-    fixed={"behavior": "substitute", "forged": FORGED,
-           "num_providers": NUM_PROVIDERS, "answers_per_query": 4},
+E2_REFERENCE_GRID = ParameterGrid.over_spec(
+    pool_spec(num_providers=NUM_PROVIDERS, answers_per_query=4),
+    {"provider.corrupted": CORRUPTED},
+    fixed={"provider.behavior": "substitute", "provider.forged": FORGED},
     name="p1_e2_reference",
 )
-E2_REFERENCE_RUNNER = CampaignRunner(pool_attack_trial, trials_per_point=3,
+E2_REFERENCE_RUNNER = CampaignRunner(spec_trial, trials_per_point=3,
                                      base_seed=1000, cache_dir=CACHE_DIR)
 
 
@@ -144,7 +143,8 @@ def bench_p1_population(benchmark, emit_table, smoke, results_dir):
         # population victim fraction ≈ single-client attacker share.
         reference = E2_REFERENCE_RUNNER.run(E2_REFERENCE_GRID)
         for c in CORRUPTED:
-            single = reference.metric("attacker_share", corrupted=c).mean
+            single = reference.metric("attacker_share",
+                                      **{"provider.corrupted": c}).mean
             fleet = victim(**{"fleet.size": 1000, "provider.corrupted": c})
             assert abs(fleet - single) < 0.05, (
                 f"corrupted={c}: population {fleet:.3f} vs "

@@ -42,7 +42,7 @@ import time
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
-from repro.campaign import CampaignRunner, ParameterGrid, pool_attack_trial
+from repro.campaign import CampaignRunner, ParameterGrid, spec_trial
 from repro.telemetry.trace import Tracer, use_tracer
 from repro.netsim.address import Endpoint, ip
 from repro.netsim.host import Host
@@ -50,7 +50,7 @@ from repro.netsim.internet import Internet, TapAction
 from repro.netsim.link import LinkProfile
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import Topology
-from repro.scenarios.spec import materialize, population_spec
+from repro.scenarios.spec import materialize, pool_spec, population_spec
 from repro.util.rng import RngRegistry
 
 from benchmarks.conftest import run_once
@@ -183,15 +183,15 @@ def _peak_rss_mb() -> float:
 
 
 def _bench_campaign(trials: int) -> dict:
-    grid = ParameterGrid(
-        {"num_providers": (3, 5), "corrupted": (0, 1, 2)},
-        fixed={"pool_size": 24, "answers_per_query": 4,
-               "forged": ("203.0.113.1", "203.0.113.2")},
+    grid = ParameterGrid.over_spec(
+        pool_spec(pool_size=24, answers_per_query=4),
+        {"provider.count": (3, 5), "provider.corrupted": (0, 1, 2)},
+        fixed={"provider.forged": ("203.0.113.1", "203.0.113.2")},
         name="perf_campaign")
     # workers=4 caps the adaptive executor; the calibration probe picks
     # the actual mode (the baseline run *forced* a 4-worker fork pool,
     # which is where the 0.9x came from on single-core runners).
-    runner = CampaignRunner(pool_attack_trial, trials_per_point=trials,
+    runner = CampaignRunner(spec_trial, trials_per_point=trials,
                             base_seed=55, workers=4)
     started = time.perf_counter()
     result = runner.run(grid)

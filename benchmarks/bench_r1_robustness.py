@@ -1,10 +1,11 @@
 """R1 — pool generation robustness under the full fault-injection axes.
 
 E6 sweeps only the ``loss_rate`` axis; this benchmark exercises the
-remaining :class:`repro.netsim.link.FaultModel` knobs — ``jitter_s``
-(bounded extra delay), ``reorder_window`` (hold-back displacement) and
-``duplicate_rate`` (a second delivered copy) — on the client access
-link of the ``degraded-network`` preset.
+remaining :class:`repro.netsim.link.FaultModel` knobs —
+``network.fault.jitter_s`` (bounded extra delay),
+``network.fault.reorder_window`` (hold-back displacement) and
+``network.fault.duplicate_rate`` (a second delivered copy) — on the
+client access link of the ``degraded-network`` preset spec.
 
 Claim measured: Algorithm 1 over the unified transport is *correct*
 under every non-lossy fault the model can impose. Jitter and
@@ -14,28 +15,28 @@ discipline, never double-delivered. Faults therefore cost elapsed time,
 not availability and not pool quality.
 """
 
-from repro.campaign import CampaignRunner, ParameterGrid, pool_attack_trial
+from repro.campaign import CampaignRunner, ParameterGrid, spec_trial
+from repro.scenarios import get_spec_preset
 
 from benchmarks.conftest import CACHE_DIR, run_once
 
-FIXED = {"preset": "degraded-network", "corrupted": 0}
+JITTER = "network.fault.jitter_s"
+REORDER = "network.fault.reorder_window"
+DUPLICATE = "network.fault.duplicate_rate"
 
-GRID = ParameterGrid(
-    {"jitter_s": (0.0, 0.04), "reorder_window": (0.0, 0.04),
-     "duplicate_rate": (0.0, 0.25)},
-    fixed=FIXED,
-    name="r1_robustness",
-)
-RUNNER = CampaignRunner(pool_attack_trial, trials_per_point=3,
+AXES = {JITTER: (0.0, 0.04), REORDER: (0.0, 0.04), DUPLICATE: (0.0, 0.25)}
+
+GRID = ParameterGrid.over_spec(
+    get_spec_preset("degraded-network")(), AXES, name="r1_robustness")
+RUNNER = CampaignRunner(spec_trial, trials_per_point=3,
                         base_seed=1100, cache_dir=CACHE_DIR)
 
-SMOKE_GRID = ParameterGrid.from_points(
-    [{"jitter_s": 0.0, "reorder_window": 0.0, "duplicate_rate": 0.0},
-     {"jitter_s": 0.04, "reorder_window": 0.04, "duplicate_rate": 0.25}],
-    fixed=FIXED,
-    name="r1_robustness_smoke",
-)
-SMOKE_RUNNER = CampaignRunner(pool_attack_trial, base_seed=1100,
+# The two corners: fault-free and every fault at once.
+SMOKE_GRID = ParameterGrid.over_spec(
+    get_spec_preset("degraded-network")(), AXES,
+    name="r1_robustness_smoke").where(
+    lambda p: (p[JITTER] > 0) == (p[REORDER] > 0) == (p[DUPLICATE] > 0))
+SMOKE_RUNNER = CampaignRunner(spec_trial, base_seed=1100,
                               cache_dir=CACHE_DIR)
 
 
@@ -48,9 +49,9 @@ def bench_r1_robustness(benchmark, emit_table, smoke, results_dir):
     for summary in result.summaries:
         elapsed = summary["elapsed"]
         rows.append([
-            f"{summary.params['jitter_s'] * 1000:.0f} ms",
-            f"{summary.params['reorder_window'] * 1000:.0f} ms",
-            f"{summary.params['duplicate_rate']:.0%}",
+            f"{summary.params[JITTER] * 1000:.0f} ms",
+            f"{summary.params[REORDER] * 1000:.0f} ms",
+            f"{summary.params[DUPLICATE]:.0%}",
             "yes" if summary["ok"].mean == 1.0 else
             f"{summary['ok'].mean:.0%}",
             round(summary["pool_size"].mean),
@@ -78,15 +79,13 @@ def bench_r1_robustness(benchmark, emit_table, smoke, results_dir):
 
     # Jitter costs latency: the jittered corner is no faster than the
     # fault-free baseline.
-    clean = result.metric("elapsed", jitter_s=0.0, reorder_window=0.0,
-                          duplicate_rate=0.0).mean
-    if smoke:
-        worst = result.metric("elapsed", jitter_s=0.04,
-                              reorder_window=0.04,
-                              duplicate_rate=0.25).mean
-    else:
-        worst = result.metric("elapsed", jitter_s=0.04,
-                              reorder_window=0.0, duplicate_rate=0.0).mean
+    def elapsed(jitter, reorder, duplicate):
+        return result.metric("elapsed", **{JITTER: jitter, REORDER: reorder,
+                                           DUPLICATE: duplicate}).mean
+
+    clean = elapsed(0.0, 0.0, 0.0)
+    worst = (elapsed(0.04, 0.04, 0.25) if smoke
+             else elapsed(0.04, 0.0, 0.0))
     assert worst >= clean, (
         f"faulted run ({worst:.4f}s) beat the clean baseline "
         f"({clean:.4f}s)")

@@ -16,11 +16,11 @@ from repro.dns.client import StubResolver
 from repro.dns.rrtype import RRType
 from repro.netsim.address import ip
 from repro.netsim.host import Host
-from repro.scenarios import figure1_scenario
+from repro.scenarios import get_spec_preset, materialize
 
 
 def main() -> None:
-    scenario = figure1_scenario(seed=11)
+    scenario = materialize(get_spec_preset("figure1")(), seed=11)
 
     # The front-end runs on the client's gateway host, port 53.
     frontend = MajorityDnsFrontend(

@@ -8,12 +8,13 @@ on the c/d/e.ntpns.org nameservers — and runs Algorithm 1 once.
 Run:  python examples/quickstart.py
 """
 
-from repro.scenarios import figure1_scenario
+from repro.scenarios import get_spec_preset, materialize
 
 
 def main() -> None:
-    # One seeded, deterministic world: DNS tree + 3 DoH providers + client.
-    scenario = figure1_scenario(seed=2024)
+    # One seeded, deterministic world: DNS tree + 3 DoH providers + client,
+    # compiled from the "figure1" preset spec.
+    scenario = materialize(get_spec_preset("figure1")(), seed=2024)
 
     print("Trusted DoH resolvers:")
     for deployment in scenario.providers:

@@ -24,27 +24,30 @@ Subpackages
     The deterministic discrete-event Internet and assembled worlds.
 ``repro.campaign``
     Declarative parameter sweeps at scale: a ``ParameterGrid`` names
-    the axes (presets × attacks × pool sizes × resolver configs ×
-    dual-stack families), a ``CampaignRunner`` shards the trials across
-    worker processes with deterministic per-trial seeds, and an
-    ``Aggregator`` folds the records into mean/stderr/CI summaries with
-    JSON export. Serial and multiprocessing runs are bit-identical; the
+    the axes as dotted paths into a ``ScenarioSpec`` (provider count ×
+    corruption × pool size × resolver config × dual-stack policy, ...),
+    ``spec_trial`` compiles and measures each point's world, a
+    ``CampaignRunner`` shards the trials across worker processes with
+    deterministic per-trial seeds, and an ``Aggregator`` folds the
+    records into mean/stderr/CI summaries with JSON export. Serial and multiprocessing runs are bit-identical; the
     ``bench_e*`` experiment scripts are thin grid declarations over it.
 
 Quick start::
 
-    from repro.scenarios import figure1_scenario
-    pool = figure1_scenario(seed=1).generate_pool_sync()
+    from repro.scenarios import get_spec_preset, materialize
+    world = materialize(get_spec_preset("figure1")(), seed=1)
+    pool = world.generate_pool_sync()
 
 Sweep 40 scenarios across all cores::
 
-    from repro.campaign import CampaignRunner, ParameterGrid, pool_attack_trial
-    grid = ParameterGrid({"num_providers": (3, 5, 9, 15, 31),
-                          "corrupted": range(10)},
-                         fixed={"pool_size": 40,
-                                "forged": ("203.0.113.1",)}).where(
-        lambda p: p["corrupted"] <= p["num_providers"])
-    result = CampaignRunner(pool_attack_trial, trials_per_point=3,
+    from repro.campaign import CampaignRunner, ParameterGrid, spec_trial
+    grid = ParameterGrid.over_spec(
+        get_spec_preset("custom")(pool_size=40),
+        {"provider.count": (3, 5, 9, 15, 31),
+         "provider.corrupted": range(10)},
+        fixed={"provider.forged": ("203.0.113.1",)}).where(
+        lambda p: p["provider.corrupted"] <= p["provider.count"])
+    result = CampaignRunner(spec_trial, trials_per_point=3,
                             base_seed=7).run(grid)
 """
 

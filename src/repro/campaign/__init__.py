@@ -5,8 +5,11 @@ one into three declarative pieces instead of a hand-rolled nested loop:
 
 * a :class:`ParameterGrid` naming the axes (presets × attacks × pool
   sizes × resolver configurations × dual-stack families, ...);
-* a picklable trial function ``(params, seed) -> metrics`` — stock ones
-  for end-to-end pool generation and the §III Monte-Carlos are provided;
+* a picklable trial function ``(params, seed) -> metrics`` — the stock
+  world trial :func:`spec_trial` compiles and measures whatever
+  :class:`~repro.scenarios.spec.ScenarioSpec` a point carries
+  (:meth:`ParameterGrid.over_spec` sweeps dotted spec paths), and the
+  §III Monte-Carlos are provided too;
 * a :class:`CampaignRunner` that executes the trials on an adaptively
   chosen executor (serial / thread pool / process pool, picked from a
   measured per-trial cost) with deterministic per-trial seeds derived
@@ -23,17 +26,19 @@ index)`` and records are folded in grid order in every mode.
 
 Quick start::
 
-    from repro.campaign import CampaignRunner, ParameterGrid, pool_attack_trial
+    from repro.campaign import CampaignRunner, ParameterGrid, spec_trial
+    from repro.scenarios import get_spec_preset
 
-    grid = ParameterGrid({"num_providers": (3, 5, 9),
-                          "corrupted": (0, 1, 2)},
-                         fixed={"pool_size": 40,
-                                "forged": ("203.0.113.1",)},
-                         name="share-sweep").where(
-        lambda p: p["corrupted"] <= p["num_providers"])
-    result = CampaignRunner(pool_attack_trial, trials_per_point=3,
+    base = get_spec_preset("custom")(pool_size=40)
+    grid = ParameterGrid.over_spec(
+        base, {"provider.count": (3, 5, 9), "provider.corrupted": (0, 1, 2)},
+        fixed={"provider.forged": ("203.0.113.1",)},
+        name="share-sweep").where(
+        lambda p: p["provider.corrupted"] <= p["provider.count"])
+    result = CampaignRunner(spec_trial, trials_per_point=3,
                             base_seed=7).run(grid)
-    result.metric("attacker_share", num_providers=3, corrupted=1).mean
+    result.metric("attacker_share", **{"provider.count": 3,
+                                       "provider.corrupted": 1}).mean
 """
 
 from repro.analysis.montecarlo import (
@@ -54,14 +59,9 @@ from repro.campaign.runner import CampaignProgress, CampaignRunner, trial_seed
 from repro.campaign.sampling import AdaptiveSampling
 from repro.campaign.trials import (
     advantage_bits_trial,
-    build_scenario,
-    chaos_trial,
     figure1_system_trial,
-    hierarchy_trial,
     offpath_spray_trial,
     overhead_trial,
-    pool_attack_trial,
-    population_trial,
     spec_trial,
     timeshift_trial,
 )
@@ -81,18 +81,13 @@ __all__ = [
     "TrialRecord",
     "advantage_bits_trial",
     "attack_probability_trial",
-    "build_scenario",
-    "chaos_trial",
     "choose_executor",
     "figure1_system_trial",
-    "hierarchy_trial",
     "journal_path",
     "offpath_spray_trial",
     "overhead_trial",
     "point_key",
-    "pool_attack_trial",
     "pool_fraction_trial",
-    "population_trial",
     "spec_trial",
     "timeshift_trial",
     "trial_seed",

@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import logging
 from pathlib import Path
-from typing import Any, Dict, IO, Optional, Tuple
+from typing import Any, Dict, IO, Mapping, Optional, Tuple
 
 from repro.campaign.aggregate import TrialRecord
 
@@ -34,10 +34,43 @@ logger = logging.getLogger("repro.campaign")
 Entry = Dict[str, Any]
 
 
+def store_path(directory: Path, name: str, fingerprint: str,
+               suffix: str) -> Path:
+    """``<directory>/<name>-<fingerprint16><suffix>``, with the campaign
+    name reduced to filename-safe characters (the journal and the
+    result cache share this layout)."""
+    safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in name)
+    return directory / f"{safe}-{fingerprint[:16]}{suffix}"
+
+
 def journal_path(journal_dir: Path, name: str, fingerprint: str) -> Path:
     """Where the journal for campaign ``name``/``fingerprint`` lives."""
-    safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in name)
-    return journal_dir / f"{safe}-{fingerprint[:16]}.jsonl"
+    return store_path(journal_dir, name, fingerprint, ".jsonl")
+
+
+def rehydrate(entry: Optional[Entry], point_index: int, key: str,
+              params: Mapping[str, Any], trial: int,
+              seed: int) -> Optional[TrialRecord]:
+    """A journaled or cached entry as a live record, or ``None``.
+
+    The entry's seed must equal the live derivation and its metrics
+    must all be numbers; anything else (drifted content, a hand-edited
+    or truncated file) is a miss, never a crash.  Params come from the
+    live spec, so Python types survive the JSON round trip.
+    """
+    if entry is None or entry.get("seed") != seed:
+        return None
+    metrics = entry.get("metrics")
+    if not isinstance(metrics, dict):
+        return None
+    try:
+        metrics = {str(k): float(v) for k, v in metrics.items()}
+    except (TypeError, ValueError):
+        return None
+    return TrialRecord(point_index=point_index, point_key=key, params=params,
+                       trial=trial, seed=seed, metrics=metrics,
+                       telemetry=entry.get("telemetry"),
+                       trace=entry.get("trace"))
 
 
 class CampaignJournal:

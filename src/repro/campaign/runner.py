@@ -79,7 +79,12 @@ from repro.campaign.executors import (
     run_threads,
 )
 from repro.campaign.grid import GridPoint, ParameterGrid
-from repro.campaign.journal import CampaignJournal, journal_path
+from repro.campaign.journal import (
+    CampaignJournal,
+    journal_path,
+    rehydrate,
+    store_path,
+)
 from repro.campaign.sampling import AdaptiveSampling
 from repro.util.rng import derive_seed
 from repro.util.stats import RunningStats
@@ -249,27 +254,11 @@ class _Execution:
     # ------------------------------------------------------------------
 
     def _recover_record(self, spec: Spec) -> Optional[TrialRecord]:
-        """A journal entry rehydrated against the live spec, or ``None``.
-
-        The entry's seed must equal the spec's own derivation — a
-        journal whose fingerprint matched but whose content drifted is
-        simply re-executed. Params come from the live spec, so resumed
-        records keep their Python types exactly like cached ones do.
-        """
-        entry = self._recovered.get((spec[2], spec[4]))
-        if entry is None or entry.get("seed") != spec[5]:
-            return None
-        metrics = entry.get("metrics")
-        if not isinstance(metrics, dict):
-            return None
-        try:
-            metrics = {str(k): float(v) for k, v in metrics.items()}
-        except (TypeError, ValueError):
-            return None
-        return TrialRecord(point_index=spec[1], point_key=spec[2],
-                           params=spec[3], trial=spec[4], seed=spec[5],
-                           metrics=metrics, telemetry=entry.get("telemetry"),
-                           trace=entry.get("trace"))
+        """A journal entry rehydrated against the live spec, or
+        ``None`` (a drifted entry is simply re-executed)."""
+        _, point_index, key, params, trial, seed = spec
+        return rehydrate(self._recovered.get((key, trial)), point_index,
+                         key, params, trial, seed)
 
     def _decide(self, pending: List[Spec],
                 emit: Callable[[TrialRecord], None]) -> List[Spec]:
@@ -652,8 +641,7 @@ class CampaignRunner:
     def _cache_path(self, name: str, fingerprint: str) -> Optional[Path]:
         if self._cache_dir is None:
             return None
-        safe = "".join(c if c.isalnum() or c in "-_." else "_" for c in name)
-        return self._cache_dir / f"{safe}-{fingerprint[:16]}.json"
+        return store_path(self._cache_dir, name, fingerprint, ".json")
 
     def _load_cache(self, cache_path: Optional[Path], specs: List[Spec],
                     points: List[GridPoint]) -> Optional[List[TrialRecord]]:
@@ -673,8 +661,8 @@ class CampaignRunner:
             return self._load_adaptive_cache(by_identity, points)
         records = []
         for _, point_index, key, params, trial, seed in specs:
-            record = self._rehydrate(by_identity.get((key, trial)),
-                                     point_index, key, params, trial, seed)
+            record = rehydrate(by_identity.get((key, trial)),
+                               point_index, key, params, trial, seed)
             if record is None:
                 return None
             records.append(record)
@@ -699,7 +687,7 @@ class CampaignRunner:
                     or trials != list(range(count))):
                 return None
             for trial in trials:
-                record = self._rehydrate(
+                record = rehydrate(
                     by_identity[(point.key, trial)], point.index, point.key,
                     point.params, trial,
                     trial_seed(self._base_seed, point.key, trial))
@@ -707,23 +695,6 @@ class CampaignRunner:
                     return None
                 records.append(record)
         return records
-
-    @staticmethod
-    def _rehydrate(entry: Optional[Dict[str, Any]], point_index: int,
-                   key: str, params: Mapping[str, Any], trial: int,
-                   seed: int) -> Optional[TrialRecord]:
-        """One cached/journaled entry as a live record (live params, so
-        Python types survive the JSON round trip), or ``None``."""
-        if entry is None or entry.get("seed") != seed:
-            return None
-        metrics = entry.get("metrics")
-        if not isinstance(metrics, dict):
-            return None
-        return TrialRecord(
-            point_index=point_index, point_key=key, params=params,
-            trial=trial, seed=seed,
-            metrics={str(k): float(v) for k, v in metrics.items()},
-            telemetry=entry.get("telemetry"), trace=entry.get("trace"))
 
     def _write_cache(self, cache_path: Optional[Path],
                      records: List[TrialRecord]) -> None:

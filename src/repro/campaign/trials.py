@@ -1,14 +1,15 @@
 """Reusable trial functions for campaign sweeps.
 
 These are the bridge between the declarative campaign layer and the
-simulation stack: a grid point's parameters select a scenario preset
-(:mod:`repro.scenarios.presets`), an attacker configuration
-(:mod:`repro.attacks.compromise`) and generation policies
-(:mod:`repro.core.policy`), and one trial builds the world, runs one
-experiment and returns scalar metrics. Besides the pool-generation
-trial there are end-to-end trials for the whole Figure 1 pipeline
-(E1), the time-shift attack (E7), the off-path spray ablation (A1),
-the closed-form advantage (E4) and the distribution overhead (E10).
+simulation stack.  World trials take their world from the grid point:
+``params["spec"]`` is a :class:`~repro.scenarios.spec.ScenarioSpec`
+(expanded by :meth:`repro.campaign.ParameterGrid.over_spec`), compiled
+with :func:`~repro.scenarios.spec.materialize`.  :func:`spec_trial` is
+the one generic world trial — the spec itself picks its metric set —
+and the Figure 1 pipeline (E1) and distribution-overhead (E10) trials
+add their experiment knobs on top of the same spec.  Besides those
+there are self-contained trials for the time-shift attack (E7), the
+off-path spray ablation (A1) and the closed-form advantage (E4).
 
 Everything here is module-level and picklable so campaigns can shard
 trials across worker processes. The closed-form Monte-Carlo trials live
@@ -18,15 +19,9 @@ re-exported from :mod:`repro.campaign`.
 
 from __future__ import annotations
 
-import inspect
 from typing import Any, Dict, List, Mapping
 
 from repro.analysis.advantage import security_bits
-from repro.attacks.compromise import (
-    CompromiseConfig,
-    CompromisedResolverBehavior,
-    corrupt_first_k,
-)
 from repro.attacks.offpath import OffPathPoisoner, SprayPlan
 from repro.attacks.timeshift import TimeShiftExperiment
 from repro.core.majority import MajorityVoteCombiner
@@ -42,73 +37,42 @@ from repro.ntp.client import NtpClient
 from repro.ntp.clock import SimClock
 from repro.ntp.pool import deploy_ntp_fleet
 from repro.scenarios import PoolScenario
-from repro.scenarios.presets import get_preset
 from repro.scenarios.spec import (
     ScenarioSpec,
     effective_forged,
     get_path,
     materialize,
     pool_spec,
-    population_spec,
 )
 
 
-def build_scenario(params: Mapping[str, Any], seed: int) -> PoolScenario:
-    """Build the scenario a grid point describes.
+def _point_spec(params: Mapping[str, Any],
+                knobs: frozenset = frozenset()) -> ScenarioSpec:
+    """The spec a grid point carries, with its swept paths validated.
 
-    ``params["preset"]`` (default ``"custom"``) names a builder in the
-    :data:`repro.scenarios.presets.PRESETS` registry; every other
-    parameter the builder's signature accepts is passed through, so one
-    grid can sweep presets and their knobs together.
+    ``params["spec"]`` (a spec object or its ``to_dict`` form) is the
+    world.  Every other parameter that is not one of the trial's own
+    ``knobs`` must be a dotted path the spec carries with exactly the
+    point's value: a mistyped axis, or a point whose sweep silently
+    failed to land, cannot run.
     """
-    builder = get_preset(params.get("preset", "custom"))
-    accepted = inspect.signature(builder).parameters
-    kwargs = {name: value for name, value in params.items()
-              if name in accepted and name != "seed"}
-    return builder(seed=seed, **kwargs)
-
-
-# Parameters pool_attack_trial consumes itself (everything else must be
-# accepted by the selected scenario builder).
-_ATTACK_KEYS = frozenset({"preset", "corrupted", "behavior", "forged",
-                          "inflate_to", "policy", "truncation",
-                          "min_answers"})
-
-
-def _reject_unknown_params(params: Mapping[str, Any],
-                           known: frozenset = _ATTACK_KEYS) -> None:
-    """Fail loudly on parameters nothing would consume.
-
-    A declarative sweep with a typo'd axis name (``answers_per_qeury``)
-    would otherwise run every point against defaults and present a
-    sweep that never happened.
-    """
-    builder = get_preset(params.get("preset", "custom"))
-    accepted = set(inspect.signature(builder).parameters)
-    unknown = set(params) - known - accepted
-    if unknown:
-        raise ValueError(
-            f"unrecognised trial parameters: {sorted(unknown)} "
-            f"(not trial knobs, not accepted by the "
-            f"{params.get('preset', 'custom')!r} scenario builder)")
-
-
-def _coerce_behavior(value: Any) -> CompromisedResolverBehavior:
-    if isinstance(value, CompromisedResolverBehavior):
-        return value
-    return CompromisedResolverBehavior(value)
-
-
-def _coerce_dual_stack(value: Any) -> "DualStackPolicy | None":
-    if value is None or isinstance(value, DualStackPolicy):
-        return value
-    return DualStackPolicy(value)
-
-
-def _coerce_truncation(value: Any) -> TruncationPolicy:
-    if isinstance(value, TruncationPolicy):
-        return value
-    return TruncationPolicy(value)
+    if "spec" not in params:
+        raise ValueError("world trials need params['spec'] "
+                         "(use ParameterGrid.over_spec)")
+    spec = params["spec"]
+    if isinstance(spec, Mapping):
+        spec = ScenarioSpec.from_dict(spec)
+    for name, value in params.items():
+        if name == "spec" or name in knobs:
+            continue
+        applied = get_path(spec, name)   # raises on a path the spec lacks
+        expected = tuple(value) if isinstance(value, list) else value
+        if applied != expected:
+            raise ValueError(
+                f"spec path {name!r} carries {applied!r} but the grid "
+                f"point says {expected!r}; was the spec edited after "
+                f"expansion?")
+    return spec
 
 
 def _share(addresses, forged: set) -> float:
@@ -117,15 +81,34 @@ def _share(addresses, forged: set) -> float:
     return sum(1 for a in addresses if a in forged) / len(addresses)
 
 
-def _pool_generation_metrics(scenario: PoolScenario, pool,
-                             forged: set) -> Dict[str, float]:
-    """The standard metric set for one Algorithm 1 generation (shared
-    by :func:`pool_attack_trial` and single-client :func:`spec_trial`)."""
+# ----------------------------------------------------------------------
+# Metric extractors (spec_trial picks them from the spec).
+# ----------------------------------------------------------------------
+
+
+def _pool_metrics(spec: ScenarioSpec, world: PoolScenario) -> Dict[str, float]:
+    """One Algorithm 1 generation under the spec's combine policy
+    (``pool.truncation`` / ``pool.min_answers`` /
+    ``pool.dual_stack_policy``)."""
+    # Score attacker shares against what the compiler actually serves:
+    # the spec's forged set plus the default synthesis for corruption
+    # behaviours that need addresses but declared none.
+    forged = {IPAddress(a) for a in effective_forged(spec)}
+    for attack in spec.attacks:
+        forged.update(IPAddress(a) for a in attack.param("forged", ()))
+    min_answers = spec.pool.min_answers
+    policy = spec.pool.dual_stack_policy
+    pool = world.generate_pool_sync(world.make_generator(
+        config=PoolGeneratorConfig(
+            truncation=TruncationPolicy(spec.pool.truncation),
+            dual_stack=None if policy is None else DualStackPolicy(policy),
+            min_answers=min_answers,
+            ignore_empty_answers=min_answers is not None)))
     voted = (MajorityVoteCombiner().combine(pool.contributions)
              if pool.contributions else [])
     v4 = [a for a in pool.addresses if a.family == 4]
     v6 = [a for a in pool.addresses if a.family == 6]
-    benign_fraction = (scenario.directory.benign_fraction(pool.addresses)
+    benign_fraction = (world.directory.benign_fraction(pool.addresses)
                        if pool.addresses else 0.0)
     return {
         "ok": 1.0 if pool.ok else 0.0,
@@ -142,81 +125,11 @@ def _pool_generation_metrics(scenario: PoolScenario, pool,
     }
 
 
-def pool_attack_trial(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
-    """One end-to-end pool generation under resolver compromise.
-
-    Recognised parameters (all optional unless noted):
-
-    ``preset`` + builder kwargs
-        scenario selection, see :func:`build_scenario`.
-    ``corrupted``
-        how many providers to corrupt (default 0).
-    ``behavior``
-        a :class:`CompromisedResolverBehavior` or its string value
-        (default ``"substitute"``).
-    ``forged``
-        the attacker's addresses (required when ``corrupted > 0`` and
-        the behaviour needs them).
-    ``inflate_to``
-        answer inflation for the ``inflate`` behaviour.
-    ``policy``
-        a :class:`DualStackPolicy` (or value) for dual-stack lookups.
-    ``truncation``
-        a :class:`TruncationPolicy` (or value), default SHORTEST.
-    ``min_answers``
-        ``None`` for the paper's strict all-must-answer semantics, or
-        the quorum of the E6 availability extension (pairs with
-        ``ignore_empty_answers``).
-
-    Returned metrics: ``ok`` and ``degraded`` (availability),
-    ``pool_size``, ``truncate_length``, ``attacker_share``,
-    ``v4_share``, ``v6_share``, ``voted_size`` and
-    ``voted_attacker_share`` (per-address majority vote over the same
-    contributions), plus ``benign_fraction`` scored against the
-    scenario's pool directory.
-    """
-    _reject_unknown_params(params)
-    scenario = build_scenario(params, seed)
-    # Keep the caller's declared order: with the inflate behaviour the
-    # compromised resolver serves forged[:inflate_to], so order is
-    # semantically meaningful. The set is only for share counting.
-    forged_list = [IPAddress(a) for a in params.get("forged", ())]
-    forged = set(forged_list)
-    corrupted = int(params.get("corrupted", 0))
-    if corrupted:
-        config = CompromiseConfig(
-            target=scenario.pool_domain,
-            behavior=_coerce_behavior(params.get("behavior", "substitute")),
-            forged_addresses=forged_list,
-            inflate_to=int(params.get("inflate_to", 20)))
-        corrupt_first_k(scenario.providers, corrupted, config)
-
-    min_answers = params.get("min_answers")
-    generator_config = PoolGeneratorConfig(
-        truncation=_coerce_truncation(params.get("truncation",
-                                                 TruncationPolicy.SHORTEST)),
-        dual_stack=_coerce_dual_stack(params.get("policy")),
-        min_answers=min_answers,
-        ignore_empty_answers=min_answers is not None)
-    pool = scenario.generate_pool_sync(
-        scenario.make_generator(config=generator_config))
-    return _pool_generation_metrics(scenario, pool, forged)
-
-
-# ----------------------------------------------------------------------
-# P1 — population-scale fleets measured through the telemetry registry.
-# ----------------------------------------------------------------------
-
-# ``seed`` is campaign-derived and the registry must stay per-trial (a
-# shared one would fold metrics across trials and break the
-# serial==parallel bit-identity), so neither is a valid grid axis.
-_POPULATION_KEYS = frozenset(inspect.signature(population_spec).parameters)
-
-
-def _population_metrics(scenario) -> Dict[str, float]:
-    """The standard metric set for one driven population world."""
-    outcomes = scenario.run()
-    registry = scenario.telemetry
+def _population_metrics(world) -> Dict[str, float]:
+    """Drive the whole population; metrics come from the world's
+    private registry, so nothing folds across trials."""
+    outcomes = world.run()
+    registry = world.telemetry
     return {
         "victim_fraction": outcomes.victim_fraction,
         "availability": outcomes.availability,
@@ -235,168 +148,13 @@ def _population_metrics(scenario) -> Dict[str, float]:
     }
 
 
-def population_trial(params: Mapping[str, Any], seed: int):
-    """One whole client population in one world.
-
-    Every parameter is a keyword of
-    :func:`repro.scenarios.spec.population_spec` (``num_clients``,
-    ``rounds``, ``corrupted``, ``behavior``, ``churn_rate``,
-    ``arrival``, fault axes, ...), so campaign grids sweep the
-    population surface directly. Metrics are read from the scenario's
-    private telemetry registry after the run, which is what keeps
-    serial and sharded campaign executions bit-identical: each trial
-    owns its registry and folds nothing across trials.
-
-    Returned metrics: ``victim_fraction`` (of rounds that completed an
-    NTP sync, how many synced against an attacker server),
-    ``availability``, ``shifted_fraction``, ``sync_fraction``, clock
-    error stats, churn counts, and network/transport totals from the
-    registry (datagrams, bytes, stub timeouts).  The trial also attaches
-    the registry's snapshot JSON to its record, exported by runners
-    configured with ``include_telemetry=True``.
-    """
-    unknown = set(params) - _POPULATION_KEYS
-    if unknown:
-        raise ValueError(
-            f"unrecognised trial parameters: {sorted(unknown)} "
-            f"(not accepted by population_spec)")
-    scenario = materialize(population_spec(**dict(params)), seed)
-    metrics = _population_metrics(scenario)
-    return metrics, scenario.telemetry.snapshot_json()
-
-
-# ----------------------------------------------------------------------
-# The generic grid-over-spec trial.
-# ----------------------------------------------------------------------
-
-
-def spec_trial(params: Mapping[str, Any], seed: int):
-    """One trial of whatever world ``params["spec"]`` describes.
-
-    The bridge for :meth:`repro.campaign.ParameterGrid.over_spec`
-    grids: each point carries its fully applied
-    :class:`~repro.scenarios.spec.ScenarioSpec` under the reserved
-    ``"spec"`` key (a spec object or its ``to_dict`` form) plus its
-    swept dotted paths, which are validated against the spec so a
-    point whose sweep silently failed to land cannot run.
-
-    Population specs run the whole fleet and report the
-    :func:`population_trial` metric set; single-client specs run one
-    Algorithm 1 generation under the spec's combine policy
-    (``pool.truncation`` / ``pool.min_answers`` /
-    ``pool.dual_stack_policy``) and report the
-    :func:`pool_attack_trial` metric set.  Either way the registry
-    snapshot rides along when the world has telemetry.
-    """
-    if "spec" not in params:
-        raise ValueError("spec_trial needs params['spec'] "
-                         "(use ParameterGrid.over_spec)")
-    spec = params["spec"]
-    if isinstance(spec, Mapping):
-        spec = ScenarioSpec.from_dict(spec)
-    for name, value in params.items():
-        if name == "spec":
-            continue
-        applied = get_path(spec, name)   # raises on a path the spec lacks
-        expected = tuple(value) if isinstance(value, list) else value
-        if applied != expected:
-            raise ValueError(
-                f"spec path {name!r} carries {applied!r} but the grid "
-                f"point says {expected!r}; was the spec edited after "
-                f"expansion?")
-
-    world = materialize(spec, seed)
-    if spec.fleet is not None:
-        metrics = _population_metrics(world)
-        return metrics, world.telemetry.snapshot_json()
-
-    # Score attacker shares against what the compiler actually serves:
-    # the spec's forged set plus the default synthesis for corruption
-    # behaviours that need addresses but declared none.
-    forged = {IPAddress(a) for a in effective_forged(spec)}
-    for attack in spec.attacks:
-        forged.update(IPAddress(a) for a in attack.param("forged", ()))
-    min_answers = spec.pool.min_answers
-    generator_config = PoolGeneratorConfig(
-        truncation=TruncationPolicy(spec.pool.truncation),
-        dual_stack=_coerce_dual_stack(spec.pool.dual_stack_policy),
-        min_answers=min_answers,
-        ignore_empty_answers=min_answers is not None)
-    pool = world.generate_pool_sync(
-        world.make_generator(config=generator_config))
-    metrics = _pool_generation_metrics(world, pool, forged)
-    if world.telemetry is not None:
-        return metrics, world.telemetry.snapshot_json()
-    return metrics
-
-
-# ----------------------------------------------------------------------
-# H1 — exposure windows and hijack over the iterative hierarchy.
-# ----------------------------------------------------------------------
-
-
-def hierarchy_trial(params: Mapping[str, Any], seed: int):
-    """One measured population over the iterative resolution hierarchy.
-
-    A :func:`spec_trial`-shaped bridge (``params["spec"]`` + validated
-    swept paths) specialised for hierarchy worlds: the spec must carry a
-    :class:`~repro.scenarios.spec.FleetSpec` and an iterative
-    :class:`~repro.scenarios.spec.ResolverSpec`, so the providers'
-    recursors walk real root→TLD→authoritative referral chains with TTL
-    caching.  On top of the :func:`population_trial` metric set it
-    reports the poisoning-exposure surface ``bench_h1`` sweeps:
-
-    ``exposure_windows`` / ``exposure_open_s`` / ``windows_per_hour``
-        cache-miss resolution windows (count, total open seconds, rate
-        per virtual hour) summed over every provider — the intervals an
-        off-path forgery can race.
-    ``referrals_followed``, ``cache_hits`` / ``cache_misses``
-        referral and cache traffic (cache counters read from the
-        telemetry registry, so they equal the fold of any sharded
-        execution of the same world).
-    ``poisoned_acceptances``, ``spoofs_rejected``, ``hijacked``
-        the race outcome: forged responses accepted/rejected by the
-        victim's resolver, and whether any acceptance occurred.
-    ``spray_bursts`` / ``spray_packets``
-        attacker cost, from the installed off-path sprayers.
-    """
-    if "spec" not in params:
-        raise ValueError("hierarchy_trial needs params['spec'] "
-                         "(use ParameterGrid.over_spec)")
-    spec = params["spec"]
-    if isinstance(spec, Mapping):
-        spec = ScenarioSpec.from_dict(spec)
-    for name, value in params.items():
-        if name == "spec":
-            continue
-        applied = get_path(spec, name)
-        expected = tuple(value) if isinstance(value, list) else value
-        if applied != expected:
-            raise ValueError(
-                f"spec path {name!r} carries {applied!r} but the grid "
-                f"point says {expected!r}; was the spec edited after "
-                f"expansion?")
-    if spec.fleet is None:
-        raise ValueError("hierarchy_trial needs a population spec "
-                         "(add a FleetSpec)")
-    if spec.provider.resolver is None \
-            or spec.provider.resolver.mode != "iterative":
-        raise ValueError("hierarchy_trial needs an iterative ResolverSpec "
-                         "(mode='iterative'); use "
-                         "repro.scenarios.presets.hierarchy_population_spec")
-    if spec.fleet.shards > 1:
-        raise ValueError(
-            "hierarchy_trial runs one world per trial; shard the campaign, "
-            "not the fleet (the cache counters it reads fold bit-identically "
-            "across shards — see repro.telemetry.fold_snapshots)")
-
-    world = materialize(spec, seed)
-    metrics = _population_metrics(world)
-
-    snapshot = world.telemetry.snapshot()
+def _hierarchy_metrics(world) -> Dict[str, float]:
+    """The poisoning-exposure surface of an iterative world: cache-miss
+    resolution windows, referral/cache traffic, the off-path race
+    outcome and the sprayers' cost."""
+    counters = world.telemetry.snapshot().get("counter", {})
 
     def _summed(name: str) -> float:
-        counters = snapshot.get("counter", {})
         return float(sum(state for key, state in counters.items()
                          if key == name or key.startswith(name + "{")))
 
@@ -405,7 +163,7 @@ def hierarchy_trial(params: Mapping[str, Any], seed: int):
     hours = world.pool.simulator.now / 3600.0
     windows = sum(s.exposure_windows for s in stats)
     poisoned = sum(s.poisoned_acceptances for s in stats)
-    metrics.update({
+    return {
         "exposure_windows": float(windows),
         "exposure_open_s": sum(s.exposure_open_s for s in stats),
         "windows_per_hour": windows / hours if hours > 0 else 0.0,
@@ -422,78 +180,21 @@ def hierarchy_trial(params: Mapping[str, Any], seed: int):
         "spray_packets": float(sum(
             attack.packets_injected for _, attack in world.attacks
             if hasattr(attack, "packets_injected"))),
-    })
-    return metrics, world.telemetry.snapshot_json()
+    }
 
-
-# ----------------------------------------------------------------------
-# C1 — chaos timelines and graceful degradation.
-# ----------------------------------------------------------------------
 
 #: An availability bin at or above this mean counts as "recovered" when
-#: chaos_trial measures time-to-recovery after a failure window.
+#: the chaos SLO extractor measures time-to-recovery after a failure
+#: window.
 RECOVERY_THRESHOLD = 0.99
 
 
-def chaos_trial(params: Mapping[str, Any], seed: int):
-    """One measured population under a declared chaos timeline.
-
-    A :func:`spec_trial`-shaped bridge (``params["spec"]`` + validated
-    swept paths) specialised for chaos worlds: the spec must carry a
-    :class:`~repro.scenarios.spec.FleetSpec` and a
-    :class:`~repro.chaos.ChaosSpec` with at least one event, so sweeps
-    like ``chaos.events[0].fraction`` or ``chaos.events[0].duration``
-    land on real failure windows.  On top of the
-    :func:`population_trial` metric set it reports the
-    graceful-degradation surface ``bench_c1`` sweeps:
-
-    ``availability``
-        the whole-run sync SLO (from the base metric set) — quorum
-        policies (``fleet.min_answers``) should hold it above the
-        strict all-providers policy at every outage point.
-    ``mttr``
-        mean time-to-recovery over the windowed chaos events: per
-        event, the delay from its ``at`` until the first
-        ``pop.availability`` bin ending after the window whose mean is
-        at least :data:`RECOVERY_THRESHOLD` (the run horizon when the
-        population never recovers).
-    ``availability_floor`` / ``degraded_victim_fraction``
-        the worst availability bin and the mean victim fraction inside
-        the degraded windows — how far the population sagged while the
-        failure was live.
-    ``chaos_events``
-        how many events the controller actually applied.
-    """
-    if "spec" not in params:
-        raise ValueError("chaos_trial needs params['spec'] "
-                         "(use ParameterGrid.over_spec)")
-    spec = params["spec"]
-    if isinstance(spec, Mapping):
-        spec = ScenarioSpec.from_dict(spec)
-    for name, value in params.items():
-        if name == "spec":
-            continue
-        applied = get_path(spec, name)
-        expected = tuple(value) if isinstance(value, list) else value
-        if applied != expected:
-            raise ValueError(
-                f"spec path {name!r} carries {applied!r} but the grid "
-                f"point says {expected!r}; was the spec edited after "
-                f"expansion?")
-    if spec.fleet is None:
-        raise ValueError("chaos_trial needs a population spec "
-                         "(add a FleetSpec)")
-    if spec.chaos is None or not spec.chaos.events:
-        raise ValueError("chaos_trial needs spec.chaos with at least one "
-                         "event (attach a repro.chaos.ChaosSpec)")
-    if spec.fleet.shards > 1:
-        raise ValueError(
-            "chaos_trial runs one world per trial; shard the campaign, "
-            "not the fleet (infrastructure chaos replays identically in "
-            "every shard, so pop.* metrics fold bit-identically anyway)")
-
-    world = materialize(spec, seed)
-    metrics = _population_metrics(world)
+def _chaos_metrics(spec: ScenarioSpec, world,
+                   availability: float) -> Dict[str, float]:
+    """Graceful-degradation SLOs folded from ``pop.availability`` /
+    ``pop.victim_fraction``: mean time-to-recovery over the windowed
+    events, the worst availability bin and the mean victim fraction
+    inside the degraded windows."""
     registry = world.telemetry
     horizon = world.simulator.now
     bin_width = spec.telemetry.time_bin
@@ -518,37 +219,110 @@ def chaos_trial(params: Mapping[str, Any], seed: int):
                         - at))
     floor = [mean for t, mean in avail_series if _degraded(t)]
     degraded_victims = [mean for t, mean in victim_series if _degraded(t)]
-    metrics.update({
+    return {
         "chaos_events": float(len(world.chaos.windows))
         if world.chaos is not None else 0.0,
         "mttr": sum(ttrs) / len(ttrs) if ttrs else 0.0,
-        "availability_floor": min(floor) if floor
-        else metrics["availability"],
+        "availability_floor": min(floor) if floor else availability,
         "degraded_victim_fraction": (sum(degraded_victims)
                                      / len(degraded_victims)
                                      if degraded_victims else 0.0),
-    })
-    return metrics, registry.snapshot_json()
+    }
+
+
+# ----------------------------------------------------------------------
+# The world trial.
+# ----------------------------------------------------------------------
+
+
+def spec_trial(params: Mapping[str, Any], seed: int):
+    """One trial of whatever world ``params["spec"]`` describes.
+
+    The bridge for :meth:`repro.campaign.ParameterGrid.over_spec`
+    grids: each point carries its fully applied
+    :class:`~repro.scenarios.spec.ScenarioSpec` under the reserved
+    ``"spec"`` key (a spec object or its ``to_dict`` form) plus its
+    swept dotted paths, which are validated against the spec so a
+    point whose sweep silently failed to land cannot run.
+
+    The spec picks the metric set:
+
+    single-client specs (``fleet is None``)
+        one Algorithm 1 generation under the spec's combine policy:
+        ``ok`` / ``degraded`` (availability), ``elapsed``,
+        ``pool_size``, ``truncate_length``, ``attacker_share`` /
+        ``v4_share`` / ``v6_share`` (scored against the forged
+        addresses the compiled world serves), ``voted_size`` /
+        ``voted_attacker_share`` (per-address majority vote over the
+        same contributions) and ``benign_fraction``.
+    population specs
+        the whole fleet: ``victim_fraction`` (of rounds that completed
+        an NTP sync, how many synced against an attacker server),
+        ``availability``, ``shifted_fraction``, ``sync_fraction``,
+        clock-error stats, churn counts, and datagram / byte / stub
+        timeout totals from the world's private registry.
+    ``provider.resolver.mode == "iterative"`` (population)
+        plus the exposure surface ``bench_h1`` sweeps:
+        ``exposure_windows`` / ``exposure_open_s`` /
+        ``windows_per_hour``, ``referrals_followed``, ``cache_hits`` /
+        ``cache_misses``, ``poisoned_acceptances`` /
+        ``spoofs_rejected`` / ``hijacked`` and ``spray_bursts`` /
+        ``spray_packets``.
+    ``spec.chaos`` with events (population)
+        plus the SLOs ``bench_c1`` sweeps: ``chaos_events``, ``mttr``
+        (per windowed event, the delay from its ``at`` until the first
+        availability bin ending after the window whose mean reaches
+        :data:`RECOVERY_THRESHOLD`; the run horizon if none does),
+        ``availability_floor`` and ``degraded_victim_fraction``.
+
+    The registry snapshot rides along whenever the world has
+    telemetry (always, for populations), exported by runners configured
+    with ``include_telemetry=True``.
+    """
+    spec = _point_spec(params)
+    if spec.fleet is None:
+        world = materialize(spec, seed)
+        metrics = _pool_metrics(spec, world)
+        if world.telemetry is not None:
+            return metrics, world.telemetry.snapshot_json()
+        return metrics
+
+    iterative = (spec.provider.resolver is not None
+                 and spec.provider.resolver.mode == "iterative")
+    chaos = spec.chaos is not None and bool(spec.chaos.events)
+    if (iterative or chaos) and spec.fleet.shards > 1:
+        raise ValueError(
+            "hierarchy and chaos metrics need one world per trial; shard "
+            "the campaign, not the fleet (their pop.* and cache counters "
+            "fold bit-identically across shards anyway — see "
+            "repro.telemetry.fold_snapshots)")
+    world = materialize(spec, seed)
+    metrics = _population_metrics(world)
+    if iterative:
+        metrics.update(_hierarchy_metrics(world))
+    if chaos:
+        metrics.update(_chaos_metrics(spec, world, metrics["availability"]))
+    return metrics, world.telemetry.snapshot_json()
 
 
 # ----------------------------------------------------------------------
 # E1 — the whole Figure 1 pipeline, DNS→DoH→pool→Chronos.
 # ----------------------------------------------------------------------
 
-_FIGURE1_KEYS = frozenset({"preset", "clock_offset", "sample_size",
-                           "agreement_window", "min_responses"})
+_FIGURE1_KNOBS = frozenset({"clock_offset", "sample_size",
+                            "agreement_window", "min_responses"})
 
 
 def figure1_system_trial(params: Mapping[str, Any],
                          seed: int) -> Dict[str, float]:
     """One end-to-end system run: generate a pool through the
-    distributed DoH resolvers, then discipline a skewed clock with
-    Chronos over the generated pool.
+    distributed DoH resolvers of the single-client world
+    ``params["spec"]``, then discipline a skewed clock with Chronos
+    over the generated pool.
 
-    Recognised parameters: ``preset`` + builder kwargs, plus
-    ``clock_offset`` (initial clock error, default 80 ms) and the
-    Chronos knobs ``sample_size`` / ``agreement_window`` /
-    ``min_responses``.
+    Knobs: ``clock_offset`` (initial clock error, default 80 ms) and the
+    Chronos ``sample_size`` / ``agreement_window`` / ``min_responses``;
+    every other parameter is a validated spec path.
 
     Returned metrics: ``pool_size``, ``truncate_length``, ``elapsed``
     (pool generation, virtual seconds), ``benign_fraction``,
@@ -557,8 +331,7 @@ def figure1_system_trial(params: Mapping[str, Any],
     ``latency[<name>]`` so tables can reproduce Figure 1's per-resolver
     rows.
     """
-    _reject_unknown_params(params, _FIGURE1_KEYS)
-    scenario = build_scenario(params, seed)
+    scenario = materialize(_point_spec(params, _FIGURE1_KNOBS), seed)
     deploy_ntp_fleet(scenario.internet, scenario.directory, scenario.rng)
     pool = scenario.generate_pool_sync()
     offset = float(params.get("clock_offset", 0.080))
@@ -711,22 +484,23 @@ def advantage_bits_trial(params: Mapping[str, Any],
 # E10 — the cost of distribution vs the plain-DNS baseline.
 # ----------------------------------------------------------------------
 
-_OVERHEAD_KEYS = frozenset({"mechanism", "preset"})
+_OVERHEAD_KNOBS = frozenset({"mechanism"})
 
 
 def overhead_trial(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
-    """Measure one pool acquisition's latency/bytes/packets.
+    """Measure one pool acquisition's latency/bytes/packets in the
+    single-client world ``params["spec"]``.
 
-    ``mechanism`` selects ``"plain-dns"`` (one stub query to the first
-    provider over spoofable UDP) or ``"distributed-doh"`` (Algorithm 1
-    across all providers); every other parameter reaches the scenario
-    builder.
+    The ``mechanism`` knob selects ``"plain-dns"`` (one stub query to
+    the first provider over spoofable UDP) or ``"distributed-doh"``
+    (Algorithm 1 across all providers, the default, so plain
+    :meth:`~repro.campaign.ParameterGrid.over_spec` grids sweep it);
+    every other parameter is a validated spec path.
     """
-    _reject_unknown_params(params, _OVERHEAD_KEYS)
-    mechanism = params["mechanism"]
+    mechanism = params.get("mechanism", "distributed-doh")
     if mechanism not in ("plain-dns", "distributed-doh"):
         raise ValueError(f"unknown mechanism {mechanism!r}")
-    scenario = build_scenario(params, seed)
+    scenario = materialize(_point_spec(params, _OVERHEAD_KNOBS), seed)
     bytes_before = scenario.internet.bytes_sent
     packets_before = scenario.internet.datagrams_sent
     if mechanism == "plain-dns":

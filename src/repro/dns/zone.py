@@ -54,7 +54,9 @@ class Zone:
 
     >>> zone = Zone("example.com", soa_mname="ns1.example.com")
     >>> from repro.dns.rdata import ARdata
-    >>> zone.add_record("www.example.com", ARdata("192.0.2.1"))
+    >>> record = zone.add_record("www.example.com", ARdata("192.0.2.1"))
+    >>> record.ttl
+    300
     >>> result = zone.lookup(Name("www.example.com"), RRType.A)
     >>> result.status is LookupStatus.ANSWER
     True

@@ -5,27 +5,19 @@ providers, NTP pool, client fleet — into the system of the paper's
 Figure 1.  The construction surface is spec-first: describe a world as
 a :class:`ScenarioSpec` (typed, frozen, JSON-round-tripping dataclasses)
 and compile it with :func:`materialize`; campaign grids sweep dotted
-spec paths directly (``ParameterGrid.over_spec``).  The legacy keyword
-builders remain as deprecated shims.
+spec paths directly (``ParameterGrid.over_spec``).  Named base specs
+live in :data:`SPEC_PRESETS` (:func:`get_spec_preset`); the keyword
+converters :func:`pool_spec` / :func:`population_spec` build the plain
+single-client and population specs.
 """
 
-from repro.scenarios.builders import (
-    PoolScenario,
-    PopulationScenario,
-    build_pool_scenario,
-    build_population_scenario,
-)
+from repro.scenarios.builders import PoolScenario, PopulationScenario
 from repro.scenarios.presets import (
     SPEC_PRESETS,
-    degraded_network_scenario,
     e2_grid_base_spec,
-    figure1_scenario,
     get_spec_preset,
     hierarchy_population_spec,
-    hierarchy_scenario,
     hierarchy_spec,
-    large_scale_scenario,
-    lossy_network_scenario,
 )
 from repro.scenarios.spec import (
     RESOLVER_MODES,
@@ -71,18 +63,11 @@ __all__ = [
     "ScenarioSpec",
     "TelemetrySpec",
     "World",
-    "build_pool_scenario",
-    "build_population_scenario",
-    "degraded_network_scenario",
     "e2_grid_base_spec",
-    "figure1_scenario",
     "get_path",
     "get_spec_preset",
     "hierarchy_population_spec",
-    "hierarchy_scenario",
     "hierarchy_spec",
-    "large_scale_scenario",
-    "lossy_network_scenario",
     "materialize",
     "pool_spec",
     "population_spec",

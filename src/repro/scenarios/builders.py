@@ -1,36 +1,26 @@
-"""The Figure 1 world objects and the legacy builder shims.
+"""The Figure 1 world objects.
 
-The world types live here — :class:`PoolScenario` (one client, the DNS
-tree, N DoH providers, the pool directory) and
-:class:`PopulationScenario` (the same world plus a measured client
-fleet).  Construction moved to the declarative spec layer: describe a
-world with :class:`repro.scenarios.spec.ScenarioSpec` and compile it
-with :func:`repro.scenarios.spec.materialize`.
-
-``build_pool_scenario`` / ``build_population_scenario`` remain as
-deprecated keyword shims: they convert their kwargs into a spec via
-:func:`repro.scenarios.spec.pool_spec` /
-:func:`~repro.scenarios.spec.population_spec` and materialize it, which
-produces bit-identical worlds to the pre-spec builders for the same
-seed.
+:class:`PoolScenario` (one client, the DNS tree, N DoH providers, the
+pool directory) and :class:`PopulationScenario` (the same world plus a
+measured client fleet).  Worlds are built by the declarative spec
+layer: describe one with :class:`repro.scenarios.spec.ScenarioSpec`
+and compile it with :func:`repro.scenarios.spec.materialize`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.dns.name import Name
-from repro.dns.resolver import ResolverConfig
 from repro.dns.server import AuthoritativeServer
 from repro.dns.zone import Zone
-from repro.doh.providers import DoHProviderProfile, ProviderDeployment
+from repro.doh.providers import ProviderDeployment
 from repro.doh.tls import CertificateAuthority, TrustStore
 from repro.netsim.address import IPAddress
 from repro.netsim.host import Host
 from repro.netsim.internet import Internet
-from repro.netsim.link import FaultModel, LinkProfile
+from repro.netsim.link import FaultModel
 from repro.netsim.simulator import Simulator
 from repro.scenarios.workload import PoolDirectory
 from repro.util.rng import RngRegistry
@@ -175,94 +165,3 @@ def _make_benign_pool(pool_size: int, dual_stack: bool) -> List[str]:
     if dual_stack:
         addresses += [f"fd00:a17e::{index + 1:x}" for index in range(pool_size)]
     return addresses
-
-
-# ----------------------------------------------------------------------
-# Deprecated keyword shims over the spec layer.
-# ----------------------------------------------------------------------
-
-def build_pool_scenario(
-    seed: int = 1,
-    num_providers: int = 3,
-    pool_size: int = 20,
-    answers_per_query: int = 4,
-    dual_stack: bool = False,
-    profiles: Optional[List[DoHProviderProfile]] = None,
-    resolver_config: Optional[ResolverConfig] = None,
-    access_link: Optional[LinkProfile] = None,
-    pool_ttl: int = 60,
-    loss_rate: float = 0.0,
-    jitter_s: float = 0.0,
-    reorder_window: float = 0.0,
-    duplicate_rate: float = 0.0,
-    fault_model: Optional[FaultModel] = None,
-) -> PoolScenario:
-    """Deprecated: build the Figure 1 world from flat keywords.
-
-    Thin shim over ``materialize(pool_spec(...), seed)`` — construct a
-    :class:`repro.scenarios.spec.ScenarioSpec` instead; the compiled
-    world is bit-identical for the same seed.
-    """
-    warnings.warn(
-        "build_pool_scenario is deprecated; build a ScenarioSpec with "
-        "repro.scenarios.spec.pool_spec(...) and compile it with "
-        "materialize(spec, seed)", DeprecationWarning, stacklevel=2)
-    from repro.scenarios.spec import materialize, pool_spec
-    return materialize(pool_spec(
-        num_providers=num_providers, pool_size=pool_size,
-        answers_per_query=answers_per_query, dual_stack=dual_stack,
-        profiles=profiles, resolver_config=resolver_config,
-        access_link=access_link, pool_ttl=pool_ttl, loss_rate=loss_rate,
-        jitter_s=jitter_s, reorder_window=reorder_window,
-        duplicate_rate=duplicate_rate, fault_model=fault_model), seed)
-
-
-def build_population_scenario(
-    seed: int = 1,
-    num_clients: int = 50,
-    rounds: int = 3,
-    mean_interval: float = 16.0,
-    arrival: str = "periodic",
-    resolve_every: int = 1,
-    churn_rate: float = 0.0,
-    rejoin_delay: float = 30.0,
-    min_answers: Optional[int] = None,
-    corrupted: int = 0,
-    behavior: str = "substitute",
-    forged: tuple = (),
-    lie_offset: float = 10.0,
-    num_providers: int = 3,
-    pool_size: int = 20,
-    answers_per_query: int = 4,
-    pool_ttl: int = 60,
-    loss_rate: float = 0.0,
-    jitter_s: float = 0.0,
-    reorder_window: float = 0.0,
-    duplicate_rate: float = 0.0,
-    initial_clock_error: float = 0.050,
-    shift_threshold: float = 1.0,
-    time_bin: float = 10.0,
-    registry=None,
-) -> PopulationScenario:
-    """Deprecated: build the population world from flat keywords.
-
-    Thin shim over ``materialize(population_spec(...), seed)`` — the
-    compiled world is bit-identical for the same seed.
-    """
-    warnings.warn(
-        "build_population_scenario is deprecated; build a ScenarioSpec "
-        "with repro.scenarios.spec.population_spec(...) and compile it "
-        "with materialize(spec, seed)", DeprecationWarning, stacklevel=2)
-    from repro.scenarios.spec import materialize, population_spec
-    return materialize(population_spec(
-        num_clients=num_clients, rounds=rounds, mean_interval=mean_interval,
-        arrival=arrival, resolve_every=resolve_every, churn_rate=churn_rate,
-        rejoin_delay=rejoin_delay, min_answers=min_answers,
-        corrupted=corrupted, behavior=behavior, forged=forged,
-        lie_offset=lie_offset, num_providers=num_providers,
-        pool_size=pool_size, answers_per_query=answers_per_query,
-        pool_ttl=pool_ttl, loss_rate=loss_rate, jitter_s=jitter_s,
-        reorder_window=reorder_window, duplicate_rate=duplicate_rate,
-        initial_clock_error=initial_clock_error,
-        shift_threshold=shift_threshold, time_bin=time_bin),
-        seed, registry=registry)

@@ -1,21 +1,23 @@
 """Named scenario presets used across examples and benchmarks.
 
-Every preset is a thin shim over the spec layer: it builds a
-:class:`repro.scenarios.spec.ScenarioSpec` (exposed via the ``*_spec``
-companions, so campaigns can sweep a preset's spec directly) and
-compiles it with :func:`repro.scenarios.spec.materialize`.
+Every preset returns a :class:`repro.scenarios.spec.ScenarioSpec`, so
+campaigns sweep a preset's spec directly
+(:meth:`repro.campaign.ParameterGrid.over_spec`) and worlds are
+compiled with :func:`repro.scenarios.spec.materialize`::
+
+    >>> from repro.scenarios.spec import materialize
+    >>> world = materialize(get_spec_preset("figure1")(), seed=1)
+    >>> len(world.providers)
+    3
 """
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import replace
-
 from typing import Optional
 
 from repro.core.errors import UnknownPresetError
 from repro.netsim.link import LinkProfile
-from repro.scenarios.builders import PoolScenario
 from repro.scenarios.spec import (
     AttackSpec,
     FaultSpec,
@@ -23,7 +25,6 @@ from repro.scenarios.spec import (
     LinkSpec,
     ResolverSpec,
     ScenarioSpec,
-    materialize,
     pool_spec,
     population_spec,
     set_path,
@@ -40,19 +41,10 @@ def figure1_spec() -> ScenarioSpec:
     return pool_spec(num_providers=3, pool_size=20, answers_per_query=4)
 
 
-def figure1_scenario(seed: int = 1) -> PoolScenario:
-    return materialize(figure1_spec(), seed)
-
-
 def large_scale_spec(num_providers: int, pool_size: int = 100) -> ScenarioSpec:
     """A larger deployment for the N-sweeps of §III."""
     return pool_spec(num_providers=num_providers, pool_size=pool_size,
                      answers_per_query=4)
-
-
-def large_scale_scenario(num_providers: int, seed: int = 1,
-                         pool_size: int = 100) -> PoolScenario:
-    return materialize(large_scale_spec(num_providers, pool_size), seed)
 
 
 def lossy_network_spec(loss: float) -> ScenarioSpec:
@@ -62,10 +54,6 @@ def lossy_network_spec(loss: float) -> ScenarioSpec:
                      access_link=LinkProfile.lossy(loss))
     return replace(spec, provider=replace(spec.provider,
                                           resolver=_PATIENT_RESOLVER))
-
-
-def lossy_network_scenario(loss: float, seed: int = 1) -> PoolScenario:
-    return materialize(lossy_network_spec(loss), seed)
 
 
 def degraded_network_spec(loss_rate: float = 0.0, jitter_s: float = 0.0,
@@ -86,39 +74,6 @@ def degraded_network_spec(loss_rate: float = 0.0, jitter_s: float = 0.0,
                                         duplicate_rate=duplicate_rate)),
         provider=replace(spec.provider, resolver=_PATIENT_RESOLVER))
 
-
-def degraded_network_scenario(loss_rate: float = 0.0, jitter_s: float = 0.0,
-                              reorder_window: float = 0.0,
-                              duplicate_rate: float = 0.0,
-                              seed: int = 1) -> PoolScenario:
-    return materialize(
-        degraded_network_spec(loss_rate=loss_rate, jitter_s=jitter_s,
-                              reorder_window=reorder_window,
-                              duplicate_rate=duplicate_rate), seed)
-
-
-def custom_scenario(seed: int = 1, **kwargs) -> PoolScenario:
-    """The fully parameterised single-client world: every keyword of
-    :func:`repro.scenarios.spec.pool_spec` is accepted."""
-    return materialize(pool_spec(**kwargs), seed)
-
-
-# Mirror pool_spec's surface so campaign grids can validate their
-# parameters against this preset's signature (see
-# repro.campaign.trials._reject_unknown_params).
-custom_scenario.__signature__ = inspect.Signature(
-    [inspect.Parameter("seed", inspect.Parameter.POSITIONAL_OR_KEYWORD,
-                       default=1)]
-    + list(inspect.signature(pool_spec).parameters.values()))
-
-
-# ----------------------------------------------------------------------
-# Spec-valued presets (the grid/exemplar surface).
-#
-# Unlike the ``*_scenario`` builders above, these return the *spec*
-# itself, so benchmarks, ``--smoke`` grids and examples can share one
-# canonical base spec by name instead of re-deriving it inline.
-# ----------------------------------------------------------------------
 
 #: Forged answers the documentation block provides, one per answer slot
 #: of the E2 base spec (kept in lockstep with ``_default_forged``).
@@ -151,10 +106,6 @@ def hierarchy_spec(pool_size: int = 20, answers_per_query: int = 4,
         spec.provider,
         resolver=ResolverSpec(mode="iterative",
                               hierarchy=hierarchy or HierarchySpec())))
-
-
-def hierarchy_scenario(seed: int = 1, **kwargs) -> PoolScenario:
-    return materialize(hierarchy_spec(**kwargs), seed)
 
 
 def hierarchy_population_spec(
@@ -195,9 +146,7 @@ def hierarchy_population_spec(
     return replace(spec, attacks=(attack,))
 
 
-#: Spec-valued preset registry: name -> builder returning a
-#: :class:`ScenarioSpec` (separate from :data:`PRESETS`, whose builders
-#: return compiled worlds).
+#: The preset registry: name -> builder returning a :class:`ScenarioSpec`.
 SPEC_PRESETS = {
     "figure1": figure1_spec,
     "large-scale": large_scale_spec,
@@ -223,32 +172,3 @@ def get_spec_preset(name: str):
         return SPEC_PRESETS[name]
     except KeyError:
         raise UnknownPresetError(name, SPEC_PRESETS) from None
-
-
-# ----------------------------------------------------------------------
-# Registry (used by the campaign engine to reference presets by name,
-# so grid parameters stay plain picklable strings).
-# ----------------------------------------------------------------------
-
-PRESETS = {
-    "figure1": figure1_scenario,
-    "large-scale": large_scale_scenario,
-    "lossy-network": lossy_network_scenario,
-    "degraded-network": degraded_network_scenario,
-    "custom": custom_scenario,
-}
-
-
-def get_preset(name: str):
-    """Look up a scenario builder by registry name.
-
-    >>> get_preset("figure1") is figure1_scenario
-    True
-
-    Raises :class:`repro.core.errors.UnknownPresetError` (a
-    ``ValueError``) listing the valid names for anything else.
-    """
-    try:
-        return PRESETS[name]
-    except KeyError:
-        raise UnknownPresetError(name, PRESETS) from None

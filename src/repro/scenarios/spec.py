@@ -27,10 +27,9 @@ Three operations close the loop:
   (``"fleet.size"``, ``"network.regions[0].link.loss"``) used by
   :meth:`repro.campaign.ParameterGrid.over_spec` to sweep specs;
 * :func:`materialize` — the single compiler from a spec (plus a seed)
-  to a wired world.  It subsumes the legacy ``build_pool_scenario`` /
-  ``build_population_scenario`` builders: a spec produced by
-  :func:`pool_spec` / :func:`population_spec` materializes into a
-  bit-identical world for the same seed.
+  to a wired world, and the only way to build one.  :func:`pool_spec` /
+  :func:`population_spec` turn flat keywords into the plain
+  single-client and population specs.
 """
 
 from __future__ import annotations
@@ -843,7 +842,7 @@ def apply_paths(spec: ScenarioSpec,
 
 
 # ----------------------------------------------------------------------
-# Legacy kwarg -> spec converters (the shim surface).
+# Keyword -> spec converters.
 # ----------------------------------------------------------------------
 
 def pool_spec(
@@ -861,8 +860,7 @@ def pool_spec(
     duplicate_rate: float = 0.0,
     fault_model: Optional[FaultModel] = None,
 ) -> ScenarioSpec:
-    """The single-client Figure 1 spec, from the legacy
-    ``build_pool_scenario`` keywords (same defaults)."""
+    """The single-client Figure 1 spec, from flat keywords."""
     if num_providers < 1:
         raise ValueError("need at least one provider")
     return ScenarioSpec(
@@ -911,9 +909,8 @@ def population_spec(
     time_bin: float = 10.0,
     shards: int = 1,
 ) -> ScenarioSpec:
-    """The population spec, from the legacy
-    ``build_population_scenario`` keywords (same defaults), plus the
-    ``shards`` megafleet axis."""
+    """The population spec, from flat keywords (including the
+    ``shards`` megafleet axis)."""
     behavior = getattr(behavior, "value", behavior)
     return ScenarioSpec(
         network=NetworkSpec(
@@ -948,9 +945,7 @@ def materialize(spec: ScenarioSpec, seed: int, registry=None) -> World:
     ``fleet.shards > 1``, a
     :class:`~repro.population.sharding.ShardedFleet` (same ``run()`` /
     ``outcomes()`` / ``telemetry`` surface, population split across K
-    worlds).  Specs built by :func:`pool_spec` / :func:`population_spec`
-    materialize bit-identically to the legacy builders for the same
-    seed.
+    worlds).
 
     :param registry: telemetry sink for population worlds (a private
         one is created when omitted); ignored for single-client worlds
@@ -1149,9 +1144,8 @@ def _deploy_plain_provider(internet, profile, root_hints, rng_registry,
 
 def _materialize_population(spec: ScenarioSpec, seed: int, registry,
                             window: Optional[Tuple[int, int, int]] = None):
-    """The population world (ported from the legacy
-    ``build_population_scenario``; per-region access edges and the DoH
-    fleet transport are the spec-only extensions).
+    """The population world (the original keyword-built layout, plus
+    per-region access edges and the DoH fleet transport).
 
     ``window`` is the sharding hook: ``(first_index, size, population)``
     builds the world with a :class:`~repro.population.ClientFleet`

@@ -5,7 +5,7 @@ import pytest
 from repro.attacks.fragmentation import FragmentationPoisoner
 from repro.dns.client import StubResolver
 from repro.dns.rrtype import RRType
-from repro.scenarios import build_pool_scenario
+from repro.scenarios import materialize, pool_spec
 
 FORGED = ["203.0.113.77", "203.0.113.78"]
 CLIENT_LINK = "client-edge--eu-central"
@@ -24,7 +24,7 @@ def stub_lookup(scenario):
 class TestFragmentationPoisoner:
     def test_small_responses_are_untouchable(self):
         """Four A records fit in one fragment: attack has no purchase."""
-        scenario = build_pool_scenario(seed=110, answers_per_query=4)
+        scenario = materialize(pool_spec(answers_per_query=4), 110)
         poisoner = FragmentationPoisoner(
             scenario.internet, CLIENT_LINK, scenario.pool_domain, FORGED,
             mtu=576)
@@ -37,8 +37,8 @@ class TestFragmentationPoisoner:
 
     def test_oversized_response_tail_rewritten(self):
         """A large answer list fragments; trailing records get forged."""
-        scenario = build_pool_scenario(seed=111, pool_size=64,
-                                       answers_per_query=40)
+        scenario = materialize(pool_spec(pool_size=64, answers_per_query=40),
+                               111)
         poisoner = FragmentationPoisoner(
             scenario.internet, CLIENT_LINK, scenario.pool_domain, FORGED,
             mtu=576)
@@ -53,8 +53,8 @@ class TestFragmentationPoisoner:
         assert len(addresses) == 40
 
     def test_failed_ipid_prediction_changes_nothing(self):
-        scenario = build_pool_scenario(seed=112, pool_size=64,
-                                       answers_per_query=40)
+        scenario = materialize(pool_spec(pool_size=64, answers_per_query=40),
+                               112)
         poisoner = FragmentationPoisoner(
             scenario.internet, CLIENT_LINK, scenario.pool_domain, FORGED,
             mtu=576, ipid_prediction_works=False)
@@ -65,8 +65,8 @@ class TestFragmentationPoisoner:
             assert scenario.directory.is_benign(address)
 
     def test_other_domains_untouched(self):
-        scenario = build_pool_scenario(seed=113, pool_size=64,
-                                       answers_per_query=40)
+        scenario = materialize(pool_spec(pool_size=64, answers_per_query=40),
+                               113)
         FragmentationPoisoner(
             scenario.internet, CLIENT_LINK, "victim.example", FORGED,
             mtu=576)
@@ -77,8 +77,8 @@ class TestFragmentationPoisoner:
     def test_doh_immune_to_fragment_poisoning(self):
         """The same oversized lookup over DoH is untouchable: the tail
         the attacker would overwrite is MAC-protected ciphertext."""
-        scenario = build_pool_scenario(seed=114, pool_size=64,
-                                       answers_per_query=40)
+        scenario = materialize(pool_spec(pool_size=64, answers_per_query=40),
+                               114)
         poisoner = FragmentationPoisoner(
             scenario.internet, CLIENT_LINK, scenario.pool_domain, FORGED,
             mtu=576)

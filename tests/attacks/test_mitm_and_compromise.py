@@ -14,7 +14,7 @@ from repro.dns.client import StubResolver
 from repro.dns.rrtype import RRType
 from repro.doh.client import DoHClient, DoHStatus
 from repro.netsim.address import IPAddress
-from repro.scenarios import build_pool_scenario
+from repro.scenarios import materialize, pool_spec
 
 FORGED = [f"203.0.113.{i + 1}" for i in range(4)]
 CLIENT_LINK = "client-edge--eu-central"
@@ -22,7 +22,7 @@ CLIENT_LINK = "client-edge--eu-central"
 
 class TestOnPathPlaintextDns:
     def test_poisons_stub_lookup(self):
-        scenario = build_pool_scenario(seed=90)
+        scenario = materialize(pool_spec(), 90)
         mitm = OnPathAttacker(scenario.internet, [CLIENT_LINK])
         mitm.poison_a_records(scenario.pool_domain, FORGED)
         stub = StubResolver(scenario.client, scenario.simulator,
@@ -35,7 +35,7 @@ class TestOnPathPlaintextDns:
         assert mitm.stats.dns_responses_rewritten == 1
 
     def test_inflation(self):
-        scenario = build_pool_scenario(seed=91)
+        scenario = materialize(pool_spec(), 91)
         mitm = OnPathAttacker(scenario.internet, [CLIENT_LINK])
         mitm.poison_a_records(scenario.pool_domain, FORGED, inflate_to=16)
         stub = StubResolver(scenario.client, scenario.simulator,
@@ -46,7 +46,7 @@ class TestOnPathPlaintextDns:
         assert len(outcomes[0].addresses) == 16
 
     def test_empty_answer_dos(self):
-        scenario = build_pool_scenario(seed=92)
+        scenario = materialize(pool_spec(), 92)
         mitm = OnPathAttacker(scenario.internet, [CLIENT_LINK])
         mitm.empty_a_answers(scenario.pool_domain)
         stub = StubResolver(scenario.client, scenario.simulator,
@@ -58,7 +58,7 @@ class TestOnPathPlaintextDns:
         assert outcomes[0].addresses == []
 
     def test_uninvolved_names_untouched(self):
-        scenario = build_pool_scenario(seed=93)
+        scenario = materialize(pool_spec(), 93)
         mitm = OnPathAttacker(scenario.internet, [CLIENT_LINK])
         mitm.poison_a_records(scenario.pool_domain, FORGED)
         stub = StubResolver(scenario.client, scenario.simulator,
@@ -72,7 +72,7 @@ class TestOnPathPlaintextDns:
 class TestOnPathVersusTls:
     def test_cannot_poison_doh_queries(self):
         """The same rewriting attacker is powerless against DoH."""
-        scenario = build_pool_scenario(seed=94)
+        scenario = materialize(pool_spec(), 94)
         mitm = OnPathAttacker(scenario.internet, [CLIENT_LINK])
         mitm.poison_a_records(scenario.pool_domain, FORGED)
         pool = scenario.generate_pool_sync()
@@ -83,7 +83,7 @@ class TestOnPathVersusTls:
         assert mitm.stats.tls_records_seen > 0
 
     def test_tls_blocking_is_dos_not_poison(self):
-        scenario = build_pool_scenario(seed=95)
+        scenario = materialize(pool_spec(), 95)
         mitm = OnPathAttacker(scenario.internet, [CLIENT_LINK])
         mitm.block_tls()
         client = scenario.make_doh_client(timeout=1.0)
@@ -96,7 +96,7 @@ class TestOnPathVersusTls:
         assert mitm.stats.packets_dropped > 0
 
     def test_tls_delay_slows_but_succeeds(self):
-        scenario = build_pool_scenario(seed=96)
+        scenario = materialize(pool_spec(), 96)
         mitm = OnPathAttacker(scenario.internet, [CLIENT_LINK])
         mitm.delay_tls(0.2)
         client = scenario.make_doh_client(timeout=10.0)
@@ -110,7 +110,7 @@ class TestOnPathVersusTls:
         assert outcomes[0].latency > 0.4
 
     def test_blackhole(self):
-        scenario = build_pool_scenario(seed=97)
+        scenario = materialize(pool_spec(), 97)
         mitm = OnPathAttacker(scenario.internet, [CLIENT_LINK])
         mitm.block_everything()
         client = scenario.make_doh_client(timeout=0.5)
@@ -124,7 +124,7 @@ class TestOnPathVersusTls:
 
 class TestCompromisedProvider:
     def test_substitution(self):
-        scenario = build_pool_scenario(seed=98)
+        scenario = materialize(pool_spec(), 98)
         engine = compromise_provider(scenario.providers[0], CompromiseConfig(
             target=scenario.pool_domain,
             behavior=CompromisedResolverBehavior.SUBSTITUTE,
@@ -141,7 +141,7 @@ class TestCompromisedProvider:
         assert engine.poisoned_answers == 1
 
     def test_compromise_is_selective(self):
-        scenario = build_pool_scenario(seed=99)
+        scenario = materialize(pool_spec(), 99)
         compromise_provider(scenario.providers[0], CompromiseConfig(
             target=scenario.pool_domain,
             behavior=CompromisedResolverBehavior.SUBSTITUTE,
@@ -157,7 +157,7 @@ class TestCompromisedProvider:
 
     def test_minority_compromise_bounded_by_algorithm1(self):
         """1 of 3 corrupted: exactly K of the N*K pool is attacker-fed."""
-        scenario = build_pool_scenario(seed=100)
+        scenario = materialize(pool_spec(), 100)
         corrupt_first_k(scenario.providers, 1, CompromiseConfig(
             target=scenario.pool_domain,
             behavior=CompromisedResolverBehavior.SUBSTITUTE,
@@ -172,7 +172,7 @@ class TestCompromisedProvider:
     def test_majority_compromise_wins_as_assumed(self):
         """2 of 3 corrupted: the assumption x ≥ 2/3 fails, so the pool
         is majority-attacker — the model's sharp boundary."""
-        scenario = build_pool_scenario(seed=101)
+        scenario = materialize(pool_spec(), 101)
         corrupt_first_k(scenario.providers, 2, CompromiseConfig(
             target=scenario.pool_domain,
             behavior=CompromisedResolverBehavior.SUBSTITUTE,
@@ -185,7 +185,7 @@ class TestCompromisedProvider:
     def test_empty_behavior_collapses_pool(self):
         """fn.2: one corrupted resolver answering empty DoSes strict
         Algorithm 1."""
-        scenario = build_pool_scenario(seed=102)
+        scenario = materialize(pool_spec(), 102)
         corrupt_first_k(scenario.providers, 1, CompromiseConfig(
             target=scenario.pool_domain,
             behavior=CompromisedResolverBehavior.EMPTY))
@@ -193,7 +193,7 @@ class TestCompromisedProvider:
         assert not pool.ok or pool.truncate_length == 0
 
     def test_truthful_behavior_changes_nothing(self):
-        scenario = build_pool_scenario(seed=103)
+        scenario = materialize(pool_spec(), 103)
         corrupt_first_k(scenario.providers, 1, CompromiseConfig(
             target=scenario.pool_domain,
             behavior=CompromisedResolverBehavior.TRUTHFUL))

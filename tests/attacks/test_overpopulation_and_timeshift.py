@@ -5,15 +5,15 @@ import pytest
 from repro.attacks.overpopulation import OverPopulationAttack
 from repro.attacks.timeshift import TimeShiftExperiment
 from repro.core.policy import TruncationPolicy
-from repro.scenarios import build_pool_scenario
+from repro.scenarios import materialize, pool_spec
 
 
 class TestOverPopulation:
     def test_truncation_neutralises_inflation(self):
         """With SHORTEST truncation, a 1-of-3 attacker inflating to 20
         addresses still owns exactly 1/3 of the pool."""
-        scenario = build_pool_scenario(seed=120, num_providers=3,
-                                       answers_per_query=4)
+        scenario = materialize(pool_spec(num_providers=3, answers_per_query=4),
+                               120)
         attack = OverPopulationAttack(scenario, corrupted=1, inflate_to=20)
         result = attack.run(TruncationPolicy.SHORTEST)
         assert result.pool.ok
@@ -23,8 +23,8 @@ class TestOverPopulation:
     def test_without_truncation_attacker_wins(self):
         """Ablation: NONE truncation lets the inflated list dominate —
         reproducing [1]'s attack shape."""
-        scenario = build_pool_scenario(seed=121, num_providers=3,
-                                       answers_per_query=4)
+        scenario = materialize(pool_spec(num_providers=3, answers_per_query=4),
+                               121)
         attack = OverPopulationAttack(scenario, corrupted=1, inflate_to=20)
         result = attack.run(TruncationPolicy.NONE)
         assert result.pool.ok
@@ -33,15 +33,15 @@ class TestOverPopulation:
         assert result.attacker_controls_majority
 
     def test_median_truncation_partial_defence(self):
-        scenario = build_pool_scenario(seed=122, num_providers=3,
-                                       answers_per_query=4)
+        scenario = materialize(pool_spec(num_providers=3, answers_per_query=4),
+                               122)
         attack = OverPopulationAttack(scenario, corrupted=1, inflate_to=20)
         result = attack.run(TruncationPolicy.MEDIAN)
         # Median of (4, 4, 20) is 4: same as SHORTEST here.
         assert result.attacker_fraction == pytest.approx(1 / 3)
 
     def test_corrupted_count_validation(self):
-        scenario = build_pool_scenario(seed=123)
+        scenario = materialize(pool_spec(), 123)
         with pytest.raises(ValueError):
             OverPopulationAttack(scenario, corrupted=0)
 

@@ -13,7 +13,7 @@ Usage::
     python -m tests.campaign._resume_driver <journal_dir> <out_json>
 
 ``RESUME_GRID=chaos`` swaps the synthetic grid for a real chaos-axis
-campaign (``chaos_trial`` over an outage-fraction sweep), so the
+campaign (``spec_trial`` over an outage-fraction sweep), so the
 kill-and-resume guarantee is exercised against full simulation worlds
 with telemetry attached to every record.
 
@@ -29,7 +29,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.campaign import CampaignRunner, ParameterGrid, chaos_trial
+from repro.campaign import CampaignRunner, ParameterGrid, spec_trial
 from repro.chaos import ChaosSpec, ServerOutage
 from repro.scenarios.spec import population_spec
 
@@ -51,8 +51,8 @@ def slow_logged_trial(params, seed):
     return {"value": params["x"] + rng.random(), "noise": rng.gauss(0, 1)}
 
 
-def slow_logged_chaos_trial(params, seed):
-    """:func:`repro.campaign.chaos_trial` with the driver's logging and
+def slow_logged_spec_trial(params, seed):
+    """:func:`repro.campaign.spec_trial` with the driver's logging and
     kill-window sleep bolted on (env-driven, so identities/seeds/the
     fingerprint are untouched)."""
     log_path = os.environ.get("RESUME_LOG")
@@ -61,7 +61,7 @@ def slow_logged_chaos_trial(params, seed):
             handle.write(f"{seed}\n")
             handle.flush()
     time.sleep(float(os.environ.get("RESUME_SLEEP", "0")))
-    return chaos_trial(params, seed)
+    return spec_trial(params, seed)
 
 
 def chaos_grid():
@@ -88,7 +88,7 @@ def records_payload(result):
 
 def run_campaign(journal_dir):
     if os.environ.get("RESUME_GRID") == "chaos":
-        runner = CampaignRunner(slow_logged_chaos_trial, trials_per_point=2,
+        runner = CampaignRunner(slow_logged_spec_trial, trials_per_point=2,
                                 base_seed=BASE_SEED, executor="serial",
                                 journal_dir=journal_dir)
         return runner.run(chaos_grid())

@@ -12,25 +12,26 @@ from repro.campaign.executors import (
     chunk_specs,
     probe_picklable,
 )
-from repro.campaign.trials import pool_attack_trial, population_trial
+from repro.campaign.trials import spec_trial
+from repro.scenarios.spec import pool_spec, population_spec
 
 FORGED = tuple(f"203.0.113.{i + 1}" for i in range(4))
 
 #: The golden E2 corruption-bound sweep (same axes/fixed as the golden
 #: fixture scenario) — a real end-to-end netsim workload.
 E2_GRID_KWARGS = dict(
-    axes={"corrupted": (0, 2)},
-    fixed={"num_providers": 5, "pool_size": 24, "answers_per_query": 4,
-           "forged": FORGED},
+    spec=pool_spec(num_providers=5, pool_size=24, answers_per_query=4),
+    axes={"provider.corrupted": (0, 2)},
+    fixed={"provider.forged": FORGED},
 )
 
 #: A miniature of the golden P1 population fleet — telemetry-publishing
 #: trials, which is what makes the thread path interesting: concurrent
 #: worlds must not capture each other's registries.
 P1_GRID_KWARGS = dict(
-    axes={"corrupted": (0, 1)},
-    fixed={"num_clients": 12, "rounds": 2, "forged": FORGED,
-           "churn_rate": 0.2, "arrival": "poisson"},
+    spec=population_spec(num_clients=12, rounds=2, forged=FORGED,
+                         churn_rate=0.2, arrival="poisson"),
+    axes={"provider.corrupted": (0, 1)},
 )
 
 
@@ -117,19 +118,19 @@ class TestThreeWayEquality:
     """serial == threads == processes, bit for bit, on the golden
     E2/P1 workloads."""
 
-    def _run_all(self, trial_fn, grid_kwargs, name, **runner_kwargs):
+    def _run_all(self, grid_kwargs, name, **runner_kwargs):
         results = {}
         for executor in ("serial", "threads", "processes"):
-            grid = ParameterGrid(name=name, **grid_kwargs)
+            grid = ParameterGrid.over_spec(name=name, **grid_kwargs)
             results[executor] = CampaignRunner(
-                trial_fn, base_seed=7, workers=2, executor=executor,
+                spec_trial, base_seed=7, workers=2, executor=executor,
                 chunk_size=1, **runner_kwargs).run(grid)
         return results
 
     @pytest.mark.parametrize("other", ["threads", "processes"])
     def test_e2_grid_records_bit_identical(self, other):
-        results = self._run_all(pool_attack_trial, E2_GRID_KWARGS,
-                                "exec_e2", trials_per_point=2)
+        results = self._run_all(E2_GRID_KWARGS, "exec_e2",
+                                trials_per_point=2)
         serial = results["serial"]
         assert serial.mode == "serial"
         assert results[other].mode == f"{other}:2"
@@ -139,7 +140,7 @@ class TestThreeWayEquality:
 
     @pytest.mark.parametrize("other", ["threads", "processes"])
     def test_p1_population_records_bit_identical(self, other):
-        results = self._run_all(population_trial, P1_GRID_KWARGS, "exec_p1")
+        results = self._run_all(P1_GRID_KWARGS, "exec_p1")
         serial = results["serial"]
         assert serial.records == results[other].records
         assert (serial.to_json()["results"]
@@ -149,9 +150,6 @@ class TestThreeWayEquality:
         """Concurrent thread trials each scope their own registry; the
         spec_trial path attaches per-trial snapshots that must match a
         serial run's byte for byte."""
-        from repro.campaign.trials import spec_trial
-        from repro.scenarios.spec import population_spec
-
         grid_kwargs = dict(
             axes={"provider.corrupted": (0, 1)},
             fixed={"telemetry.enabled": True},

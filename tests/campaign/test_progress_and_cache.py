@@ -1,5 +1,6 @@
 """Campaign progress reporting and content-hash result caching."""
 
+import json
 import random
 
 import pytest
@@ -116,6 +117,19 @@ class TestResultCache:
         for path in tmp_path.glob("*.json"):
             path.write_text("{not json")
         assert runner.run(self._grid()).mode == "serial"
+
+    def test_malformed_metric_value_is_a_miss(self, tmp_path):
+        """A cache entry whose metric is ``null`` is a miss that
+        recomputes, not a ``TypeError`` out of ``run``."""
+        runner = CampaignRunner(noisy_trial, workers=0, cache_dir=tmp_path)
+        first = runner.run(self._grid())
+        (path,) = tmp_path.glob("*.json")
+        payload = json.loads(path.read_text())
+        payload["records"][1]["metrics"]["value"] = None
+        path.write_text(json.dumps(payload))
+        again = runner.run(self._grid())
+        assert again.mode == "serial"
+        assert again.records == first.records
 
     def test_cached_records_keep_live_params(self, tmp_path):
         """Cached runs rebuild records from the live grid, so params

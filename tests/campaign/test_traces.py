@@ -11,22 +11,23 @@ untraced run).
 
 import json
 
-from repro.campaign import CampaignRunner, ParameterGrid, population_trial
+from repro.campaign import CampaignRunner, ParameterGrid, spec_trial
+from repro.scenarios.spec import population_spec
 from repro.telemetry.trace import should_sample
 
 FORGED = ("203.0.113.1", "203.0.113.2")
 
-GRID = ParameterGrid(
-    {"corrupted": (0, 1)},
-    fixed={"num_clients": 3, "rounds": 2, "num_providers": 3,
-           "behavior": "substitute", "forged": FORGED,
-           "pool_size": 8, "answers_per_query": 4},
+GRID = ParameterGrid.over_spec(
+    population_spec(num_clients=3, rounds=2, num_providers=3,
+                    behavior="substitute", forged=FORGED,
+                    pool_size=8, answers_per_query=4),
+    {"provider.corrupted": (0, 1)},
     name="traced_grid")
 
 
 def _run(executor, **kwargs):
     kwargs.setdefault("include_traces", True)
-    runner = CampaignRunner(population_trial, trials_per_point=2,
+    runner = CampaignRunner(spec_trial, trials_per_point=2,
                             base_seed=7, workers=2, executor=executor,
                             **kwargs)
     return runner.run(GRID)
@@ -81,7 +82,7 @@ class TestSampling:
 
     def test_untraced_runs_report_identical_metrics(self):
         traced = _run("serial")
-        plain = CampaignRunner(population_trial, trials_per_point=2,
+        plain = CampaignRunner(spec_trial, trials_per_point=2,
                                base_seed=7, workers=2,
                                executor="serial").run(GRID)
         for with_traces, without in zip(traced.summaries, plain.summaries):
@@ -91,10 +92,10 @@ class TestSampling:
 
 class TestFingerprint:
     def test_tracing_config_lands_in_the_fingerprint(self):
-        plain = CampaignRunner(population_trial, base_seed=7)
-        traced = CampaignRunner(population_trial, base_seed=7,
+        plain = CampaignRunner(spec_trial, base_seed=7)
+        traced = CampaignRunner(spec_trial, base_seed=7,
                                 include_traces=True)
-        sampled = CampaignRunner(population_trial, base_seed=7,
+        sampled = CampaignRunner(spec_trial, base_seed=7,
                                  include_traces=True, trace_sample=0.5)
         prints = {runner._fingerprint(GRID.name, runner.specs(GRID))
                   for runner in (plain, traced, sampled)}
@@ -103,4 +104,4 @@ class TestFingerprint:
     def test_invalid_sample_rate_rejected(self):
         import pytest
         with pytest.raises(ValueError):
-            CampaignRunner(population_trial, trace_sample=1.5)
+            CampaignRunner(spec_trial, trace_sample=1.5)

@@ -10,97 +10,151 @@ from repro.campaign import (
     CampaignRunner,
     ParameterGrid,
     attack_probability_trial,
-    build_scenario,
-    pool_attack_trial,
+    spec_trial,
 )
-from repro.core.policy import DualStackPolicy
+from repro.chaos import ChaosSpec, ServerOutage
+from repro.core.errors import ConfigurationError
+from repro.scenarios import (
+    get_spec_preset,
+    hierarchy_population_spec,
+    pool_spec,
+    population_spec,
+    set_path,
+)
+from repro.scenarios.spec import apply_paths
 
 FORGED = ("203.0.113.1", "203.0.113.2", "203.0.113.3", "203.0.113.4")
 
 
-class TestBuildScenario:
-    def test_custom_preset_passes_knobs(self):
-        scenario = build_scenario({"num_providers": 5, "pool_size": 8}, seed=2)
-        assert len(scenario.providers) == 5
-        assert scenario.seed == 2
-
-    def test_named_preset(self):
-        scenario = build_scenario({"preset": "figure1"}, seed=3)
-        assert len(scenario.providers) == 3
-
-    def test_unknown_preset_rejected(self):
-        with pytest.raises(ValueError):
-            build_scenario({"preset": "nope"}, seed=1)
-
-    def test_unrelated_params_ignored(self):
-        scenario = build_scenario({"corrupted": 1, "forged": FORGED,
-                                   "pool_size": 8}, seed=1)
-        assert scenario.directory.members  # built despite attack params
+def _pool_trial(paths, seed, **keywords):
+    """spec_trial on ``pool_spec(**keywords)`` with ``paths`` applied."""
+    return spec_trial({"spec": apply_paths(pool_spec(**keywords), paths)},
+                      seed)
 
 
 class TestPoolAttackTrial:
     def test_honest_world_metrics(self):
-        metrics = pool_attack_trial({"num_providers": 3, "pool_size": 8}, 7)
+        metrics = _pool_trial({}, 7, num_providers=3, pool_size=8)
         assert metrics["attacker_share"] == 0.0
         assert metrics["pool_size"] == 12.0  # 3 resolvers × 4 answers
         assert metrics["benign_fraction"] == 1.0
 
     def test_substitution_share_is_exact(self):
-        metrics = pool_attack_trial(
-            {"num_providers": 3, "pool_size": 8, "corrupted": 1,
-             "forged": FORGED}, 7)
+        metrics = _pool_trial({"provider.corrupted": 1,
+                               "provider.forged": FORGED}, 7,
+                              num_providers=3, pool_size=8)
         assert metrics["attacker_share"] == pytest.approx(1 / 3)
         assert metrics["voted_attacker_share"] == 0.0
 
     def test_dual_stack_per_family_shares(self):
-        metrics = pool_attack_trial(
-            {"num_providers": 3, "pool_size": 12, "answers_per_query": 3,
-             "dual_stack": True, "corrupted": 1,
-             "forged": ("2001:db8:bad::1", "2001:db8:bad::2",
-                        "2001:db8:bad::3"),
-             "policy": DualStackPolicy.PER_FAMILY}, 7)
+        metrics = _pool_trial(
+            {"provider.corrupted": 1,
+             "provider.forged": ("2001:db8:bad::1", "2001:db8:bad::2",
+                                 "2001:db8:bad::3"),
+             "pool.dual_stack_policy": "per-family"}, 7,
+            num_providers=3, pool_size=12, answers_per_query=3,
+            dual_stack=True)
         assert metrics["v4_share"] == 0.0
         assert metrics["v6_share"] == pytest.approx(1 / 3)
 
     def test_typoed_parameter_rejected(self):
         """A sweep axis nothing consumes must fail loudly, not run the
-        whole grid against defaults."""
-        with pytest.raises(ValueError, match="answers_per_qeury"):
-            pool_attack_trial({"num_providers": 3, "pool_size": 8,
-                               "answers_per_qeury": 2}, 7)
+        whole grid against defaults — at grid declaration and, for a
+        hand-built point, inside the trial."""
+        with pytest.raises(ConfigurationError, match="answers_per_qeury"):
+            ParameterGrid.over_spec(pool_spec(),
+                                    {"pool.answers_per_qeury": (2,)})
+        with pytest.raises(ConfigurationError, match="answers_per_qeury"):
+            spec_trial({"spec": pool_spec(),
+                        "pool.answers_per_qeury": 2}, 7)
 
     def test_inflate_behavior_reaches_full_control(self):
         """All resolvers corrupted with inflate: the truncated pool is
         entirely attacker addresses (the [1] over-population ceiling)."""
         many = tuple(f"203.0.113.{i + 1}" for i in range(12))
-        metrics = pool_attack_trial(
-            {"num_providers": 3, "pool_size": 8, "corrupted": 3,
-             "behavior": "inflate", "forged": many, "inflate_to": 2}, 7)
+        metrics = _pool_trial({"provider.corrupted": 3,
+                               "provider.behavior": "inflate",
+                               "provider.forged": many,
+                               "provider.inflate_to": 2,
+                               "pool.truncation": "none"}, 7,
+                              num_providers=3, pool_size=8)
         assert metrics["attacker_share"] == 1.0
         assert metrics["pool_size"] == 6.0  # 3 resolvers × inflate_to=2
 
     def test_policy_accepts_string_values(self):
-        metrics = pool_attack_trial(
-            {"num_providers": 3, "pool_size": 8, "dual_stack": True,
-             "policy": "union", "truncation": "shortest"}, 7)
+        metrics = _pool_trial({"pool.dual_stack_policy": "union",
+                               "pool.truncation": "shortest"}, 7,
+                              num_providers=3, pool_size=8, dual_stack=True)
         assert metrics["pool_size"] > 0
 
     def test_serial_and_parallel_scenario_sweeps_agree(self):
         """The acceptance-criterion path: a real end-to-end netsim sweep
         aggregated identically in serial and multiprocessing modes."""
-        grid = ParameterGrid(
-            {"corrupted": (0, 1)},
-            fixed={"num_providers": 3, "pool_size": 8, "forged": FORGED},
+        grid = ParameterGrid.over_spec(
+            pool_spec(num_providers=3, pool_size=8),
+            {"provider.corrupted": (0, 1)},
+            fixed={"provider.forged": FORGED},
             name="sweep-equality")
-        serial = CampaignRunner(pool_attack_trial, base_seed=21,
+        serial = CampaignRunner(spec_trial, base_seed=21,
                                 workers=0).run(grid)
-        parallel = CampaignRunner(pool_attack_trial, base_seed=21,
+        parallel = CampaignRunner(spec_trial, base_seed=21,
                                   workers=2, executor="processes").run(grid)
         assert serial.records == parallel.records
         # Everything except the mode tag is bit-identical.
         assert (json.dumps(serial.to_json()["results"], sort_keys=True)
                 == json.dumps(parallel.to_json()["results"], sort_keys=True))
         assert parallel.mode == "processes:2"
+
+
+_HIERARCHY_METRICS = {"exposure_windows", "cache_hits", "hijacked",
+                      "spray_packets"}
+_CHAOS_METRICS = {"chaos_events", "mttr", "availability_floor",
+                  "degraded_victim_fraction"}
+
+
+def _with_outage(spec):
+    return set_path(spec, "chaos", ChaosSpec(events=(
+        ServerOutage(scope="providers", fraction=0.6, at=5.0,
+                     duration=20.0),)))
+
+
+class TestSpecTrialExtractors:
+    """spec_trial picks its metric set from the spec."""
+
+    def test_forwarding_population_has_no_extras(self):
+        metrics, _ = spec_trial(
+            {"spec": population_spec(num_clients=4, rounds=2)}, 3)
+        assert "victim_fraction" in metrics
+        assert not (_HIERARCHY_METRICS | _CHAOS_METRICS) & set(metrics)
+
+    def test_iterative_population_adds_hierarchy_metrics(self):
+        metrics, _ = spec_trial(
+            {"spec": hierarchy_population_spec(num_clients=4, rounds=2)}, 3)
+        assert _HIERARCHY_METRICS <= set(metrics)
+        assert metrics["cache_misses"] > 0
+        assert not _CHAOS_METRICS & set(metrics)
+
+    def test_chaos_population_adds_slo_metrics(self):
+        metrics, _ = spec_trial(
+            {"spec": _with_outage(population_spec(num_clients=4,
+                                                  rounds=2))}, 3)
+        assert _CHAOS_METRICS <= set(metrics)
+        assert metrics["chaos_events"] == 1.0
+        assert not _HIERARCHY_METRICS & set(metrics)
+
+    def test_single_client_iterative_spec_reports_pool_metrics(self):
+        metrics = spec_trial({"spec": get_spec_preset("hierarchy")()}, 3)
+        assert metrics["ok"] == 1.0
+        assert not _HIERARCHY_METRICS & set(metrics)
+
+    @pytest.mark.parametrize("make", [
+        lambda: hierarchy_population_spec(num_clients=4, rounds=2),
+        lambda: _with_outage(population_spec(num_clients=4, rounds=2)),
+    ], ids=["hierarchy", "chaos"])
+    def test_extras_refuse_sharded_fleets(self, make):
+        spec = set_path(make(), "fleet.shards", 2)
+        with pytest.raises(ValueError, match="shard the campaign"):
+            spec_trial({"spec": spec}, 3)
 
 
 class TestMonteCarloTrial:

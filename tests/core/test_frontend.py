@@ -7,12 +7,12 @@ from repro.core.majority import MajorityVoteCombiner
 from repro.dns.client import StubResolver
 from repro.dns.rcode import RCode
 from repro.dns.rrtype import RRType
-from repro.scenarios import build_pool_scenario
+from repro.scenarios import materialize, pool_spec
 
 
 @pytest.fixture
 def frontend_world():
-    scenario = build_pool_scenario(seed=41, num_providers=3, pool_size=20)
+    scenario = materialize(pool_spec(num_providers=3, pool_size=20), 41)
     generator = scenario.make_generator()
     frontend = MajorityDnsFrontend(
         scenario.client, generator, scenario.make_doh_client("frontend"),
@@ -57,8 +57,8 @@ class TestPoolDomainPath:
         assert len(outcome.addresses) == 12
 
     def test_majority_filter_mode(self):
-        scenario = build_pool_scenario(seed=42, num_providers=3, pool_size=4,
-                                       answers_per_query=4)
+        scenario = materialize(pool_spec(num_providers=3, pool_size=4,
+                                         answers_per_query=4), 42)
         # Tiny pool + full-size answers => every resolver sees the same 4
         # servers, so majority voting keeps them.
         generator = scenario.make_generator()

@@ -6,13 +6,13 @@ from repro.core.errors import ConfigurationError
 from repro.core.policy import DualStackPolicy, TruncationPolicy
 from repro.core.pool import PoolGeneratorConfig, SecurePoolGenerator
 from repro.dns.rrtype import RRType
-from repro.scenarios import build_pool_scenario
+from repro.scenarios import materialize, pool_spec
 
 
 class TestGenerationHappyPath:
     def test_pool_has_n_times_k_addresses(self):
-        scenario = build_pool_scenario(seed=21, num_providers=3, pool_size=20,
-                                       answers_per_query=4)
+        scenario = materialize(pool_spec(num_providers=3, pool_size=20,
+                                         answers_per_query=4), 21)
         pool = scenario.generate_pool_sync()
         assert pool.ok
         assert pool.truncate_length == 4
@@ -21,30 +21,30 @@ class TestGenerationHappyPath:
         assert pool.failed_resolvers == []
 
     def test_all_addresses_from_directory(self):
-        scenario = build_pool_scenario(seed=22, num_providers=3)
+        scenario = materialize(pool_spec(num_providers=3), 22)
         pool = scenario.generate_pool_sync()
         for address in pool.addresses:
             assert scenario.directory.is_benign(address)
 
     def test_contribution_bound_holds(self):
-        scenario = build_pool_scenario(seed=23, num_providers=5, pool_size=30)
+        scenario = materialize(pool_spec(num_providers=5, pool_size=30), 23)
         pool = scenario.generate_pool_sync()
         assert pool.max_contribution_fraction() <= 1 / 5 + 1e-9
 
     def test_elapsed_time_recorded(self):
-        scenario = build_pool_scenario(seed=24)
+        scenario = materialize(pool_spec(), 24)
         pool = scenario.generate_pool_sync()
         assert pool.elapsed > 0
 
     def test_many_providers(self):
-        scenario = build_pool_scenario(seed=25, num_providers=9, pool_size=50)
+        scenario = materialize(pool_spec(num_providers=9, pool_size=50), 25)
         pool = scenario.generate_pool_sync()
         assert pool.ok
         assert len(pool.contributions) == 9
 
     def test_deterministic_given_seed(self):
-        first = build_pool_scenario(seed=26).generate_pool_sync()
-        second = build_pool_scenario(seed=26).generate_pool_sync()
+        first = materialize(pool_spec(), 26).generate_pool_sync()
+        second = materialize(pool_spec(), 26).generate_pool_sync()
         assert [str(a) for a in first.addresses] == [
             str(a) for a in second.addresses]
 
@@ -52,8 +52,8 @@ class TestGenerationHappyPath:
 class TestGenerationFailures:
     def make_partitioned_scenario(self, seed=27, num_providers=3,
                                   cut_provider_index=0, **kwargs):
-        scenario = build_pool_scenario(seed=seed,
-                                       num_providers=num_providers, **kwargs)
+        scenario = materialize(pool_spec(num_providers=num_providers, **kwargs),
+                               seed)
         victim = scenario.providers[cut_provider_index]
         topology = scenario.internet.topology
         # Cutting the provider region would also cut co-located ones;
@@ -90,7 +90,7 @@ class TestGenerationFailures:
         assert len(pool.contributions) == 2
 
     def test_min_answers_validation(self):
-        scenario = build_pool_scenario(seed=29)
+        scenario = materialize(pool_spec(), 29)
         with pytest.raises(ConfigurationError):
             scenario.make_generator(config=PoolGeneratorConfig(min_answers=4))
 
@@ -101,8 +101,8 @@ class TestGenerationFailures:
 
 class TestDualStack:
     def test_union_policy_pools_both_families(self):
-        scenario = build_pool_scenario(seed=30, dual_stack=True,
-                                       pool_size=12, answers_per_query=3)
+        scenario = materialize(pool_spec(dual_stack=True, pool_size=12,
+                                         answers_per_query=3), 30)
         config = PoolGeneratorConfig(dual_stack=DualStackPolicy.UNION)
         pool = scenario.generate_pool_sync(scenario.make_generator(config=config))
         assert pool.ok
@@ -112,8 +112,8 @@ class TestDualStack:
         assert pool.truncate_length == 6
 
     def test_per_family_policy(self):
-        scenario = build_pool_scenario(seed=31, dual_stack=True,
-                                       pool_size=12, answers_per_query=3)
+        scenario = materialize(pool_spec(dual_stack=True, pool_size=12,
+                                         answers_per_query=3), 31)
         config = PoolGeneratorConfig(dual_stack=DualStackPolicy.PER_FAMILY)
         pool = scenario.generate_pool_sync(scenario.make_generator(config=config))
         assert pool.ok
@@ -126,7 +126,7 @@ class TestDualStack:
 
 class TestTruncationAblation:
     def test_none_policy_lets_long_answers_through(self):
-        scenario = build_pool_scenario(seed=32, num_providers=3)
+        scenario = materialize(pool_spec(num_providers=3), 32)
         config = PoolGeneratorConfig(truncation=TruncationPolicy.NONE)
         pool = scenario.generate_pool_sync(scenario.make_generator(config=config))
         assert pool.ok

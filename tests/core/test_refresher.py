@@ -8,7 +8,7 @@ from repro.attacks.compromise import (
     corrupt_first_k,
 )
 from repro.core.refresher import PoolRefresher
-from repro.scenarios import build_pool_scenario
+from repro.scenarios import materialize, pool_spec
 
 
 def make_refresher(scenario, interval=120.0, max_staleness=None,
@@ -30,7 +30,7 @@ def make_refresher(scenario, interval=120.0, max_staleness=None,
 
 class TestSchedule:
     def test_immediate_first_refresh(self):
-        scenario = build_pool_scenario(seed=130)
+        scenario = materialize(pool_spec(), 130)
         refresher, received = make_refresher(scenario)
         refresher.start()
         scenario.simulator.run(until=1.0)
@@ -38,7 +38,7 @@ class TestSchedule:
         assert received[0][1] is True  # fresh
 
     def test_periodic_refreshes(self):
-        scenario = build_pool_scenario(seed=131, pool_ttl=1)
+        scenario = materialize(pool_spec(pool_ttl=1), 131)
         refresher, received = make_refresher(scenario, interval=100.0)
         refresher.start()
         scenario.simulator.run(until=350.0)
@@ -47,7 +47,7 @@ class TestSchedule:
         assert refresher.stats.refreshes_succeeded == 4
 
     def test_delayed_start(self):
-        scenario = build_pool_scenario(seed=132)
+        scenario = materialize(pool_spec(), 132)
         refresher, received = make_refresher(scenario, interval=60.0)
         refresher.start(immediate=False)
         scenario.simulator.run(until=30.0)
@@ -56,7 +56,7 @@ class TestSchedule:
         assert len(received) == 1
 
     def test_stop_halts_schedule(self):
-        scenario = build_pool_scenario(seed=133)
+        scenario = materialize(pool_spec(), 133)
         refresher, received = make_refresher(scenario, interval=50.0)
         refresher.start()
         scenario.simulator.run(until=10.0)
@@ -66,21 +66,21 @@ class TestSchedule:
         assert not refresher.running
 
     def test_double_start_rejected(self):
-        scenario = build_pool_scenario(seed=134)
+        scenario = materialize(pool_spec(), 134)
         refresher, _ = make_refresher(scenario)
         refresher.start()
         with pytest.raises(RuntimeError):
             refresher.start()
 
     def test_interval_validation(self):
-        scenario = build_pool_scenario(seed=135)
+        scenario = materialize(pool_spec(), 135)
         with pytest.raises(ValueError):
             PoolRefresher(scenario.make_generator(), scenario.simulator,
                           "pool.ntp.org", interval=0,
                           consumer=lambda pool, fresh: None)
 
     def test_rotation_gives_fresh_pools(self):
-        scenario = build_pool_scenario(seed=136, pool_ttl=1)
+        scenario = materialize(pool_spec(pool_ttl=1), 136)
         refresher, received = make_refresher(scenario, interval=100.0)
         refresher.start()
         scenario.simulator.run(until=150.0)
@@ -96,7 +96,7 @@ class TestStaleServing:
             behavior=CompromisedResolverBehavior.EMPTY))
 
     def test_serves_last_good_during_outage(self):
-        scenario = build_pool_scenario(seed=137, pool_ttl=1)
+        scenario = materialize(pool_spec(pool_ttl=1), 137)
         refresher, received = make_refresher(scenario, interval=100.0)
         refresher.start()
         scenario.simulator.run(until=10.0)
@@ -112,7 +112,7 @@ class TestStaleServing:
         assert refresher.staleness() > 0
 
     def test_staleness_bound_fails_closed(self):
-        scenario = build_pool_scenario(seed=138, pool_ttl=1)
+        scenario = materialize(pool_spec(pool_ttl=1), 138)
         refresher, received = make_refresher(scenario, interval=100.0,
                                              max_staleness=150.0)
         refresher.start()
@@ -128,7 +128,7 @@ class TestStaleServing:
             assert fresh is False
 
     def test_no_good_pool_yet_fails_closed(self):
-        scenario = build_pool_scenario(seed=139)
+        scenario = materialize(pool_spec(), 139)
         self.corrupt_all_empty(scenario)
         refresher, received = make_refresher(scenario, interval=100.0)
         refresher.start()

@@ -6,14 +6,14 @@ from repro.dns.rcode import RCode
 from repro.dns.rrtype import RRType
 from repro.doh.client import DoHClient, DoHStatus
 from repro.doh.tls import CertificateAuthority, TrustStore
-from repro.scenarios import build_pool_scenario
+from repro.scenarios import materialize, pool_spec
 
 QUERY_DOMAIN = "pool.ntp.org"
 
 
 @pytest.fixture(scope="module")
 def scenario():
-    return build_pool_scenario(seed=3, num_providers=3, pool_size=20)
+    return materialize(pool_spec(num_providers=3, pool_size=20), 3)
 
 
 def run_query(scenario, client: DoHClient, provider, qname=QUERY_DOMAIN,
@@ -96,7 +96,7 @@ class TestDoHQueries:
         assert outcome.latency > 0
 
     def test_timeout_on_unreachable_provider(self):
-        scenario = build_pool_scenario(seed=4, num_providers=1)
+        scenario = materialize(pool_spec(num_providers=1), 4)
         # Cut the provider's region off.
         provider = scenario.providers[0]
         topo = scenario.internet.topology

@@ -10,7 +10,7 @@ from repro.doh.providers import (
     deploy_provider,
 )
 from repro.doh.tls import CertificateAuthority
-from repro.scenarios import build_pool_scenario
+from repro.scenarios import materialize, pool_spec
 
 
 class TestFigure1Profiles:
@@ -30,7 +30,7 @@ class TestFigure1Profiles:
 
 class TestDeployment:
     def test_deployment_wiring(self):
-        scenario = build_pool_scenario(seed=160)
+        scenario = materialize(pool_spec(), 160)
         deployment = scenario.providers[0]
         assert deployment.name == "dns.google"
         assert deployment.endpoint.port == 443
@@ -40,7 +40,7 @@ class TestDeployment:
         assert deployment.doh_server.resolver is deployment.resolver
 
     def test_certificate_binds_name_and_key(self):
-        scenario = build_pool_scenario(seed=161)
+        scenario = materialize(pool_spec(), 161)
         deployment = scenario.providers[1]
         assert deployment.certificate.subject == deployment.name
         assert deployment.certificate.public_key == deployment.keypair.public
@@ -48,12 +48,12 @@ class TestDeployment:
                                            deployment.name)
 
     def test_certificates_differ_between_providers(self):
-        scenario = build_pool_scenario(seed=162)
+        scenario = materialize(pool_spec(), 162)
         fingerprints = {p.certificate.fingerprint for p in scenario.providers}
         assert len(fingerprints) == 3
 
     def test_cannot_deploy_same_profile_twice(self):
-        scenario = build_pool_scenario(seed=163)
+        scenario = materialize(pool_spec(), 163)
         ca = CertificateAuthority("x", scenario.rng.stream("x"))
         with pytest.raises(ValueError):
             deploy_provider(scenario.internet, GOOGLE.__class__(
@@ -65,7 +65,7 @@ class TestDeployment:
         plain-DNS baseline in E7/E10)."""
         from repro.dns.client import StubResolver
         from repro.dns.rrtype import RRType
-        scenario = build_pool_scenario(seed=164)
+        scenario = materialize(pool_spec(), 164)
         stub = StubResolver(scenario.client, scenario.simulator,
                             scenario.providers[0].address, timeout=5.0)
         outcomes = []

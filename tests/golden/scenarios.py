@@ -20,12 +20,14 @@ from __future__ import annotations
 import json
 from typing import Any, Callable, Dict, Tuple
 
-from repro.campaign.trials import pool_attack_trial, population_trial, spec_trial
+from repro.campaign.trials import spec_trial
 from repro.scenarios.spec import (
     AttackSpec,
     FaultSpec,
     LinkSpec,
     RegionSpec,
+    apply_paths,
+    pool_spec,
     population_spec,
     set_path,
 )
@@ -69,25 +71,24 @@ def _normalise(outcome: Any) -> Dict[str, Any]:
 
 
 def _e2_corruption_bound(seed: int) -> Dict[str, Any]:
-    return _normalise(pool_attack_trial({
-        "num_providers": 5, "corrupted": 2, "pool_size": 24,
-        "answers_per_query": 4, "forged": _FORGED,
-    }, seed))
+    spec = apply_paths(pool_spec(num_providers=5, pool_size=24,
+                                 answers_per_query=4),
+                       {"provider.corrupted": 2, "provider.forged": _FORGED})
+    return _normalise(spec_trial({"spec": spec}, seed))
 
 
 def _e6_dos_under_loss(seed: int) -> Dict[str, Any]:
-    return _normalise(pool_attack_trial({
-        "num_providers": 3, "corrupted": 1, "behavior": "empty",
-        "pool_size": 20, "answers_per_query": 4, "loss_rate": 0.2,
-        "min_answers": 2,
-    }, seed))
+    spec = apply_paths(pool_spec(num_providers=3, pool_size=20,
+                                 answers_per_query=4, loss_rate=0.2),
+                       {"provider.corrupted": 1, "provider.behavior": "empty",
+                        "pool.min_answers": 2})
+    return _normalise(spec_trial({"spec": spec}, seed))
 
 
 def _p1_population(seed: int) -> Dict[str, Any]:
-    return _normalise(population_trial({
-        "num_clients": 40, "rounds": 3, "corrupted": 1,
-        "forged": _FORGED, "churn_rate": 0.2, "arrival": "poisson",
-    }, seed))
+    spec = population_spec(num_clients=40, rounds=3, corrupted=1,
+                           forged=_FORGED, churn_rate=0.2, arrival="poisson")
+    return _normalise(spec_trial({"spec": spec}, seed))
 
 
 def _p2_regions(seed: int) -> Dict[str, Any]:

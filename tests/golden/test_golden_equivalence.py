@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.campaign import CampaignRunner, ParameterGrid, pool_attack_trial
+from repro.campaign import CampaignRunner, ParameterGrid, spec_trial
+from repro.scenarios.spec import pool_spec
 
 from tests.golden.scenarios import SCENARIOS, SEEDS, canonical_json
 
@@ -42,15 +43,16 @@ def test_every_executor_campaign_matches_serial_records(fixture, executor):
     """The thread and chunked process paths must reassemble the exact
     serial records — and all must still produce the fixture's E2
     numbers."""
-    grid = ParameterGrid(
-        {"corrupted": (0, 2)},
-        fixed={"num_providers": 5, "pool_size": 24, "answers_per_query": 4,
-               "forged": tuple(f"203.0.113.{i + 1}" for i in range(4))},
+    grid = ParameterGrid.over_spec(
+        pool_spec(num_providers=5, pool_size=24, answers_per_query=4),
+        {"provider.corrupted": (0, 2)},
+        fixed={"provider.forged": tuple(f"203.0.113.{i + 1}"
+                                        for i in range(4))},
         name="golden_serial_parallel",
     )
-    serial = CampaignRunner(pool_attack_trial, trials_per_point=2,
+    serial = CampaignRunner(spec_trial, trials_per_point=2,
                             base_seed=7, workers=0).run(grid)
-    parallel = CampaignRunner(pool_attack_trial, trials_per_point=2,
+    parallel = CampaignRunner(spec_trial, trials_per_point=2,
                               base_seed=7, workers=3, chunk_size=1,
                               executor=executor).run(grid)
     assert [r.metrics for r in serial.records] \

@@ -13,13 +13,13 @@ from repro.dns.rrtype import RRType
 from repro.doh.client import DoHStatus
 from repro.netsim.internet import TapAction
 from repro.netsim.link import LinkProfile
-from repro.scenarios import build_pool_scenario
+from repro.scenarios import materialize, pool_spec
 
 
 class TestDoHTransportRetries:
     def test_retry_recovers_from_single_loss(self):
         """Drop exactly the first ClientHello; the retry must succeed."""
-        scenario = build_pool_scenario(seed=150)
+        scenario = materialize(pool_spec(), 150)
         dropped = {"count": 0}
 
         def drop_first_hello(link, datagram):
@@ -42,7 +42,7 @@ class TestDoHTransportRetries:
         assert outcomes[0].latency > 1.0  # paid one timeout
 
     def test_zero_retries_fails_on_loss(self):
-        scenario = build_pool_scenario(seed=151)
+        scenario = materialize(pool_spec(), 151)
         scenario.internet.add_tap(
             "client-edge--eu-central",
             lambda link, d: (TapAction.drop()
@@ -57,7 +57,7 @@ class TestDoHTransportRetries:
         assert outcomes[0].status is DoHStatus.TIMEOUT
 
     def test_retries_validation(self):
-        scenario = build_pool_scenario(seed=152)
+        scenario = materialize(pool_spec(), 152)
         with pytest.raises(ValueError):
             scenario.make_doh_client(retries=-1)
 
@@ -68,8 +68,8 @@ def isolated_provider_scenario(seed):
     provider."""
     from repro.doh.providers import CLOUDFLARE, QUAD9, DoHProviderProfile
     lonely = DoHProviderProfile("doh.asia.example", "asia-east", "10.53.0.9")
-    return build_pool_scenario(seed=seed, num_providers=3,
-                               profiles=[lonely, CLOUDFLARE, QUAD9])
+    return materialize(pool_spec(num_providers=3,
+                                 profiles=[lonely, CLOUDFLARE, QUAD9]), seed)
 
 
 def sever_region(topology, region):
@@ -108,10 +108,8 @@ class TestPartitions:
 
 class TestUpstreamDnsFailures:
     def test_dead_pool_nameservers_yield_servfail_everywhere(self):
-        scenario = build_pool_scenario(
-            seed=155,
-            resolver_config=ResolverConfig(query_timeout=0.3,
-                                           max_retries_per_server=0))
+        scenario = materialize(pool_spec(resolver_config=ResolverConfig(query_timeout=0.3,
+                                           max_retries_per_server=0)), 155)
         topology = scenario.internet.topology
         # ntpns-edge hosts all three pool nameservers.
         for other in list(topology.nodes):
@@ -129,10 +127,8 @@ class TestUpstreamDnsFailures:
     def test_loss_on_provider_recursion_path_retries(self):
         """Loss between a provider and the DNS tree is absorbed by the
         resolver's own retry logic."""
-        scenario = build_pool_scenario(
-            seed=156,
-            resolver_config=ResolverConfig(query_timeout=0.3,
-                                           max_retries_per_server=10))
+        scenario = materialize(pool_spec(resolver_config=ResolverConfig(query_timeout=0.3,
+                                           max_retries_per_server=10)), 156)
         topology = scenario.internet.topology
         # Degrade the nameserver access link.
         topology.remove_link("ntpns-edge", "us-west")
@@ -149,7 +145,7 @@ class TestCacheResilience:
     def test_cached_answers_survive_infrastructure_outage(self):
         """Once resolvers have cached the pool, the DNS tree can die and
         lookups still succeed until TTL expiry."""
-        scenario = build_pool_scenario(seed=157, pool_ttl=300)
+        scenario = materialize(pool_spec(pool_ttl=300), 157)
         first = scenario.generate_pool_sync()
         assert first.ok
         topology = scenario.internet.topology
@@ -164,7 +160,7 @@ class TestCacheResilience:
             str(a) for a in first.addresses]
 
     def test_cache_expiry_after_outage_fails(self):
-        scenario = build_pool_scenario(seed=158, pool_ttl=60)
+        scenario = materialize(pool_spec(pool_ttl=60), 158)
         scenario.generate_pool_sync()
         topology = scenario.internet.topology
         for edge in ("ntpns-edge", "dns-root-edge", "dns-org-edge"):

@@ -8,13 +8,13 @@ and deterministic for a fixed seed.
 
 from repro.dns.client import StubResolver
 from repro.dns.rrtype import RRType
-from repro.scenarios import build_pool_scenario
+from repro.scenarios import materialize, pool_spec
 
 
 def _run_stub_query(seed: int, loss_rate: float, retries: int = 8,
                     timeout: float = 2.0):
-    scenario = build_pool_scenario(seed=seed, num_providers=1,
-                                   loss_rate=loss_rate)
+    scenario = materialize(pool_spec(num_providers=1, loss_rate=loss_rate),
+                           seed)
     stub = StubResolver(scenario.client, scenario.simulator,
                         scenario.providers[0].address,
                         timeout=timeout, retries=retries,
@@ -60,15 +60,15 @@ class TestPoolGenerationOverFaultyAccessLink:
     def test_duplicating_link_does_not_double_deliver_outcomes(self):
         """Link-level duplication must be invisible above the transport:
         one pool generation, one callback, one coherent pool."""
-        scenario = build_pool_scenario(seed=5, num_providers=3,
-                                       duplicate_rate=1.0)
+        scenario = materialize(pool_spec(num_providers=3, duplicate_rate=1.0),
+                               5)
         pool = scenario.generate_pool_sync()
         assert pool.ok
         assert scenario.internet.datagrams_duplicated > 0
 
     def test_jitter_and_reordering_keep_generation_correct(self):
-        scenario = build_pool_scenario(seed=6, num_providers=3,
-                                       jitter_s=0.02, reorder_window=0.04)
+        scenario = materialize(pool_spec(num_providers=3, jitter_s=0.02,
+                                         reorder_window=0.04), 6)
         pool = scenario.generate_pool_sync()
         assert pool.ok
         assert len(pool.addresses) == 12

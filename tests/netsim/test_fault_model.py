@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.campaign import CampaignRunner, ParameterGrid, pool_attack_trial
+from repro.campaign import CampaignRunner, ParameterGrid, spec_trial
 from repro.netsim.address import Endpoint, IPAddress, ip
 from repro.netsim.host import Host
 from repro.netsim.internet import Internet
 from repro.netsim.link import FaultModel, LinkProfile
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import Topology
+from repro.scenarios.spec import pool_spec
 from repro.util.rng import RngRegistry
 
 
@@ -188,22 +189,23 @@ FAULT_FORGED = ("203.0.113.1", "203.0.113.2")
 
 class TestFaultAxesInCampaigns:
     def _grid(self):
-        return ParameterGrid(
-            {"loss_rate": (0.0, 0.2)},
-            fixed={"num_providers": 3, "corrupted": 1,
-                   "forged": FAULT_FORGED, "min_answers": 2},
+        return ParameterGrid.over_spec(
+            pool_spec(num_providers=3),
+            {"network.fault.loss_rate": (0.0, 0.2)},
+            fixed={"provider.corrupted": 1, "provider.forged": FAULT_FORGED,
+                   "pool.min_answers": 2},
             name="fault-axis-test")
 
     def test_serial_equals_parallel_with_fault_axes(self):
-        serial = CampaignRunner(pool_attack_trial, trials_per_point=2,
+        serial = CampaignRunner(spec_trial, trials_per_point=2,
                                 base_seed=42, workers=0).run(self._grid())
-        parallel = CampaignRunner(pool_attack_trial, trials_per_point=2,
+        parallel = CampaignRunner(spec_trial, trials_per_point=2,
                                   base_seed=42, workers=2).run(self._grid())
         assert serial.records == parallel.records
         assert serial.summaries == parallel.summaries
 
     def test_loss_axis_reaches_the_scenario(self):
-        result = CampaignRunner(pool_attack_trial, trials_per_point=2,
+        result = CampaignRunner(spec_trial, trials_per_point=2,
                                 base_seed=42, workers=0).run(self._grid())
-        clean = result.metric("ok", loss_rate=0.0).mean
+        clean = result.metric("ok", **{"network.fault.loss_rate": 0.0}).mean
         assert clean == 1.0

@@ -7,7 +7,7 @@ import pytest
 from repro.ntp.client import NtpClient
 from repro.ntp.clock import SimClock
 from repro.ntp.pool import NtpFleet, deploy_ntp_fleet
-from repro.scenarios import build_pool_scenario
+from repro.scenarios import materialize, pool_spec
 from repro.scenarios import PoolScenario
 
 
@@ -24,8 +24,8 @@ def build_ntp_world(seed: int = 50, pool_size: int = 20,
                     malicious_count: int = 0,
                     malicious_lie: float = 10.0,
                     **scenario_kwargs) -> NtpWorld:
-    scenario = build_pool_scenario(seed=seed, pool_size=pool_size,
-                                   **scenario_kwargs)
+    scenario = materialize(pool_spec(pool_size=pool_size, **scenario_kwargs),
+                           seed)
     fleet = deploy_ntp_fleet(scenario.internet, scenario.directory,
                              scenario.rng,
                              malicious_lie_offset=malicious_lie)

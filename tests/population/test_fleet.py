@@ -4,7 +4,7 @@ import pytest
 
 from repro.netsim.simulator import Simulator
 from repro.population import BatchDispatcher, FleetConfig
-from repro.scenarios import build_population_scenario
+from repro.scenarios import materialize, population_spec
 
 
 class TestBatchDispatcher:
@@ -63,8 +63,7 @@ class TestFleetConfig:
 
 class TestPopulationSemantics:
     def test_honest_world_has_no_victims(self):
-        scenario = build_population_scenario(seed=21, num_clients=20,
-                                             rounds=2)
+        scenario = materialize(population_spec(num_clients=20, rounds=2), 21)
         outcomes = scenario.run()
         assert outcomes.rounds == 40
         assert outcomes.availability == 1.0
@@ -76,8 +75,8 @@ class TestPopulationSemantics:
     def test_corrupted_fraction_drives_victim_fraction(self):
         fractions = []
         for corrupted in (0, 1, 2, 3):
-            scenario = build_population_scenario(
-                seed=22, num_clients=40, rounds=2, corrupted=corrupted)
+            scenario = materialize(population_spec(num_clients=40, rounds=2,
+                                                   corrupted=corrupted), 22)
             fractions.append(scenario.run().victim_fraction)
         assert fractions[0] == 0.0
         assert fractions == sorted(fractions)
@@ -86,31 +85,33 @@ class TestPopulationSemantics:
         assert 0.15 < fractions[1] < 0.55
 
     def test_victims_are_time_shifted(self):
-        scenario = build_population_scenario(
-            seed=23, num_clients=30, rounds=2, corrupted=3, lie_offset=10.0)
+        scenario = materialize(population_spec(num_clients=30, rounds=2,
+                                               corrupted=3, lie_offset=10.0),
+                               23)
         outcomes = scenario.run()
         assert outcomes.shifted_fraction == 1.0
         assert outcomes.mean_abs_clock_error > 5.0
 
     def test_empty_answer_dos_collapses_strict_availability(self):
-        scenario = build_population_scenario(
-            seed=24, num_clients=20, rounds=2, corrupted=1, behavior="empty")
+        scenario = materialize(population_spec(num_clients=20, rounds=2,
+                                               corrupted=1, behavior="empty"),
+                               24)
         outcomes = scenario.run()
         assert outcomes.availability == 0.0
         assert outcomes.syncs == 0
 
     def test_quorum_extension_restores_liveness(self):
-        scenario = build_population_scenario(
-            seed=24, num_clients=20, rounds=2, corrupted=1,
-            behavior="empty", min_answers=2)
+        scenario = materialize(population_spec(num_clients=20, rounds=2,
+                                               corrupted=1, behavior="empty",
+                                               min_answers=2), 24)
         outcomes = scenario.run()
         assert outcomes.availability == 1.0
         assert outcomes.victim_fraction == 0.0
 
     def test_resolve_every_caches_pools_between_rounds(self):
-        dense = build_population_scenario(seed=25, num_clients=10, rounds=4)
-        sparse = build_population_scenario(seed=25, num_clients=10, rounds=4,
-                                           resolve_every=4)
+        dense = materialize(population_spec(num_clients=10, rounds=4), 25)
+        sparse = materialize(population_spec(num_clients=10, rounds=4,
+                                             resolve_every=4), 25)
         dense_dns = dense.run().rounds  # drain both worlds first
         sparse.run()
         dense_queries = dense.telemetry.value("dns.stub.queries")
@@ -122,8 +123,8 @@ class TestPopulationSemantics:
     def test_ntp_servers_stay_off_population_access_edges(self):
         # A pool server co-located on a pop access edge would let its
         # clients sync without crossing the faulted access link.
-        scenario = build_population_scenario(seed=35, num_clients=10,
-                                             rounds=1, loss_rate=0.1)
+        scenario = materialize(population_spec(num_clients=10, rounds=1,
+                                               loss_rate=0.1), 35)
         for host in scenario.internet.hosts:
             if host.name.startswith("ntp-"):
                 assert not host.node.startswith("pop-edge-")
@@ -134,25 +135,26 @@ class TestPopulationSemantics:
         # Every fleet client attaches behind a faulted access edge, so
         # heavy loss must starve the population broadly — not just the
         # slice that happens to share the Figure 1 client's edge.
-        clean = build_population_scenario(seed=32, num_clients=20, rounds=2)
-        lossy = build_population_scenario(seed=32, num_clients=20, rounds=2,
-                                          loss_rate=0.9)
+        clean = materialize(population_spec(num_clients=20, rounds=2), 32)
+        lossy = materialize(population_spec(num_clients=20, rounds=2,
+                                            loss_rate=0.9), 32)
         assert clean.run().availability == 1.0
         assert lossy.run().availability < 0.5
 
     def test_victims_require_a_completed_sync(self):
         # Near-total loss: picks of attacker servers whose SNTP
         # exchange times out must not count as victims.
-        scenario = build_population_scenario(
-            seed=33, num_clients=20, rounds=2, corrupted=3, loss_rate=0.97)
+        scenario = materialize(population_spec(num_clients=20, rounds=2,
+                                               corrupted=3, loss_rate=0.97),
+                               33)
         outcomes = scenario.run()
         assert outcomes.victim_rounds == outcomes.syncs  # all providers lie
         assert outcomes.victim_rounds < outcomes.rounds_ok or \
             outcomes.rounds_ok == 0
 
     def test_population_curves_are_time_binned(self):
-        scenario = build_population_scenario(
-            seed=26, num_clients=30, rounds=3, corrupted=1, time_bin=10.0)
+        scenario = materialize(population_spec(num_clients=30, rounds=3,
+                                               corrupted=1, time_bin=10.0), 26)
         outcomes = scenario.run()
         assert len(outcomes.victim_curve) >= 2
         times = [when for when, _ in outcomes.victim_curve]
@@ -163,8 +165,8 @@ class TestPopulationSemantics:
 
 class TestChurnAndReproducibility:
     def test_churn_leaves_and_rejoins(self):
-        scenario = build_population_scenario(
-            seed=27, num_clients=30, rounds=4, churn_rate=0.5)
+        scenario = materialize(population_spec(num_clients=30, rounds=4,
+                                               churn_rate=0.5), 27)
         outcomes = scenario.run()
         assert outcomes.churn_leaves > 0
         assert outcomes.churn_joins == outcomes.churn_leaves
@@ -174,9 +176,10 @@ class TestChurnAndReproducibility:
     def test_churn_is_reproducible_under_fixed_seed(self):
         snapshots = []
         for _ in range(2):
-            scenario = build_population_scenario(
-                seed=28, num_clients=25, rounds=3, churn_rate=0.4,
-                arrival="poisson", corrupted=1)
+            scenario = materialize(population_spec(num_clients=25, rounds=3,
+                                                   churn_rate=0.4,
+                                                   arrival="poisson",
+                                                   corrupted=1), 28)
             scenario.run()
             snapshots.append(scenario.telemetry.snapshot_json())
         assert snapshots[0] == snapshots[1]
@@ -184,9 +187,9 @@ class TestChurnAndReproducibility:
     def test_different_seeds_diverge(self):
         snapshots = []
         for seed in (29, 30):
-            scenario = build_population_scenario(
-                seed=seed, num_clients=25, rounds=3, churn_rate=0.4,
-                arrival="poisson")
+            scenario = materialize(population_spec(num_clients=25, rounds=3,
+                                                   churn_rate=0.4,
+                                                   arrival="poisson"), seed)
             scenario.run()
             snapshots.append(scenario.telemetry.snapshot_json())
         assert snapshots[0] != snapshots[1]
@@ -194,8 +197,8 @@ class TestChurnAndReproducibility:
     def test_fleet_uses_batched_dispatch(self):
         # Dense fleet: client phases 20 ms apart against a 50 ms
         # dispatch quantum, so wake-ups must share bins.
-        scenario = build_population_scenario(seed=31, num_clients=100,
-                                             rounds=2, mean_interval=2.0)
+        scenario = materialize(population_spec(num_clients=100, rounds=2,
+                                               mean_interval=2.0), 31)
         scenario.run()
         dispatcher = scenario.fleet.dispatcher
         assert dispatcher.dispatched >= 200
@@ -207,26 +210,28 @@ class TestChurnAndReproducibility:
 class TestBuilderValidation:
     def test_corrupted_bounds(self):
         with pytest.raises(ValueError):
-            build_population_scenario(corrupted=4, num_providers=3)
+            materialize(population_spec(corrupted=4, num_providers=3), 1)
 
     def test_unknown_behavior(self):
         with pytest.raises(ValueError):
-            build_population_scenario(corrupted=1, behavior="explode")
+            materialize(population_spec(corrupted=1, behavior="explode"), 1)
 
     def test_min_answers_bounds(self):
         with pytest.raises(ValueError):
-            build_population_scenario(min_answers=0)
+            materialize(population_spec(min_answers=0), 1)
         with pytest.raises(ValueError):
-            build_population_scenario(min_answers=4, num_providers=3)
+            materialize(population_spec(min_answers=4, num_providers=3), 1)
         with pytest.raises(ValueError):
             FleetConfig(min_answers=0)
 
-    def test_population_trial_rejects_non_grid_parameters(self):
-        from repro.campaign import population_trial
+    def test_spec_trial_rejects_non_grid_parameters(self):
+        # The seed is campaign-derived and the registry is per-trial, so
+        # neither is a spec path a population grid may carry.
+        from repro.campaign import spec_trial
         from repro.telemetry import MetricsRegistry
 
+        spec = population_spec(num_clients=5)
         with pytest.raises(ValueError, match="registry"):
-            population_trial({"num_clients": 5,
-                              "registry": MetricsRegistry()}, seed=1)
+            spec_trial({"spec": spec, "registry": MetricsRegistry()}, seed=1)
         with pytest.raises(ValueError, match="seed"):
-            population_trial({"num_clients": 5, "seed": 3}, seed=1)
+            spec_trial({"spec": spec, "seed": 3}, seed=1)

@@ -4,90 +4,85 @@ import pytest
 
 from repro.dns.rrtype import RRType
 from repro.doh.providers import synthetic_profiles
-from repro.scenarios import (
-    build_pool_scenario,
-    figure1_scenario,
-    large_scale_scenario,
-    lossy_network_scenario,
-)
+from repro.scenarios import get_spec_preset, materialize, pool_spec
 
 
 class TestBuildPoolScenario:
     def test_default_three_named_providers(self):
-        scenario = build_pool_scenario(seed=1)
+        scenario = materialize(pool_spec(), 1)
         assert [p.name for p in scenario.providers] == [
             "dns.google", "cloudflare-dns.com", "dns.quad9.net"]
 
     def test_synthetic_providers_beyond_three(self):
-        scenario = build_pool_scenario(seed=1, num_providers=6)
+        scenario = materialize(pool_spec(num_providers=6), 1)
         assert len(scenario.providers) == 6
         assert scenario.providers[3].name.startswith("doh")
 
     def test_unique_provider_addresses(self):
-        scenario = build_pool_scenario(seed=1, num_providers=10)
+        scenario = materialize(pool_spec(num_providers=10), 1)
         addresses = {str(p.address) for p in scenario.providers}
         assert len(addresses) == 10
 
     def test_zero_providers_rejected(self):
         with pytest.raises(ValueError):
-            build_pool_scenario(num_providers=0)
+            materialize(pool_spec(num_providers=0), 1)
 
     def test_profile_count_mismatch_rejected(self):
         from repro.doh.providers import GOOGLE
         with pytest.raises(ValueError):
-            build_pool_scenario(num_providers=2, profiles=[GOOGLE])
+            materialize(pool_spec(num_providers=2, profiles=[GOOGLE]), 1)
 
     def test_directory_size(self):
-        scenario = build_pool_scenario(seed=1, pool_size=33)
+        scenario = materialize(pool_spec(pool_size=33), 1)
         assert len(scenario.directory.benign) == 33
 
     def test_dual_stack_directory(self):
-        scenario = build_pool_scenario(seed=1, pool_size=10, dual_stack=True)
+        scenario = materialize(pool_spec(pool_size=10, dual_stack=True), 1)
         families = {a.family for a in scenario.directory.benign}
         assert families == {4, 6}
 
     def test_deterministic_same_seed(self):
-        a = build_pool_scenario(seed=9).generate_pool_sync()
-        b = build_pool_scenario(seed=9).generate_pool_sync()
+        a = materialize(pool_spec(), 9).generate_pool_sync()
+        b = materialize(pool_spec(), 9).generate_pool_sync()
         assert [str(x) for x in a.addresses] == [str(x) for x in b.addresses]
 
     def test_different_seeds_differ(self):
-        a = build_pool_scenario(seed=9).generate_pool_sync()
-        b = build_pool_scenario(seed=10).generate_pool_sync()
+        a = materialize(pool_spec(), 9).generate_pool_sync()
+        b = materialize(pool_spec(), 10).generate_pool_sync()
         assert [str(x) for x in a.addresses] != [str(x) for x in b.addresses]
 
     def test_every_region_reachable(self):
-        scenario = build_pool_scenario(seed=1)
+        scenario = materialize(pool_spec(), 1)
         topology = scenario.internet.topology
         for node in topology.nodes:
             topology.route("client-edge", node)  # must not raise
 
     def test_make_resolver_set(self):
-        scenario = build_pool_scenario(seed=1)
+        scenario = materialize(pool_spec(), 1)
         resolver_set = scenario.make_resolver_set(2 / 3)
         assert len(resolver_set) == 3
         assert resolver_set.assumed_secure_fraction == 2 / 3
 
     def test_generate_pool_sync_runs_once(self):
-        scenario = build_pool_scenario(seed=1)
+        scenario = materialize(pool_spec(), 1)
         pool = scenario.generate_pool_sync()
         assert pool.ok
 
 
 class TestPresets:
     def test_figure1(self):
-        scenario = figure1_scenario(seed=4)
+        scenario = materialize(get_spec_preset("figure1")(), 4)
         assert len(scenario.providers) == 3
         pool = scenario.generate_pool_sync()
         assert len(pool.addresses) == 12
 
     def test_large_scale(self):
-        scenario = large_scale_scenario(num_providers=7, seed=4)
+        scenario = materialize(get_spec_preset("large-scale")(7), 4)
         pool = scenario.generate_pool_sync()
         assert len(pool.contributions) == 7
 
     def test_lossy_network_still_succeeds(self):
-        scenario = lossy_network_scenario(loss=0.10, seed=4)
+        scenario = materialize(get_spec_preset("lossy-network")(0.10), 4)
         generator = scenario.make_generator(timeout=5.0, retries=8)
         pool = scenario.generate_pool_sync(generator)
         # With enough transport retries, moderate loss must not break

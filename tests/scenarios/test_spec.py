@@ -1,25 +1,22 @@
 """Tests for the declarative scenario spec layer.
 
-Round-trip exactness, dotted-path access, shim equivalence (legacy
-keyword builders == spec-built worlds for the same seeds), the attack
-registry, and the spec-only fleet extensions (per-region access edges,
+Round-trip exactness, dotted-path access, keyword-converter equivalence
+(``pool_spec`` / ``population_spec`` == the explicit spec tree for the
+same seeds), the attack registry, and the spec-only fleet extensions (per-region access edges,
 DoH transport, plain-DNS provider serving).
 """
 
 import json
-import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError, UnknownPresetError
-from repro.scenarios import build_pool_scenario, build_population_scenario
 from repro.scenarios.presets import (
     SPEC_PRESETS,
-    degraded_network_scenario,
+    degraded_network_spec,
     e2_grid_base_spec,
-    get_preset,
     get_spec_preset,
     hierarchy_population_spec,
     hierarchy_spec,
@@ -45,13 +42,6 @@ from repro.scenarios.spec import (
     population_spec,
     set_path,
 )
-
-
-def shim(builder, *args, **kwargs):
-    """Call a deprecated builder with its warning silenced."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return builder(*args, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -230,34 +220,36 @@ class TestDottedPaths:
 
 
 class TestShimEquivalence:
+    """The keyword converters compile exactly the world their explicit
+    spec tree does."""
+
     def test_pool_builder_matches_spec_world(self):
-        legacy = shim(build_pool_scenario, seed=9, num_providers=3,
-                      loss_rate=0.1).generate_pool_sync()
-        fresh = materialize(pool_spec(num_providers=3, loss_rate=0.1),
-                            9).generate_pool_sync()
-        assert legacy.addresses == fresh.addresses
-        assert legacy.elapsed == fresh.elapsed
-        assert legacy.truncate_length == fresh.truncate_length
+        keyword = materialize(pool_spec(num_providers=3, loss_rate=0.1),
+                              9).generate_pool_sync()
+        explicit = materialize(ScenarioSpec(
+            network=NetworkSpec(fault=FaultSpec(loss_rate=0.1)),
+            provider=ProviderSpec(count=3)), 9).generate_pool_sync()
+        assert keyword.addresses == explicit.addresses
+        assert keyword.elapsed == explicit.elapsed
+        assert keyword.truncate_length == explicit.truncate_length
 
     def test_population_builder_matches_spec_world(self):
-        legacy = shim(build_population_scenario, seed=21, num_clients=25,
-                      corrupted=1, churn_rate=0.1, rounds=2).run()
-        fresh = materialize(population_spec(num_clients=25, corrupted=1,
-                                            churn_rate=0.1, rounds=2),
-                            21).run()
-        assert legacy == fresh   # whole PopulationOutcomes dataclass
+        keyword = materialize(population_spec(num_clients=25, corrupted=1,
+                                              churn_rate=0.1, rounds=2),
+                              21).run()
+        explicit = materialize(ScenarioSpec(
+            provider=ProviderSpec(corrupted=1),
+            fleet=FleetSpec(size=25, churn_rate=0.1, rounds=2),
+            telemetry=TelemetrySpec(time_bin=10.0)), 21).run()
+        assert keyword == explicit   # whole PopulationOutcomes dataclass
 
     def test_degraded_preset_matches_spec_world(self):
-        a = degraded_network_scenario(loss_rate=0.2,
-                                      seed=5).generate_pool_sync()
-        b = degraded_network_scenario(loss_rate=0.2,
-                                      seed=5).generate_pool_sync()
+        a = materialize(degraded_network_spec(loss_rate=0.2),
+                        5).generate_pool_sync()
+        b = materialize(degraded_network_spec(loss_rate=0.2),
+                        5).generate_pool_sync()
         assert (a.ok, a.addresses, a.elapsed) == (b.ok, b.addresses,
                                                   b.elapsed)
-
-    def test_builders_warn(self):
-        with pytest.warns(DeprecationWarning):
-            build_pool_scenario(seed=1)
 
 
 class TestMaterializeExtensions:
@@ -342,11 +334,9 @@ class TestMaterializeExtensions:
 class TestPresetRegistry:
     def test_unknown_preset_lists_valid_names(self):
         with pytest.raises(UnknownPresetError) as excinfo:
-            get_preset("figure2")
+            get_spec_preset("figure2")
         assert "figure1" in str(excinfo.value)
-        assert excinfo.value.known == sorted(
-            ["figure1", "large-scale", "lossy-network", "degraded-network",
-             "custom"])
+        assert excinfo.value.known == sorted(SPEC_PRESETS)
         # Still a ValueError, as the campaign layer expects.
         assert isinstance(excinfo.value, ValueError)
 
