@@ -134,7 +134,9 @@ class _DoHQuery:
         self._server_name = server_name
         self._query = query
         self._callback = callback
-        self._connection: TlsClientConnection = None  # set per attempt
+        # Set per attempt; dropped once the query completes, so neither
+        # side of the query <-> connection pair pins the other.
+        self._connection: Optional[TlsClientConnection] = None
         self._exchange = None  # set in start()
 
     def start(self) -> None:
@@ -286,4 +288,5 @@ class _DoHQuery:
             if outcome.ok:
                 telemetry.histogram("doh.latency").observe(outcome.latency)
         self._connection.close()
+        self._connection = None
         self._callback(outcome)

@@ -271,10 +271,13 @@ class TrustStore:
 
 def _keystream(key: bytes, direction: bytes, seq: int, length: int) -> bytes:
     blocks = []
+    produced = 0
     counter = 0
-    while sum(len(block) for block in blocks) < length:
-        blocks.append(hashlib.sha256(
-            key + direction + struct.pack("!QI", seq, counter)).digest())
+    while produced < length:
+        block = hashlib.sha256(
+            key + direction + struct.pack("!QI", seq, counter)).digest()
+        blocks.append(block)
+        produced += len(block)
         counter += 1
     return b"".join(blocks)[:length]
 
@@ -521,9 +524,15 @@ class TlsClientConnection:
         self._socket.sendto(self._server, record)
 
     def close(self) -> None:
+        """Release the socket and drop the owner's callbacks (they
+        close over the owner, so keeping them would pin it in a cycle
+        with this connection)."""
         if self._socket is not None:
             self._socket.close()
             self._socket = None
+        self._on_established = None
+        self._on_data = None
+        self._on_failure = None
 
     # ------------------------------------------------------------------
     # Inbound records.
@@ -589,6 +598,7 @@ class TlsClientConnection:
         if self._failed is not None:
             return
         self._failed = reason
+        on_failure = self._on_failure
         self.close()
-        if self._on_failure is not None:
-            self._on_failure(reason)
+        if on_failure is not None:
+            on_failure(reason)

@@ -55,9 +55,15 @@ class Event:
     def cancel(self) -> None:
         """Prevent this event from firing; safe to call repeatedly —
         including on handles that already fired or were dropped by
-        :meth:`Simulator.clear`, which no longer count as pending."""
+        :meth:`Simulator.clear`, which no longer count as pending.
+
+        The callback is dropped at once: a cancelled event may wait in
+        the heap until its virtual deadline, and must not keep whatever
+        the callback closes over alive until then.
+        """
         if not self.cancelled:
             self.cancelled = True
+            self.callback = None
             simulator = self._simulator
             if simulator is not None:
                 self._simulator = None
@@ -223,6 +229,7 @@ class Simulator:
         """Drop all pending events without running them."""
         for _, _, event in self._queue:
             event._simulator = None
+            event.callback = None
         self._queue.clear()
         self._pending = 0
 
@@ -262,7 +269,7 @@ class Timer:
     Commonly used for retransmission/timeout logic in protocol code.
     """
 
-    __slots__ = ("_simulator", "_callback", "_label", "_event")
+    __slots__ = ("_simulator", "_callback", "_label", "_event", "__weakref__")
 
     def __init__(self, simulator: Simulator, callback: Callback, label: str = "timer") -> None:
         self._simulator = simulator

@@ -26,6 +26,16 @@ Two layers are exposed:
 Determinism: the only randomness is the transaction-ID stream handed in
 by the caller, so two runs with the same seeds produce byte-identical
 wire traffic.
+
+Lifetime: a finished exchange holds no reference to its owner. On
+completion or cancellation :class:`PendingExchange` drops its owner
+callbacks (``begin_attempt``, ``on_complete``, ``on_cancel``, the txid
+source) and its :class:`~repro.netsim.simulator.Timer`, and a cancelled
+:class:`~repro.netsim.simulator.Event` drops its callback, so no
+reference cycle outlives the exchange and refcounting frees it (with
+its closures, messages and report) the moment its owner lets go. The
+cyclic garbage collector never has to find it. Both exchange types (and
+``Timer``) accept weak references, so tests can watch them die.
 """
 
 from __future__ import annotations
@@ -133,7 +143,7 @@ class PendingExchange:
     __slots__ = ("_simulator", "_policy", "_begin_attempt", "_on_complete",
                  "_label", "_next_txid", "_on_cancel", "_report",
                  "_finished", "_attempt_started_at", "_timer",
-                 "_tracer", "_span", "_attempt_span")
+                 "_tracer", "_span", "_attempt_span", "__weakref__")
 
     def __init__(self, simulator: Simulator, policy: RetryPolicy,
                  begin_attempt: Callable[[AttemptInfo], None],
@@ -224,8 +234,10 @@ class PendingExchange:
         if self._span is not None:
             self._tracer.finish(self._span.set(outcome="cancelled"))
             self._span = None
-        if self._on_cancel is not None:
-            self._on_cancel()
+        on_cancel = self._on_cancel
+        self._release()
+        if on_cancel is not None:
+            on_cancel()
 
     # ------------------------------------------------------------------
     # Internals.
@@ -280,7 +292,19 @@ class PendingExchange:
             if report.rtt is not None:
                 self._span.set(rtt=report.rtt)
             self._tracer.finish(self._span)
-        self._on_complete(self._report)
+        on_complete = self._on_complete
+        self._release()
+        on_complete(self._report)
+
+    def _release(self) -> None:
+        """Drop every reference back into the owner (its bound methods)
+        and the timer (whose callback is our own ``_on_timeout``), so a
+        finished exchange is freed by refcounting alone."""
+        self._begin_attempt = None
+        self._on_complete = None
+        self._on_cancel = None
+        self._next_txid = None
+        self._timer = None
 
 
 # A classifier sees (datagram, attempt) and returns the accepted value,
@@ -304,7 +328,8 @@ class DatagramExchange:
     """
 
     __slots__ = ("_transport", "_destination", "_build_request", "_classify",
-                 "_on_complete", "_socket", "_attempt", "_pending")
+                 "_on_complete", "_socket", "_attempt", "_pending",
+                 "__weakref__")
 
     def __init__(self, transport: "Transport", destination: Endpoint,
                  build_request: RequestBuilder, classify: ReplyClassifier,

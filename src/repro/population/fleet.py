@@ -63,7 +63,7 @@ from repro.dns.rrtype import RRType
 from repro.netsim.address import IPAddress
 from repro.netsim.host import Host
 from repro.netsim.internet import Internet
-from repro.netsim.simulator import Simulator
+from repro.netsim.simulator import SimulationError, Simulator
 from repro.ntp.client import NtpClient, NtpSample
 from repro.ntp.clock import SimClock
 from repro.population.arrivals import ArrivalProcess, make_arrivals
@@ -631,10 +631,20 @@ class ClientFleet:
         return self
 
     def run(self, max_events: int = 5_000_000) -> PopulationOutcomes:
-        """Start (if needed), drain the simulation, report outcomes."""
+        """Start (if needed), drain the simulation, report outcomes.
+
+        :raises SimulationError: when ``max_events`` stops the run with
+            events still pending — the outcomes would cover only part
+            of the population's rounds.
+        """
         if not self._started:
             self.start()
         self._simulator.run_until_idle(max_events=max_events)
+        pending = self._simulator.pending_events
+        if pending:
+            raise SimulationError(
+                f"fleet run hit max_events={max_events} with {pending} "
+                f"events still pending; its outcomes would be partial")
         return self.outcomes()
 
     # ------------------------------------------------------------------

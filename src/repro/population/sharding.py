@@ -45,6 +45,7 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
+from repro.netsim.simulator import SimulationError
 from repro.population.fleet import PopulationOutcomes, population_outcomes
 from repro.telemetry.registry import MetricsRegistry, fold_snapshots
 from repro.telemetry.trace import current_tracer, fold_trace_snapshots
@@ -211,6 +212,9 @@ class ShardedFleet:
         ``max_events`` caps each shard's own simulator (a shard runs a
         strict subset of the whole population's events, so any cap that
         suffices for ``shards=1`` suffices per shard).
+
+        :raises SimulationError: when any shard's run raised, including
+            a shard cut short by ``max_events``.
         """
         if self._ran:
             raise RuntimeError("sharded fleet already ran")
@@ -269,6 +273,13 @@ class ShardedFleet:
                    if plan.shard not in records]
         if missing:
             raise RuntimeError(f"shards {missing} produced no record")
+        # The executor contains trial exceptions as record errors; a
+        # shard that raised (e.g. its run hit ``max_events``) has no
+        # telemetry, and folding the rest would report partial outcomes.
+        for plan in self.plans:
+            error = records[plan.shard].error
+            if error:
+                raise SimulationError(f"shard {plan.shard} failed: {error}")
         self.shard_snapshots = [records[plan.shard].telemetry
                                 for plan in self.plans]
         self.telemetry.merge(fold_snapshots(self.shard_snapshots))

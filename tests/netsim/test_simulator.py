@@ -95,12 +95,17 @@ class TestCancellation:
         # The O(1) pending counter must ignore cancels on handles that
         # already fired: holding one across run(until=...) is legal.
         sim = Simulator()
-        fired = sim.schedule_at(1.0, lambda: None)
-        sim.schedule_at(10.0, lambda: None)
+        seen = []
+        fired = sim.schedule_at(1.0, lambda: seen.append(sim.now))
+        sim.schedule_at(10.0, lambda: seen.append(sim.now))
         sim.run(until=5.0)
         fired.cancel()
         fired.cancel()
         assert sim.pending_events == 1
+        assert sim.executed_events == 1
+        sim.run()
+        assert seen == [1.0, 10.0]
+        assert sim.pending_events == 0
 
     def test_cancel_after_clear_leaves_pending_count_intact(self):
         sim = Simulator()
@@ -110,6 +115,47 @@ class TestCancellation:
         assert sim.pending_events == 0
         sim.schedule_at(2.0, lambda: None)
         assert sim.pending_events == 1
+
+    def test_cancelled_handle_holds_no_callback(self):
+        # A cancelled event waits in the heap until its deadline; it must
+        # not keep its callback (and what that closes over) alive.
+        sim = Simulator()
+        fired = []
+        event = sim.schedule_at(1.0, lambda: fired.append(1))
+        event.cancel()
+        assert event.callback is None
+        assert event.cancelled
+        sim.run()
+        assert fired == []
+        assert sim.executed_events == 0
+
+    def test_clear_drops_callbacks(self):
+        sim = Simulator()
+        events = [sim.schedule_at(float(t), lambda: None) for t in (1, 2)]
+        sim.clear()
+        assert [event.callback for event in events] == [None, None]
+
+    def test_pending_count_exact_across_cancel_fire_and_clear(self):
+        sim = Simulator()
+        fired = []
+        first = sim.schedule_at(1.0, lambda: fired.append("first"))
+        second = sim.schedule_at(2.0, lambda: fired.append("second"))
+        sim.schedule_at(3.0, lambda: fired.append("third"))
+        sim.schedule_at(4.0, lambda: fired.append("fourth"))
+        assert sim.pending_events == 4
+        second.cancel()
+        assert sim.pending_events == 3
+        assert sim.step() is True           # fires "first"
+        assert sim.pending_events == 2
+        first.cancel()                      # late: already fired
+        second.cancel()                     # repeated
+        assert sim.pending_events == 2
+        sim.run(until=3.5)                  # fires "third"
+        assert sim.pending_events == 1
+        sim.clear()
+        assert sim.pending_events == 0
+        sim.run()
+        assert fired == ["first", "third"]
 
 
 class TestRunBounds:
@@ -212,6 +258,22 @@ class TestTimer:
         assert timer.armed
         sim.run()
         assert not timer.armed
+
+    def test_rearm_before_and_after_firing(self):
+        sim = Simulator()
+        fired = []
+        timer = Timer(sim, lambda: fired.append(sim.now))
+        timer.start(1.0)
+        timer.start(2.0)                    # re-arm: the 1.0 expiry is gone
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == [2.0]
+        timer.start(3.0)                    # re-arm after firing
+        assert timer.armed
+        sim.run()
+        assert fired == [2.0, 5.0]
+        assert not timer.armed
+        assert sim.pending_events == 0
 
 
 class TestPropertyBased:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.netsim.simulator import Simulator
+from repro.netsim.simulator import SimulationError, Simulator
 from repro.population import BatchDispatcher, FleetConfig
 from repro.scenarios import materialize, population_spec
 
@@ -205,6 +205,16 @@ class TestChurnAndReproducibility:
         # Strictly fewer simulator events than wake-ups proves rounds
         # actually coalesced into shared bins.
         assert dispatcher.batches < dispatcher.dispatched
+
+
+class TestEventCap:
+    def test_run_cut_short_by_max_events_raises(self):
+        # A cap that stops the run with events still queued would leave
+        # most rounds unplayed; the outcomes must not pass for complete.
+        scenario = materialize(population_spec(num_clients=20, rounds=2), 21)
+        with pytest.raises(SimulationError,
+                           match=r"max_events=50 with \d+ events still pending"):
+            scenario.run(max_events=50)
 
 
 class TestBuilderValidation:

@@ -11,6 +11,7 @@ import random
 import pytest
 
 from repro.netsim.address import IPAddress
+from repro.netsim.simulator import SimulationError
 from repro.population.arrivals import make_arrivals
 from repro.population.fleet import (
     ANSWERS_COMPLETE,
@@ -210,6 +211,15 @@ class TestSpecSurface:
     def test_shards_one_stays_on_legacy_path(self):
         world = materialize(population_spec(num_clients=8, shards=1), 5)
         assert not isinstance(world, ShardedFleet)
+
+    def test_shard_cut_short_by_max_events_raises(self):
+        # The executor turns the shard's SimulationError into a record
+        # error; the fleet must surface it, not fold the other shards.
+        world = materialize(population_spec(num_clients=20, shards=2), 5)
+        world.executor = "serial"
+        with pytest.raises(SimulationError,
+                           match=r"shard 0 failed: .*max_events=50"):
+            world.run(max_events=50)
 
 
 # ----------------------------------------------------------------------
