@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from repro.util.errors import ConfigurationError
+
+__all__ = ["ConfigurationError", "PoolGenerationError", "UnknownPresetError"]
+
 
 class PoolGenerationError(RuntimeError):
     """Pool generation could not satisfy its security requirements.
@@ -10,10 +14,6 @@ class PoolGenerationError(RuntimeError):
     resolvers answered than the configured minimum, or truncation
     collapsed the pool to zero (the DoS case of §II footnote 2).
     """
-
-
-class ConfigurationError(ValueError):
-    """Invalid generator/resolver-set configuration."""
 
 
 class UnknownPresetError(ConfigurationError):

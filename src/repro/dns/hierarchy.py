@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.errors import ConfigurationError
+from repro.util.errors import ConfigurationError
 from repro.util.specbase import SpecBase
 
 #: Where the hierarchy's root server lives (kept off the legacy tree's

@@ -7,7 +7,9 @@ worst drop or delay traffic. :mod:`repro.doh.tls` provides exactly that
 property with honest mechanics — a real (mod-p) Diffie-Hellman key
 exchange authenticated by a certificate binding the server name to its
 static DH key, with per-record MACs — rather than a flag an attacker
-implementation could "forget" to honour.
+implementation could "forget" to honour. The exchange's 2048-bit modular
+exponentiations run in OpenSSL through the ``cryptography`` package,
+which is imported on a world's first handshake.
 
 Modules:
 

@@ -9,6 +9,10 @@ that property with *working* mechanics instead of an honour-system flag:
   name by a certificate; the client uses an ephemeral key. Only the
   holder of the certified private key can compute the session secret,
   which authenticates the server (TLS-style static-DH authentication).
+  Both modular exponentiations (minting a public value and deriving a
+  shared secret) run in OpenSSL through the ``cryptography`` package,
+  imported on the first one, so worlds that mint no keys never load it.
+  OpenSSL returns exactly the integers ``pow()`` would.
 * **Record protection** — every record is encrypted with a keystream
   derived from the session secret and carries an HMAC-SHA256 tag; the
   receiver drops records whose tag fails, so an on-path attacker can
@@ -55,48 +59,7 @@ DH_PRIME = int(
     "FFFFFFFF", 16)
 DH_GENERATOR = 2
 _KEY_BYTES = 256  # 2048-bit group elements
-
-#: Window width of the fixed-base comb table below.
-_COMB_WINDOW = 6
-
-_generator_comb: Optional[List[List[int]]] = None
-
-
-def _generator_pow(exponent: int) -> int:
-    """``DH_GENERATOR ** exponent mod DH_PRIME``, comb-accelerated.
-
-    Every handshake mints two ephemerals, and ``pow()`` re-walks the
-    full 2048-bit exponent each time — at campaign scale the modexp is
-    the single hottest call in the whole simulation. The generator is
-    fixed, so a one-off comb table of ``g**(v * 2**(wi))`` reduces each
-    ephemeral to ~340 modular multiplications (about 5x faster here)
-    while producing the same value ``pow()`` would. Arbitrary-base
-    exponentiations (peer shared secrets) still use ``pow()``.
-    """
-    global _generator_comb
-    if _generator_comb is None:
-        width = 1 << _COMB_WINDOW
-        windows = -(-DH_PRIME.bit_length() // _COMB_WINDOW)
-        table = []
-        base = DH_GENERATOR
-        for _ in range(windows):
-            row = [1] * width
-            for value in range(1, width):
-                row[value] = row[value - 1] * base % DH_PRIME
-            table.append(row)
-            base = row[1] * row[width - 1] % DH_PRIME  # base ** width
-        _generator_comb = table
-    accumulator = 1
-    index = 0
-    mask = (1 << _COMB_WINDOW) - 1
-    while exponent:
-        window = exponent & mask
-        if window:
-            accumulator = (accumulator
-                           * _generator_comb[index][window] % DH_PRIME)
-        exponent >>= _COMB_WINDOW
-        index += 1
-    return accumulator
+_DH_ORDER = (DH_PRIME - 1) // 2  # q: DH_PRIME is a safe prime 2q + 1
 
 _RECORD_CLIENT_HELLO = 1
 _RECORD_SERVER_HELLO = 2
@@ -115,6 +78,30 @@ class TlsError(RuntimeError):
 # ----------------------------------------------------------------------
 
 
+def _exchange(secret: int, peer_public: int) -> bytes:
+    """``peer_public ** secret mod DH_PRIME`` as 256 big-endian bytes,
+    computed by OpenSSL.
+
+    The import happens here, not at module import, so worlds that mint
+    no keys never load ``cryptography``. OpenSSL refuses a result of 1
+    or ``DH_PRIME - 1``; for a peer in ``[2, DH_PRIME - 2]`` that
+    happens exactly when ``secret`` is a multiple of q, so such secrets
+    fail here with :class:`TlsError` rather than as the binding's panic
+    (a ``BaseException``).
+    """
+    if secret % _DH_ORDER == 0:
+        raise TlsError("degenerate DH secret")
+    from cryptography.hazmat.primitives.asymmetric import dh
+
+    group = dh.DHParameterNumbers(DH_PRIME, DH_GENERATOR)
+    # The private key's own public value takes no part in the exchange,
+    # so the generator stands in for it rather than paying a modexp.
+    private = dh.DHPrivateNumbers(
+        secret, dh.DHPublicNumbers(DH_GENERATOR, group)).private_key()
+    peer = dh.DHPublicNumbers(peer_public, group).public_key()
+    return private.exchange(peer)
+
+
 @dataclass(frozen=True)
 class KeyPair:
     """A static or ephemeral DH keypair."""
@@ -125,15 +112,15 @@ class KeyPair:
     @classmethod
     def generate(cls, rng: random.Random) -> "KeyPair":
         secret = rng.randrange(2, DH_PRIME - 2)
-        return cls(secret=secret, public=_generator_pow(secret))
+        public = _exchange(secret, DH_GENERATOR)
+        return cls(secret=secret, public=int.from_bytes(public, "big"))
 
     def shared_secret(self, peer_public: int) -> bytes:
         """Compute the DH shared secret with a peer's public value."""
         if not 2 <= peer_public <= DH_PRIME - 2:
             raise TlsError("peer public value out of range")
-        shared = pow(peer_public, self.secret, DH_PRIME)
         return hashlib.sha256(
-            shared.to_bytes(_KEY_BYTES, "big")).digest()
+            _exchange(self.secret, peer_public)).digest()
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import json
 from dataclasses import fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-from repro.core.errors import ConfigurationError
+from repro.util.errors import ConfigurationError
 
 
 def _encode(value: Any) -> Any:

@@ -1,6 +1,10 @@
 """Tests for the simulated TLS layer: handshake, auth, record security."""
 
+import hashlib
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -28,6 +32,17 @@ def make_rng(seed=0):
     return random.Random(seed)
 
 
+class FixedDraw:
+    """An rng stand-in whose ``randrange`` returns one chosen value."""
+
+    def __init__(self, value):
+        self._value = value
+
+    def randrange(self, start, stop):
+        assert start <= self._value < stop
+        return self._value
+
+
 class TestKeyPair:
     def test_shared_secret_agreement(self):
         a = KeyPair.generate(make_rng(1))
@@ -45,24 +60,64 @@ class TestKeyPair:
         with pytest.raises(TlsError):
             a.shared_secret(1)
 
-    def test_comb_exponentiation_matches_pow(self):
-        """The fixed-base comb table is a pure speedup: its result must
-        be bit-identical to pow() on arbitrary exponents, including the
-        window-boundary edge cases."""
-        from repro.doh.tls import (
-            DH_GENERATOR, DH_PRIME, _COMB_WINDOW, _generator_pow)
+    def test_openssl_modexp_matches_pow(self):
+        """OpenSSL computes both exponentiations; pow() is the reference.
+        Public values and shared secrets must match it exactly, on edge
+        exponents, on random secrets either side of q, and on edge
+        peers (OpenSSL makes no subgroup check, so p - 2 is accepted)."""
+        from repro.doh.tls import DH_GENERATOR, DH_PRIME
+        q = (DH_PRIME - 1) // 2
         rng = make_rng(99)
-        exponents = [0, 1, 2, (1 << _COMB_WINDOW) - 1, 1 << _COMB_WINDOW,
-                     DH_PRIME - 2, DH_PRIME.bit_length()]
-        exponents += [rng.randrange(2, DH_PRIME - 2) for _ in range(5)]
-        for exponent in exponents:
-            assert _generator_pow(exponent) == pow(
-                DH_GENERATOR, exponent, DH_PRIME)
+        secrets = [2, 3, q - 1, q + 1, DH_PRIME - 3]
+        secrets += [rng.randrange(2, q) for _ in range(3)]
+        secrets += [rng.randrange(q + 1, DH_PRIME - 2) for _ in range(3)]
+        peers = [2, 3, q, DH_PRIME - 2]
+        for secret in secrets:
+            drawn = KeyPair.generate(FixedDraw(secret))
+            assert drawn.secret == secret
+            assert drawn.public == pow(DH_GENERATOR, secret, DH_PRIME)
+            for peer in peers:
+                expected = pow(peer, secret, DH_PRIME).to_bytes(256, "big")
+                assert drawn.shared_secret(peer) == hashlib.sha256(
+                    expected).digest()
+
+    def test_secret_of_order_q_raises_tls_error(self):
+        """OpenSSL refuses the shared value 1 or p - 1 that a secret of
+        q yields; the check must surface as TlsError, not a panic."""
+        from repro.doh.tls import DH_PRIME
+        q = (DH_PRIME - 1) // 2
+        with pytest.raises(TlsError):
+            KeyPair(secret=q, public=2).shared_secret(3)
 
     def test_generate_public_matches_direct_pow(self):
         pair = KeyPair.generate(make_rng(7))
         from repro.doh.tls import DH_GENERATOR, DH_PRIME
         assert pair.public == pow(DH_GENERATOR, pair.secret, DH_PRIME)
+
+
+def test_plain_dns_world_never_imports_cryptography():
+    """``cryptography`` loads on the first DH exchange. A population
+    world whose providers serve plain DNS mints no keys, so building
+    and running it must leave the package (and its RSS) out."""
+    import repro
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        "import sys\n"
+        "from repro.scenarios.spec import materialize, population_spec, "
+        "set_path\n"
+        "spec = set_path(population_spec(num_clients=4, rounds=2), "
+        "'provider.serve', 'dns')\n"
+        "outcomes = materialize(spec, 3).run()\n"
+        "assert outcomes.rounds_ok == outcomes.rounds > 0, outcomes\n"
+        "loaded = sorted(m for m in sys.modules "
+        "if m.split('.')[0] == 'cryptography')\n"
+        "assert not loaded, loaded\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                               if env.get("PYTHONPATH") else "")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 class TestCertificates:
