@@ -81,13 +81,11 @@ def _check_fixed_shard_equality(clients: int) -> int:
     spec = population_spec(num_clients=clients, rounds=2, corrupted=1)
     for seed in EQUALITY_SEEDS:
         folds = {}
-        for mode in ("serial", "threads", "processes"):
+        for mode in ("serial", "processes"):
             fleet = ShardedFleet(spec, seed, shards=4, workers=4)
             fleet.executor = mode
             fleet.run()
             folds[mode] = fleet.telemetry.snapshot_json()
-        assert folds["serial"] == folds["threads"], (
-            f"seed {seed}: thread-pool fold diverged from serial")
         assert folds["serial"] == folds["processes"], (
             f"seed {seed}: fork-pool fold diverged from serial")
     return len(EQUALITY_SEEDS)
@@ -177,7 +175,7 @@ def bench_p3_megafleet(benchmark, emit_table, smoke, results_dir):
         [[name, value if isinstance(value, str) else f"{value:g}"]
          for name, value in current.items()],
         notes="Byte-equality checks ran first (cross-K invariant fold "
-              "over 3 seeds; fixed-K serial/threads/processes full-fold "
+              "over 3 seeds; fixed-K serial/processes full-fold "
               "over 3 seeds) — the megafleet numbers are only reported "
               "because the folds matched. victim_fraction must track "
               "the reference population within "

@@ -13,8 +13,8 @@ machine-readable numbers so speedups stop being anecdotes:
   every `ClientFleet` scenario and campaign trial multiplies;
 * **campaign wall-clock** — a pool-attack grid under the adaptive
   executor: a calibration probe decides per run whether the sweep runs
-  serially, on a thread pool, or on the chunked ``imap_unordered``
-  fork pool (``workers=4`` is the parallelism *cap*, not a mandate —
+  serially or on the chunked ``imap_unordered`` fork pool
+  (``workers=4`` is the parallelism *cap*, not a mandate —
   on a single-core runner the probe keeps the sweep serial instead of
   paying pool startup for nothing, which is exactly the 0.9× regression
   the adaptive path fixes).

@@ -11,17 +11,18 @@ one into three declarative pieces instead of a hand-rolled nested loop:
   (:meth:`ParameterGrid.over_spec` sweeps dotted spec paths), and the
   §III Monte-Carlos are provided too;
 * a :class:`CampaignRunner` that executes the trials on an adaptively
-  chosen executor (serial / thread pool / process pool, picked from a
-  measured per-trial cost) with deterministic per-trial seeds derived
-  from :func:`repro.util.rng.derive_seed`, journals completions so
-  killed sweeps resume (``journal_dir=``), optionally concentrates the
-  trial budget on high-variance points (:class:`AdaptiveSampling`),
-  and an :class:`Aggregator` that folds the records into
-  :class:`repro.util.stats.RunningStats` summaries with confidence
-  intervals and JSON export.
+  chosen executor (serial or process pool, picked from a measured
+  per-trial cost) with deterministic per-trial seeds derived from
+  :func:`repro.util.rng.derive_seed`, appends every finished trial to
+  one record log per campaign (:class:`CampaignJournal`: a killed sweep
+  resumes from it, a sealed one in ``cache_dir=`` is a cache hit),
+  optionally concentrates the trial budget on high-variance points
+  (:class:`AdaptiveSampling`), and an :class:`Aggregator` that folds
+  the records into :class:`repro.util.stats.RunningStats` summaries
+  with confidence intervals and JSON export.
 
-Serial, threaded and multiprocessing executions of the same campaign
-are bit-identical: seeds depend only on ``(base_seed, point key, trial
+Serial and multiprocessing executions of the same campaign are
+bit-identical: seeds depend only on ``(base_seed, point key, trial
 index)`` and records are folded in grid order in every mode.
 
 Quick start::

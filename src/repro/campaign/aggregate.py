@@ -217,11 +217,12 @@ class CampaignResult:
 
     Records stay available for custom post-processing; ``summaries``
     carry the folded statistics in grid expansion order. ``mode`` is
-    the executor that actually ran (``"serial"``, ``"threads:<n>"``,
-    ``"processes:<n>"``, ``"cached"``, or ``"resumed"`` when every
-    record came out of a completion journal); ``executor`` is the
-    configured policy (usually ``"adaptive"``) and ``resumed`` counts
-    journal-recovered records — all three are provenance only and never
+    the executor that actually ran (``"serial"``, ``"processes:<n>"``,
+    ``"cached"`` when a sealed record log was replayed, or
+    ``"resumed"`` when every record came out of an unsealed one);
+    ``executor`` is the configured policy (usually ``"adaptive"``) and
+    ``resumed`` counts log-recovered records of a run that was not a
+    cache hit — all three are provenance only and never
     affect the records themselves. ``failed`` counts records whose
     trial function raised (their ``error`` fields say why); the
     summaries cover only the successful trials.

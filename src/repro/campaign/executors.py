@@ -1,11 +1,11 @@
 """Executor subsystem: how a campaign's trial specs actually run.
 
-Three interchangeable executors — serial, a thread pool, a fork/process
-pool — all drive the same module-level :func:`execute_spec`, and the
-runner reassembles whatever they emit into spec order by ``(point key,
+Two interchangeable executors — serial and a fork/process pool — both
+drive the same module-level :func:`execute_spec`, and the runner
+reassembles whatever they emit into spec order by ``(point key,
 trial)`` identity. Every trial's seed derives from that same identity,
 never from execution order or worker assignment, which is what keeps
-the three modes' records bit-identical.
+the two modes' records bit-identical.
 
 The interesting part is :func:`choose_executor`, the adaptive policy
 that fixed the 0.9× parallel-campaign regression: the old runner paid
@@ -13,19 +13,21 @@ fork-pool startup and per-chunk IPC unconditionally, which *loses* to
 serial for short sweeps and on low-core machines. The adaptive policy
 instead projects the campaign's remaining serial cost from a measured
 per-trial cost (the runner times its first executed spec as a
-calibration probe) and only parallelises when the projected saving
-exceeds what the pool costs to stand up:
+calibration probe) and only forks a pool when the projected saving
+exceeds what the pool costs to stand up; below that threshold it runs
+serially, because nothing can be won.
 
-* below the amortisation threshold — run serially; nothing can be won;
-* tiny trials (sub-millisecond) — use the thread pool: no fork, no
-  pickling, and per-chunk IPC would dominate the actual work. Pure-GIL
-  trials pace serial execution; GIL-releasing ones genuinely overlap;
-* otherwise — pay for the fork pool, because the projected saving
-  covers it.
+There is deliberately no thread pool: trials are pure Python and hold
+the GIL, so threads can at best tie serial. On a 2-core machine
+(Python 3.11, E3's ~1 ms Monte-Carlo trials, medians of 5-6 runs) a
+forced thread pool took 0.350 s against serial's 0.343 s for 360
+trials and 3.34 s against 2.91 s for 3600 (the fork pool: 0.310 s and
+2.01 s), so tiny trials in bulk go through the same amortisation rule
+as any other.
 
 Worker counts are capped by ``os.cpu_count()`` in adaptive mode (a
 4-worker pool on a 1-core box is strictly overhead — the measured
-regression), while the forced executors honour whatever they're given.
+regression), while a forced pool honours whatever it is given.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -51,10 +52,6 @@ EmitFn = Callable[[TrialRecord], None]
 #: (process spawn + interpreter/module state duplication). A campaign
 #: whose projected parallel saving is below this runs serially.
 POOL_STARTUP_S = 0.25
-
-#: Per-trial cost below which fork-pool IPC dominates the work itself;
-#: such campaigns go to the thread pool (no pickling, no fork).
-TINY_TRIAL_S = 0.002
 
 
 def execute_spec(spec: Spec) -> TrialRecord:
@@ -106,7 +103,7 @@ def execute_chunk(chunk: List[Spec]) -> List[TrialRecord]:
 class ExecutorChoice:
     """The executor a campaign (or its remainder) will run on."""
 
-    kind: str      # "serial" | "threads" | "processes"
+    kind: str      # "serial" | "processes"
     workers: int
 
     @property
@@ -138,16 +135,13 @@ def choose_executor(per_spec_s: float, pending: int, workers_cap: int,
     saving = projected_serial * (1.0 - 1.0 / workers)
     if saving <= POOL_STARTUP_S:
         return ExecutorChoice("serial", 1)
-    if per_spec_s < TINY_TRIAL_S:
-        return ExecutorChoice("threads", workers)
     return ExecutorChoice("processes", workers)
 
 
-def chunk_specs(specs: Sequence[Spec], workers: int,
-                chunk_size: Optional[int]) -> List[List[Spec]]:
-    """Group specs into worker-sized chunks (default: ~4 per worker, so
-    slow grid points do not serialise the whole campaign behind them)."""
-    chunk = chunk_size or max(1, math.ceil(len(specs) / (workers * 4)))
+def chunk_specs(specs: Sequence[Spec], workers: int) -> List[List[Spec]]:
+    """Group specs into worker-sized chunks, ~4 per worker, so slow grid
+    points do not serialise the whole campaign behind them."""
+    chunk = max(1, math.ceil(len(specs) / (workers * 4)))
     return [list(specs[start:start + chunk])
             for start in range(0, len(specs), chunk)]
 
@@ -174,33 +168,8 @@ def run_serial(specs: Sequence[Spec], emit: EmitFn) -> None:
         emit(execute_spec(spec))
 
 
-def run_threads(specs: Sequence[Spec], workers: int,
-                chunk_size: Optional[int], emit: EmitFn) -> None:
-    """Thread-pool executor: no pickling, no fork, shared memory.
-
-    Chunks complete out of order (the runner reassembles by identity).
-    Trial exceptions are contained by :func:`execute_spec`; anything
-    that still reaches here is infrastructure failure and cancels the
-    not-yet-started chunks before propagating.
-    """
-    from concurrent.futures import ThreadPoolExecutor, as_completed
-
-    chunks = chunk_specs(specs, workers, chunk_size)
-    with ThreadPoolExecutor(max_workers=workers) as executor:
-        futures = [executor.submit(execute_chunk, chunk) for chunk in chunks]
-        try:
-            for future in as_completed(futures):
-                for record in future.result():   # re-raises trial errors
-                    emit(record)
-        except BaseException:
-            for future in futures:
-                future.cancel()
-            raise
-
-
-def run_processes(specs: Sequence[Spec], workers: int,
-                  chunk_size: Optional[int], emit: EmitFn) -> Optional[bool]:
-    """Fork-pool executor; ``None`` means "unavailable, fall back".
+def run_processes(specs: Sequence[Spec], workers: int, emit: EmitFn) -> bool:
+    """Fork-pool executor; ``False`` means "unavailable, fall back".
 
     Chunks go through ``imap_unordered`` — each is one task submission
     and one result message, amortising IPC over many trials, and no
@@ -212,7 +181,7 @@ def run_processes(specs: Sequence[Spec], workers: int,
     mid-teardown).
     """
     if not probe_picklable(specs):
-        return None
+        return False
     try:
         import multiprocessing
 
@@ -220,8 +189,8 @@ def run_processes(specs: Sequence[Spec], workers: int,
     except (ImportError, OSError, PermissionError):
         # No usable process support (restricted sandboxes, missing
         # semaphores): the serial path gives identical results.
-        return None
-    chunks = chunk_specs(specs, workers, chunk_size)
+        return False
+    chunks = chunk_specs(specs, workers)
     # Trial exceptions are contained inside execute_spec; errors raised
     # past this point are pool infrastructure failures and must
     # propagate, not silently trigger a serial re-run.

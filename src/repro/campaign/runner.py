@@ -4,48 +4,40 @@ The runner expands a :class:`~repro.campaign.grid.ParameterGrid` into
 ``len(grid) * trials_per_point`` trial specs, derives every trial's seed
 from ``(base_seed, point key, trial index)`` via
 :func:`repro.util.rng.derive_seed`, and executes the specs on one of the
-executors in :mod:`repro.campaign.executors` — serial, a thread pool,
-or a fork/process pool. Because seeds depend only on the campaign's
-base seed and each trial's identity — never on execution order, worker
-assignment, or executor kind — all three modes produce identical
-records, and the aggregation (performed in spec order in every mode) is
-bit-identical.
+executors in :mod:`repro.campaign.executors` — serial or a fork/process
+pool. Because seeds depend only on the campaign's base seed and each
+trial's identity — never on execution order, worker assignment, or
+executor kind — both modes produce identical records, and the
+aggregation (performed in spec order in every mode) is bit-identical.
 
 By default the executor is chosen *adaptively*: the first executed spec
 doubles as a calibration probe, and the measured per-trial cost decides
-whether parallelism can amortise pool startup at all (serial below the
-threshold), whether trials are too tiny for process IPC (thread pool),
-or whether the fork pool pays for itself (process pool) — see
-:func:`repro.campaign.executors.choose_executor`. Pass ``executor=`` to
-force a specific mode; ``workers=0/1`` always forces serial.
+whether the fork pool can amortise its startup (process pool) or not
+(serial) — see :func:`repro.campaign.executors.choose_executor`. Pass
+``executor=`` to force a mode; ``workers=0/1`` always forces serial.
 
 Trial functions must be module-level callables of the form
 ``trial_fn(params, seed) -> float | Mapping[str, float]`` so they can be
 pickled to workers; anything unpicklable silently degrades to the serial
 path (the results are the same, only slower).
 
-Long sweeps get four conveniences:
+Long sweeps get three conveniences:
 
 * **progress** — pass ``on_progress`` and the runner reports one
   :class:`CampaignProgress` (completed/total, elapsed, ETA) per
   finished trial, in every mode;
-* **result caching** — pass ``cache_dir`` and finished campaigns are
-  written to disk keyed by a content hash of the campaign's identity
-  (trial-function source, grid points, per-trial seeds, statistics and
-  sampling configuration). Re-running an identical campaign is a no-op:
-  the records are rehydrated from the cache (``mode == "cached"``, hit
-  logged on the ``repro.campaign`` logger) and any drift in the code or
-  the grid changes the hash and forces recomputation. The directory is
-  bounded: after every write an LRU sweep (mtime order; hits refresh a
-  file's mtime; the just-written entry is exempt) evicts the
-  least-recently-used entries above ``cache_max_bytes``;
-* **resumability** — pass ``journal_dir`` and every finished trial is
-  appended to a per-campaign completion journal
-  (``<journal_dir>/<name>-<fingerprint16>.jsonl``) as it lands. A
-  killed sweep restarts where it stopped: recovered ``(point key,
-  trial)`` identities are not re-executed, and the resumed records are
-  bit-identical to an uninterrupted run's. The journal is deleted when
-  the campaign completes — see :mod:`repro.campaign.journal`;
+* **one campaign store** — pass ``cache_dir`` and/or ``journal_dir``
+  and every finished trial is appended to the campaign's record log,
+  keyed by a content hash of the campaign's identity (the whole
+  ``repro`` source tree, the trial function, grid points, per-trial
+  seeds, statistics and sampling configuration). A killed sweep
+  resumes where it stopped (``mode == "resumed"`` when nothing was
+  left to run); a completed one seals its log into ``cache_dir``, and
+  rerunning it replays the sealed log without executing a single trial
+  (``mode == "cached"``, hit logged on the ``repro.campaign`` logger).
+  Any drift in the code or the grid changes the hash and forces
+  recomputation, and ``cache_max_bytes`` bounds the directory by an LRU
+  sweep — see :mod:`repro.campaign.journal`;
 * **adaptive sampling** — pass
   ``adaptive=AdaptiveSampling(max_trials=..., ci_width=...)`` and
   ``trials_per_point`` becomes a floor: points whose confidence
@@ -76,25 +68,17 @@ from repro.campaign.executors import (
     execute_spec,
     run_processes,
     run_serial,
-    run_threads,
 )
 from repro.campaign.grid import GridPoint, ParameterGrid
-from repro.campaign.journal import (
-    CampaignJournal,
-    journal_path,
-    rehydrate,
-    store_path,
-)
+from repro.campaign.journal import CampaignJournal, rehydrate, sweep
 from repro.campaign.sampling import AdaptiveSampling
 from repro.util.rng import derive_seed
 from repro.util.stats import RunningStats
 
-_Spec = Spec
-
 logger = logging.getLogger("repro.campaign")
 
 #: The executor policies ``CampaignRunner(executor=...)`` accepts.
-EXECUTORS = ("adaptive", "serial", "threads", "processes")
+EXECUTORS = ("adaptive", "serial", "processes")
 
 
 @dataclass(frozen=True)
@@ -103,7 +87,8 @@ class CampaignProgress:
 
     Under adaptive sampling ``total`` can grow between ticks as
     unconverged points request extra trials; ``completed`` counts both
-    executed and journal-resumed trials.
+    executed and log-resumed trials. A cache hit reports one tick with
+    ``cached`` set instead of one per replayed trial.
     """
 
     name: str
@@ -111,7 +96,7 @@ class CampaignProgress:
     total: int
     elapsed_s: float
     eta_s: Optional[float]        # None until at least one trial lands
-    cached: bool = False          # whole campaign served from cache
+    cached: bool = False          # whole campaign replayed from a sealed log
 
     @property
     def fraction(self) -> float:
@@ -133,7 +118,7 @@ class TracedTrial:
     any campaign trial function), so traced sweeps run on every
     executor. The head-sampling decision is made from the trial's
     ``(point key, trial)`` identity — the same identity that keys
-    seeds, caches and journals — so a sampled sweep resumes and caches
+    seeds and the campaign store — so a sampled sweep resumes and caches
     exactly like an unsampled one, and a sampled-out trial runs with
     *no* tracer installed (zero per-event cost, bit-identical results).
     """
@@ -170,8 +155,8 @@ _source_fingerprint_cache: Optional[str] = None
 def _source_tree_fingerprint() -> str:
     """Hash of every ``repro`` source file (memoised per process).
 
-    Trial results depend on the whole simulation stack, so the result
-    cache must key on all of it — not just the trial function's own
+    Trial results depend on the whole simulation stack, so the campaign
+    store must key on all of it — not just the trial function's own
     source. ~100 small files hash in a few milliseconds, once.
     """
     global _source_fingerprint_cache
@@ -193,17 +178,19 @@ def _source_tree_fingerprint() -> str:
 class _Execution:
     """Shared execution state across a campaign's base pass and its
     adaptive-sampling rounds: one executor decision (made once, from
-    the calibration probe), one journal, one progress stream, one
+    the calibration probe), one record log, one progress stream, one
     growing completed/total count."""
 
     def __init__(self, runner: "CampaignRunner", name: str,
-                 journal: Optional[CampaignJournal],
-                 recovered: Mapping[Tuple[str, int], Mapping[str, Any]],
+                 log: Optional[CampaignJournal],
                  progress: Optional[ProgressCallback]) -> None:
         self._runner = runner
         self._name = name
-        self._journal = journal
-        self._recovered = recovered
+        self._log = log
+        self._recovered = log.recover() if log is not None else {}
+        # Replaying a sealed log is a cache hit: it reports one cached
+        # tick at the end instead of one per replayed record.
+        self._sealed = log is not None and log.sealed
         self._progress = progress
         self._started = time.monotonic()
         self._choice: Optional[ExecutorChoice] = None
@@ -215,13 +202,15 @@ class _Execution:
     def mode(self) -> str:
         if self._choice is not None:
             return self._choice.mode
-        return "resumed" if self.resumed else "serial"
+        if not self.resumed:
+            return "serial"
+        return "cached" if self._sealed else "resumed"
 
     # ------------------------------------------------------------------
 
     def run_specs(self, specs: List[Spec]) -> List[TrialRecord]:
-        """Execute ``specs`` (skipping journal-recovered identities) and
-        return their records in spec order."""
+        """Execute ``specs`` (replaying logged identities) and return
+        their records in spec order."""
         self._total += len(specs)
         slots: List[Optional[TrialRecord]] = [None] * len(specs)
         slot_of: Dict[Tuple[str, int], int] = {}
@@ -231,17 +220,17 @@ class _Execution:
             if record is not None:
                 slots[index] = record
                 self.resumed += 1
-                self._tick()
+                self._tick(report=not self._sealed)
             else:
                 slot_of[(spec[2], spec[4])] = index
                 pending.append(spec)
 
         def emit(record: TrialRecord) -> None:
             slots[slot_of[(record.point_key, record.trial)]] = record
-            if self._journal is not None and record.error is None:
-                # Errored trials stay out of the journal so a resumed
-                # run re-executes them instead of trusting the crash.
-                self._journal.append(record)
+            if self._log is not None and record.error is None:
+                # Errored trials stay out of the log so a resumed run
+                # re-executes them instead of trusting the crash.
+                self._log.append(record)
             self._tick()
 
         if pending:
@@ -254,7 +243,7 @@ class _Execution:
     # ------------------------------------------------------------------
 
     def _recover_record(self, spec: Spec) -> Optional[TrialRecord]:
-        """A journal entry rehydrated against the live spec, or
+        """A logged entry rehydrated against the live spec, or
         ``None`` (a drifted entry is simply re-executed)."""
         _, point_index, key, params, trial, seed = spec
         return rehydrate(self._recovered.get((key, trial)), point_index,
@@ -270,11 +259,11 @@ class _Execution:
         if cap <= 1 or runner._executor == "serial" or len(pending) == 1:
             self._choice = ExecutorChoice("serial", 1)
             return pending
-        if runner._executor in ("threads", "processes"):
-            # Forced executors honour the explicit worker count (capped
+        if runner._executor == "processes":
+            # The forced pool honours the explicit worker count (capped
             # only by the amount of work there is to share).
-            workers = max(1, min(cap, len(pending)))
-            self._choice = ExecutorChoice(runner._executor, workers)
+            self._choice = ExecutorChoice("processes",
+                                          max(1, min(cap, len(pending))))
             return pending
         started = time.perf_counter()
         emit(execute_spec(pending[0]))
@@ -290,22 +279,17 @@ class _Execution:
             return
         choice = self._choice
         assert choice is not None
-        if choice.kind == "threads":
-            run_threads(pending, choice.workers, self._runner._chunk_size,
-                        emit)
-            return
         if choice.kind == "processes":
-            if run_processes(pending, choice.workers,
-                             self._runner._chunk_size, emit) is not None:
+            if run_processes(pending, choice.workers, emit):
                 return
             # Unpicklable specs or no process support: the serial path
             # gives identical results, only slower.
             self._choice = ExecutorChoice("serial", 1)
         run_serial(pending, emit)
 
-    def _tick(self) -> None:
+    def _tick(self, report: bool = True) -> None:
         self._completed += 1
-        if self._progress is None:
+        if self._progress is None or not report:
             return
         elapsed = time.monotonic() - self._started
         remaining = self._total - self._completed
@@ -330,15 +314,12 @@ class CampaignRunner:
         honoured by the forced executors and treated as a cap by the
         adaptive one (which also never exceeds the machine's cores).
     :param executor: ``"adaptive"`` (default: measure the first trial,
-        then pick serial / threads / processes — see
+        then pick serial or processes — see
         :func:`repro.campaign.executors.choose_executor`), or force
-        ``"serial"``, ``"threads"`` or ``"processes"``. All modes
-        produce bit-identical records.
-    :param chunk_size: trials per work unit handed to a worker. Defaults
-        to spreading the specs roughly four chunks per worker, so slow
-        grid points do not serialise the whole campaign behind them.
-    :param confidence: confidence level for aggregate intervals (and
-        for ``adaptive``'s convergence test).
+        ``"serial"`` or ``"processes"``. All modes produce bit-identical
+        records.
+    :param confidence: confidence level in ``(0, 1)`` for aggregate
+        intervals (and for ``adaptive``'s convergence test).
     :param adaptive: an :class:`~repro.campaign.sampling.AdaptiveSampling`
         policy, or ``None`` for the classic fixed trial count.
     :param include_telemetry: export each trial's registry snapshot
@@ -356,16 +337,18 @@ class CampaignRunner:
         resumes and cache hits; sampled-out trials run tracer-free at
         zero cost.
     :param name: campaign label carried into the result/JSON.
-    :param cache_dir: directory for content-hashed result caching; when
-        set, rerunning an identical campaign loads its records instead
-        of recomputing them.
-    :param cache_max_bytes: size cap on ``cache_dir``. After each cache
-        write, least-recently-used entries (by mtime; cache hits touch
-        their file; the entry just written is exempt) are evicted until
-        the directory fits. ``None`` disables the sweep.
-    :param journal_dir: directory for per-campaign completion journals;
-        when set, an interrupted campaign resumes where it stopped on
-        the next run — see :mod:`repro.campaign.journal`.
+    :param cache_dir: where completed campaigns' sealed record logs
+        live; rerunning an identical campaign replays its log instead of
+        recomputing anything. Also where the log grows while the
+        campaign runs, unless ``journal_dir`` is set.
+    :param cache_max_bytes: size cap on ``cache_dir``. After each seal,
+        least-recently-used store logs (by mtime; cache hits touch their
+        file; the log just sealed is exempt) are evicted until the
+        directory fits. ``None`` disables the sweep.
+    :param journal_dir: where a running campaign's log grows (it moves
+        into ``cache_dir``, or is deleted, once sealed); an interrupted
+        campaign resumes from it on the next run — see
+        :mod:`repro.campaign.journal`.
     :param on_progress: default progress callback (see
         :class:`CampaignProgress`); :meth:`run` can override per run.
     """
@@ -377,7 +360,6 @@ class CampaignRunner:
     def __init__(self, trial_fn: TrialFn, *, trials_per_point: int = 1,
                  base_seed: int = 0, workers: Optional[int] = None,
                  executor: str = "adaptive",
-                 chunk_size: Optional[int] = None,
                  confidence: float = 0.95,
                  adaptive: Optional[AdaptiveSampling] = None,
                  include_telemetry: bool = False,
@@ -394,8 +376,6 @@ class CampaignRunner:
         if executor not in EXECUTORS:
             raise ValueError(f"executor must be one of {EXECUTORS}, "
                              f"got {executor!r}")
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         if cache_max_bytes is not None and cache_max_bytes < 1:
             raise ValueError("cache_max_bytes must be >= 1 (or None)")
         if adaptive is not None and not isinstance(adaptive, AdaptiveSampling):
@@ -403,12 +383,13 @@ class CampaignRunner:
         if not 0.0 <= trace_sample <= 1.0:
             raise ValueError(
                 f"trace_sample must be in [0, 1], got {trace_sample}")
+        if not 0.0 < confidence < 1.0:
+            raise ValueError(f"confidence must be in (0, 1), got {confidence}")
         self._trial_fn = trial_fn
         self._trials_per_point = trials_per_point
         self._base_seed = int(base_seed)
         self._workers = workers
         self._executor = executor
-        self._chunk_size = chunk_size
         self._confidence = confidence
         self._adaptive = adaptive
         self._include_telemetry = include_telemetry
@@ -463,53 +444,44 @@ class CampaignRunner:
             on_progress: Optional[ProgressCallback] = None) -> CampaignResult:
         """Execute the campaign and return its aggregated result.
 
-        With ``cache_dir`` configured, an identical earlier run is
-        served from its cache file (``mode == "cached"``) instead of
-        recomputing anything; with ``journal_dir`` configured, an
-        earlier *interrupted* run is resumed instead of restarted.
+        With ``cache_dir`` or ``journal_dir`` configured, the campaign's
+        record log is replayed first: a sealed log is a cache hit
+        (``mode == "cached"``, nothing executes) and an unsealed one,
+        left by an interrupted run, is resumed instead of restarted.
         """
         progress = on_progress or self._on_progress
         points = grid.points()
         specs = self._base_specs(points)
         name = grid.name or self._name
-        fingerprint = self._fingerprint(name, specs)
-        cache_path = self._cache_path(name, fingerprint)
-
-        cached = self._load_cache(cache_path, specs, points)
-        if cached is not None:
-            logger.info("campaign %r: cache hit (%d records at %s); "
-                        "skipping execution", name, len(cached), cache_path)
-            self._touch_cache(cache_path)
-            if progress is not None:
-                progress(CampaignProgress(name=name, completed=len(cached),
-                                          total=len(cached), elapsed_s=0.0,
-                                          eta_s=0.0, cached=True))
-            return self._finalise(name, cached, mode="cached")
-
-        journal = None
-        recovered: Dict[Tuple[str, int], Any] = {}
-        if self._journal_dir is not None:
-            journal = CampaignJournal(
-                journal_path(self._journal_dir, name, fingerprint))
-            recovered = journal.recover()
-
-        execution = _Execution(self, name, journal, recovered, progress)
+        log = CampaignJournal.open(name, self._fingerprint(name, specs),
+                                   self._journal_dir, self._cache_dir)
+        execution = _Execution(self, name, log, progress)
         try:
             records = execution.run_specs(specs)
             if self._adaptive is not None:
                 records = self._adaptive_rounds(points, records, execution)
         finally:
-            if journal is not None:
-                journal.close()
-        if all(record.error is None for record in records):
-            self._write_cache(cache_path, records)
-            if journal is not None:
-                journal.discard()
-        # A sweep with crashed trials keeps its journal and writes no
-        # cache: the next run resumes the successful records and
-        # re-executes exactly the failed identities.
-        return self._finalise(name, records, mode=execution.mode,
-                              resumed=execution.resumed)
+            if log is not None:
+                log.close()
+        # A sweep with crashed trials leaves its log unsealed: the next
+        # run replays the successful records and re-executes exactly the
+        # failed identities.
+        if log is not None and all(record.error is None
+                                   for record in records):
+            sealed = log.seal(self._cache_dir)
+            if sealed is not None and self._cache_max_bytes is not None:
+                sweep(sealed.parent, self._cache_max_bytes, protect=sealed)
+        mode = execution.mode
+        if mode != "cached":
+            return self._finalise(name, records, mode=mode,
+                                  resumed=execution.resumed)
+        logger.info("campaign %r: cache hit (%d records at %s); "
+                    "skipping execution", name, len(records), log.path)
+        if progress is not None:
+            progress(CampaignProgress(name=name, completed=len(records),
+                                      total=len(records), elapsed_s=0.0,
+                                      eta_s=0.0, cached=True))
+        return self._finalise(name, records, mode=mode)
 
     def _adaptive_rounds(self, points: List[GridPoint],
                          records: List[TrialRecord],
@@ -519,7 +491,7 @@ class CampaignRunner:
 
         Deterministic end to end: the decision to add trials depends
         only on the records, which depend only on the seeds — so serial,
-        threaded, process and resumed runs all expand (and record) the
+        process, resumed and cached runs all expand (and record) the
         exact same trial set.
         """
         adaptive = self._adaptive
@@ -588,7 +560,7 @@ class CampaignRunner:
             failed=sum(1 for record in records if record.error is not None))
 
     # ------------------------------------------------------------------
-    # Content-hash result caching.
+    # Campaign identity.
     # ------------------------------------------------------------------
 
     def _fingerprint(self, name: str, specs: List[Spec]) -> str:
@@ -596,7 +568,7 @@ class CampaignRunner:
 
         Covers the whole ``repro`` source tree (a trial function's
         results depend on the entire simulation stack beneath it, so
-        *any* code edit must invalidate the cache), the trial function's
+        *any* code edit must invalidate the store), the trial function's
         identity, the statistics and sampling configuration, and every
         base spec's identity — point key, canonical parameter rendering,
         trial index and derived seed (which folds in the base seed).
@@ -626,7 +598,7 @@ class CampaignRunner:
                           adaptive.metric] if adaptive is not None else None),
             # Tracing changes record *content* (unlike the executor or
             # worker count), so traced and untraced runs must not share
-            # a cache entry or a journal.
+            # a record log.
             "traces": ([self._trace_sample]
                        if self._include_traces else None),
             "specs": [
@@ -637,141 +609,3 @@ class CampaignRunner:
         }
         hasher.update(json.dumps(payload, sort_keys=True).encode("utf-8"))
         return hasher.hexdigest()
-
-    def _cache_path(self, name: str, fingerprint: str) -> Optional[Path]:
-        if self._cache_dir is None:
-            return None
-        return store_path(self._cache_dir, name, fingerprint, ".json")
-
-    def _load_cache(self, cache_path: Optional[Path], specs: List[Spec],
-                    points: List[GridPoint]) -> Optional[List[TrialRecord]]:
-        """Rehydrate records from a cache file, or ``None`` on any
-        mismatch (missing file, corrupt JSON, changed specs)."""
-        if cache_path is None or not cache_path.exists():
-            return None
-        try:
-            payload = json.loads(cache_path.read_text())
-            by_identity: Dict[Tuple[str, int], Dict[str, Any]] = {
-                (entry["point_key"], entry["trial"]): entry
-                for entry in payload["records"]
-            }
-        except (OSError, ValueError, KeyError, TypeError):
-            return None
-        if self._adaptive is not None:
-            return self._load_adaptive_cache(by_identity, points)
-        records = []
-        for _, point_index, key, params, trial, seed in specs:
-            record = rehydrate(by_identity.get((key, trial)),
-                               point_index, key, params, trial, seed)
-            if record is None:
-                return None
-            records.append(record)
-        return records
-
-    def _load_adaptive_cache(
-            self, by_identity: Dict[Tuple[str, int], Dict[str, Any]],
-            points: List[GridPoint]) -> Optional[List[TrialRecord]]:
-        """Adaptive campaigns cache a *variable* number of trials per
-        point. The cached set is trusted iff each point's trials are
-        contiguous from 0, within ``[floor, max_trials]``, and every
-        seed matches its derivation — determinism guarantees a re-run
-        would reproduce exactly that set."""
-        adaptive = self._adaptive
-        assert adaptive is not None
-        records = []
-        for point in points:
-            trials = sorted(trial for key, trial in by_identity
-                            if key == point.key)
-            count = len(trials)
-            if (count < self._floor or count > adaptive.max_trials
-                    or trials != list(range(count))):
-                return None
-            for trial in trials:
-                record = rehydrate(
-                    by_identity[(point.key, trial)], point.index, point.key,
-                    point.params, trial,
-                    trial_seed(self._base_seed, point.key, trial))
-                if record is None:
-                    return None
-                records.append(record)
-        return records
-
-    def _write_cache(self, cache_path: Optional[Path],
-                     records: List[TrialRecord]) -> None:
-        if cache_path is None:
-            return
-        from repro.campaign.aggregate import json_value
-
-        payload = {
-            # Self-description: each record carries its parameters
-            # (specs render as their full nested dict), so a cache file
-            # alone says exactly which worlds produced it.  Only
-            # point_key/trial/seed/metrics/telemetry are read back.
-            "records": [
-                {"point_key": record.point_key, "trial": record.trial,
-                 "seed": record.seed, "metrics": dict(record.metrics),
-                 "params": {name: json_value(value)
-                            for name, value in record.params.items()},
-                 **({"telemetry": record.telemetry}
-                    if record.telemetry is not None else {}),
-                 **({"trace": record.trace}
-                    if record.trace is not None else {})}
-                for record in records
-            ],
-        }
-        try:
-            cache_path.parent.mkdir(parents=True, exist_ok=True)
-            cache_path.write_text(json.dumps(payload, sort_keys=True))
-        except OSError:  # caching is best-effort, never fatal
-            logger.warning("campaign cache write failed at %s", cache_path)
-            return
-        self._sweep_cache(protect=cache_path)
-
-    @staticmethod
-    def _touch_cache(cache_path: Optional[Path]) -> None:
-        """Refresh a hit entry's mtime so the LRU sweep keeps it."""
-        if cache_path is None:
-            return
-        try:
-            os.utime(cache_path, None)
-        except OSError:
-            pass
-
-    def _sweep_cache(self, protect: Optional[Path] = None) -> None:
-        """Evict least-recently-used cache files above the size cap.
-
-        mtime is the recency signal: writes create files and hits touch
-        them, so eviction order tracks actual use. Ties break on name
-        for determinism. ``protect`` (the entry this sweep is running
-        on behalf of) is always exempt — without it, a single entry
-        larger than the cap would evict *itself* immediately after
-        being written, turning every run into a write/evict loop.
-        Best-effort like the rest of the cache — a vanished file
-        (concurrent campaign) is simply skipped.
-        """
-        if self._cache_dir is None or self._cache_max_bytes is None:
-            return
-        entries = []
-        for path in self._cache_dir.glob("*.json"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, path.name, stat.st_size, path))
-        total = sum(size for _, _, size, _ in entries)
-        if total <= self._cache_max_bytes:
-            return
-        for _, _, size, path in sorted(entries):
-            if protect is not None and path == protect:
-                continue
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            total -= size
-            logger.info(
-                "campaign cache: evicted %s (%d bytes, LRU sweep; "
-                "%d bytes still cached, cap %d)",
-                path, size, total, self._cache_max_bytes)
-            if total <= self._cache_max_bytes:
-                return

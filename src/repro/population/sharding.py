@@ -8,8 +8,8 @@ splits the population into K contiguous *windows* and materializes each
 window as its own complete world from the same :class:`ScenarioSpec`
 and seed: same backbone, same DNS tree, same providers, same pool
 directory — only the resident client window differs. Shards execute
-through the campaign executor layer (serial, threads or fork pool,
-chosen adaptively exactly like a campaign) and their telemetry
+through the campaign executor layer (serial or fork pool, chosen
+adaptively exactly like a campaign) and their telemetry
 snapshots fold back, in shard order, into one registry.
 
 Why this is exact, not approximate:
@@ -23,8 +23,8 @@ Why this is exact, not approximate:
   function; execution mode cannot leak into round decisions.
 * Shard results are JSON registry snapshots; the round trip is exact
   and :func:`~repro.telemetry.fold_snapshots` folds them in shard
-  order, so serial, threaded and forked execution of the *same* shard
-  split produce byte-identical folded snapshots.
+  order, so serial and forked execution of the *same* shard split
+  produce byte-identical folded snapshots.
 
 What is and is not invariant across different K: infrastructure
 metrics (``dns.*``, ``net.*``, ``ntp.*``) replicate per world — K
@@ -147,8 +147,8 @@ class ShardedFleet:
         shard a spec without rewriting it).
     :param workers: executor worker cap (default: ``os.cpu_count()``).
 
-    The ``executor`` attribute ("adaptive", "serial", "threads" or
-    "processes") may be set before :meth:`run` to force a mode; the
+    The ``executor`` attribute ("adaptive", "serial" or "processes")
+    may be set before :meth:`run` to force a mode; the
     determinism tests run the same split under different modes and
     assert byte-identical folds.
     """
@@ -224,7 +224,6 @@ class ShardedFleet:
             execute_spec,
             run_processes,
             run_serial,
-            run_threads,
         )
 
         specs = self._specs(max_events)
@@ -233,6 +232,8 @@ class ShardedFleet:
         def emit(record) -> None:
             records[record.point_index] = record
 
+        workers = (self.workers if self.workers is not None
+                   else (os.cpu_count() or 1))
         mode = self.executor
         if mode == "adaptive":
             # Probe shard 0 in-parent (it doubles as the calibration
@@ -241,33 +242,16 @@ class ShardedFleet:
             started = time.perf_counter()
             emit(execute_spec(specs[0]))
             per_spec_s = time.perf_counter() - started
-            rest = specs[1:]
-            if not rest:
-                mode, workers = "serial", 1
-            else:
-                choice = choose_executor(
-                    per_spec_s, len(rest),
-                    self.workers if self.workers is not None
-                    else (os.cpu_count() or 1))
-                mode, workers = choice.kind, choice.workers
-            specs = rest
-        else:
-            workers = (self.workers if self.workers is not None
-                       else (os.cpu_count() or 1))
+            specs = specs[1:]
+            choice = choose_executor(per_spec_s, len(specs), workers)
+            mode, workers = choice.kind, choice.workers
         if mode == "processes" and _in_daemon_process():
             # Fork-pool workers are daemonic and may not spawn their
             # own children; the serial path is bit-identical.
             mode = "serial"
-        if specs:
-            if mode == "threads":
-                run_threads(specs, workers, None, emit)
-            elif mode == "processes":
-                if run_processes(specs, workers, None, emit) is None:
-                    mode = "serial"
-                    run_serial(specs, emit)
-            else:
-                mode = "serial"
-                run_serial(specs, emit)
+        if mode != "processes" or not run_processes(specs, workers, emit):
+            mode = "serial"
+            run_serial(specs, emit)
         self.executed_mode = mode
         missing = [plan.shard for plan in self.plans
                    if plan.shard not in records]

@@ -11,11 +11,10 @@ default) instrumented components skip telemetry entirely — a single
 ``is None`` test at construction, zero work per event — which keeps
 every pre-telemetry run bit-identical and cost-identical.
 
-Each simulated world is single-threaded, but the campaign engine's
-thread executor may run several worlds concurrently in one process, so
-the installation point is a :class:`contextvars.ContextVar` — scoping
-in one thread is invisible to every other; :func:`use_registry`
-restores the previous registry on exit so nested scopes compose.
+Each simulated world is single-threaded, and the installation point is
+a :class:`contextvars.ContextVar` — scoping in one thread or context is
+invisible to every other; :func:`use_registry` restores the previous
+registry on exit so nested scopes compose.
 """
 
 from __future__ import annotations
@@ -279,12 +278,10 @@ def fold_snapshots(snapshots, select=None) -> MetricsRegistry:
 # The active registry.
 # ----------------------------------------------------------------------
 
-# Context-local, not a module global: the campaign thread executor runs
-# trials concurrently, and each trial scopes its own registry — a plain
-# global would let one thread's registry capture another thread's
-# publishers. A ContextVar is per-thread (threads start from a copy of
-# the spawning context), so scoping stays isolated; single-threaded
-# behaviour is unchanged.
+# Context-local, not a module global: each trial scopes its own
+# registry, and a ContextVar keeps that scoping isolated even if worlds
+# ever run concurrently in one process (threads start from a copy of
+# the spawning context); single-threaded behaviour is unchanged.
 _active: "ContextVar[Optional[MetricsRegistry]]" = ContextVar(
     "repro_telemetry_active_registry", default=None)
 

@@ -11,8 +11,8 @@ inspectable. The tracer follows the exact zero-cost contract of
   non-``None`` — with no tracer installed nothing is allocated and all
   golden fixtures stay byte-identical;
 * the installation point is a :class:`contextvars.ContextVar`
-  (:func:`use_tracer` / :func:`install_tracer`), so the campaign thread
-  executor can trace several worlds concurrently in one process;
+  (:func:`use_tracer` / :func:`install_tracer`), so each trial scopes
+  its own tracer and nothing leaks from one world into the next;
 * span IDs come from a plain per-tracer counter — never from
   :mod:`repro.util.rng` — and timestamps are the simulator's virtual
   clock, so traces are bit-identical serial vs parallel and a traced
@@ -240,7 +240,7 @@ class Tracer:
     def to_jsonl(self) -> str:
         """The snapshot as JSONL: a schema header line, then one span
         per line in span-ID order — line-diffable and identical across
-        serial/threads/processes executors."""
+        serial and process executors."""
         return snapshot_to_jsonl(self.snapshot())
 
     def to_chrome(self) -> Dict[str, Any]:

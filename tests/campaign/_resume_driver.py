@@ -1,7 +1,7 @@
 """Subprocess driver for the kill-and-resume tests (and the CI
 forced-interrupt smoke).
 
-Runs one journaled campaign to completion and writes its records as
+Runs one logged campaign to completion and writes its records as
 canonical JSON. The trial function logs every *execution* (not resumed
 records) to ``RESUME_LOG`` and sleeps ``RESUME_SLEEP`` seconds, giving
 the parent test a window to SIGKILL the process mid-campaign; both
@@ -10,7 +10,11 @@ seeds, or the campaign fingerprint.
 
 Usage::
 
-    python -m tests.campaign._resume_driver <journal_dir> <out_json>
+    python -m tests.campaign._resume_driver <store_dir> <out_json>
+
+``<store_dir>`` is the runner's ``journal_dir``; with
+``RESUME_STORE=cache`` it is its ``cache_dir`` instead (no journal
+directory), so the record log grows in, and is sealed into, the cache.
 
 ``RESUME_GRID=chaos`` swaps the synthetic grid for a real chaos-axis
 campaign (``spec_trial`` over an outage-fraction sweep), so the
@@ -86,22 +90,24 @@ def records_payload(result):
         sort_keys=True)
 
 
-def run_campaign(journal_dir):
+def run_campaign(store_dir):
+    store_key = ("cache_dir" if os.environ.get("RESUME_STORE") == "cache"
+                 else "journal_dir")
     if os.environ.get("RESUME_GRID") == "chaos":
         runner = CampaignRunner(slow_logged_spec_trial, trials_per_point=2,
                                 base_seed=BASE_SEED, executor="serial",
-                                journal_dir=journal_dir)
+                                **{store_key: store_dir})
         return runner.run(chaos_grid())
     grid = ParameterGrid(GRID_AXES, name=GRID_NAME)
     runner = CampaignRunner(slow_logged_trial, trials_per_point=1,
                             base_seed=BASE_SEED, executor="serial",
-                            journal_dir=journal_dir)
+                            **{store_key: store_dir})
     return runner.run(grid)
 
 
 def main(argv):
-    journal_dir, out_json = Path(argv[1]), Path(argv[2])
-    result = run_campaign(journal_dir)
+    store_dir, out_json = Path(argv[1]), Path(argv[2])
+    result = run_campaign(store_dir)
     out_json.write_text(json.dumps({
         "records": json.loads(records_payload(result)),
         "mode": result.mode,

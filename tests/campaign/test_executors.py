@@ -1,4 +1,4 @@
-"""The executor subsystem: adaptive choice + three-way bit-equality."""
+"""The executor subsystem: adaptive choice + serial/process bit-equality."""
 
 import random
 
@@ -7,7 +7,6 @@ import pytest
 from repro.campaign import CampaignRunner, ParameterGrid
 from repro.campaign.executors import (
     POOL_STARTUP_S,
-    TINY_TRIAL_S,
     choose_executor,
     chunk_specs,
     probe_picklable,
@@ -26,8 +25,7 @@ E2_GRID_KWARGS = dict(
 )
 
 #: A miniature of the golden P1 population fleet — telemetry-publishing
-#: trials, which is what makes the thread path interesting: concurrent
-#: worlds must not capture each other's registries.
+#: trials, whose registries must survive the trip back from a worker.
 P1_GRID_KWARGS = dict(
     spec=population_spec(num_clients=12, rounds=2, forged=FORGED,
                          churn_rate=0.2, arrival="poisson"),
@@ -54,14 +52,18 @@ class TestChooseExecutor:
                                  workers_cap=4, cpu_count=1)
         assert choice.kind == "serial"
 
-    def test_tiny_trials_use_threads(self):
-        """Sub-millisecond trials in bulk: fork IPC would dominate."""
-        per_spec = TINY_TRIAL_S / 2
+    def test_tiny_trials_in_bulk_fall_through_to_amortisation(self):
+        """Sub-millisecond trials get no special case: GIL-bound threads
+        never beat serial, so enough of them to amortise the fork pool
+        use the pool, and too few stay serial."""
+        per_spec = 0.001
         pending = int(POOL_STARTUP_S / per_spec) * 10
         choice = choose_executor(per_spec, pending,
                                  workers_cap=4, cpu_count=4)
-        assert choice.kind == "threads"
+        assert choice.kind == "processes"
         assert choice.workers == 4
+        assert choose_executor(per_spec, pending // 20, workers_cap=4,
+                               cpu_count=4).kind == "serial"
 
     def test_expensive_trials_use_processes(self):
         choice = choose_executor(per_spec_s=0.5, pending=100,
@@ -91,12 +93,14 @@ class TestSpecHelpers:
 
     def test_chunks_cover_all_specs_in_order(self):
         specs = self._specs(10)
-        chunks = chunk_specs(specs, workers=3, chunk_size=None)
+        chunks = chunk_specs(specs, workers=3)
         assert [s for chunk in chunks for s in chunk] == specs
 
-    def test_explicit_chunk_size_honoured(self):
-        chunks = chunk_specs(self._specs(10), workers=3, chunk_size=4)
-        assert [len(c) for c in chunks] == [4, 4, 2]
+    def test_chunks_spread_about_four_per_worker(self):
+        chunks = chunk_specs(self._specs(40), workers=2)
+        assert [len(c) for c in chunks] == [5] * 8
+        chunks = chunk_specs(self._specs(10), workers=1)
+        assert [len(c) for c in chunks] == [3, 3, 3, 1]
 
     def test_probe_accepts_picklable_specs(self):
         assert probe_picklable(self._specs(5))
@@ -115,19 +119,18 @@ class TestSpecHelpers:
 
 
 class TestThreeWayEquality:
-    """serial == threads == processes, bit for bit, on the golden
-    E2/P1 workloads."""
+    """serial == processes, bit for bit, on the golden E2/P1 workloads."""
 
     def _run_all(self, grid_kwargs, name, **runner_kwargs):
         results = {}
-        for executor in ("serial", "threads", "processes"):
+        for executor in ("serial", "processes"):
             grid = ParameterGrid.over_spec(name=name, **grid_kwargs)
             results[executor] = CampaignRunner(
                 spec_trial, base_seed=7, workers=2, executor=executor,
-                chunk_size=1, **runner_kwargs).run(grid)
+                **runner_kwargs).run(grid)
         return results
 
-    @pytest.mark.parametrize("other", ["threads", "processes"])
+    @pytest.mark.parametrize("other", ["processes"])
     def test_e2_grid_records_bit_identical(self, other):
         results = self._run_all(E2_GRID_KWARGS, "exec_e2",
                                 trials_per_point=2)
@@ -138,36 +141,13 @@ class TestThreeWayEquality:
         assert (serial.to_json()["results"]
                 == results[other].to_json()["results"])
 
-    @pytest.mark.parametrize("other", ["threads", "processes"])
+    @pytest.mark.parametrize("other", ["processes"])
     def test_p1_population_records_bit_identical(self, other):
         results = self._run_all(P1_GRID_KWARGS, "exec_p1")
         serial = results["serial"]
         assert serial.records == results[other].records
         assert (serial.to_json()["results"]
                 == results[other].to_json()["results"])
-
-    def test_telemetry_trials_isolated_across_threads(self):
-        """Concurrent thread trials each scope their own registry; the
-        spec_trial path attaches per-trial snapshots that must match a
-        serial run's byte for byte."""
-        grid_kwargs = dict(
-            axes={"provider.corrupted": (0, 1)},
-            fixed={"telemetry.enabled": True},
-        )
-
-        def run(executor):
-            grid = ParameterGrid.over_spec(
-                population_spec(num_clients=10, rounds=2),
-                name="exec_telemetry", **grid_kwargs)
-            return CampaignRunner(spec_trial, base_seed=5, workers=2,
-                                  executor=executor, chunk_size=1,
-                                  include_telemetry=True).run(grid)
-
-        serial, threaded = run("serial"), run("threads")
-        assert threaded.mode == "threads:2"
-        snapshots = [r.telemetry for r in serial.records]
-        assert any(s is not None for s in snapshots)
-        assert snapshots == [r.telemetry for r in threaded.records]
 
 
 class TestAdaptiveSelection:
@@ -189,6 +169,8 @@ class TestAdaptiveSelection:
     def test_invalid_executor_rejected(self):
         with pytest.raises(ValueError, match="executor"):
             CampaignRunner(noisy_trial, executor="fork-bomb")
+        with pytest.raises(ValueError, match="executor"):
+            CampaignRunner(noisy_trial, executor="threads")
 
     def test_adaptive_probe_record_is_first_spec(self):
         """The calibration probe is spec[0] run in-process — its record

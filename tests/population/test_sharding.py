@@ -276,12 +276,12 @@ class TestShardDeterminism:
         spec = population_spec(num_clients=16, rounds=2, corrupted=1)
         for seed in SEEDS:
             folds = {}
-            for mode in ("serial", "threads"):
+            for mode in ("serial", "processes"):
                 fleet = ShardedFleet(spec, seed, shards=4, workers=4)
                 fleet.executor = mode
                 fleet.run()
                 folds[mode] = fleet.telemetry.snapshot_json()
-            assert folds["serial"] == folds["threads"]
+            assert folds["serial"] == folds["processes"]
 
     def test_serial_vs_sharded_invariant_subset_byte_identical(self):
         # K=1 vs K=4 on the shard-invariant spec: the population's
