@@ -19,8 +19,7 @@ Two quantities:
 from __future__ import annotations
 
 import math
-
-from scipy.stats import binom
+from fractions import Fraction
 
 from repro.util.validation import check_fraction, check_probability
 
@@ -61,8 +60,11 @@ def attack_probability_exact(n: int, x: float, p_attack: float) -> float:
     m = required_corrupted_resolvers(n, x)
     if m <= 0:
         return 1.0
-    # P[X >= m] = survival function at m-1.
-    return float(binom.sf(m - 1, n, p_attack))
+    # P[X >= m], summed exactly over Fractions: float() of the exact
+    # tail is its correctly rounded value.
+    p = Fraction(p_attack)
+    return float(sum(math.comb(n, k) * p**k * (1 - p)**(n - k)
+                     for k in range(m, n + 1)))
 
 
 def resolvers_for_target_security(x: float, p_attack: float,

@@ -128,9 +128,8 @@ class Aggregator:
         self._include_traces = include_traces
         # point_key -> (point_index, params, trial count)
         self._points: Dict[str, Tuple[int, Mapping[str, Any], int]] = {}
-        self._stats: Dict[Tuple[str, str], RunningStats] = {}
-        # Metric names in first-seen order per point key.
-        self._metric_order: Dict[str, List[str]] = {}
+        # point_key -> {metric name: running stats}
+        self._stats: Dict[str, Dict[str, RunningStats]] = {}
         # point_key -> {trial index: parsed snapshot}
         self._telemetry: Dict[str, Dict[int, Any]] = {}
         # point_key -> {trial index: parsed trace snapshot}
@@ -146,7 +145,6 @@ class Aggregator:
         if entry is None:
             self._points[record.point_key] = (record.point_index,
                                               record.params, 1)
-            self._metric_order[record.point_key] = []
         else:
             self._points[record.point_key] = (entry[0], entry[1], entry[2] + 1)
         if self._include_telemetry and record.telemetry is not None:
@@ -155,25 +153,28 @@ class Aggregator:
         if self._include_traces and record.trace is not None:
             self._traces.setdefault(record.point_key, {})[record.trial] = (
                 json.loads(record.trace))
-        order = self._metric_order[record.point_key]
+        point_stats = self._stats.setdefault(record.point_key, {})
         for metric, value in record.metrics.items():
-            stats_key = (record.point_key, metric)
-            if stats_key not in self._stats:
-                self._stats[stats_key] = RunningStats()
-                order.append(metric)
-            self._stats[stats_key].add(float(value))
+            stats = point_stats.get(metric)
+            if stats is None:
+                stats = point_stats[metric] = RunningStats()
+            stats.add(float(value))
 
     def extend(self, records) -> None:
         for record in records:
             self.add(record)
 
     def summaries(self) -> List[PointSummary]:
-        """Per-point summaries in first-seen (grid expansion) order."""
+        """Per-point summaries in grid expansion order, each point's
+        metrics sorted by name: records replayed from the campaign store
+        carry their metrics key-sorted, so first-seen order would make
+        a cached run list them differently from a live one."""
         result = []
         for key, (index, params, trials) in self._points.items():
             metrics: Dict[str, MetricSummary] = {}
-            for metric in self._metric_order[key]:
-                stats = self._stats[(key, metric)]
+            point_stats = self._stats.get(key, {})
+            for metric in sorted(point_stats):
+                stats = point_stats[metric]
                 stderr = (stats.stddev / math.sqrt(stats.count)
                           if stats.count else 0.0)
                 ci_low, ci_high = normal_ci(stats.mean, stats.stddev,

@@ -24,7 +24,7 @@ event, a ``chaos.active`` time series marking degraded windows, and one
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.chaos.capacity import ServerCapacity
 from repro.chaos.spec import (
@@ -191,25 +191,27 @@ class ChaosController:
         rng = self._rng.stream("chaos", "outage", str(index))
         return tuple(sorted(rng.sample(names, count)))
 
-    def _overload_targets(self, event: Overload) -> List[Tuple[str, Any]]:
-        """(label, serve engine) pairs the overload window gates."""
-        targets: List[Tuple[str, Any]] = []
+    def _overload_targets(self, event: Overload) -> List[Tuple[str, Tuple]]:
+        """(label, serve engines) pairs the overload window gates: one
+        queue per label, shared by every engine behind it."""
+        targets: List[Tuple[str, Tuple]] = []
         if event.scope == "providers":
+            # A provider is one host: its :53 resolver and its DoH front
+            # end (when it has one) drain the same queue.
             for deployment in self._pool.providers:
-                engine = (deployment.doh_server
-                          if deployment.doh_server is not None
-                          else deployment.resolver)
-                targets.append((deployment.name, engine))
+                engines = (deployment.resolver, deployment.doh_server)
+                targets.append((deployment.name,
+                                tuple(e for e in engines if e is not None)))
         elif event.scope == "dns":
             for name, server in sorted(self._pool.dns_servers.items()):
-                targets.append((name, server))
+                targets.append((name, (server,)))
         elif event.scope == "pool" and self._ntp_fleet is not None:
             for address, server in sorted(self._ntp_fleet.servers.items(),
                                           key=lambda item: str(item[0])):
-                targets.append((server.host.name, server))
+                targets.append((server.host.name, (server,)))
         if event.servers:
             wanted = set(event.servers)
-            targets = [(label, engine) for label, engine in targets
+            targets = [(label, engines) for label, engines in targets
                        if label in wanted]
         return targets
 
@@ -282,16 +284,18 @@ class ChaosController:
                                       "targets": ",".join(targets)})
 
     def _overload(self, index: int, event: Overload,
-                  targets: List[Tuple[str, Any]]) -> None:
+                  targets: List[Tuple[str, Tuple]]) -> None:
         attached = []
-        for label, engine in targets:
-            engine.capacity = ServerCapacity(
+        for label, engines in targets:
+            capacity = ServerCapacity(
                 self._simulator, qps=event.qps,
                 queue_depth=event.queue_depth,
                 service_time=event.service_time,
                 overflow=event.overflow, label=label,
                 registry=self._registry)
-            attached.append(engine)
+            for engine in engines:
+                engine.capacity = capacity
+            attached.extend(engines)
         self._overloaded[index] = attached
 
     def _relax(self, index: int) -> None:

@@ -136,8 +136,9 @@ class Overload(SpecBase):
     engines for ``duration`` seconds: requests are serviced at most
     ``qps`` per second (each taking ``service_time``), at most
     ``queue_depth`` may wait, and overflow is dropped or answered with
-    SERVFAIL per ``overflow``. Queue state lands in the
-    ``srv.queue_depth`` / ``srv.rejected`` telemetry."""
+    SERVFAIL per ``overflow``. A provider is one host: its ``:53``
+    resolver and its DoH front end share one queue. Queue state lands
+    in the ``srv.queue_depth`` / ``srv.rejected`` telemetry."""
 
     KIND: ClassVar[str] = "overload"
     _NESTED = {"servers": ("scalars", None)}

@@ -8,7 +8,8 @@ on. It provides:
 * :mod:`repro.netsim.address` — IPv4/IPv6 endpoint addressing;
 * :mod:`repro.netsim.packet` — UDP-style datagrams and stream segments;
 * :mod:`repro.netsim.link` / :mod:`repro.netsim.topology` — links with
-  latency/loss and a routed graph of network nodes (networkx-backed);
+  latency/loss and a routed graph of network nodes (bidirectional
+  Dijkstra over an insertion-ordered adjacency dict);
 * :mod:`repro.netsim.host` / :mod:`repro.netsim.socket` — hosts with
   bound sockets and timer support;
 * :mod:`repro.netsim.internet` — the assembled network, including the

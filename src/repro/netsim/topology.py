@@ -2,7 +2,8 @@
 
 Nodes are named routers/vantage points ("eu-west", "us-east", ...);
 hosts attach to a node. Routing is shortest-path by expected latency,
-computed with networkx and cached until the topology changes.
+found by a bidirectional Dijkstra over an insertion-ordered adjacency
+dict and cached until the topology changes.
 
 The topology is what gives the paper's threat model its teeth: an
 on-path attacker controls a *subset of links*, so whether it can touch a
@@ -12,10 +13,10 @@ controls some but not all paths" assumption in the paper.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import random
 from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
 
 from repro.netsim.link import FaultModel, Link, LinkProfile
 from repro.util.rng import RngRegistry
@@ -37,7 +38,9 @@ class Topology:
     """
 
     def __init__(self, rng_registry: Optional[RngRegistry] = None) -> None:
-        self._graph = nx.Graph()
+        # node -> {neighbour: weight}, both in insertion order: the
+        # neighbour order decides between equal-latency routes.
+        self._adj: Dict[str, Dict[str, float]] = {}
         self._links: Dict[Tuple[str, str], Link] = {}
         self._rng_registry = rng_registry or RngRegistry(0)
         self._route_cache: Dict[Tuple[str, str], List[Link]] = {}
@@ -55,7 +58,7 @@ class Topology:
     @property
     def nodes(self) -> List[str]:
         """All node names, sorted for determinism."""
-        return sorted(self._graph.nodes)
+        return sorted(self._adj)
 
     @property
     def links(self) -> List[Link]:
@@ -64,7 +67,7 @@ class Topology:
 
     def add_node(self, name: str) -> None:
         """Add a routing node; idempotent."""
-        self._graph.add_node(name)
+        self._adj.setdefault(name, {})
         self._invalidate_routes()
 
     def _invalidate_routes(self) -> None:
@@ -73,7 +76,7 @@ class Topology:
         self._version += 1
 
     def has_node(self, name: str) -> bool:
-        return name in self._graph
+        return name in self._adj
 
     def add_link(self, a: str, b: str, profile: LinkProfile) -> Link:
         """Join nodes ``a`` and ``b`` with a link; creates nodes if needed."""
@@ -84,7 +87,9 @@ class Topology:
         link = Link(a, b, profile, rng)
         self._links[key] = link
         # Weight by expected latency so routing prefers fast paths.
-        self._graph.add_edge(a, b, weight=profile.latency + profile.jitter / 2.0)
+        weight = profile.latency + profile.jitter / 2.0
+        self._adj.setdefault(a, {})[b] = weight
+        self._adj.setdefault(b, {})[a] = weight
         self._invalidate_routes()
         return link
 
@@ -118,7 +123,7 @@ class Topology:
         if key not in self._links:
             raise KeyError(f"no link {a}--{b}")
         del self._links[key]
-        self._graph.remove_edge(a, b)
+        del self._adj[a][b], self._adj[b][a]
         self._invalidate_routes()
 
     def route(self, src: str, dst: str) -> List[Link]:
@@ -160,13 +165,55 @@ class Topology:
         return list(cached)
 
     def _shortest_path(self, src: str, dst: str) -> List[str]:
-        """The one place the repository asks networkx for a path."""
-        if src not in self._graph or dst not in self._graph:
+        """The one place the repository searches for a path.
+
+        A bidirectional Dijkstra that breaks ties exactly as networkx
+        3.6's ``bidirectional_dijkstra`` (what ``nx.shortest_path``
+        runs for one weighted pair) does: the directions alternate,
+        forward first; heap entries are ``(dist, counter, node)`` with
+        ``src`` at counter 0 and ``dst`` at 1; a neighbour is relaxed
+        only on a strictly shorter distance; the meeting node changes
+        only for a strictly shorter total; and the search stops at the
+        first node final in both directions.
+        """
+        adj = self._adj
+        if src not in adj or dst not in adj:
             raise RoutingError(f"unknown node in route {src} -> {dst}")
-        try:
-            return list(nx.shortest_path(self._graph, src, dst, weight="weight"))
-        except nx.NetworkXNoPath as exc:
-            raise RoutingError(f"no route from {src} to {dst}") from exc
+        final = (set(), set())
+        seen = ({src: 0}, {dst: 0})
+        preds = ({src: None}, {dst: None})
+        fringe = ([(0, 0, src)], [(0, 1, dst)])
+        counter = itertools.count(2)
+        meet, best = None, 0.0
+        direction = 1
+        while fringe[0] and fringe[1]:
+            direction = 1 - direction
+            dist, _, node = heapq.heappop(fringe[direction])
+            if node in final[direction]:
+                continue
+            final[direction].add(node)
+            if node in final[1 - direction]:
+                path = [meet]
+                while preds[0][path[0]] is not None:
+                    path.insert(0, preds[0][path[0]])
+                while preds[1][path[-1]] is not None:
+                    path.append(preds[1][path[-1]])
+                return path
+            ours, theirs = seen[direction], seen[1 - direction]
+            for neighbour, weight in adj[node].items():
+                length = dist + weight
+                if neighbour in final[direction] or (
+                        neighbour in ours and length >= ours[neighbour]):
+                    continue
+                ours[neighbour] = length
+                heapq.heappush(fringe[direction],
+                               (length, next(counter), neighbour))
+                preds[direction][neighbour] = node
+                if neighbour in theirs:
+                    total = length + theirs[neighbour]
+                    if meet is None or best > total:
+                        meet, best = neighbour, total
+        raise RoutingError(f"no route from {src} to {dst}")
 
     def expected_latency(self, src: str, dst: str) -> float:
         """Sum of expected one-way latencies along the route."""

@@ -1,6 +1,7 @@
 """Tests for the §III analysis: closed forms, MC agreement, advantage."""
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -84,6 +85,17 @@ class TestAttackProbability:
         assert attack_probability_paper(5, 0.5, 0.0) == 0.0
         assert attack_probability_paper(5, 0.5, 1.0) == 1.0
         assert attack_probability_exact(5, 0.5, 1.0) == pytest.approx(1.0)
+
+    def test_exact_tail_is_correctly_rounded(self):
+        assert attack_probability_exact(5, 0.5, 0.0) == 0.0
+        assert attack_probability_exact(5, 0.5, 1.0) == 1.0
+        # m == n: the tail is the single term p^n, rounded once.
+        assert attack_probability_exact(5, 1.0, 0.5) == 0.03125
+        assert attack_probability_exact(7, 1.0, 0.3) == float(
+            Fraction(0.3) ** 7)
+        # P[Bin(3, 0.3) >= 2]: a binomial survival function built from
+        # floats returns 0.21599999999999994 here.
+        assert attack_probability_exact(3, 0.5, 0.3) == 0.216
 
     @given(st.integers(min_value=1, max_value=40),
            st.floats(min_value=0.05, max_value=1.0),

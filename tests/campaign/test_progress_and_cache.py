@@ -18,6 +18,10 @@ def other_trial(params, seed):
     return {"value": 0.0}
 
 
+def unsorted_metrics_trial(params, seed):
+    return {"b": params["offset"], "a": float(seed % 7)}
+
+
 GRID_AXES = {"offset": (0.0, 10.0, 100.0)}
 
 
@@ -65,6 +69,17 @@ class TestResultCache:
         assert again.mode == "cached"
         assert again.records == first.records
         assert again.summaries == first.summaries
+
+    def test_cached_run_lists_metrics_in_the_live_order(self, tmp_path):
+        """The store replays metrics key-sorted; the summaries must not
+        depend on whether a run was live or cached."""
+        runner = CampaignRunner(unsorted_metrics_trial, workers=0,
+                                cache_dir=tmp_path)
+        live = runner.run(self._grid("metric-order"))
+        cached = runner.run(self._grid("metric-order"))
+        assert cached.mode == "cached"
+        for first, again in zip(live.summaries, cached.summaries):
+            assert list(first.metrics) == list(again.metrics) == ["a", "b"]
 
     def test_cache_hit_reports_cached_progress(self, tmp_path):
         runner = CampaignRunner(noisy_trial, workers=0, cache_dir=tmp_path)

@@ -21,7 +21,12 @@ from repro.chaos import (
 from repro.chaos.controller import ChaosController
 from repro.core.errors import ConfigurationError
 from repro.population.sharding import invariant_snapshot_json
-from repro.scenarios.spec import materialize, pool_spec, population_spec
+from repro.scenarios.spec import (
+    materialize,
+    pool_spec,
+    population_spec,
+    set_path,
+)
 from repro.telemetry.registry import MetricsRegistry
 
 
@@ -167,6 +172,22 @@ class TestCacheWipeAndOverload:
             assert (engine.capacity is not None) == (deployment is chosen)
 
 
+    def test_overload_gates_both_engines_of_a_doh_provider(self):
+        world = materialize(pool_spec(), seed=11)
+        install(world, Overload(scope="providers", at=5.0, duration=10.0))
+        world.run(until=6.0)
+        for deployment in world.providers:
+            assert deployment.doh_server is not None
+            assert deployment.resolver.capacity is not None
+            # One host, one queue.
+            assert (deployment.resolver.capacity
+                    is deployment.doh_server.capacity)
+        world.run(until=20.0)
+        assert all(d.resolver.capacity is None
+                   and d.doh_server.capacity is None
+                   for d in world.providers)
+
+
 class TestMaterializeIntegration:
     def test_empty_timeline_builds_no_controller(self):
         spec = dataclasses.replace(pool_spec(), chaos=ChaosSpec())
@@ -200,6 +221,22 @@ class TestMaterializeIntegration:
                  if start >= OUTAGE.at + OUTAGE.duration + 10.0]
         assert window and min(window) < 1.0
         assert after and after[-1] == 1.0
+
+    @pytest.mark.parametrize("serve", ["doh", "dns"])
+    def test_overload_throttles_udp_fleet_whatever_providers_serve(
+            self, serve):
+        spec = dataclasses.replace(
+            set_path(population_spec(num_clients=20, rounds=2),
+                     "provider.serve", serve),
+            chaos=ChaosSpec(events=(Overload(scope="providers",
+                                             duration=1000.0, qps=0.5,
+                                             queue_depth=1),)))
+        world = materialize(spec, seed=5)
+        world.run()
+        counters = world.telemetry.snapshot()["counter"]
+        rejected = sum(value for key, value in counters.items()
+                       if key.startswith("srv.rejected"))
+        assert rejected > 0
 
     def test_chaos_worlds_replay_byte_identically(self):
         def snapshot_json():

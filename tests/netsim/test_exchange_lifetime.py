@@ -241,7 +241,7 @@ class TestDoHQuery:
 
 
 # ----------------------------------------------------------------------
-# Census: whole fleet runs leave no cyclic exchange garbage.
+# Census: whole fleet runs leave no cyclic garbage of any type.
 # ----------------------------------------------------------------------
 
 
@@ -263,9 +263,8 @@ def test_fleet_run_leaves_no_cyclic_exchange_garbage(name):
         outcomes = world.run()
         gc.collect()
         leaked = collections.Counter(
-            type(obj).__qualname__ for obj in gc.garbage
-            if type(obj).__module__.startswith(("repro.netsim.transport",
-                                                "repro.doh")))
+            f"{type(obj).__module__}.{type(obj).__qualname__}"
+            for obj in gc.garbage)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()

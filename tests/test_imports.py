@@ -3,7 +3,9 @@
 Inside one pytest process an import cycle hides: whichever module the
 suite imported first decides the order, and later imports find the
 cycle's modules already initialised. A fresh interpreter per package
-is what a user running ``python -c "import repro.doh"`` gets.
+is what a user running ``python -c "import repro.doh"`` gets. It is
+also where a heavyweight import would show: no package may pull in
+scipy, numpy or networkx, even where they are installed.
 """
 
 import os
@@ -27,6 +29,10 @@ def test_package_imports_in_fresh_interpreter(package):
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (os.pathsep + env["PYTHONPATH"]
                                if env.get("PYTHONPATH") else "")
-    result = subprocess.run([sys.executable, "-c", f"import {package}"],
+    probe = (f"import sys, {package}\n"
+             "print(sorted(m for m in ('scipy', 'numpy', 'networkx') "
+             "if m in sys.modules))")
+    result = subprocess.run([sys.executable, "-c", probe],
                             env=env, capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]", result.stdout
