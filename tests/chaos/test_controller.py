@@ -171,7 +171,6 @@ class TestCacheWipeAndOverload:
                       else deployment.resolver)
             assert (engine.capacity is not None) == (deployment is chosen)
 
-
     def test_overload_gates_both_engines_of_a_doh_provider(self):
         world = materialize(pool_spec(), seed=11)
         install(world, Overload(scope="providers", at=5.0, duration=10.0))

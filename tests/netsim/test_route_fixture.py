@@ -8,9 +8,9 @@ removes one; ends are indices into ``nodes``) and the route of every
 ordered node pair, ``None`` where the pair is disconnected. The
 topologies are:
 
-* every network the spec layer builds (the pool world, the population
-  layouts with 1-8 regions, the iterative hierarchy and the uniform
-  backbone of the sharding harness);
+* every network the spec layer builds (the pool world, the default
+  population layout and 1-8 explicit regions, the iterative hierarchy
+  and the uniform backbone of the sharding harness);
 * a few ``Topology.random_mesh`` seeds, all links equal;
 * a seeded corpus of tie-heavy graphs (latencies in {0, 0.01, 0.02,
   0.03}, no jitter) with links removed and re-added, which reorders
