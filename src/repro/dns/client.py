@@ -116,8 +116,7 @@ class StubResolver:
         self._simulator = simulator
         self._server = Endpoint(IPAddress(server), DNS_PORT)
         self._policy = RetryPolicy(timeout=timeout, retries=retries)
-        self._transport = Transport(host, simulator,
-                                    rng=rng or random.Random(0))
+        self._transport = Transport(host, simulator, rng=rng)
         self._stats = StubStats()
         self._telemetry = current_registry()
         self._tracer = current_tracer()

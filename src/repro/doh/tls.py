@@ -173,10 +173,15 @@ class Certificate:
             offset += count
             return chunk
 
-        subject_len = struct.unpack("!H", take(2))[0]
-        subject = take(subject_len).decode("utf-8")
-        issuer_len = struct.unpack("!H", take(2))[0]
-        issuer = take(issuer_len).decode("utf-8")
+        def take_name() -> str:
+            raw = take(struct.unpack("!H", take(2))[0])
+            try:
+                return raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise TlsError("certificate name is not UTF-8") from None
+
+        subject = take_name()
+        issuer = take_name()
         public_key = int.from_bytes(take(_KEY_BYTES), "big")
         serial = struct.unpack("!I", take(4))[0]
         sig_len = struct.unpack("!H", take(2))[0]

@@ -412,9 +412,11 @@ class Transport:
 
     :param host: the machine exchanges originate from.
     :param simulator: virtual-time engine for timeouts and metrics.
-    :param rng: stream for transaction IDs (one draw per attempt).
-        Callers that identify transactions some other way (NTP uses the
-        origin timestamp) simply never ask for txids.
+    :param rng: stream for transaction IDs (one draw per attempt),
+        stored as given. Without one, the first :meth:`draw_txid`
+        creates a ``random.Random(0)``; callers that identify
+        transactions some other way (NTP uses the origin timestamp)
+        never draw, and so never own a generator.
     :param txid_bits: width of the transaction-ID space.
     """
 
@@ -425,7 +427,7 @@ class Transport:
             raise ValueError(f"txid_bits must be >= 1, got {txid_bits}")
         self._host = host
         self._simulator = simulator
-        self._rng = rng or random.Random(0)
+        self._rng = rng
         self._txid_bits = txid_bits
         self._exchanges_started = 0
         self._exchanges_timed_out = 0
@@ -434,11 +436,6 @@ class Transport:
         # no tracer installed no exchange/attempt spans are allocated.
         self._telemetry = current_registry()
         self._tracer = current_tracer()
-        # (metric name, label) -> instrument, filled on first use so the
-        # per-exchange publish is dict hits instead of registry lookups.
-        # Instruments are still created at the same first-use points as
-        # the uncached path, keeping snapshots identical.
-        self._instruments: dict = {}
 
     @property
     def host(self) -> "Host":
@@ -463,7 +460,10 @@ class Transport:
 
     def draw_txid(self) -> int:
         """Draw one transaction ID from the transport's RNG stream."""
-        return self._rng.randrange(1 << self._txid_bits)
+        rng = self._rng
+        if rng is None:
+            rng = self._rng = random.Random(0)
+        return rng.randrange(1 << self._txid_bits)
 
     # ------------------------------------------------------------------
     # The two entry points.
@@ -509,44 +509,30 @@ class Transport:
             on_complete(report)
         return wrapped
 
-    def _counter(self, name: str, label: str):
-        key = (name, label)
-        instrument = self._instruments.get(key)
-        if instrument is None:
-            instrument = self._telemetry.counter(name, label=label)
-            self._instruments[key] = instrument
-        return instrument
-
-    def _histogram(self, name: str, label: str):
-        key = (name, label)
-        instrument = self._instruments.get(key)
-        if instrument is None:
-            instrument = self._telemetry.histogram(name, label=label)
-            self._instruments[key] = instrument
-        return instrument
-
     def _publish(self, report: ExchangeReport, label: str) -> None:
         """One completed exchange's metrics, keyed by exchange label."""
-        self._counter("transport.exchanges", label).inc()
-        self._counter("transport.attempts", label).inc(report.attempts)
+        counter = self._telemetry.counter
+        counter("transport.exchanges", label=label).inc()
+        counter("transport.attempts", label=label).inc(report.attempts)
         if report.timed_out:
-            self._counter("transport.timeouts", label).inc()
+            counter("transport.timeouts", label=label).inc()
             # Retry exhaustion, named explicitly: the whole policy
             # budget (first attempt plus every retry) timed out and the
             # caller got nothing. Availability dashboards key on this
             # rather than inferring it from timeouts vs attempts.
-            self._counter("transport.exhausted", label).inc()
+            counter("transport.exhausted", label=label).inc()
         elif report.rtt is not None:
-            self._histogram("transport.rtt", label).observe(report.rtt)
+            self._telemetry.histogram(
+                "transport.rtt", label=label).observe(report.rtt)
         if report.bytes_sent:
-            self._counter("transport.bytes_sent",
-                          label).inc(report.bytes_sent)
+            counter("transport.bytes_sent",
+                    label=label).inc(report.bytes_sent)
         if report.bytes_received:
-            self._counter("transport.bytes_received",
-                          label).inc(report.bytes_received)
+            counter("transport.bytes_received",
+                    label=label).inc(report.bytes_received)
         if report.rejected_replies:
-            self._counter("transport.rejected_replies",
-                          label).inc(report.rejected_replies)
+            counter("transport.rejected_replies",
+                    label=label).inc(report.rejected_replies)
         if report.suppressed_replies:
-            self._counter("transport.suppressed_replies",
-                          label).inc(report.suppressed_replies)
+            counter("transport.suppressed_replies",
+                    label=label).inc(report.suppressed_replies)

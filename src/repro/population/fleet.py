@@ -53,6 +53,7 @@ one fleet of ``population`` clients (the sharded megafleet contract).
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -256,7 +257,7 @@ class RoundRng:
     explicit inputs, so identical streams replay identical rounds."""
 
     select: Any        # random.Random — pool-server selection
-    churn: Any         # random.Random — leave/stay decisions
+    churn: Any         # random.Random — leave/stay (None: churn off)
     arrivals: ArrivalProcess
 
 
@@ -553,7 +554,11 @@ class ClientFleet:
         host = self._internet.add_host(Host(
             f"pop-{g}", self._nodes[g % len(self._nodes)], [address],
             rng=streams.stream("ports")))
-        client_rng = streams.stream("client")
+        # A client holds only the generators its run draws: the clock
+        # offset is the "client" stream's only draw, so that generator
+        # is not memoised, and "arrival" / "churn" are asked for only
+        # under Poisson arrivals / a nonzero churn rate.
+        client_rng = random.Random(streams.derive("client"))
         clock = SimClock(
             lambda: self._simulator.now,
             offset=client_rng.uniform(-config.initial_clock_error,
@@ -579,9 +584,11 @@ class ClientFleet:
                             timeout=config.ntp_timeout)
         arrivals = make_arrivals(
             config.arrival, config.mean_interval, g, self._population,
-            rng=streams.stream("arrival"))
+            rng=(streams.stream("arrival")
+                 if config.arrival == "poisson" else None))
         rng = RoundRng(select=streams.stream("select"),
-                       churn=streams.stream("churn"),
+                       churn=(streams.stream("churn")
+                              if config.churn_rate else None),
                        arrivals=arrivals)
         return _FleetClient(self, g, host, clock, stubs, ntp, rng, doh=doh)
 

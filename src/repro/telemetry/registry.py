@@ -88,6 +88,9 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments: Dict[_Key, object] = {}
         self._kinds: Dict[_Key, str] = {}
+        # (kind, name, labels as passed) -> instrument: the accessors'
+        # hot path is one dict hit, with no label-sorted key built.
+        self._memo: Dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     # Instrument accessors.
@@ -120,17 +123,21 @@ class MetricsRegistry:
         return series
 
     def _get(self, kind: str, name: str, labels: Dict[str, object]):
+        memo_key = (kind, name, tuple(labels.items()))
+        instrument = self._memo.get(memo_key)
+        if instrument is not None:
+            return instrument
         key = _key(name, labels)
-        existing = self._instruments.get(key)
-        if existing is not None:
-            if self._kinds[key] != kind:
-                raise TypeError(
-                    f"metric {_render_key(key)} already registered as "
-                    f"{self._kinds[key]}, requested as {kind}")
-            return existing
-        instrument = _KINDS[kind]()
-        self._instruments[key] = instrument
-        self._kinds[key] = kind
+        instrument = self._instruments.get(key)
+        if instrument is None:
+            instrument = _KINDS[kind]()
+            self._instruments[key] = instrument
+            self._kinds[key] = kind
+        elif self._kinds[key] != kind:
+            raise TypeError(
+                f"metric {_render_key(key)} already registered as "
+                f"{self._kinds[key]}, requested as {kind}")
+        self._memo[memo_key] = instrument
         return instrument
 
     # ------------------------------------------------------------------

@@ -61,8 +61,8 @@ class StreamPrefix:
     100k-client shard does one prefix pass, not eight, per client.
 
     Streams are memoised in the owning registry's table under the same
-    ``"/"``-joined keys :meth:`RngRegistry.stream` uses, so prefixed
-    and direct lookups of the same path return the same generator.
+    name-tuple keys :meth:`RngRegistry.stream` uses, so prefixed and
+    direct lookups of the same path return the same generator.
     """
 
     __slots__ = ("_streams", "_names", "_hasher")
@@ -96,7 +96,7 @@ class StreamPrefix:
 
     def stream(self, *names: str) -> random.Random:
         """The registry stream for ``(*self.names, *names)``."""
-        key = "/".join(self._names + names)
+        key = self._names + names
         stream = self._streams.get(key)
         if stream is None:
             self._streams[key] = stream = random.Random(self.derive(*names))
@@ -115,11 +115,17 @@ class RngRegistry:
     True
     >>> reg.stream("a") is reg.stream("b")
     False
+
+    The memo keys on the name path itself, so a name containing ``/``
+    is not a path of two names:
+
+    >>> reg.stream("a", "b") is reg.stream("a/b")
+    False
     """
 
     def __init__(self, root_seed: int) -> None:
         self._root_seed = int(root_seed)
-        self._streams: Dict[str, random.Random] = {}
+        self._streams: Dict[Tuple[str, ...], random.Random] = {}
 
     @property
     def root_seed(self) -> int:
@@ -128,10 +134,10 @@ class RngRegistry:
 
     def stream(self, *names: str) -> random.Random:
         """Return (creating if needed) the stream for a name path."""
-        key = "/".join(names)
-        if key not in self._streams:
-            self._streams[key] = make_rng(self._root_seed, *names)
-        return self._streams[key]
+        stream = self._streams.get(names)
+        if stream is None:
+            self._streams[names] = stream = make_rng(self._root_seed, *names)
+        return stream
 
     def prefixed(self, *names: str) -> StreamPrefix:
         """A :class:`StreamPrefix` over ``names``: bulk-derive child

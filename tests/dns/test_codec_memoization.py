@@ -7,10 +7,19 @@ isolation between hits, and adversarial compression pointers aimed at
 the ID bytes.
 """
 
-from repro.dns.message import Flags, Message, Question, ResourceRecord, make_query
+from hypothesis import example, given, settings, strategies as st
+
+from repro.dns.message import (
+    _DECODE_MEMO,
+    Flags,
+    Message,
+    Question,
+    ResourceRecord,
+    make_query,
+)
 from repro.dns.name import Name
 from repro.dns.rcode import RCode
-from repro.dns.rdata import ARdata
+from repro.dns.rdata import ARdata, CNAMERdata, NSRdata
 from repro.dns.rrtype import RRType
 from repro.netsim.address import IPAddress
 
@@ -83,3 +92,69 @@ class TestDecodeMemo:
         second = Message.decode(crafted(b"\x01b"))
         assert first.questions[0].qname == Name("a")
         assert second.questions[0].qname == Name("b")
+
+
+def _pointer_into_id(txid: bytes) -> bytes:
+    """A query whose QNAME is a compression pointer to offset 0."""
+    header = txid + b"\x00\x00" + b"\x00\x01\x00\x00\x00\x00\x00\x00"
+    return header + b"\xc0\x00" + b"\x00\x01" + b"\x00\x01"
+
+
+def _referral() -> bytes:
+    zone = Name("ntp.org")
+    return Message(
+        txid=0x4242,
+        flags=Flags(qr=True, rcode=RCode.NOERROR),
+        questions=[Question(Name("pool.ntp.org"), RRType.A)],
+        answers=[ResourceRecord(Name("pool.ntp.org"), RRType.CNAME, 60,
+                                CNAMERdata(Name("eu.pool.ntp.org")))],
+        authority=[ResourceRecord(zone, RRType.NS, 300,
+                                  NSRdata(Name("ns1.ntp.org")))],
+        additional=[ResourceRecord(Name("ns1.ntp.org"), RRType.A, 300,
+                                   ARdata(IPAddress("192.0.2.53")))],
+    ).encode()
+
+
+_BASE_WIRES = (_reply(0x0101).encode(), _referral(),
+               _pointer_into_id(b"\x01a"))
+
+
+@st.composite
+def _mutated_wires(draw) -> bytes:
+    """A valid wire with some bytes overwritten, some compression
+    pointers aimed at the ID bytes (offsets 0-1), and maybe a cut."""
+    wire = bytearray(draw(st.sampled_from(_BASE_WIRES)))
+    for position, value in draw(st.lists(
+            st.tuples(st.integers(0, len(wire) - 1), st.integers(0, 255)),
+            max_size=4)):
+        wire[position] = value
+    for position, target in draw(st.lists(
+            st.tuples(st.integers(12, len(wire) - 2), st.integers(0, 1)),
+            max_size=2)):
+        wire[position:position + 2] = bytes((0xC0, target))
+    if draw(st.booleans()):
+        del wire[draw(st.integers(0, len(wire))):]
+    return bytes(wire)
+
+
+def _decode(wire: bytes):
+    """The decoded message, or the type of the error it raised."""
+    try:
+        return Message.decode(wire)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestDecodeMemoProperty:
+    @settings(max_examples=300, deadline=None)
+    @example(wire=_pointer_into_id(b"\x01a"), other_txid=b"\x01b")
+    @given(wire=_mutated_wires(),
+           other_txid=st.binary(min_size=2, max_size=2))
+    def test_memoised_decode_equals_cold_decode(self, wire, other_txid):
+        _DECODE_MEMO.clear()
+        cold = _decode(wire)
+        # Prime the memo with the same tail under another TXID, then
+        # decode again: a hit must agree with the cold parse.
+        _DECODE_MEMO.clear()
+        _decode(other_txid + wire[2:])
+        assert _decode(wire) == cold

@@ -7,6 +7,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.doh.tls import (
     Certificate,
@@ -169,6 +170,41 @@ class TestCertificates:
     def test_truncated_certificate_raises(self):
         with pytest.raises(TlsError):
             Certificate.decode(b"\x00\x05ab")
+
+    @pytest.mark.parametrize("data", [b"\x00\x01\xff",
+                                      b"\x00\x00\x00\x02\xc3("])
+    def test_non_utf8_name_raises_tls_error(self, data):
+        with pytest.raises(TlsError):
+            Certificate.decode(data)
+
+
+_CERTIFICATE_WIRE = CertificateAuthority("Test CA", make_rng(1)).issue(
+    "dns.example", KeyPair.generate(make_rng(2)).public).encode()
+
+
+@st.composite
+def _mutated_certificates(draw) -> bytes:
+    """A genuine certificate's wire with bytes overwritten and a cut."""
+    wire = bytearray(_CERTIFICATE_WIRE)
+    for position, value in draw(st.lists(
+            st.tuples(st.integers(0, len(wire) - 1), st.integers(0, 255)),
+            max_size=4)):
+        wire[position] = value
+    if draw(st.booleans()):
+        del wire[draw(st.integers(0, len(wire))):]
+    return bytes(wire)
+
+
+class TestCertificateDecodeProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=64), _mutated_certificates()))
+    def test_arbitrary_bytes_raise_only_tls_error(self, data):
+        try:
+            certificate, consumed = Certificate.decode(data)
+        except TlsError:
+            return
+        assert consumed <= len(data)
+        assert certificate.encode() == data[:consumed]
 
 
 class TestRecordProtection:
@@ -365,6 +401,30 @@ class TestHandshakeAndData:
         conn.connect()
         sim.run()
         assert failures == ["server failed key confirmation"]
+
+    def test_non_utf8_server_hello_fails_the_connection(self):
+        """A ServerHello whose certificate names are not UTF-8 fails the
+        handshake cleanly instead of raising out of delivery."""
+        sim, net, client_host, server_host, ca, cert, key, reg = build_tls_world()
+        TlsServer(server_host, 443, cert, key)
+        failures = []
+
+        def corrupt(link, datagram):
+            if datagram.payload and datagram.payload[0] == 2:
+                return TapAction.rewrite(datagram.payload[:9]
+                                         + b"\x00\x01\xff")
+            return TapAction.passthrough()
+
+        net.add_tap("left--right", corrupt)
+        conn = TlsClientConnection(client_host, Endpoint(ip("10.0.0.2"), 443),
+                                   "dns.example", TrustStore([ca]),
+                                   reg.stream("client"))
+        conn.on_failure(failures.append)
+        conn.connect()
+        sim.run()
+        assert failures == ["malformed certificate"]
+        assert conn.failed == "malformed certificate"
+        assert not conn.established
 
     def test_send_before_established_raises(self):
         sim, net, client_host, server_host, ca, cert, key, reg = build_tls_world()

@@ -1,5 +1,7 @@
 """Unit tests for the unified request/response transport."""
 
+import random
+
 import pytest
 
 from repro.netsim.address import Endpoint, IPAddress, ip
@@ -9,6 +11,7 @@ from repro.netsim.link import LinkProfile
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import Topology
 from repro.netsim.transport import RetryPolicy, Transport
+from repro.telemetry.registry import MetricsRegistry, use_registry
 from repro.util.rng import RngRegistry
 
 
@@ -256,3 +259,49 @@ class TestSupervise:
         assert len(reports) == 1
         assert reports[0].value is None
         assert reports[0].suppressed_replies == 1
+
+
+class TestTxidStream:
+    def test_without_rng_draws_random_zero_sequence(self):
+        world = _World()
+        transport = Transport(world.client, world.simulator)
+        reference = random.Random(0)
+        assert [transport.draw_txid() for _ in range(8)] == [
+            reference.randrange(1 << 16) for _ in range(8)]
+
+    def test_without_rng_holds_no_generator_before_drawing(self):
+        world = _World()
+        transport = Transport(world.client, world.simulator)
+        assert not any(isinstance(value, random.Random)
+                       for value in vars(transport).values())
+
+
+class TestSharedInstruments:
+    def test_transports_under_one_registry_share_instruments(self):
+        registry = MetricsRegistry()
+        world = _World()
+        world.serve(lambda socket, datagram: socket.reply(datagram, b"pong"))
+        with use_registry(registry):
+            transports = [Transport(world.client, world.simulator,
+                                    rng=world.registry.stream("txid", str(i)))
+                          for i in range(3)]
+        reports = []
+        for transport in transports:
+            transport.exchange(
+                world.server_endpoint,
+                build_request=lambda attempt: b"ping",
+                classify=lambda datagram, attempt: datagram.payload,
+                on_complete=reports.append,
+                policy=RetryPolicy(timeout=1.0), label="probe")
+        world.simulator.run()
+        assert len(reports) == 3
+        exchanges = registry.counter("transport.exchanges", label="probe")
+        assert exchanges.value == 3
+        assert registry.get("transport.exchanges", label="probe") is exchanges
+        assert registry.counter("transport.bytes_sent",
+                                label="probe").value == 12
+        assert registry.histogram("transport.rtt", label="probe").count == 3
+        assert registry.names() == sorted(
+            f"transport.{name}{{label=probe}}"
+            for name in ("attempts", "bytes_received", "bytes_sent",
+                         "exchanges", "rtt"))

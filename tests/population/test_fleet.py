@@ -1,10 +1,14 @@
 """The client fleet: batching, population semantics, reproducibility."""
 
+import gc
+import random
+
 import pytest
 
 from repro.netsim.simulator import SimulationError, Simulator
 from repro.population import BatchDispatcher, FleetConfig
 from repro.scenarios import materialize, population_spec
+from repro.util.rng import make_rng
 
 
 class TestBatchDispatcher:
@@ -205,6 +209,50 @@ class TestChurnAndReproducibility:
         # Strictly fewer simulator events than wake-ups proves rounds
         # actually coalesced into shared bins.
         assert dispatcher.batches < dispatcher.dispatched
+
+
+def _live_randoms() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if type(obj) is random.Random)
+
+
+class TestClientStreams:
+    """A client holds generators only for the streams its run draws."""
+
+    def test_forwarding_fleet_holds_at_most_five_generators_per_client(self):
+        # Periodic arrivals, no churn: a client draws ports, three
+        # txid streams and select. The clock offset's one draw leaves
+        # nothing behind; arrival, churn and NTP's transport own none.
+        spec = population_spec(num_clients=50, rounds=1)
+        materialize(spec, 5)                      # warm import-time state
+        before = _live_randoms()
+        small = materialize(spec, 5)
+        middle = _live_randoms()
+        large = materialize(population_spec(num_clients=100, rounds=1), 5)
+        after = _live_randoms()
+        per_client = ((after - middle) - (middle - before)) / 50
+        assert per_client <= 5
+        assert small.fleet.clients == 50 and large.fleet.clients == 100
+
+    def test_clock_offset_is_the_client_streams_first_draw(self):
+        scenario = materialize(population_spec(num_clients=5, rounds=1), 11)
+        for client in scenario.fleet._clients:
+            expected = make_rng(11, "population", str(client.index),
+                                "client").uniform(-0.050, 0.050)
+            assert client.clock.error() == expected
+
+    def test_poisson_and_churn_draw_their_named_streams(self):
+        seed = 12
+        scenario = materialize(population_spec(
+            num_clients=6, rounds=2, arrival="poisson", churn_rate=0.3), seed)
+        for client in scenario.fleet._clients:
+            tag = str(client.index)
+            arrival = make_rng(seed, "population", tag, "arrival")
+            churn = make_rng(seed, "population", tag, "churn")
+            assert [client.rng.arrivals.next_delay() for _ in range(3)] == [
+                arrival.expovariate(1 / 16.0) for _ in range(3)]
+            assert [client.rng.churn.random() for _ in range(3)] == [
+                churn.random() for _ in range(3)]
 
 
 class TestEventCap:

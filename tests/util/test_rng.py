@@ -58,6 +58,26 @@ class TestRngRegistry:
         reg = RngRegistry(3)
         assert reg.stream("net") is not reg.stream("dns")
 
+    @pytest.mark.parametrize("first", ["path", "joined"])
+    def test_slash_in_a_name_is_not_a_path(self, first):
+        # ("a", "b") and ("a/b",) derive different seeds, so each must
+        # get its own generator whichever is asked for first.
+        reg = RngRegistry(3)
+        if first == "path":
+            path, joined = reg.stream("a", "b"), reg.stream("a/b")
+        else:
+            joined, path = reg.stream("a/b"), reg.stream("a", "b")
+        assert path is not joined
+        assert path.random() == make_rng(3, "a", "b").random()
+        assert joined.random() == make_rng(3, "a/b").random()
+
+    def test_prefixed_and_direct_lookups_share_a_stream(self):
+        reg = RngRegistry(3)
+        prefix = reg.prefixed("population", "7")
+        assert prefix.stream("txid", "0") is reg.stream(
+            "population", "7", "txid", "0")
+        assert prefix.stream("txid/0") is not prefix.stream("txid", "0")
+
     def test_root_seed_property(self):
         assert RngRegistry(99).root_seed == 99
 
