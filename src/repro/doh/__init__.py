@@ -9,7 +9,11 @@ exchange authenticated by a certificate binding the server name to its
 static DH key, with per-record MACs — rather than a flag an attacker
 implementation could "forget" to honour. The exchange's 2048-bit modular
 exponentiations run in OpenSSL through the ``cryptography`` package,
-which is imported on a world's first handshake.
+which is imported on a world's first handshake. A completed handshake
+pays two of them: the client mints its ephemeral public value and the
+server derives the shared secret, which the client then reads instead
+of deriving it again. That shortcut is taken only when both key pairs
+came from ``KeyPair.generate``; any other pair derives cold.
 
 Modules:
 

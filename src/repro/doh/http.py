@@ -49,18 +49,26 @@ def _parse_headers(block: bytes) -> Dict[str, str]:
     return headers
 
 
+def _parse_digits(text: str, what: str) -> int:
+    """``text`` as ``1*DIGIT``: ASCII digits only, so no sign, no
+    underscore and no whitespace, all of which ``int()`` would accept."""
+    if not (text.isascii() and text.isdigit()):
+        raise HttpError(f"bad {what} {text!r}")
+    try:
+        return int(text)
+    except ValueError:  # more digits than int() will convert
+        raise HttpError(f"bad {what} {text!r}") from None
+
+
 def _split_message(data: bytes) -> Tuple[bytes, Dict[str, str], bytes]:
     head, sep, rest = data.partition(_CRLF + _CRLF)
     if not sep:
         raise HttpError("missing header terminator")
     first_line, _, header_block = head.partition(_CRLF)
     headers = _parse_headers(header_block)
-    length_text = headers.get("content-length", "0")
-    try:
-        length = int(length_text)
-    except ValueError:
-        raise HttpError(f"bad Content-Length {length_text!r}") from None
-    if length < 0 or length > len(rest):
+    length = _parse_digits(headers.get("content-length", "0"),
+                           "Content-Length")
+    if length > len(rest):
         raise HttpError("body shorter than Content-Length")
     return first_line, headers, rest[:length]
 
@@ -143,8 +151,7 @@ class HttpResponse:
         parts = first_line.decode("latin-1").split(" ", 2)
         if len(parts) < 2 or not parts[0].startswith("HTTP/"):
             raise HttpError(f"malformed status line {first_line!r}")
-        try:
-            status = int(parts[1])
-        except ValueError:
-            raise HttpError(f"bad status code {parts[1]!r}") from None
+        if len(parts[1]) != 3:
+            raise HttpError(f"bad status code {parts[1]!r}")
+        status = _parse_digits(parts[1], "status code")
         return cls(status=status, headers=headers, body=body)

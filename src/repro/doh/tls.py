@@ -13,6 +13,19 @@ that property with *working* mechanics instead of an honour-system flag:
   shared secret) run in OpenSSL through the ``cryptography`` package,
   imported on the first one, so worlds that mint no keys never load it.
   OpenSSL returns exactly the integers ``pow()`` would.
+* **Two modexps per handshake** — the client mints its ephemeral
+  public value, the server derives the shared secret from it, and the
+  client then reads that secret instead of deriving it again. This is
+  sound only when *both* pairs came from :meth:`KeyPair.generate`: for
+  A = g^a and B = g^b, A's secret with peer B is B^a = g^(ab) = A^b,
+  the value B would compute. A pair built directly may hold a public
+  value that does not match its secret, so it never touches the memo;
+  a peer value no generated pair minted (a crafted one, say) finds no
+  entry and is derived cold. A generated secret is never a multiple of
+  q (minting its public value would have raised), so the cold path
+  could not have failed where the memo answers, and the range check on
+  the peer value runs before any lookup. A hit and a miss yield the
+  same bytes.
 * **Record protection** — every record is encrypted with a keystream
   derived from the session secret and carries an HMAC-SHA256 tag; the
   receiver drops records whose tag fails, so an on-path attacker can
@@ -37,7 +50,7 @@ import hmac
 import itertools
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.netsim.address import Endpoint
@@ -67,6 +80,13 @@ _RECORD_DATA = 3
 _RECORD_ALERT = 4
 
 _session_counter = itertools.count(1)
+
+# Shared secrets derived by generated pairs, keyed (own public, peer
+# public) and popped by the generated peer under the swapped key (see
+# the module docstring). Bounded like the DNS codec memos: cleared on
+# overflow, which only costs the next reader a cold derivation.
+_SHARED_MEMO: Dict[Tuple[int, int], bytes] = {}
+_SHARED_MEMO_MAX = 256
 
 
 class TlsError(RuntimeError):
@@ -108,19 +128,33 @@ class KeyPair:
 
     secret: int
     public: int
+    # True only for pairs minted by generate(), whose public value is
+    # known to be g^secret; only those read or write _SHARED_MEMO.
+    _generated: bool = field(default=False, init=False, repr=False,
+                             compare=False)
 
     @classmethod
     def generate(cls, rng: random.Random) -> "KeyPair":
         secret = rng.randrange(2, DH_PRIME - 2)
         public = _exchange(secret, DH_GENERATOR)
-        return cls(secret=secret, public=int.from_bytes(public, "big"))
+        pair = cls(secret=secret, public=int.from_bytes(public, "big"))
+        object.__setattr__(pair, "_generated", True)
+        return pair
 
     def shared_secret(self, peer_public: int) -> bytes:
         """Compute the DH shared secret with a peer's public value."""
         if not 2 <= peer_public <= DH_PRIME - 2:
             raise TlsError("peer public value out of range")
-        return hashlib.sha256(
-            _exchange(self.secret, peer_public)).digest()
+        if self._generated:
+            shared = _SHARED_MEMO.pop((peer_public, self.public), None)
+            if shared is not None:
+                return shared
+        shared = hashlib.sha256(_exchange(self.secret, peer_public)).digest()
+        if self._generated:
+            if len(_SHARED_MEMO) >= _SHARED_MEMO_MAX:
+                _SHARED_MEMO.clear()
+            _SHARED_MEMO[(self.public, peer_public)] = shared
+        return shared
 
 
 @dataclass(frozen=True)

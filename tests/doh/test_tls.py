@@ -9,7 +9,9 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.doh import tls
 from repro.doh.tls import (
+    DH_PRIME,
     Certificate,
     CertificateAuthority,
     KeyPair,
@@ -44,11 +46,23 @@ class FixedDraw:
         return self._value
 
 
+def cold_shared_secret(pair_secret, peer_public):
+    """The shared secret as ``pow()`` computes it, memo or no memo."""
+    return hashlib.sha256(
+        pow(peer_public, pair_secret, DH_PRIME).to_bytes(256, "big")).digest()
+
+
 class TestKeyPair:
     def test_shared_secret_agreement(self):
+        """Each side derives cold: with the memo left alone, the second
+        call would only read the entry the first one wrote."""
         a = KeyPair.generate(make_rng(1))
         b = KeyPair.generate(make_rng(2))
-        assert a.shared_secret(b.public) == b.shared_secret(a.public)
+        tls._SHARED_MEMO.clear()
+        a_side = a.shared_secret(b.public)
+        tls._SHARED_MEMO.clear()
+        b_side = b.shared_secret(a.public)
+        assert a_side == b_side == cold_shared_secret(a.secret, b.public)
 
     def test_different_peers_different_secrets(self):
         a = KeyPair.generate(make_rng(1))
@@ -94,6 +108,47 @@ class TestKeyPair:
         pair = KeyPair.generate(make_rng(7))
         from repro.doh.tls import DH_GENERATOR, DH_PRIME
         assert pair.public == pow(DH_GENERATOR, pair.secret, DH_PRIME)
+
+
+_MEMO_PAIRS = [KeyPair.generate(make_rng(seed)) for seed in (11, 12, 13, 14)]
+_MEMO_EXPECTED = {(i, j): cold_shared_secret(own.secret, peer.public)
+                  for i, own in enumerate(_MEMO_PAIRS)
+                  for j, peer in enumerate(_MEMO_PAIRS)}
+
+
+class TestSharedSecretMemo:
+    """Generated pairs share one derivation per handshake; the memo
+    must never answer with a value ``pow()`` would not."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, len(_MEMO_PAIRS) - 1),
+                              st.integers(0, len(_MEMO_PAIRS) - 1)),
+                    min_size=1, max_size=12))
+    def test_any_call_order_matches_pow(self, calls):
+        """Server first, client first, repeated, or interleaved with
+        other pairs: every derivation equals the cold value."""
+        tls._SHARED_MEMO.clear()
+        for own, peer in calls:
+            assert (_MEMO_PAIRS[own].shared_secret(_MEMO_PAIRS[peer].public)
+                    == _MEMO_EXPECTED[own, peer])
+
+    @pytest.mark.parametrize("first", ["owner", "peer"])
+    def test_impostor_with_a_generated_public_misses(self, first):
+        """A directly built pair claiming S's public value with a wrong
+        secret gets its own cold value, whichever entry S's owner or the
+        peer C left behind, and leaves that entry in place."""
+        server, client = _MEMO_PAIRS[0], _MEMO_PAIRS[1]
+        tls._SHARED_MEMO.clear()
+        if first == "owner":
+            server.shared_secret(client.public)
+        else:
+            client.shared_secret(server.public)
+        left = dict(tls._SHARED_MEMO)
+        impostor = KeyPair(secret=server.secret + 1, public=server.public)
+        assert (impostor.shared_secret(client.public)
+                == cold_shared_secret(server.secret + 1, client.public)
+                != _MEMO_EXPECTED[0, 1])
+        assert tls._SHARED_MEMO == left
 
 
 def test_plain_dns_world_never_imports_cryptography():
@@ -425,6 +480,62 @@ class TestHandshakeAndData:
         assert failures == ["malformed certificate"]
         assert conn.failed == "malformed certificate"
         assert not conn.established
+
+    def test_completed_handshake_pays_two_modexps(self, monkeypatch):
+        """The client mints its public value and the server derives the
+        secret; the client reads the server's derivation."""
+        sim, net, client_host, server_host, ca, cert, key, reg = build_tls_world()
+        TlsServer(server_host, 443, cert, key)
+        tls._SHARED_MEMO.clear()
+        calls = []
+        real = tls._exchange
+
+        def counting(secret, peer_public):
+            calls.append(peer_public)
+            return real(secret, peer_public)
+
+        monkeypatch.setattr(tls, "_exchange", counting)
+        conn = TlsClientConnection(client_host, Endpoint(ip("10.0.0.2"), 443),
+                                   "dns.example", TrustStore([ca]),
+                                   reg.stream("client"))
+        conn.connect()
+        sim.run()
+        assert conn.established
+        assert len(calls) == 2
+        assert tls._SHARED_MEMO == {}
+
+    def test_abandoned_handshakes_keep_the_memo_within_its_cap(self):
+        """Handshakes the client never finishes (ServerHello dropped, or
+        the certificate untrusted) leave the server's entry behind; past
+        the cap the memo is cleared, never grown."""
+        sim, net, client_host, server_host, ca, cert, key, reg = build_tls_world()
+        TlsServer(server_host, 443, cert, key)
+        untrusted = TrustStore([CertificateAuthority("Other CA",
+                                                     reg.stream("other-ca"))])
+        drop_hello = [False]
+
+        def drop_server_hello(link, datagram):
+            if drop_hello[0] and datagram.payload[:1] == b"\x02":
+                return TapAction.drop()
+            return TapAction.passthrough()
+
+        net.add_tap("left--right", drop_server_hello)
+        tls._SHARED_MEMO.clear()
+        sizes = []
+        for index in range(tls._SHARED_MEMO_MAX + 10):
+            drop_hello[0] = index % 2 == 0
+            conn = TlsClientConnection(
+                client_host, Endpoint(ip("10.0.0.2"), 443), "dns.example",
+                TrustStore([ca]) if drop_hello[0] else untrusted,
+                reg.stream("client", str(index)))
+            conn.connect()
+            sim.run()
+            assert not conn.established
+            sizes.append(len(tls._SHARED_MEMO))
+        assert max(sizes) == tls._SHARED_MEMO_MAX
+        assert sizes[:tls._SHARED_MEMO_MAX] == list(
+            range(1, tls._SHARED_MEMO_MAX + 1))
+        assert sizes[-1] < tls._SHARED_MEMO_MAX
 
     def test_send_before_established_raises(self):
         sim, net, client_host, server_host, ca, cert, key, reg = build_tls_world()

@@ -1,7 +1,7 @@
 """Unit tests for clocks and NTP packet arithmetic."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.ntp.clock import SimClock
 from repro.ntp.packet import (
@@ -101,6 +101,37 @@ class TestNtpPacket:
 
     def test_default_is_client_mode(self):
         assert NtpPacket().mode == MODE_CLIENT
+
+
+_PACKET_WIRE = NtpPacket(mode=MODE_SERVER, stratum=2, origin=1.5,
+                         receive=2.5, transmit=3.5).encode()
+
+
+@st.composite
+def _mutated_packets(draw) -> bytes:
+    """A genuine packet's wire with bytes overwritten, inserted or cut."""
+    wire = bytearray(_PACKET_WIRE)
+    for position, value in draw(st.lists(
+            st.tuples(st.integers(0, len(wire) - 1), st.integers(0, 255)),
+            max_size=4)):
+        wire[position] = value
+    if draw(st.booleans()):
+        wire[draw(st.integers(0, len(wire))):0] = draw(st.binary(max_size=3))
+    if draw(st.booleans()):
+        del wire[draw(st.integers(0, len(wire))):]
+    return bytes(wire)
+
+
+class TestNtpPacketDecodeProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.binary(max_size=80), _mutated_packets()))
+    def test_arbitrary_bytes_raise_only_ntp_format_error(self, data):
+        try:
+            packet = NtpPacket.decode(data)
+        except NtpFormatError:
+            assert len(data) != len(_PACKET_WIRE)
+            return
+        assert packet.encode()[:3] == data[:3]
 
 
 class TestOffsetAndDelay:
