@@ -35,15 +35,16 @@ class Name:
     True
     """
 
-    __slots__ = ("_labels", "_folded", "_hash")
+    __slots__ = ("_labels", "_folded", "_hash", "_text")
 
     def __init__(self, text: Union[str, "Name", Iterable[bytes]]) -> None:
         if isinstance(text, Name):
             # Copy all derived state: names are immutable, so the
-            # folded form and cached hash transfer verbatim.
+            # folded form, cached hash and cached text transfer verbatim.
             self._labels: Tuple[bytes, ...] = text._labels
             self._folded = text._folded
             self._hash = text._hash
+            self._text = text._text
             return
         if isinstance(text, str):
             self._labels = _labels_from_text(text)
@@ -51,6 +52,7 @@ class Name:
             self._labels = _validate_labels(tuple(bytes(l) for l in text))
         self._folded = tuple(label.lower() for label in self._labels)
         self._hash: "int | None" = None
+        self._text: "str | None" = None
 
     # ------------------------------------------------------------------
     # Constructors.
@@ -135,10 +137,22 @@ class Name:
     # ------------------------------------------------------------------
 
     def to_text(self) -> str:
-        """Dotted text form, ``.`` for the root."""
-        if not self._labels:
-            return "."
-        return ".".join(label.decode("ascii") for label in self._labels)
+        r"""Dotted text form, ``.`` for the root.
+
+        Bytes outside printable ASCII render as RFC 1035 §5.1 ``\DDD``
+        escapes and a ``.`` or ``\`` inside a label is backslash-quoted,
+        so any wire-decoded name has a text form that parses back to
+        the same labels.
+
+        >>> Name.from_labels((b"a.b", b"\xff", b"org")).to_text()
+        'a\\.b.\\255.org'
+        """
+        text = self._text
+        if text is None:
+            text = self._text = (
+                ".".join(_label_to_text(label) for label in self._labels)
+                if self._labels else ".")
+        return text
 
     def __str__(self) -> str:
         return self.to_text()
@@ -173,10 +187,27 @@ class Name:
         return value
 
 
+#: Label bytes that render as themselves: printable ASCII except the
+#: label separator and the escape character.
+_PLAIN_BYTES = bytes(b for b in range(0x21, 0x7F) if b not in b".\\")
+
+
+def _label_to_text(label: bytes) -> str:
+    if not label.translate(None, _PLAIN_BYTES):
+        return label.decode("ascii")
+    return "".join(
+        chr(b) if b in _PLAIN_BYTES
+        else "\\" + chr(b) if b in b".\\"
+        else f"\\{b:03d}"
+        for b in label)
+
+
 def _labels_from_text(text: str) -> Tuple[bytes, ...]:
     stripped = text.strip()
     if stripped in (".", ""):
         return ()
+    if "\\" in stripped:
+        return _validate_labels(_escaped_labels(stripped, text))
     if stripped.endswith("."):
         stripped = stripped[:-1]
     parts = stripped.split(".")
@@ -191,6 +222,45 @@ def _labels_from_text(text: str) -> Tuple[bytes, ...]:
                 f"non-ASCII label {part!r}; IDNA is out of scope"
             ) from None
     return _validate_labels(tuple(labels))
+
+
+def _escaped_labels(stripped: str, text: str) -> Tuple[bytes, ...]:
+    r"""Split text carrying RFC 1035 §5.1 escapes: ``\DDD`` is the byte
+    with decimal value DDD, ``\X`` is X itself for any other X."""
+    labels = []
+    label = bytearray()
+    index, end = 0, len(stripped)
+    while index < end:
+        char = stripped[index]
+        if char == ".":
+            if not label:
+                raise NameError_(f"empty label in {text!r}")
+            labels.append(bytes(label))
+            label.clear()
+            index += 1
+            continue
+        if char == "\\":
+            digits = stripped[index + 1:index + 4]
+            if len(digits) == 3 and all(d in "0123456789" for d in digits):
+                if int(digits) > 255:
+                    raise NameError_(f"escape \\{digits} exceeds 255 "
+                                     f"in {text!r}")
+                label.append(int(digits))
+                index += 4
+                continue
+            if index + 1 == end or stripped[index + 1] in "0123456789":
+                raise NameError_(f"malformed escape in {text!r}")
+            index += 1
+            char = stripped[index]
+        if not char.isascii():
+            raise NameError_(
+                f"non-ASCII character {char!r} in {text!r}; "
+                f"IDNA is out of scope")
+        label.append(ord(char))
+        index += 1
+    if label:
+        labels.append(bytes(label))
+    return tuple(labels)
 
 
 def _validate_labels(labels: Tuple[bytes, ...]) -> Tuple[bytes, ...]:

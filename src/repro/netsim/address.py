@@ -28,18 +28,20 @@ class IPAddress:
     True
     """
 
-    __slots__ = ("_inner", "_hash")
+    __slots__ = ("_inner", "_hash", "_text")
 
     def __init__(self, text: Union[str, "IPAddress", _IpObject]) -> None:
         if isinstance(text, IPAddress):
             self._inner: _IpObject = text._inner
             self._hash: "int | None" = text._hash
+            self._text: "str | None" = text._text
             return
         if isinstance(text, (ipaddress.IPv4Address, ipaddress.IPv6Address)):
             self._inner = text
         else:
             self._inner = ipaddress.ip_address(str(text))
         self._hash = None
+        self._text = None
 
     @property
     def family(self) -> int:
@@ -69,10 +71,15 @@ class IPAddress:
         raise ValueError(f"packed address must be 4 or 16 bytes, got {len(data)}")
 
     def __str__(self) -> str:
-        return str(self._inner)
+        # Trace spans and endpoint text render the same few addresses
+        # over and over; ipaddress re-renders per call, so cache it.
+        text = self._text
+        if text is None:
+            text = self._text = str(self._inner)
+        return text
 
     def __repr__(self) -> str:
-        return f"IPAddress({str(self._inner)!r})"
+        return f"IPAddress({str(self)!r})"
 
     def __hash__(self) -> int:
         # Addresses key every socket/host dict on the delivery path;

@@ -25,6 +25,18 @@ inherit it automatically — instrumentation captures the span it wants
 restored (e.g. a transport attempt) and re-activates it inside the
 callback via :meth:`Tracer.activate`.
 
+What a span costs when tracing is on is one :class:`Span` and one list
+append. The text that instrumentation puts in span attributes is cached
+on the immutable values it renders (``IPAddress`` and ``Name`` keep a
+``_text`` slot beside their ``_hash``), so a traced fleet renders each
+address through :mod:`ipaddress` once rather than per span;
+:meth:`Tracer.scope` is a slotted context manager, not a generator; and
+:meth:`Tracer.event` / :meth:`Tracer.span_at` record a closed span in
+one call. None of this changes a trace byte:
+``tests/golden/fixtures/trace_digests.json`` pins the
+:meth:`Tracer.snapshot_json` digest of UDP, DoH and iterative-chaos
+worlds across commits.
+
 Two exporters ship with the tracer: a deterministic JSONL snapshot
 (:meth:`Tracer.to_jsonl`) that folds across shards like metrics
 snapshots do (:func:`fold_trace_snapshots`), and a Chrome Trace Event
@@ -155,8 +167,16 @@ class Tracer:
               at: Optional[float] = None,
               attrs: Optional[Dict[str, Any]] = None) -> Span:
         """A zero-length span (instantaneous event) at ``at``."""
-        span = self.begin(name, parent=parent, start=at, attrs=attrs)
-        span.end = span.start
+        if parent is _CURRENT:
+            parent = self.current
+        if at is None:
+            at = self.now()
+        span = Span(self._next_id,
+                    None if parent is None else parent.span_id,
+                    name, at, attrs)
+        span.end = at
+        self._next_id += 1
+        self._spans.append(span)
         return span
 
     def span_at(self, name: str, start: float, end: float, *,
@@ -165,8 +185,14 @@ class Tracer:
         """A closed span over a precomputed ``[start, end]`` interval —
         flight/hop timelines are decided at schedule time, before the
         virtual clock reaches them."""
-        span = self.begin(name, parent=parent, start=start, attrs=attrs)
+        if parent is _CURRENT:
+            parent = self.current
+        span = Span(self._next_id,
+                    None if parent is None else parent.span_id,
+                    name, start, attrs)
         span.end = end
+        self._next_id += 1
+        self._spans.append(span)
         return span
 
     def absorb(self, snapshot: Dict[str, Any],
@@ -207,14 +233,10 @@ class Tracer:
         self.current = span
         return previous
 
-    @contextmanager
-    def scope(self, span: Optional[Span]) -> Iterator[Optional[Span]]:
-        """Scope ``span`` as current; restores the previous on exit."""
-        previous = self.activate(span)
-        try:
-            yield span
-        finally:
-            self.current = previous
+    def scope(self, span: Optional[Span]) -> "_Scope":
+        """Scope ``span`` as current; restores the previous on exit,
+        exceptions included."""
+        return _Scope(self, span)
 
     # ------------------------------------------------------------------
     # Reading / export.
@@ -249,6 +271,26 @@ class Tracer:
     def to_chrome_json(self) -> str:
         """Chrome Trace Event JSON (open in https://ui.perfetto.dev)."""
         return json.dumps(self.to_chrome(), sort_keys=True, allow_nan=False)
+
+
+class _Scope:
+    """The context manager behind :meth:`Tracer.scope`: a slotted
+    object, not a generator, since instrumentation enters one per
+    query, attempt and delivery."""
+
+    __slots__ = ("_tracer", "_span", "_previous")
+
+    def __init__(self, tracer: Tracer, span: Optional[Span]) -> None:
+        self._tracer = tracer
+        self._span = span
+
+    def __enter__(self) -> Optional[Span]:
+        self._previous = self._tracer.current
+        self._tracer.current = self._span
+        return self._span
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self._tracer.current = self._previous
 
 
 # ----------------------------------------------------------------------

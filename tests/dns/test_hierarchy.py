@@ -9,6 +9,7 @@ from repro.dns.hierarchy import (
     compile_hierarchy,
     compile_legacy_tree,
 )
+from repro.dns.name import Name
 from repro.dns.resolver import RecursiveResolver, ResolveStatus
 from repro.dns.rrtype import RRType
 from repro.netsim.address import ip
@@ -18,6 +19,7 @@ from repro.netsim.link import LinkProfile
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import Topology
 from repro.scenarios.spec import PoolSpec
+from repro.telemetry.trace import Tracer, use_tracer
 from repro.util.rng import RngRegistry
 
 
@@ -177,6 +179,22 @@ class TestCompiledHierarchy:
         benign = {str(a) for a in world.deployment.directory.benign}
         assert addresses(first) <= benign
         assert addresses(second) <= benign
+
+    def test_traced_non_ascii_label_resolves_like_untraced(self):
+        # The resolver stringifies qname and zone into its spans; a
+        # wire-style label byte >= 0x80 must not make tracing fail a
+        # lookup that untraced code completes.
+        qname = Name.from_labels((b"\xff", b"pool", b"ntp", b"org"))
+        untraced = HierarchyWorld().resolve(qname)
+        tracer = Tracer()
+        with use_tracer(tracer):
+            traced = HierarchyWorld().resolve(qname)
+        assert untraced.status is ResolveStatus.NXDOMAIN
+        assert traced == untraced
+        resolves = [span for span in tracer.spans
+                    if span.name == "resolver.resolve"]
+        assert [span.attrs["qname"] for span in resolves] == [
+            "\\255.pool.ntp.org"]
 
 
 class TestLegacyTree:

@@ -124,9 +124,60 @@ class TestStructure:
         assert Name.root().wire_length == 1
 
 
+raw_label_st = st.binary(min_size=1, max_size=MAX_LABEL_LENGTH)
+raw_name_st = st.lists(raw_label_st, min_size=0, max_size=8).filter(
+    lambda labels: sum(len(label) + 1 for label in labels) + 1 <= 255)
+
+
 class TestText:
     def test_root_text(self):
         assert Name.root().to_text() == "."
+
+    @pytest.mark.parametrize("text", ["www.example.com", "Pool.NTP.org",
+                                      "a-b_c.d~e!f", "x", "."])
+    def test_ascii_names_render_as_written(self, text):
+        name = Name(text)
+        assert name.to_text() == text
+        assert name.to_text() is name.to_text()
+        assert str(name) == text and repr(name) == f"Name({text!r})"
+
+    def test_copy_carries_cached_text(self):
+        name = Name("www.example.com")
+        assert Name(name)._text is None
+        text = name.to_text()
+        assert Name(name)._text is text
+
+    @pytest.mark.parametrize("labels,text", [
+        ((b"\xff", b"pool", b"ntp", b"org"), "\\255.pool.ntp.org"),
+        ((b"a.b", b"c"), "a\\.b.c"),
+        ((b"back\\slash",), "back\\\\slash"),
+        ((b"sp ace", b"\x00\x7f"), "sp\\032ace.\\000\\127"),
+    ])
+    def test_escapes_render_and_parse(self, labels, text):
+        name = Name.from_labels(labels)
+        assert name.to_text() == text
+        assert repr(name) == f"Name({text!r})"
+        assert Name(text).labels == labels
+
+    @pytest.mark.parametrize("text,labels", [
+        ("\\065bc.d", (b"Abc", b"d")),
+        ("a\\bc.d.", (b"abc", b"d")),
+        ("a\\..", (b"a.",)),
+    ])
+    def test_escape_forms_parse(self, text, labels):
+        assert Name(text).labels == labels
+
+    @pytest.mark.parametrize("text", ["a\\", "a\\25", "a\\256.b",
+                                      "a\\1x.b", "a\\...", ".\\065",
+                                      "a\\\u00e9.b", "a..\\065"])
+    def test_malformed_escapes_rejected(self, text):
+        with pytest.raises(NameError_):
+            Name(text)
+
+    @given(raw_name_st)
+    def test_any_label_bytes_round_trip_through_text(self, labels):
+        name = Name.from_labels(labels)
+        assert Name(name.to_text()).labels == name.labels
 
     def test_roundtrip(self):
         assert Name(Name("a.b.c").to_text()) == Name("a.b.c")

@@ -1,5 +1,7 @@
 """Tests for addressing."""
 
+import ipaddress
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -58,6 +60,45 @@ class TestIPAddress:
     def test_v4_packed_roundtrip_property(self, raw):
         packed = raw.to_bytes(4, "big")
         assert IPAddress.from_packed(packed).packed == packed
+
+
+class TestTextCache:
+    """``str(IPAddress)`` is cached on the value; the cache must read
+    exactly what :mod:`ipaddress` renders, on every construction path."""
+
+    TEXTS = ("192.0.2.1", "10.0.0.255", "0.0.0.0", "2001:DB8::1",
+             "::1", "fe80::1:0:0:2", "::ffff:192.0.2.7")
+
+    @staticmethod
+    def _builds(text):
+        inner = ipaddress.ip_address(text)
+        return {"text": IPAddress(text), "object": IPAddress(inner),
+                "packed": IPAddress.from_packed(inner.packed)}
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_first_and_repeated_render_match_ipaddress(self, text):
+        expected = str(ipaddress.ip_address(text))
+        for address in self._builds(text).values():
+            assert str(address) == expected
+            assert str(address) == expected
+            assert repr(address) == f"IPAddress({expected!r})"
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_copies_carry_the_cached_text(self, text):
+        expected = str(ipaddress.ip_address(text))
+        for address in self._builds(text).values():
+            assert IPAddress(address)._text is None
+            str(address)
+            copy = IPAddress(address)
+            assert copy._text is address._text
+            assert str(copy) == expected
+
+    @given(st.binary(min_size=16, max_size=16) | st.binary(min_size=4,
+                                                           max_size=4))
+    def test_packed_text_property(self, packed):
+        address = IPAddress.from_packed(packed)
+        expected = str(ipaddress.ip_address(packed))
+        assert (str(address), str(address)) == (expected, expected)
 
 
 class TestEndpoint:

@@ -12,9 +12,12 @@ Three contracts, mirrored from the metrics registry's:
 
 import json
 
+import pytest
+
 from repro.scenarios.spec import materialize, population_spec
 from repro.telemetry.trace import (
     TRACE_SCHEMA,
+    Span,
     Tracer,
     current_tracer,
     fold_trace_snapshots,
@@ -26,6 +29,7 @@ from repro.telemetry.trace import (
     snapshot_to_jsonl,
     use_tracer,
 )
+from tests.golden.trace_worlds import WORLDS, run_world
 
 FORGED = ("203.0.113.1", "203.0.113.2")
 
@@ -69,6 +73,20 @@ class TestSpanRecording:
                 raise RuntimeError("boom")
         except RuntimeError:
             pass
+        assert tracer.current is outer
+        middle, inner = tracer.begin("middle"), tracer.begin("inner")
+        with tracer.scope(middle) as entered:
+            assert entered is middle and tracer.current is middle
+            with pytest.raises(RuntimeError):
+                with tracer.scope(inner):
+                    assert tracer.current is inner
+                    with tracer.scope(None):
+                        assert tracer.current is None
+                        raise RuntimeError("boom")
+            assert tracer.current is middle
+            with tracer.scope(inner):
+                assert tracer.begin("leaf").parent_id == inner.span_id
+            assert tracer.current is middle
         assert tracer.current is outer
 
     def test_event_is_zero_length(self):
@@ -257,6 +275,19 @@ class TestZeroCostContract:
             assert current_tracer() is outer
         finally:
             install_tracer(None)
+
+    @pytest.mark.parametrize("name", sorted(WORLDS))
+    def test_untraced_world_never_records_a_span(self, monkeypatch, name):
+        """Structural zero cost: with no tracer installed, a whole UDP,
+        DoH or iterative-chaos world runs without building one span or
+        entering one scope."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("tracing work in an untraced run")
+
+        monkeypatch.setattr(Span, "__init__", forbidden)
+        monkeypatch.setattr(Tracer, "scope", forbidden)
+        world = run_world(name, 5)
+        assert world.telemetry.snapshot()["counter"]["pop.rounds"] > 0
 
     def test_tracing_never_perturbs_metrics(self):
         _, traced = _traced_population(seed=11)
