@@ -203,30 +203,12 @@ def _label_to_text(label: bytes) -> str:
 
 
 def _labels_from_text(text: str) -> Tuple[bytes, ...]:
+    r"""Split dotted text into labels, reading RFC 1035 §5.1 escapes:
+    ``\DDD`` is the byte with decimal value DDD, ``\X`` is X itself for
+    any other X. One trailing dot is allowed; empty labels are not."""
     stripped = text.strip()
     if stripped in (".", ""):
         return ()
-    if "\\" in stripped:
-        return _validate_labels(_escaped_labels(stripped, text))
-    if stripped.endswith("."):
-        stripped = stripped[:-1]
-    parts = stripped.split(".")
-    labels = []
-    for part in parts:
-        if not part:
-            raise NameError_(f"empty label in {text!r}")
-        try:
-            labels.append(part.encode("ascii"))
-        except UnicodeEncodeError:
-            raise NameError_(
-                f"non-ASCII label {part!r}; IDNA is out of scope"
-            ) from None
-    return _validate_labels(tuple(labels))
-
-
-def _escaped_labels(stripped: str, text: str) -> Tuple[bytes, ...]:
-    r"""Split text carrying RFC 1035 §5.1 escapes: ``\DDD`` is the byte
-    with decimal value DDD, ``\X`` is X itself for any other X."""
     labels = []
     label = bytearray()
     index, end = 0, len(stripped)
@@ -260,7 +242,7 @@ def _escaped_labels(stripped: str, text: str) -> Tuple[bytes, ...]:
         index += 1
     if label:
         labels.append(bytes(label))
-    return tuple(labels)
+    return _validate_labels(tuple(labels))
 
 
 def _validate_labels(labels: Tuple[bytes, ...]) -> Tuple[bytes, ...]:

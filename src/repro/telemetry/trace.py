@@ -30,9 +30,8 @@ append. The text that instrumentation puts in span attributes is cached
 on the immutable values it renders (``IPAddress`` and ``Name`` keep a
 ``_text`` slot beside their ``_hash``), so a traced fleet renders each
 address through :mod:`ipaddress` once rather than per span;
-:meth:`Tracer.scope` is a slotted context manager, not a generator; and
-:meth:`Tracer.event` / :meth:`Tracer.span_at` record a closed span in
-one call. None of this changes a trace byte:
+:meth:`Tracer.scope` is a slotted context manager, not a generator.
+None of this changes a trace byte:
 ``tests/golden/fixtures/trace_digests.json`` pins the
 :meth:`Tracer.snapshot_json` digest of UDP, DoH and iterative-chaos
 worlds across commits.
@@ -167,16 +166,8 @@ class Tracer:
               at: Optional[float] = None,
               attrs: Optional[Dict[str, Any]] = None) -> Span:
         """A zero-length span (instantaneous event) at ``at``."""
-        if parent is _CURRENT:
-            parent = self.current
-        if at is None:
-            at = self.now()
-        span = Span(self._next_id,
-                    None if parent is None else parent.span_id,
-                    name, at, attrs)
-        span.end = at
-        self._next_id += 1
-        self._spans.append(span)
+        span = self.begin(name, parent=parent, start=at, attrs=attrs)
+        span.end = span.start
         return span
 
     def span_at(self, name: str, start: float, end: float, *,
@@ -185,14 +176,8 @@ class Tracer:
         """A closed span over a precomputed ``[start, end]`` interval —
         flight/hop timelines are decided at schedule time, before the
         virtual clock reaches them."""
-        if parent is _CURRENT:
-            parent = self.current
-        span = Span(self._next_id,
-                    None if parent is None else parent.span_id,
-                    name, start, attrs)
+        span = self.begin(name, parent=parent, start=start, attrs=attrs)
         span.end = end
-        self._next_id += 1
-        self._spans.append(span)
         return span
 
     def absorb(self, snapshot: Dict[str, Any],
