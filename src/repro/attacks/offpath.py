@@ -234,7 +234,7 @@ class PeriodicSprayer:
         interval = 1.0 / self._rate
         for index in range(self.planned_bursts):
             self._simulator.schedule_at(self._start + index * interval,
-                                        self._fire, label="offpath-spray")
+                                        self._fire)
 
     def _target_ports(self) -> List[int]:
         low, high = EPHEMERAL_RANGE

@@ -90,8 +90,7 @@ class ServerCapacity:
         self._next_free = start + self._interval
         if self._m_admitted is not None:
             self._m_admitted.inc()
-        self._simulator.schedule_at(self._next_free, serve,
-                                    label="srv-capacity")
+        self._simulator.schedule_at(self._next_free, serve)
         return True
 
 

@@ -113,9 +113,7 @@ class ChaosController:
                     lambda i=index: self._relax(i))
             elif isinstance(event, CacheWipe):
                 self._simulator.schedule_at(
-                    event.at,
-                    lambda e=event: self._wipe(e),
-                    label="chaos:cache-wipe")
+                    event.at, lambda e=event: self._wipe(e))
             else:  # pragma: no cover - ChaosSpec validates kinds
                 raise ConfigurationError(
                     f"unhandled chaos event {type(event).__name__}")
@@ -135,10 +133,8 @@ class ChaosController:
                 self._ts_active.record(self._simulator.now, 0.0)
             revert()
 
-        self._simulator.schedule_at(event.at, do_apply,
-                                    label=f"chaos:{kind}")
-        self._simulator.schedule_at(end, do_revert,
-                                    label=f"chaos:{kind}:revert")
+        self._simulator.schedule_at(event.at, do_apply)
+        self._simulator.schedule_at(end, do_revert)
 
     def _mark(self, kind: str, at: float, end: float,
               targets: Tuple[str, ...]) -> None:

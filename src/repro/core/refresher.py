@@ -59,7 +59,7 @@ class PoolRefresher:
         self._stats = RefresherStats()
         self._last_good: Optional[GeneratedPool] = None
         self._last_good_at: Optional[float] = None
-        self._timer = Timer(simulator, self._refresh, label="pool-refresh")
+        self._timer = Timer(simulator, self._refresh)
         self._running = False
 
     # ------------------------------------------------------------------

@@ -6,7 +6,10 @@ virtual instant fire in scheduling order. Virtual time is a float in
 seconds and only advances when the queue is drained up to an event.
 
 The engine is intentionally callback-based (no coroutines): callbacks
-keep execution order explicit and make attack races reproducible.
+keep execution order explicit and make attack races reproducible. It
+never reads the wall clock; per-layer wall time is measured from
+outside by ``benchmarks/perf``, which wraps the callbacks handed to
+:meth:`Simulator.schedule_at` and :class:`Timer`.
 
 Hot-path layout: the heap holds plain ``(time, sequence, event)``
 tuples, so ordering is decided by C-level tuple comparison instead of a
@@ -20,8 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.telemetry.trace import current_tracer
 
@@ -39,16 +41,13 @@ class Event:
     call :meth:`cancel` to prevent a pending event from firing.
     """
 
-    __slots__ = ("time", "sequence", "callback", "label", "cancelled",
-                 "_simulator")
+    __slots__ = ("time", "sequence", "callback", "cancelled", "_simulator")
 
     def __init__(self, time: float, sequence: int, callback: Callback,
-                 label: str = "",
                  simulator: "Optional[Simulator]" = None) -> None:
         self.time = time
         self.sequence = sequence
         self.callback = callback
-        self.label = label
         self.cancelled = False
         self._simulator = simulator
 
@@ -71,7 +70,7 @@ class Event:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "cancelled" if self.cancelled else "pending"
-        return f"Event(t={self.time:.6f}, #{self.sequence}, {self.label or 'anon'}, {state})"
+        return f"Event(t={self.time:.6f}, #{self.sequence}, {state})"
 
 
 #: What the heap actually stores.
@@ -99,11 +98,6 @@ class Simulator:
         self._executed = 0
         self._pending = 0
         self._running = False
-        # Wall-clock profiling is off by default: ``_profile`` stays
-        # None and run() takes the untimed loop. enable_profiling()
-        # switches it on (the only sanctioned wall-clock use in
-        # src/repro — see the CI hygiene gate).
-        self._profile: Optional[Dict[str, List[float]]] = None
         # Tracing rides the virtual clock: when a tracer is in scope at
         # construction (the same capture-once contract the metrics
         # registry uses), bind it to this simulator's now so spans
@@ -131,7 +125,7 @@ class Simulator:
         """
         return self._pending
 
-    def schedule_at(self, when: float, callback: Callback, label: str = "") -> Event:
+    def schedule_at(self, when: float, callback: Callback) -> Event:
         """Schedule ``callback`` at absolute virtual time ``when``."""
         when = float(when)
         if when < self._now:
@@ -139,20 +133,20 @@ class Simulator:
                 f"cannot schedule at t={when} before now={self._now}"
             )
         sequence = next(self._sequence)
-        event = Event(when, sequence, callback, label, self)
+        event = Event(when, sequence, callback, self)
         heapq.heappush(self._queue, (when, sequence, event))
         self._pending += 1
         return event
 
-    def schedule_after(self, delay: float, callback: Callback, label: str = "") -> Event:
+    def schedule_after(self, delay: float, callback: Callback) -> Event:
         """Schedule ``callback`` after a relative ``delay`` in seconds."""
         if delay < 0:
             raise SimulationError(f"delay must be >= 0, got {delay}")
-        return self.schedule_at(self._now + delay, callback, label=label)
+        return self.schedule_at(self._now + delay, callback)
 
-    def call_soon(self, callback: Callback, label: str = "") -> Event:
+    def call_soon(self, callback: Callback) -> Event:
         """Schedule ``callback`` at the current instant (after current event)."""
-        return self.schedule_after(0.0, callback, label=label)
+        return self.schedule_after(0.0, callback)
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Drain the event queue.
@@ -167,7 +161,6 @@ class Simulator:
         try:
             queue = self._queue
             pop = heapq.heappop
-            profile = self._profile
             executed_this_run = 0
             while queue:
                 if max_events is not None and executed_this_run >= max_events:
@@ -189,17 +182,7 @@ class Simulator:
                 event._simulator = None
                 self._pending -= 1
                 self._now = when
-                if profile is None:
-                    event.callback()
-                else:
-                    started = perf_counter()
-                    event.callback()
-                    elapsed = perf_counter() - started
-                    cell = profile.get(event.label)
-                    if cell is None:
-                        cell = profile[event.label] = [0.0, 0.0]
-                    cell[0] += 1.0
-                    cell[1] += elapsed
+                event.callback()
                 self._executed += 1
                 executed_this_run += 1
             if until is not None and until > self._now:
@@ -233,35 +216,6 @@ class Simulator:
         self._queue.clear()
         self._pending = 0
 
-    # ------------------------------------------------------------------
-    # Wall-clock profiling (off by default).
-    # ------------------------------------------------------------------
-
-    def enable_profiling(self) -> None:
-        """Collect per-event-kind dispatch counts and wall time.
-
-        Off by default — the run() hot loop only pays for the
-        ``perf_counter`` pair once this is called. Event kinds are the
-        ``label`` strings passed to :meth:`schedule_at` (empty label
-        buckets together as ``""``). Wall time measures *host* seconds
-        inside callbacks; it never feeds back into virtual time,
-        metrics, or traces, so enabling profiling cannot change any
-        simulated outcome.
-        """
-        if self._profile is None:
-            self._profile = {}
-
-    def profile_snapshot(self) -> Dict[str, Dict[str, float]]:
-        """Per-label ``{"count": ..., "wall_s": ...}``, label-sorted.
-
-        Counts are deterministic (they mirror event dispatch); wall
-        seconds are host-machine measurements and vary run to run.
-        """
-        if self._profile is None:
-            return {}
-        return {label: {"count": cell[0], "wall_s": cell[1]}
-                for label, cell in sorted(self._profile.items())}
-
 
 class Timer:
     """A restartable one-shot timer bound to a :class:`Simulator`.
@@ -269,12 +223,11 @@ class Timer:
     Commonly used for retransmission/timeout logic in protocol code.
     """
 
-    __slots__ = ("_simulator", "_callback", "_label", "_event", "__weakref__")
+    __slots__ = ("_simulator", "_callback", "_event", "__weakref__")
 
-    def __init__(self, simulator: Simulator, callback: Callback, label: str = "timer") -> None:
+    def __init__(self, simulator: Simulator, callback: Callback) -> None:
         self._simulator = simulator
         self._callback = callback
-        self._label = label
         self._event: Optional[Event] = None
 
     @property
@@ -285,9 +238,7 @@ class Timer:
     def start(self, delay: float) -> None:
         """(Re)arm the timer to fire after ``delay`` seconds."""
         self.cancel()
-        self._event = self._simulator.schedule_after(
-            delay, self._fire, label=self._label
-        )
+        self._event = self._simulator.schedule_after(delay, self._fire)
 
     def cancel(self) -> None:
         """Disarm the timer if armed."""

@@ -44,7 +44,6 @@ class Topology:
         self._links: Dict[Tuple[str, str], Link] = {}
         self._rng_registry = rng_registry or RngRegistry(0)
         self._route_cache: Dict[Tuple[str, str], List[Link]] = {}
-        self._route_nodes_cache: Dict[Tuple[str, str], List[str]] = {}
         self._version = 0
 
     @property
@@ -72,7 +71,6 @@ class Topology:
 
     def _invalidate_routes(self) -> None:
         self._route_cache.clear()
-        self._route_nodes_cache.clear()
         self._version += 1
 
     def has_node(self, name: str) -> bool:
@@ -144,25 +142,16 @@ class Topology:
             for a, b in zip(path_nodes, path_nodes[1:])
         ]
         self._route_cache[cache_key] = links
-        # One Dijkstra serves both caches: flight-plan compilation asks
-        # for the links and the node names back to back.
-        self._route_nodes_cache.setdefault(cache_key, path_nodes)
         return links
 
     def route_nodes(self, src: str, dst: str) -> List[str]:
-        """Node names along the route, inclusive of both ends.
-
-        Cached like :meth:`route` — the per-packet delivery path must
-        never pay a shortest-path computation in steady state.
-        """
-        if src == dst:
-            return [src]
-        cache_key = (src, dst)
-        cached = self._route_nodes_cache.get(cache_key)
-        if cached is None:
-            cached = self._shortest_path(src, dst)
-            self._route_nodes_cache[cache_key] = cached
-        return list(cached)
+        """Node names along the route, inclusive of both ends, read off
+        :meth:`route`'s cached links."""
+        nodes = [src]
+        for link in self.route(src, dst):
+            a, b = link.ends
+            nodes.append(b if a == nodes[-1] else a)
+        return nodes
 
     def _shortest_path(self, src: str, dst: str) -> List[str]:
         """The one place the repository searches for a path.

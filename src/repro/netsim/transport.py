@@ -162,7 +162,7 @@ class PendingExchange:
         self._report = ExchangeReport()
         self._finished = False
         self._attempt_started_at = 0.0
-        self._timer = Timer(simulator, self._on_timeout, label=label)
+        self._timer = Timer(simulator, self._on_timeout)
         # The exchange and current-attempt spans. The attempt span is
         # re-activated explicitly whenever control re-enters through a
         # simulator callback hop (timeout firing, reply delivery), so

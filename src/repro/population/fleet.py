@@ -125,8 +125,7 @@ class BatchDispatcher:
         if batch is None:
             self._bins[index] = batch = []
             when = max(index * self._quantum, self._simulator.now)
-            self._simulator.schedule_at(when, lambda: self._drain(index),
-                                        label="fleet-batch")
+            self._simulator.schedule_at(when, lambda: self._drain(index))
         batch.append(fn)
 
     def _drain(self, index: int) -> None:

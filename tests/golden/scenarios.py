@@ -26,6 +26,7 @@ from repro.scenarios.spec import (
     FaultSpec,
     LinkSpec,
     RegionSpec,
+    ScenarioSpec,
     apply_paths,
     pool_spec,
     population_spec,
@@ -70,39 +71,46 @@ def _normalise(outcome: Any) -> Dict[str, Any]:
     return payload
 
 
-def _e2_corruption_bound(seed: int) -> Dict[str, Any]:
-    spec = apply_paths(pool_spec(num_providers=5, pool_size=24,
+def _e2_corruption_bound() -> ScenarioSpec:
+    return apply_paths(pool_spec(num_providers=5, pool_size=24,
                                  answers_per_query=4),
                        {"provider.corrupted": 2, "provider.forged": _FORGED})
-    return _normalise(spec_trial({"spec": spec}, seed))
 
 
-def _e6_dos_under_loss(seed: int) -> Dict[str, Any]:
-    spec = apply_paths(pool_spec(num_providers=3, pool_size=20,
+def _e6_dos_under_loss() -> ScenarioSpec:
+    return apply_paths(pool_spec(num_providers=3, pool_size=20,
                                  answers_per_query=4, loss_rate=0.2),
                        {"provider.corrupted": 1, "provider.behavior": "empty",
                         "pool.min_answers": 2})
-    return _normalise(spec_trial({"spec": spec}, seed))
 
 
-def _p1_population(seed: int) -> Dict[str, Any]:
-    spec = population_spec(num_clients=40, rounds=3, corrupted=1,
+def _p1_population() -> ScenarioSpec:
+    return population_spec(num_clients=40, rounds=3, corrupted=1,
                            forged=_FORGED, churn_rate=0.2, arrival="poisson")
-    return _normalise(spec_trial({"spec": spec}, seed))
 
 
-def _p2_regions(seed: int) -> Dict[str, Any]:
+def _p2_regions() -> ScenarioSpec:
     spec = population_spec(num_clients=30, rounds=2)
     spec = set_path(spec, "network.regions", _REGIONS)
-    spec = set_path(spec, "attacks", _ONPATH)
-    return _normalise(spec_trial({"spec": spec}, seed))
+    return set_path(spec, "attacks", _ONPATH)
 
 
-SCENARIOS: Dict[str, Callable[[int], Dict[str, Any]]] = {
+#: The spec each scenario runs one ``spec_trial`` of.
+SPECS: Dict[str, Callable[[], ScenarioSpec]] = {
     "e2_corruption_bound": _e2_corruption_bound,
     "e6_dos_under_loss": _e6_dos_under_loss,
     "p1_population": _p1_population,
     "p2_regions": _p2_regions,
+}
+
+
+def _scenario(build: Callable[[], ScenarioSpec]
+              ) -> Callable[[int], Dict[str, Any]]:
+    return lambda seed: _normalise(spec_trial({"spec": build()}, seed))
+
+
+SCENARIOS: Dict[str, Callable[[int], Dict[str, Any]]] = {
+    name: _scenario(build) for name, build in SPECS.items()
 }
 
 

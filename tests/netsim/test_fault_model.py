@@ -10,6 +10,7 @@ from repro.netsim.link import FaultModel, LinkProfile
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import Topology
 from repro.scenarios.spec import pool_spec
+from repro.telemetry.trace import Tracer, use_tracer
 from repro.util.rng import RngRegistry
 
 
@@ -140,19 +141,21 @@ class TestFaultedLinkBehaviour:
         link = internet.topology.link_between("a", "b")
         assert link.packets_duplicated == 40
 
-    def test_receipt_marks_duplication(self):
-        simulator, internet, sender, received = _two_host_world(
-            seed=2, fault=FaultModel(duplicate_rate=1.0))
-        receipts = []
-        internet.enable_receipt_log()
-        internet.add_observer(receipts.append)
+    def test_flight_marks_duplication(self):
+        tracer = Tracer()
+        with use_tracer(tracer):
+            simulator, internet, sender, received = _two_host_world(
+                seed=2, fault=FaultModel(duplicate_rate=1.0))
         socket = sender.ephemeral_socket()
         socket.sendto(Endpoint(IPAddress("10.0.0.2"), 7), b"x")
         simulator.run()
         assert len(received) == 2          # original + the copy
-        assert len(receipts) == 1          # but only one receipt
-        assert receipts[0].duplicated
-        assert receipts[0].delivered
+        flights = [s for s in tracer.spans if s.name == "net.flight"]
+        assert len(flights) == 1           # but only one flight
+        assert flights[0].attrs["duplicated"] is True
+        assert flights[0].attrs["outcome"] == "delivered"
+        assert internet.datagrams_delivered == 1
+        assert internet.datagrams_duplicated == 1
 
     def test_downstream_drop_discards_the_duplicate_uncounted(self):
         """A copy sampled at hop 1 dies with the original at a lossy

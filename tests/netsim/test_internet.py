@@ -1,5 +1,7 @@
 """Integration tests for hosts, sockets and the delivery fabric."""
 
+from contextlib import nullcontext
+
 import pytest
 
 from repro.netsim.address import Endpoint, ip
@@ -10,6 +12,8 @@ from repro.netsim.packet import Datagram
 from repro.netsim.simulator import Simulator
 from repro.netsim.socket import SocketClosedError
 from repro.netsim.topology import Topology
+from repro.telemetry.registry import MetricsRegistry, use_registry
+from repro.telemetry.trace import Tracer, use_tracer
 from repro.util.rng import RngRegistry
 
 
@@ -23,6 +27,24 @@ def build_pair(loss: float = 0.0, latency: float = 0.01):
     alpha = net.add_host(Host("alpha", "left", [ip("10.0.0.1")]))
     beta = net.add_host(Host("beta", "right", [ip("10.0.0.2")]))
     return net, alpha, beta
+
+
+def build_observed_pair(loss: float = 0.0, latency: float = 0.01):
+    """:func:`build_pair` built under a tracer and a metrics registry;
+    returns (internet, alpha, beta, tracer, registry)."""
+    tracer, registry = Tracer(), MetricsRegistry()
+    with use_tracer(tracer), use_registry(registry):
+        net, alpha, beta = build_pair(loss=loss, latency=latency)
+    return net, alpha, beta, tracer, registry
+
+
+def spans_named(tracer, name):
+    return [span for span in tracer.spans if span.name == name]
+
+
+def only_flight(tracer):
+    (flight,) = spans_named(tracer, "net.flight")
+    return flight
 
 
 class TestHostRegistration:
@@ -91,30 +113,34 @@ class TestDelivery:
         assert responses == [b"pong"]
 
     def test_unbound_port_drops(self):
-        net, alpha, _ = build_pair()
-        net.enable_receipt_log()
+        net, alpha, _, tracer, registry = build_observed_pair()
         alpha.ephemeral_socket().sendto(Endpoint(ip("10.0.0.2"), 999), b"x")
         net.simulator.run()
-        receipt = net.receipts[-1]
-        assert not receipt.delivered
-        assert receipt.dropped_by == "no-socket"
+        assert net.datagrams_delivered == 0
+        assert registry.value("net.drops", reason="no-socket") == 1
+        flight = only_flight(tracer)
+        assert flight.attrs["outcome"] == "dropped"
+        assert flight.attrs["dropped_by"] == "no-socket"
 
     def test_unknown_address_drops(self):
-        net, alpha, _ = build_pair()
-        net.enable_receipt_log()
+        net, alpha, _, tracer, registry = build_observed_pair()
         alpha.ephemeral_socket().sendto(Endpoint(ip("10.9.9.9"), 53), b"x")
         net.simulator.run()
-        assert net.receipts[-1].dropped_by == "no-host"
+        assert registry.value("net.drops", reason="no-host") == 1
+        assert only_flight(tracer).attrs["dropped_by"] == "no-host"
+        assert spans_named(tracer, "net.hop") == []
 
     def test_full_loss_link_drops(self):
-        net, alpha, beta = build_pair(loss=1.0)
-        net.enable_receipt_log()
+        net, alpha, beta, tracer, registry = build_observed_pair(loss=1.0)
         received = []
         beta.bind(53, received.append)
         alpha.ephemeral_socket().sendto(Endpoint(ip("10.0.0.2"), 53), b"x")
         net.simulator.run()
         assert received == []
-        assert net.receipts[-1].dropped_by == "left--right"
+        assert registry.value("net.drops", reason="left--right") == 1
+        assert only_flight(tracer).attrs["dropped_by"] == "left--right"
+        (hop,) = spans_named(tracer, "net.hop")
+        assert hop.attrs["fault"] == "loss"
 
     def test_same_node_loopback_style_delivery(self):
         sim = Simulator()
@@ -139,17 +165,19 @@ class TestDelivery:
         assert net.datagrams_delivered == 1
         assert net.bytes_sent == 5
 
-    def test_receipt_latency_and_route(self):
-        net, alpha, beta = build_pair(latency=0.02)
-        net.enable_receipt_log()
+    def test_flight_latency_and_route(self):
+        net, alpha, beta, tracer, registry = build_observed_pair(
+            latency=0.02)
         beta.bind(53, lambda d: None)
         alpha.ephemeral_socket().sendto(Endpoint(ip("10.0.0.2"), 53), b"x")
         net.simulator.run()
-        receipt = net.receipts[-1]
-        assert receipt.delivered
-        assert receipt.latency >= 0.02
-        assert receipt.route_nodes == ["left", "right"]
-        assert receipt.hops == 1
+        assert registry.value("net.datagrams_delivered") == 1
+        flight = only_flight(tracer)
+        assert flight.attrs["outcome"] == "delivered"
+        assert flight.end - flight.start >= 0.02
+        assert [hop.attrs["link"] for hop in spans_named(tracer, "net.hop")] \
+            == ["left--right"]
+        assert flight.attrs["hops"] == 1
 
 
 class TestSockets:
@@ -223,15 +251,15 @@ class TestTaps:
         assert seen == [b"secret"]
 
     def test_dropping_tap(self):
-        net, alpha, beta = build_pair()
-        net.enable_receipt_log()
+        net, alpha, beta, tracer, registry = build_observed_pair()
         received = []
         net.add_tap("left--right", lambda link, d: TapAction.drop())
         beta.bind(53, received.append)
         alpha.ephemeral_socket().sendto(Endpoint(ip("10.0.0.2"), 53), b"x")
         net.simulator.run()
         assert received == []
-        assert net.receipts[-1].dropped_by == "tap:left--right"
+        assert registry.value("net.drops", reason="tap:left--right") == 1
+        assert only_flight(tracer).attrs["dropped_by"] == "tap:left--right"
 
     def test_rewriting_tap(self):
         net, alpha, beta = build_pair()
@@ -301,3 +329,28 @@ class TestInjection:
         net.inject(forged, at_node="left")
         net.simulator.run()
         assert received == []
+
+
+class TestHostDownInFlight:
+    @staticmethod
+    def flight_attrs(with_registry: bool) -> dict:
+        """The flight of one datagram whose destination crashes while
+        it crosses a 50 ms link."""
+        tracer = Tracer()
+        telemetry = (use_registry(MetricsRegistry()) if with_registry
+                     else nullcontext())
+        with use_tracer(tracer), telemetry:
+            net, alpha, beta = build_pair(latency=0.05)
+        received = []
+        beta.bind(53, received.append)
+        alpha.ephemeral_socket().sendto(Endpoint(ip("10.0.0.2"), 53), b"x")
+        net.simulator.schedule_at(0.01, lambda: net.set_host_down("beta"))
+        net.simulator.run()
+        assert received == []
+        return only_flight(tracer).attrs
+
+    def test_flight_reads_dropped_with_and_without_registry(self):
+        lean = self.flight_attrs(with_registry=False)
+        counted = self.flight_attrs(with_registry=True)
+        assert lean == counted
+        assert (lean["outcome"], lean["dropped_by"]) == ("dropped", "host-down")
