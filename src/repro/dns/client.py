@@ -12,9 +12,8 @@ how to build a query and how to tell a genuine answer from a spoof.
 from __future__ import annotations
 
 import random
-import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.dns.message import Message, make_query
 from repro.dns.name import Name
@@ -120,10 +119,6 @@ class StubResolver:
         self._stats = StubStats()
         self._telemetry = current_registry()
         self._tracer = current_tracer()
-        # TXID-independent query tails per (labels, qtype): a query's
-        # wire form is its 2-byte TXID followed by fixed bytes, so each
-        # attempt is one struct.pack + concat instead of a full encode.
-        self._query_tails: Dict[Tuple, bytes] = {}
 
     @property
     def stats(self) -> StubStats:
@@ -137,12 +132,6 @@ class StubResolver:
               callback: StubCallback) -> None:
         """Send an RD=1 query; invoke ``callback`` exactly once."""
         qname = Name(qname)
-        tail_key = (qname.labels, qtype)
-        tail = self._query_tails.get(tail_key)
-        if tail is None:
-            tail = make_query(0, qname, qtype,
-                              recursion_desired=True).encode()[2:]
-            self._query_tails[tail_key] = tail
 
         def build_request(attempt: AttemptInfo) -> bytes:
             self._stats.queries += 1
@@ -152,7 +141,7 @@ class StubResolver:
                 self._tracer.event("dns.encode",
                                    attrs={"qname": str(qname),
                                           "qtype": qtype.name})
-            return struct.pack("!H", attempt.txid) + tail
+            return make_query(attempt.txid, qname, qtype).encode()
 
         def classify(datagram: Datagram,
                      attempt: AttemptInfo) -> Optional[Message]:

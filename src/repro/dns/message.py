@@ -5,38 +5,47 @@ simulation uses: 12-byte header with flags, question section, and three
 record sections with name compression on encode and full pointer
 chasing on decode.
 
-Both directions of the codec are memoized on their *transaction-ID
-independent* content: the first two wire bytes are the only place the
-TXID lives, and compression pointers are absolute offsets past the
-fixed-size header, so a message differing only in TXID encodes to (and
-decodes from) byte-identical tails. The population workload leans on
-this heavily — a thousand clients exchange the same question/answer
-bytes under fresh random TXIDs, and steady state becomes one dict hit
-plus a 2-byte header patch instead of a full parse or render. The
-caches are value-keyed, case-exact and bounded, so memoized results are
-bit-identical to cold ones.
+Encoding has one path. The header, each question's QTYPE/QCLASS and
+each record's TYPE/CLASS/TTL/RDLENGTH are one ``struct`` pack apiece,
+and a record's RDATA bytes are rendered once per value
+(:meth:`~repro.dns.rdata.Rdata.wire`).
+
+Decoding is memoized on the *transaction-ID independent* content: the
+first two wire bytes are the only place the TXID lives, and compression
+pointers are absolute offsets past the fixed-size header, so a message
+differing only in TXID decodes from a byte-identical tail. The
+population workload leans on this heavily — a thousand clients receive
+the same answer bytes under fresh random TXIDs, and a steady-state
+decode becomes one dict hit instead of a full parse. The memo is
+value-keyed and bounded, and a parse whose compression pointer reads
+the ID bytes is never memoized, so memoized results equal cold ones.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.dns.name import Name
 from repro.dns.rcode import RCode
-from repro.dns.rdata import Rdata, decode_rdata
+from repro.dns.rdata import OpaqueRdata, Rdata, decode_rdata
 from repro.dns.rrtype import RRClass, RRType
 from repro.dns.wire import WireFormatError, WireReader, WireWriter
 
 MAX_TXID = 0xFFFF
 
-# TXID-independent codec memos (see module docstring). Bounded by
+# TXID-independent decode memo (see module docstring). Bounded by
 # wholesale clearing: the working set of distinct messages in any run
 # is tiny, and clearing never changes results — only re-parses once.
 _DECODE_MEMO: "Dict[bytes, Message]" = {}
-_ENCODE_MEMO: Dict[tuple, bytes] = {}
-_CODEC_MEMO_MAX = 1024
+_DECODE_MEMO_MAX = 1024
+
+# Fixed-size wire layouts: the header (ID, flags, four counts), a
+# question's QTYPE/QCLASS, and a record's TYPE/CLASS/TTL/RDLENGTH.
+_HEADER = struct.Struct("!HHHHHH")
+_QUESTION_TAIL = struct.Struct("!HH")
+_RR_FIXED = struct.Struct("!HHIH")
 
 
 @dataclass(frozen=True)
@@ -106,14 +115,12 @@ class Question:
 
     def to_wire(self, writer: WireWriter) -> None:
         writer.write_name(self.qname)
-        writer.write_u16(int(self.qtype))
-        writer.write_u16(int(self.qclass))
+        writer.write_bytes(_QUESTION_TAIL.pack(self.qtype, self.qclass))
 
     @classmethod
     def from_wire(cls, reader: WireReader) -> "Question":
         qname = reader.read_name()
-        qtype_value = reader.read_u16()
-        qclass_value = reader.read_u16()
+        qtype_value, qclass_value = reader.unpack(_QUESTION_TAIL)
         try:
             qtype = RRType(qtype_value)
         except ValueError:
@@ -149,25 +156,21 @@ class ResourceRecord:
             raise ValueError(f"TTL out of range: {self.ttl}")
 
     def to_wire(self, writer: WireWriter) -> None:
+        rdata = self.rdata
+        rendered = rdata.wire()
+        # An opaque carrier's rrtype is a placeholder; its RDATA keeps
+        # the TYPE it was read with.
+        type_code = (rdata.type_code if type(rdata) is OpaqueRdata
+                     else self.rrtype)
         writer.write_name(self.name)
-        writer.write_u16(int(self.rrtype))
-        writer.write_u16(int(self.rrclass))
-        writer.write_u32(self.ttl)
-        # RDLENGTH is written after RDATA is rendered; render into a
-        # sub-writer without compression to keep lengths self-contained.
-        sub = WireWriter(compress=False)
-        self.rdata.to_wire(sub)
-        rendered = sub.getvalue()
-        writer.write_u16(len(rendered))
+        writer.write_bytes(_RR_FIXED.pack(type_code, self.rrclass, self.ttl,
+                                          len(rendered)))
         writer.write_bytes(rendered)
 
     @classmethod
     def from_wire(cls, reader: WireReader) -> "ResourceRecord":
         name = reader.read_name()
-        type_code = reader.read_u16()
-        class_code = reader.read_u16()
-        ttl = reader.read_u32()
-        rdlength = reader.read_u16()
+        type_code, class_code, ttl, rdlength = reader.unpack(_RR_FIXED)
         rdata = decode_rdata(type_code, reader, rdlength)
         try:
             rrtype = RRType(type_code)
@@ -176,7 +179,7 @@ class ResourceRecord:
         try:
             rrclass = RRClass(class_code)
         except ValueError:
-            rrclass = RRClass.IN
+            raise WireFormatError(f"unsupported CLASS {class_code}") from None
         return cls(name, rrtype, ttl, rdata, rrclass)
 
     def with_ttl(self, ttl: int) -> "ResourceRecord":
@@ -253,54 +256,17 @@ class Message:
     # Wire codec.
     # ------------------------------------------------------------------
 
-    def _content_key(self, compress: bool) -> Optional[tuple]:
-        """A hashable, case-exact identity of everything but the TXID,
-        or ``None`` when some RDATA opts out of memoization."""
-        try:
-            sections = tuple(
-                tuple((record.name.labels, int(record.rrtype),
-                       int(record.rrclass), record.ttl,
-                       record.rdata.cache_key())
-                      for record in section)
-                for section in (self.answers, self.authority, self.additional)
-            )
-        except AttributeError:      # a foreign Rdata without cache_key
-            return None
-        for section in sections:
-            for record in section:
-                if record[4] is None:
-                    return None
-        return (compress, self.flags,
-                tuple((q.qname.labels, int(q.qtype), int(q.qclass))
-                      for q in self.questions)) + sections
-
     def encode(self, compress: bool = True) -> bytes:
-        key = self._content_key(compress)
-        if key is not None:
-            tail = _ENCODE_MEMO.get(key)
-            if tail is not None:
-                return struct.pack("!H", self.txid) + tail
         writer = WireWriter(compress=compress)
-        writer.write_u16(self.txid)
-        writer.write_u16(self.flags.to_wire())
-        writer.write_u16(len(self.questions))
-        writer.write_u16(len(self.answers))
-        writer.write_u16(len(self.authority))
-        writer.write_u16(len(self.additional))
+        writer.write_bytes(_HEADER.pack(
+            self.txid, self.flags.to_wire(), len(self.questions),
+            len(self.answers), len(self.authority), len(self.additional)))
         for question in self.questions:
             question.to_wire(writer)
-        for record in self.answers:
-            record.to_wire(writer)
-        for record in self.authority:
-            record.to_wire(writer)
-        for record in self.additional:
-            record.to_wire(writer)
-        wire = writer.getvalue()
-        if key is not None:
-            if len(_ENCODE_MEMO) >= _CODEC_MEMO_MAX:
-                _ENCODE_MEMO.clear()
-            _ENCODE_MEMO[key] = wire[2:]
-        return wire
+        for section in (self.answers, self.authority, self.additional):
+            for record in section:
+                record.to_wire(writer)
+        return writer.getvalue()
 
     @classmethod
     def decode(cls, data: bytes) -> "Message":
@@ -312,12 +278,9 @@ class Message:
                        authority=list(template.authority),
                        additional=list(template.additional))
         reader = WireReader(data)
-        txid = reader.read_u16()
-        flags = Flags.from_wire(reader.read_u16())
-        qdcount = reader.read_u16()
-        ancount = reader.read_u16()
-        nscount = reader.read_u16()
-        arcount = reader.read_u16()
+        txid, flag_bits, qdcount, ancount, nscount, arcount = \
+            reader.unpack(_HEADER)
+        flags = Flags.from_wire(flag_bits)
         questions = [Question.from_wire(reader) for _ in range(qdcount)]
         answers = [ResourceRecord.from_wire(reader) for _ in range(ancount)]
         authority = [ResourceRecord.from_wire(reader) for _ in range(nscount)]
@@ -328,7 +291,7 @@ class Message:
             # the TXID, patched from the header on each hit). The
             # template is private to the memo; hits get fresh section
             # lists so callers may mutate their message freely.
-            if len(_DECODE_MEMO) >= _CODEC_MEMO_MAX:
+            if len(_DECODE_MEMO) >= _DECODE_MEMO_MAX:
                 _DECODE_MEMO.clear()
             _DECODE_MEMO[bytes(data[2:])] = cls(
                 txid=txid, flags=flags, questions=list(questions),

@@ -5,10 +5,11 @@ Each concrete class knows how to encode itself into a
 :class:`~repro.dns.wire.WireReader`, and has a canonical text form used
 in tests and zone literals.
 
-Names inside RDATA (NS, CNAME, SOA, MX, PTR) are emitted *without*
-compression by default per RFC 3597's advice for unknown-type safety;
-the message writer passes a compressing writer anyway for the classic
-types where compression is legal.
+Names inside RDATA (NS, CNAME, SOA, MX, PTR) are always emitted
+*without* compression, as RFC 3597 advises for unknown-type safety:
+:meth:`Rdata.wire` renders a value once through an uncompressed writer
+and keeps the bytes, and a record copies them after its RDLENGTH. So
+RDATA bytes never depend on the message that carries them.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ class Rdata:
     """Base class for typed RDATA."""
 
     rrtype: ClassVar[RRType]
+    _wire: ClassVar["bytes | None"] = None
 
     def to_wire(self, writer: WireWriter) -> None:
         raise NotImplementedError
@@ -37,16 +39,19 @@ class Rdata:
     def to_text(self) -> str:
         raise NotImplementedError
 
-    def cache_key(self):
-        """A hashable, *case-exact* identity of this RDATA's wire form.
+    def wire(self) -> bytes:
+        """The uncompressed RDATA bytes, rendered once per value.
 
-        Used by the message-encode memo: two RDATA with equal cache
-        keys must encode to identical bytes. Names contribute their
-        raw labels (not the case-folded comparison form), so
-        ``example.com`` and ``Example.COM`` never share a key.
-        ``None`` opts the carrying message out of memoization.
+        RDATA is immutable, so the bytes are kept on the instance, the
+        way :class:`~repro.dns.name.Name` keeps its hash and text.
         """
-        return None
+        data = self._wire
+        if data is None:
+            writer = WireWriter(compress=False)
+            self.to_wire(writer)
+            data = writer.getvalue()
+            object.__setattr__(self, "_wire", data)
+        return data
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.to_text()})"
@@ -74,9 +79,6 @@ class ARdata(Rdata):
             raise WireFormatError(f"A RDATA must be 4 bytes, got {rdlength}")
         return cls(IPAddress.from_packed(reader.read_bytes(4)))
 
-    def cache_key(self):
-        return ("A", self.address)
-
     def to_text(self) -> str:
         return str(self.address)
 
@@ -103,9 +105,6 @@ class AAAARdata(Rdata):
             raise WireFormatError(f"AAAA RDATA must be 16 bytes, got {rdlength}")
         return cls(IPAddress.from_packed(reader.read_bytes(16)))
 
-    def cache_key(self):
-        return ("AAAA", self.address)
-
     def to_text(self) -> str:
         return str(self.address)
 
@@ -126,9 +125,6 @@ class NSRdata(Rdata):
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "NSRdata":
         return cls(reader.read_name())
-
-    def cache_key(self):
-        return ("NS", self.target.labels)
 
     def to_text(self) -> str:
         return self.target.to_text()
@@ -151,9 +147,6 @@ class CNAMERdata(Rdata):
     def from_wire(cls, reader: WireReader, rdlength: int) -> "CNAMERdata":
         return cls(reader.read_name())
 
-    def cache_key(self):
-        return ("CNAME", self.target.labels)
-
     def to_text(self) -> str:
         return self.target.to_text()
 
@@ -174,9 +167,6 @@ class PTRRdata(Rdata):
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "PTRRdata":
         return cls(reader.read_name())
-
-    def cache_key(self):
-        return ("PTR", self.target.labels)
 
     def to_text(self) -> str:
         return self.target.to_text()
@@ -219,10 +209,6 @@ class SOARdata(Rdata):
         minimum = reader.read_u32()
         return cls(mname, rname, serial, refresh, retry, expire, minimum)
 
-    def cache_key(self):
-        return ("SOA", self.mname.labels, self.rname.labels, self.serial,
-                self.refresh, self.retry, self.expire, self.minimum)
-
     def to_text(self) -> str:
         return (f"{self.mname} {self.rname} {self.serial} {self.refresh} "
                 f"{self.retry} {self.expire} {self.minimum}")
@@ -249,9 +235,6 @@ class MXRdata(Rdata):
     def from_wire(cls, reader: WireReader, rdlength: int) -> "MXRdata":
         preference = reader.read_u16()
         return cls(preference, reader.read_name())
-
-    def cache_key(self):
-        return ("MX", self.preference, self.exchange.labels)
 
     def to_text(self) -> str:
         return f"{self.preference} {self.exchange}"
@@ -295,9 +278,6 @@ class TXTRdata(Rdata):
             raise WireFormatError("empty TXT RDATA")
         return cls(tuple(strings))
 
-    def cache_key(self):
-        return ("TXT", self.strings)
-
     def to_text(self) -> str:
         return " ".join(f'"{chunk.decode("utf-8", "replace")}"'
                         for chunk in self.strings)
@@ -317,9 +297,6 @@ class OpaqueRdata(Rdata):
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "OpaqueRdata":
         raise NotImplementedError("use decode_rdata() with a type code")
-
-    def cache_key(self):
-        return ("OPAQUE", self.type_code, self.data)
 
     def to_text(self) -> str:
         return f"\\# {len(self.data)} {self.data.hex()}"

@@ -13,6 +13,8 @@ from typing import Dict, Tuple
 from repro.dns.name import Name
 
 _POINTER_FLAG = 0xC0
+_U16 = struct.Struct("!H")
+_U32 = struct.Struct("!I")
 _MAX_POINTER_HOPS = 128
 
 # Decoded-name intern pool: the simulation parses the same handful of
@@ -37,8 +39,7 @@ class WireWriter:
     """
 
     def __init__(self, compress: bool = True) -> None:
-        self._chunks: list[bytes] = []
-        self._length = 0
+        self._buffer = bytearray()
         self._compress = compress
         # Maps folded label suffix tuples to their first wire offset.
         self._name_offsets: Dict[Tuple[bytes, ...], int] = {}
@@ -46,40 +47,39 @@ class WireWriter:
     @property
     def offset(self) -> int:
         """Current length of the accumulated output."""
-        return self._length
+        return len(self._buffer)
 
     def getvalue(self) -> bytes:
-        return b"".join(self._chunks)
+        return bytes(self._buffer)
 
     def write_bytes(self, data: bytes) -> None:
-        self._chunks.append(data)
-        self._length += len(data)
+        self._buffer += data
 
     def write_u8(self, value: int) -> None:
-        self.write_bytes(struct.pack("!B", value))
+        self._buffer.append(value)
 
     def write_u16(self, value: int) -> None:
-        self.write_bytes(struct.pack("!H", value))
+        self._buffer += _U16.pack(value)
 
     def write_u32(self, value: int) -> None:
-        self.write_bytes(struct.pack("!I", value))
+        self._buffer += _U32.pack(value)
 
     def write_name(self, name: Name) -> None:
         """Emit a (possibly compressed) domain name."""
+        buffer = self._buffer
         labels = name.labels
-        folded = tuple(label.lower() for label in labels)
         for index in range(len(labels)):
-            suffix = folded[index:]
-            known_offset = self._name_offsets.get(suffix) if self._compress else None
-            if known_offset is not None and known_offset < 0x4000:
-                self.write_u16(_POINTER_FLAG << 8 | known_offset)
-                return
-            if self._compress and self._length < 0x4000:
-                self._name_offsets[suffix] = self._length
-            label = labels[index]
-            self.write_u8(len(label))
-            self.write_bytes(label)
-        self.write_u8(0)
+            if self._compress:
+                suffix = name._folded[index:]
+                known_offset = self._name_offsets.get(suffix)
+                if known_offset is not None:
+                    buffer += _U16.pack(_POINTER_FLAG << 8 | known_offset)
+                    return
+                if len(buffer) < 0x4000:
+                    self._name_offsets[suffix] = len(buffer)
+            buffer.append(len(labels[index]))
+            buffer += labels[index]
+        buffer.append(0)
 
     def write_character_string(self, data: bytes) -> None:
         """Emit a <character-string> (length-prefixed, max 255)."""
@@ -126,10 +126,14 @@ class WireReader:
         return self.read_bytes(1)[0]
 
     def read_u16(self) -> int:
-        return struct.unpack("!H", self.read_bytes(2))[0]
+        return self.unpack(_U16)[0]
 
     def read_u32(self) -> int:
-        return struct.unpack("!I", self.read_bytes(4))[0]
+        return self.unpack(_U32)[0]
+
+    def unpack(self, layout: struct.Struct) -> tuple:
+        """Read one fixed-size ``struct`` layout."""
+        return layout.unpack(self.read_bytes(layout.size))
 
     def read_name(self) -> Name:
         """Decode a domain name, following compression pointers."""

@@ -83,7 +83,7 @@ _session_counter = itertools.count(1)
 
 # Shared secrets derived by generated pairs, keyed (own public, peer
 # public) and popped by the generated peer under the swapped key (see
-# the module docstring). Bounded like the DNS codec memos: cleared on
+# the module docstring). Bounded like the DNS decode memo: cleared on
 # overflow, which only costs the next reader a cold derivation.
 _SHARED_MEMO: Dict[Tuple[int, int], bytes] = {}
 _SHARED_MEMO_MAX = 256

@@ -1,10 +1,12 @@
-"""The TXID-independent codec memos must be invisible semantically.
+"""The codec's TXID handling and its decode memo.
 
-The fast path memoizes `Message.encode`/`Message.decode` on everything
-but the transaction ID. These tests pin the edges where a sloppy memo
-would change behaviour: TXID patching, case-exact keys, mutation
-isolation between hits, and adversarial compression pointers aimed at
-the ID bytes.
+Encoding has one path and no memo: the encode tests pin that a
+message's bytes depend on its TXID only in the two header bytes, and
+that case-insensitively equal names keep their own octets. Decoding is
+memoized on everything but the transaction ID, so the decode tests pin
+the edges where a sloppy memo would change behaviour: TXID patching,
+mutation isolation between hits, and adversarial compression pointers
+aimed at the ID bytes.
 """
 
 from hypothesis import example, given, settings, strategies as st
@@ -34,7 +36,7 @@ def _reply(txid: int, name: str = "pool.ntp.org") -> Message:
     )
 
 
-class TestEncodeMemo:
+class TestEncode:
     def test_txid_varies_tail_identical(self):
         wires = [_reply(txid).encode() for txid in (0x0000, 0x1234, 0xFFFF)]
         assert wires[0][2:] == wires[1][2:] == wires[2][2:]
@@ -44,13 +46,13 @@ class TestEncodeMemo:
         lower = _reply(7, "pool.ntp.org").encode()
         upper = _reply(7, "POOL.ntp.org").encode()
         # Case-insensitively equal names (same DNS identity) must still
-        # encode with their own octets — a folded memo key would leak
-        # the first-seen spelling into the second message's wire.
+        # encode with their own octets: nothing keyed on the folded
+        # form may leak the first-seen spelling into the second wire.
         assert Name("pool.ntp.org") == Name("POOL.ntp.org")
         assert lower != upper
         assert b"POOL" in upper and b"pool" in lower
 
-    def test_memoized_encode_matches_cold_encode(self):
+    def test_reencoded_reply_matches_its_wire(self):
         first = _reply(1).encode()
         again = _reply(2).encode()
         cold = Message.decode(again).encode()

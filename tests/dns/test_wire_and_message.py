@@ -1,5 +1,7 @@
 """Tests for the wire codec and full messages, including round-trips."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,6 +21,7 @@ from repro.dns.rdata import (
     CNAMERdata,
     MXRdata,
     NSRdata,
+    OpaqueRdata,
     PTRRdata,
     SOARdata,
     TXTRdata,
@@ -423,3 +426,31 @@ class TestMessage:
                           answers=answers)
         decoded = Message.decode(message.encode())
         assert decoded.answers == answers
+
+
+def _one_record_reply(type_code: int, class_code: int,
+                      rdata: bytes = b"\xbe\xef") -> bytes:
+    """A reply carrying one ``a.`` record with the given TYPE and CLASS."""
+    header = struct.pack("!HHHHHH", 0x1234, 0x8180, 0, 1, 0, 0)
+    return (header + b"\x01a\x00"
+            + struct.pack("!HHIH", type_code, class_code, 60, len(rdata))
+            + rdata)
+
+
+class TestUnknownTypeAndClass:
+    def test_unknown_type_reencodes_with_the_type_it_was_read_with(self):
+        wire = _one_record_reply(99, 1)
+        message = Message.decode(wire)
+        assert message.answers[0].rdata == OpaqueRdata(99, b"\xbe\xef")
+        # A resolver relaying the record must not rewrite TYPE 99 as
+        # the placeholder rrtype (OPT, 41).
+        assert message.encode() == wire
+        assert message.encode(compress=False) == wire
+
+    @pytest.mark.parametrize("type_code, rdata",
+                             [(99, b"\xbe\xef"), (1, bytes(4))],
+                             ids=["opaque", "A"])
+    def test_unknown_class_is_rejected(self, type_code, rdata):
+        # Re-encoding would otherwise rewrite CLASS 7 as IN.
+        with pytest.raises(WireFormatError, match="CLASS 7"):
+            Message.decode(_one_record_reply(type_code, 7, rdata))
