@@ -27,7 +27,7 @@ class Rdata:
     """Base class for typed RDATA."""
 
     rrtype: ClassVar[RRType]
-    _wire: ClassVar["bytes | None"] = None
+    _wire: "bytes | None" = None  # set by wire()
 
     def to_wire(self, writer: WireWriter) -> None:
         raise NotImplementedError
