@@ -29,6 +29,9 @@ Scale machinery:
   server selection from its own named streams of the scenario's
   :class:`~repro.util.rng.RngRegistry`, so fleet behaviour is
   reproducible from the seed alone and independent of dispatch order.
+  The streams are :class:`~repro.util.rng.ParkedStream` objects: a
+  client holds generator state only while it is in a round, and is a
+  seed plus a word count per stream in between.
 * **Streaming telemetry** — nothing per-client is accumulated in Python
   lists; every observation folds into the registry's counters,
   histograms and virtual-time series, and population outcomes are read
@@ -70,7 +73,7 @@ from repro.ntp.clock import SimClock
 from repro.population.arrivals import ArrivalProcess, make_arrivals
 from repro.telemetry.registry import MetricsRegistry, use_registry
 from repro.telemetry.trace import current_tracer
-from repro.util.rng import RngRegistry
+from repro.util.rng import ParkedStream, RngRegistry
 
 
 def _doh_addresses(outcome) -> Optional[List[IPAddress]]:
@@ -255,8 +258,8 @@ class RoundRng:
     """The per-client randomness :func:`advance_round` draws from:
     explicit inputs, so identical streams replay identical rounds."""
 
-    select: Any        # random.Random — pool-server selection
-    churn: Any         # random.Random — leave/stay (None: churn off)
+    select: Any        # ParkedStream — pool-server selection
+    churn: Any         # ParkedStream — leave/stay (None: churn off)
     arrivals: ArrivalProcess
 
 
@@ -398,11 +401,12 @@ class _FleetClient:
     """One population member: host + clock + stubs (or DoH) + SNTP."""
 
     __slots__ = ("fleet", "index", "host", "clock", "stubs", "doh", "ntp",
-                 "rng", "state", "span")
+                 "rng", "streams", "state", "span")
 
     def __init__(self, fleet: "ClientFleet", index: int, host: Host,
                  clock: SimClock, stubs: List[StubResolver],
-                 ntp: NtpClient, rng: RoundRng, doh=None) -> None:
+                 ntp: NtpClient, rng: RoundRng,
+                 streams: Tuple[ParkedStream, ...], doh=None) -> None:
         self.fleet = fleet
         self.index = index            # global index over the population
         self.host = host
@@ -411,6 +415,7 @@ class _FleetClient:
         self.doh = doh                # DoHClient in transport="doh" mode
         self.ntp = ntp
         self.rng = rng
+        self.streams = streams        # every stream above, to park/close
         self.state = ClientRoundState()
         self.span = None              # live "client.round" trace span
 
@@ -550,13 +555,16 @@ class ClientFleet:
         block, slot = divmod(g, 200)
         address = IPAddress(
             f"10.{120 + block // 256}.{block % 256}.{slot + 1}")
+        # Every stream the client draws during rounds is parked: it
+        # holds a Mersenne Twister (2.5 KB) only from its first draw in
+        # a round until the round concludes. The clock offset is the
+        # "client" stream's only draw, so that generator is transient,
+        # and "arrival" / "churn" exist only under Poisson arrivals / a
+        # nonzero churn rate.
+        ports = streams.parked("ports")
         host = self._internet.add_host(Host(
             f"pop-{g}", self._nodes[g % len(self._nodes)], [address],
-            rng=streams.stream("ports")))
-        # A client holds only the generators its run draws: the clock
-        # offset is the "client" stream's only draw, so that generator
-        # is not memoised, and "arrival" / "churn" are asked for only
-        # under Poisson arrivals / a nonzero churn rate.
+            rng=ports))
         client_rng = random.Random(streams.derive("client"))
         clock = SimClock(
             lambda: self._simulator.now,
@@ -569,27 +577,35 @@ class ClientFleet:
             if config.transport == "doh":
                 from repro.doh.client import DoHClient
                 stubs: List[StubResolver] = []
+                query_streams = [streams.parked("doh")]
                 doh = DoHClient(host, self._simulator, self._trust_store,
-                                rng=streams.stream("doh"),
+                                rng=query_streams[0],
                                 timeout=config.dns_timeout,
                                 retries=config.dns_retries)
             else:
+                query_streams = [streams.parked("txid", str(pi))
+                                 for pi in range(len(self._providers))]
                 stubs = [StubResolver(host, self._simulator, provider,
                                       timeout=config.dns_timeout,
                                       retries=config.dns_retries,
-                                      rng=streams.stream("txid", str(pi)))
-                         for pi, provider in enumerate(self._providers)]
+                                      rng=txid)
+                         for provider, txid in zip(self._providers,
+                                                   query_streams)]
             ntp = NtpClient(host, self._simulator, clock,
                             timeout=config.ntp_timeout)
+        arrival = (streams.parked("arrival")
+                   if config.arrival == "poisson" else None)
         arrivals = make_arrivals(
             config.arrival, config.mean_interval, g, self._population,
-            rng=(streams.stream("arrival")
-                 if config.arrival == "poisson" else None))
-        rng = RoundRng(select=streams.stream("select"),
-                       churn=(streams.stream("churn")
+            rng=arrival)
+        rng = RoundRng(select=streams.parked("select"),
+                       churn=(streams.parked("churn")
                               if config.churn_rate else None),
                        arrivals=arrivals)
-        return _FleetClient(self, g, host, clock, stubs, ntp, rng, doh=doh)
+        owned = (ports, *query_streams, rng.select, rng.churn, arrival)
+        return _FleetClient(self, g, host, clock, stubs, ntp, rng,
+                            tuple(s for s in owned if s is not None),
+                            doh=doh)
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -634,6 +650,9 @@ class ClientFleet:
         for client in self._clients:
             self._dispatcher.call_after(client.rng.arrivals.first_delay(),
                                         lambda c=client: self._round(c))
+            # A Poisson first delay woke the arrival stream.
+            for stream in client.streams:
+                stream.park()
         return self
 
     def run(self, max_events: int = 5_000_000) -> PopulationOutcomes:
@@ -721,9 +740,16 @@ class ClientFleet:
             if step.synced:
                 span.set(clock_error=step.clock_error)
             tracer.finish(span)
-        # ...then schedule what comes next.
+        # ...then schedule what comes next. Every draw of the round is
+        # behind it (the fleet waited for each answer and for the
+        # sync), so a client out of rounds drops its streams for good
+        # and one with rounds left parks them until it wakes.
         if step.action == "stop":
+            for stream in client.streams:
+                stream.close()
             return
+        for stream in client.streams:
+            stream.park()
         if step.action == "leave":
             self._m_leaves.inc()
             self._active_count -= 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterator, Sequence, Tuple, TypeVar
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -46,6 +46,120 @@ def make_rng(root_seed: int, *names: str) -> random.Random:
     return random.Random(derive_seed(root_seed, *names))
 
 
+class StreamClosedError(RuntimeError):
+    """A draw from a :class:`ParkedStream` after its ``close()``."""
+
+
+_random_random = random.Random.random
+_random_getrandbits = random.Random.getrandbits
+
+
+class _CountingRandom(random.Random):
+    """A :class:`random.Random` that counts the 32-bit Mersenne Twister
+    words it consumes: ``random()`` takes two, ``getrandbits(k)`` takes
+    ``ceil(k / 32)`` (none for ``k == 0``). Every other method draws
+    through one of those two, so ``words`` is exact; a call that raises
+    counts nothing."""
+
+    words = 0
+
+    def random(self) -> float:
+        value = _random_random(self)
+        self.words += 2
+        return value
+
+    def getrandbits(self, k: int) -> int:
+        value = _random_getrandbits(self, k)
+        self.words += (k + 31) >> 5
+        return value
+
+
+class ParkedStream:
+    """A named stream that holds generator state only while in use.
+
+    While parked, a stream is its seed plus the number of 32-bit words
+    it has drawn. The first draw builds a
+    :class:`random.Random` from the seed; :meth:`park` records the word
+    count and drops the generator (2.5 KB of Mersenne Twister state);
+    the next draw rebuilds it and skips the recorded words with one
+    ``getrandbits(32 * words)`` — the twister's state after N words
+    does not depend on how those words were grouped. Every draw
+    therefore returns what one long-lived ``random.Random(seed)``
+    would. The price is CPU: each wake-up reseeds (about 7 µs on a
+    2-vCPU x86 machine, Python 3.11) and regenerates the words drawn
+    so far. :meth:`close` is final: a later draw raises
+    :class:`StreamClosedError`.
+
+    >>> stream, plain = ParkedStream(7), random.Random(7)
+    >>> a = stream.randint(0, 99); stream.park()
+    >>> [a, stream.random()] == [plain.randint(0, 99), plain.random()]
+    True
+    >>> stream.close(); stream.random()
+    Traceback (most recent call last):
+    ...
+    repro.util.rng.StreamClosedError: draw from a closed stream
+    """
+
+    __slots__ = ("_seed", "_words", "_rng")
+
+    def __init__(self, seed: int) -> None:
+        self._seed = seed
+        self._words: Optional[int] = 0     # None once closed
+        self._rng: Optional[_CountingRandom] = None
+
+    def _wake(self) -> _CountingRandom:
+        words = self._words
+        if words is None:
+            raise StreamClosedError("draw from a closed stream")
+        rng = self._rng = _CountingRandom(self._seed)
+        if words:
+            rng.getrandbits(32 * words)
+        return rng
+
+    def park(self) -> None:
+        """Drop the generator, keeping only the word count."""
+        rng = self._rng
+        if rng is not None:
+            self._words = rng.words
+            self._rng = None
+
+    def close(self) -> None:
+        """Drop the generator for good; later draws raise."""
+        self._rng = None
+        self._words = None
+
+    def random(self) -> float:
+        return (self._rng or self._wake()).random()
+
+    def getrandbits(self, k: int) -> int:
+        return (self._rng or self._wake()).getrandbits(k)
+
+    def randbytes(self, n: int) -> bytes:
+        return self.getrandbits(n * 8).to_bytes(n, "little")
+
+    def randrange(self, start: int, stop: Optional[int] = None,
+                  step: int = 1) -> int:
+        return (self._rng or self._wake()).randrange(start, stop, step)
+
+    def randint(self, a: int, b: int) -> int:
+        return (self._rng or self._wake()).randint(a, b)
+
+    def choice(self, seq: Sequence[T]) -> T:
+        return (self._rng or self._wake()).choice(seq)
+
+    def sample(self, population: Sequence[T], k: int) -> List[T]:
+        return (self._rng or self._wake()).sample(population, k)
+
+    def uniform(self, a: float, b: float) -> float:
+        return (self._rng or self._wake()).uniform(a, b)
+
+    def expovariate(self, lambd: float) -> float:
+        return (self._rng or self._wake()).expovariate(lambd)
+
+    def getstate(self) -> tuple:
+        return (self._rng or self._wake()).getstate()
+
+
 class StreamPrefix:
     """A pre-hashed name prefix for bulk child-stream derivation.
 
@@ -58,18 +172,18 @@ class StreamPrefix:
     ``derive_seed(root, *prefix, *suffix)`` by construction, without
     re-hashing the shared prefix per lookup. The population layer uses
     one prefix per client (``("population", tag)``) so building a
-    100k-client shard does one prefix pass, not eight, per client.
+    100k-client shard does one prefix pass, not one per stream, per
+    client.
 
-    Streams are memoised in the owning registry's table under the same
-    name-tuple keys :meth:`RngRegistry.stream` uses, so prefixed and
-    direct lookups of the same path return the same generator.
+    Its streams are :class:`ParkedStream` objects, never memoised in
+    the registry: each holds generator state only between its first
+    draw and its next :meth:`~ParkedStream.park`.
     """
 
-    __slots__ = ("_streams", "_names", "_hasher")
+    __slots__ = ("_names", "_hasher")
 
     def __init__(self, registry: "RngRegistry",
                  names: Tuple[str, ...]) -> None:
-        self._streams = registry._streams
         self._names = names
         hasher = hashlib.sha256()
         hasher.update(str(int(registry.root_seed)).encode("ascii"))
@@ -94,13 +208,10 @@ class StreamPrefix:
             hasher.update(encoded)
         return int.from_bytes(hasher.digest()[:_SEED_BYTES], "big")
 
-    def stream(self, *names: str) -> random.Random:
-        """The registry stream for ``(*self.names, *names)``."""
-        key = self._names + names
-        stream = self._streams.get(key)
-        if stream is None:
-            self._streams[key] = stream = random.Random(self.derive(*names))
-        return stream
+    def parked(self, *names: str) -> ParkedStream:
+        """A :class:`ParkedStream` over the seed
+        ``RngRegistry.stream(*self.names, *names)`` would use."""
+        return ParkedStream(self.derive(*names))
 
 
 class RngRegistry:
@@ -141,7 +252,7 @@ class RngRegistry:
 
     def prefixed(self, *names: str) -> StreamPrefix:
         """A :class:`StreamPrefix` over ``names``: bulk-derive child
-        streams without re-hashing the shared path prefix."""
+        parked streams without re-hashing the shared path prefix."""
         return StreamPrefix(self, tuple(names))
 
     def fork(self, *names: str) -> "RngRegistry":

@@ -8,7 +8,7 @@ import pytest
 from repro.netsim.simulator import SimulationError, Simulator
 from repro.population import BatchDispatcher, FleetConfig
 from repro.scenarios import materialize, population_spec
-from repro.util.rng import make_rng
+from repro.util.rng import StreamClosedError, StreamPrefix, make_rng
 
 
 class TestBatchDispatcher:
@@ -213,26 +213,94 @@ class TestChurnAndReproducibility:
 
 def _live_randoms() -> int:
     gc.collect()
-    return sum(1 for obj in gc.get_objects() if type(obj) is random.Random)
+    return sum(1 for obj in gc.get_objects()
+               if isinstance(obj, random.Random))
+
+
+class _RecordedStream:
+    """A fleet stream that logs every draw the fleet makes from it."""
+
+    def __init__(self, stream, log: list) -> None:
+        self._stream = stream
+        self._log = log
+
+    def park(self) -> None:
+        self._log.append(("park", (), None))
+        self._stream.park()
+
+    def close(self) -> None:
+        self._stream.close()
+
+    def __getattr__(self, method):
+        draw = getattr(self._stream, method)
+
+        def recorded(*args):
+            value = draw(*args)
+            self._log.append((method, args, value))
+            return value
+        return recorded
 
 
 class TestClientStreams:
-    """A client holds generators only for the streams its run draws."""
+    """A client holds generators only while it is in a round."""
 
-    def test_forwarding_fleet_holds_at_most_five_generators_per_client(self):
-        # Periodic arrivals, no churn: a client draws ports, three
-        # txid streams and select. The clock offset's one draw leaves
-        # nothing behind; arrival, churn and NTP's transport own none.
-        spec = population_spec(num_clients=50, rounds=1)
+    def test_fleet_holds_no_generators_between_rounds(self):
+        # Every per-client stream is parked: after materialize a client
+        # holds no generator (the clock offset's one draw leaves
+        # nothing behind), and after a drained run each client has
+        # closed its streams.
+        spec = population_spec(num_clients=50, rounds=2)
         materialize(spec, 5)                      # warm import-time state
         before = _live_randoms()
         small = materialize(spec, 5)
         middle = _live_randoms()
-        large = materialize(population_spec(num_clients=100, rounds=1), 5)
+        large = materialize(population_spec(num_clients=100, rounds=2), 5)
         after = _live_randoms()
-        per_client = ((after - middle) - (middle - before)) / 50
-        assert per_client <= 5
+        assert (after - middle) - (middle - before) == 0
+        small.run()
+        large.run()
+        assert _live_randoms() - after == 0
         assert small.fleet.clients == 50 and large.fleet.clients == 100
+        client = large.fleet._clients[0]
+        with pytest.raises(StreamClosedError):
+            client.rng.select.random()
+
+    def test_churn_and_poisson_fleet_draws_the_make_rng_sequences(
+            self, monkeypatch):
+        # Leave -> rejoin parks every stream between rounds, and Poisson
+        # arrivals park the arrival stream after the first delay; each
+        # named stream must still draw what one long-lived make_rng
+        # generator over the same name draws.
+        seed = 13
+        logs = {}
+        parked = StreamPrefix.parked
+
+        def recording(prefix, *names):
+            log = logs.setdefault(prefix.names + names, [])
+            return _RecordedStream(parked(prefix, *names), log)
+
+        monkeypatch.setattr(StreamPrefix, "parked", recording)
+        scenario = materialize(population_spec(
+            num_clients=20, rounds=4, arrival="poisson", churn_rate=0.5,
+            resolve_every=2, corrupted=1), seed)
+        outcomes = scenario.run()
+        assert outcomes.churn_leaves > 0 and outcomes.churn_joins > 0
+        assert {path[2:] for path in logs} == {
+            ("ports",), ("txid", "0"), ("txid", "1"), ("txid", "2"),
+            ("arrival",), ("select",), ("churn",)}
+        rebuilt = 0
+        for path, log in logs.items():
+            replay = make_rng(seed, *path)
+            parked_since_draw = False
+            for method, args, value in log:
+                if method == "park":
+                    parked_since_draw = True
+                    continue
+                rebuilt += parked_since_draw
+                parked_since_draw = False
+                assert getattr(replay, method)(*args) == value, path
+        # Plenty of draws came from a generator rebuilt after a park.
+        assert rebuilt > 100
 
     def test_clock_offset_is_the_client_streams_first_draw(self):
         scenario = materialize(population_spec(num_clients=5, rounds=1), 11)

@@ -5,7 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.rng import RngRegistry, derive_seed, make_rng
+from repro.util.rng import (
+    ParkedStream, RngRegistry, StreamClosedError, derive_seed, make_rng)
 
 
 class TestDeriveSeed:
@@ -71,12 +72,11 @@ class TestRngRegistry:
         assert path.random() == make_rng(3, "a", "b").random()
         assert joined.random() == make_rng(3, "a/b").random()
 
-    def test_prefixed_and_direct_lookups_share_a_stream(self):
-        reg = RngRegistry(3)
-        prefix = reg.prefixed("population", "7")
-        assert prefix.stream("txid", "0") is reg.stream(
-            "population", "7", "txid", "0")
-        assert prefix.stream("txid/0") is not prefix.stream("txid", "0")
+    def test_prefixed_and_direct_paths_derive_one_seed(self):
+        prefix = RngRegistry(3).prefixed("population", "7")
+        assert prefix.derive("txid", "0") == derive_seed(
+            3, "population", "7", "txid", "0")
+        assert prefix.derive("txid/0") != prefix.derive("txid", "0")
 
     def test_root_seed_property(self):
         assert RngRegistry(99).root_seed == 99
@@ -126,3 +126,85 @@ class TestRngRegistry:
         a = RngRegistry(root).stream("s").random()
         b = RngRegistry(root).stream("s").random()
         assert a == b
+
+
+#: One call on a stream, as ``(method, args)``; ``("park", ())`` parks
+#: it, and ``("random", (n,))`` stands for ``n`` consecutive
+#: ``random()`` calls (two words each), so a short program can run the
+#: Mersenne Twister through several 624-word twists.
+_CALLS = st.one_of(
+    st.tuples(st.integers(-50, 50), st.integers(0, 10**12)).map(
+        lambda ab: ("randint", (ab[0], ab[0] + ab[1]))),
+    st.integers(1, 2**70).map(lambda n: ("randrange", (n,))),
+    st.integers(1, 40).map(lambda n: ("choice", (list(range(n)),))),
+    st.just(("uniform", (-2.5, 7.0))),
+    st.integers(1, 400).map(lambda n: ("random", (n,))),
+    st.just(("expovariate", (0.25,))),
+    st.integers(0, 100).map(lambda k: ("getrandbits", (k,))),
+    st.integers(0, 30).map(lambda k: ("sample", (list(range(30)), k))),
+    st.just(("park", ())),
+)
+
+
+def _replay(stream, calls) -> list:
+    outputs = []
+    for method, args in calls:
+        if method == "park":
+            if isinstance(stream, ParkedStream):
+                stream.park()
+        elif method == "random":
+            outputs.append([stream.random() for _ in range(args[0])])
+        else:
+            outputs.append(getattr(stream, method)(*args))
+    return outputs
+
+
+class TestParkedStream:
+    """A parked stream draws exactly what one long-lived generator
+    over the same seed draws, however often it is parked."""
+
+    @given(st.integers(0, 2**64 - 1), st.lists(_CALLS, max_size=40))
+    def test_draws_and_final_state_match_a_plain_generator(self, seed,
+                                                            calls):
+        parked, plain = ParkedStream(seed), random.Random(seed)
+        assert _replay(parked, calls) == _replay(plain, calls)
+        assert parked.getstate() == plain.getstate()
+
+    def test_parking_across_several_twists(self):
+        # 3000 random() calls = 6000 words, parked every 7th call: the
+        # skip crosses nine twists of the 624-word state.
+        parked, plain = ParkedStream(11), random.Random(11)
+        for i in range(3000):
+            if i % 7 == 0:
+                parked.park()
+            assert parked.random() == plain.random()
+        parked.park()
+        assert parked.getstate() == plain.getstate()
+
+    def test_prefixed_parked_stream_draws_the_make_rng_sequence(self):
+        reg = RngRegistry(3)
+        stream = reg.prefixed("population", "7").parked("txid", "0")
+        expected = make_rng(3, "population", "7", "txid", "0")
+        drawn = []
+        for _ in range(5):
+            drawn.append(stream.randrange(1 << 16))
+            stream.park()
+        assert drawn == [expected.randrange(1 << 16) for _ in range(5)]
+
+    def test_parked_streams_are_not_memoised(self):
+        prefix = RngRegistry(3).prefixed("population", "7")
+        first, second = prefix.parked("select"), prefix.parked("select")
+        assert first is not second
+        assert first.random() == second.random()
+
+    @pytest.mark.parametrize("drawn", [False, True])
+    def test_draw_after_close_raises(self, drawn):
+        stream = ParkedStream(5)
+        if drawn:
+            stream.randint(1, 6)
+        stream.close()
+        stream.park()                     # a no-op, never a reseed
+        with pytest.raises(StreamClosedError):
+            stream.choice([1, 2, 3])
+        with pytest.raises(StreamClosedError):
+            stream.getrandbits(8)
