@@ -29,9 +29,8 @@ from repro.netsim.transport import (
     ExchangeReport,
     RetryPolicy,
     Transport,
+    retry_policy,
 )
-from repro.telemetry.registry import current_registry
-from repro.telemetry.trace import current_tracer
 
 DNS_PORT = 53
 
@@ -100,25 +99,30 @@ class StubStats:
 class StubResolver:
     """Client-side resolver speaking plain DNS to one recursive server.
 
+    It rides its host's one :class:`~repro.netsim.transport.Transport`
+    and a shared :func:`~repro.netsim.transport.retry_policy`; what it
+    owns is its server, its TXID stream and its :class:`StubStats`.
+    A population of clients with many servers each skips the object
+    and calls :func:`stub_query` directly.
+
     :param host: the client machine.
     :param simulator: for timeouts.
     :param server: recursive resolver address (port 53 assumed).
     :param timeout: per-attempt timeout in seconds.
     :param retries: additional attempts after the first.
+    :param rng: the TXID stream; without one the first query creates
+        a ``random.Random(0)``.
     """
 
     def __init__(self, host: Host, simulator: Simulator,
                  server: IPAddress, timeout: float = 3.0,
                  retries: int = 1,
                  rng: Optional[random.Random] = None) -> None:
-        self._host = host
-        self._simulator = simulator
         self._server = Endpoint(IPAddress(server), DNS_PORT)
-        self._policy = RetryPolicy(timeout=timeout, retries=retries)
-        self._transport = Transport(host, simulator, rng=rng)
+        self._policy = retry_policy(timeout, retries)
+        self._transport = host.transport(simulator)
+        self._txids = rng
         self._stats = StubStats()
-        self._telemetry = current_registry()
-        self._tracer = current_tracer()
 
     @property
     def stats(self) -> StubStats:
@@ -131,66 +135,80 @@ class StubResolver:
     def query(self, qname: "Name | str", qtype: RRType,
               callback: StubCallback) -> None:
         """Send an RD=1 query; invoke ``callback`` exactly once."""
-        qname = Name(qname)
+        if self._txids is None:
+            self._txids = random.Random(0)
+        stub_query(self._transport, self._server, self._policy,
+                   self._txids, self._stats, qname, qtype, callback)
 
-        def build_request(attempt: AttemptInfo) -> bytes:
-            self._stats.queries += 1
-            if self._tracer is not None:
-                # Runs under the attempt span's scope (the transport
-                # activates it around begin_attempt).
-                self._tracer.event("dns.encode",
-                                   attrs={"qname": str(qname),
-                                          "qtype": qtype.name})
-            return make_query(attempt.txid, qname, qtype).encode()
 
-        def classify(datagram: Datagram,
-                     attempt: AttemptInfo) -> Optional[Message]:
-            response = validate_reply(datagram, attempt.txid, self._server,
-                                      qname, qtype)
-            if response is None:
-                self._stats.spoofs_rejected += 1
-                if self._tracer is not None:
-                    self._tracer.event("dns.decode",
-                                       attrs={"qname": str(qname),
-                                              "accepted": False})
-                return None
-            self._stats.responses += 1
-            if self._tracer is not None:
-                addresses = [str(record.rdata.address)  # type: ignore[attr-defined]
-                             for record in response.answers
-                             if record.rrtype in (RRType.A, RRType.AAAA)]
-                decode = self._tracer.event(
-                    "dns.decode", attrs={"qname": str(qname),
-                                         "accepted": True,
-                                         "answers": addresses})
-                if datagram.spoofed:
-                    decode.set(spoofed=True)
+def stub_query(transport: Transport, server: Endpoint, policy: RetryPolicy,
+               txids, stats: StubStats, qname: "Name | str", qtype: RRType,
+               callback: StubCallback) -> None:
+    """Send one RD=1 query to ``server`` over ``transport``, drawing a
+    TXID per attempt from ``txids``; ``callback`` fires exactly once.
+
+    Counts land in ``stats`` and publish to the transport's registry
+    and tracer.
+    """
+    qname = Name(qname)
+    telemetry = transport.telemetry
+    tracer = transport.tracer
+
+    def build_request(attempt: AttemptInfo) -> bytes:
+        stats.queries += 1
+        if tracer is not None:
+            # Runs under the attempt span's scope (the transport
+            # activates it around begin_attempt).
+            tracer.event("dns.encode",
+                         attrs={"qname": str(qname), "qtype": qtype.name})
+        return make_query(attempt.txid, qname, qtype).encode()
+
+    def classify(datagram: Datagram,
+                 attempt: AttemptInfo) -> Optional[Message]:
+        response = validate_reply(datagram, attempt.txid, server,
+                                  qname, qtype)
+        if response is None:
+            stats.spoofs_rejected += 1
+            if tracer is not None:
+                tracer.event("dns.decode",
+                             attrs={"qname": str(qname), "accepted": False})
+            return None
+        stats.responses += 1
+        if tracer is not None:
+            addresses = [str(record.rdata.address)  # type: ignore[attr-defined]
+                         for record in response.answers
+                         if record.rrtype in (RRType.A, RRType.AAAA)]
+            decode = tracer.event(
+                "dns.decode", attrs={"qname": str(qname),
+                                     "accepted": True,
+                                     "answers": addresses})
             if datagram.spoofed:
-                self._stats.poisoned_acceptances += 1
-                if self._telemetry is not None:
-                    self._telemetry.counter("dns.stub.poisoned").inc()
-            return response
+                decode.set(spoofed=True)
+        if datagram.spoofed:
+            stats.poisoned_acceptances += 1
+            if telemetry is not None:
+                telemetry.counter("dns.stub.poisoned").inc()
+        return response
 
-        def on_complete(report: ExchangeReport) -> None:
-            if self._telemetry is not None:
-                # Per attempt, mirroring StubStats.queries.
-                self._telemetry.counter("dns.stub.queries").inc(
-                    report.attempts)
-                if report.rejected_replies:
-                    self._telemetry.counter("dns.stub.spoofs_rejected").inc(
-                        report.rejected_replies)
-            if report.timed_out:
-                self._stats.timeouts += 1
-                if self._telemetry is not None:
-                    self._telemetry.counter("dns.stub.timeouts").inc()
-                callback(StubOutcome(response=None, timed_out=True,
-                                     attempts=report.attempts))
-                return
-            if self._telemetry is not None:
-                self._telemetry.counter("dns.stub.responses").inc()
-            callback(StubOutcome(response=report.value,
+    def on_complete(report: ExchangeReport) -> None:
+        if telemetry is not None:
+            # Per attempt, mirroring StubStats.queries.
+            telemetry.counter("dns.stub.queries").inc(report.attempts)
+            if report.rejected_replies:
+                telemetry.counter("dns.stub.spoofs_rejected").inc(
+                    report.rejected_replies)
+        if report.timed_out:
+            stats.timeouts += 1
+            if telemetry is not None:
+                telemetry.counter("dns.stub.timeouts").inc()
+            callback(StubOutcome(response=None, timed_out=True,
                                  attempts=report.attempts))
+            return
+        if telemetry is not None:
+            telemetry.counter("dns.stub.responses").inc()
+        callback(StubOutcome(response=report.value, attempts=report.attempts))
 
-        self._transport.exchange(
-            self._server, build_request=build_request, classify=classify,
-            on_complete=on_complete, policy=self._policy, label="stub-query")
+    transport.exchange(
+        server, build_request=build_request, classify=classify,
+        on_complete=on_complete, policy=policy, label="stub-query",
+        txids=txids)

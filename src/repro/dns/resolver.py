@@ -49,7 +49,6 @@ from repro.netsim.transport import (
     DatagramExchange,
     ExchangeReport,
     RetryPolicy,
-    Transport,
 )
 
 DNS_PORT = 53
@@ -202,7 +201,7 @@ class RecursiveResolver:
                                registry=registry, label=host.name)
         self._stats = ResolverStats()
         self._sequential_txid = 0
-        self._transport = Transport(host, simulator)
+        self._transport = host.transport(simulator)
         self._retry_policy = self._config.retry_policy()
         self._serve_socket = host.bind(self._config.serve_port,
                                        self._handle_client_query)
@@ -465,7 +464,7 @@ class _Resolution:
         self._exchange = self._resolver._transport.exchange(
             server_endpoint, build_request=build_request, classify=classify,
             on_complete=on_complete, policy=self._resolver._retry_policy,
-            label="resolver-query", want_txid=False)
+            label="resolver-query")
 
     def _next_server(self) -> None:
         """Advance to the next candidate server with a fresh budget."""

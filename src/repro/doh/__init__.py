@@ -13,7 +13,10 @@ which is imported on a world's first handshake. A completed handshake
 pays two of them: the client mints its ephemeral public value and the
 server derives the shared secret, which the client then reads instead
 of deriving it again. That shortcut is taken only when both key pairs
-came from ``KeyPair.generate``; any other pair derives cold.
+came from ``KeyPair.generate``; any other pair derives cold. A
+provider's static key pair is minted on its first handshake too, so
+the first handshake to each provider pays one modexp more, and a world
+whose clients never open a TLS connection never loads the package.
 
 Modules:
 

@@ -31,13 +31,11 @@ from repro.netsim.address import Endpoint
 from repro.netsim.host import Host
 from repro.netsim.simulator import Simulator
 from repro.netsim.transport import (
+    TXID_SPACE,
     AttemptInfo,
     ExchangeReport,
-    RetryPolicy,
-    Transport,
+    retry_policy,
 )
-from repro.telemetry.registry import current_registry
-from repro.telemetry.trace import current_tracer
 
 
 class DoHStatus(enum.Enum):
@@ -105,11 +103,11 @@ class DoHClient:
         self._trust_store = trust_store
         self._rng = rng or random.Random(0)
         self._method = method
-        self._policy = RetryPolicy(timeout=timeout, retries=retries)
-        self._transport = Transport(host, simulator, rng=self._rng)
+        self._policy = retry_policy(timeout, retries)
+        self._transport = host.transport(simulator)
         self._stats = DoHClientStats()
-        self._telemetry = current_registry()
-        self._tracer = current_tracer()
+        self._telemetry = self._transport.telemetry
+        self._tracer = self._transport.tracer
 
     @property
     def stats(self) -> DoHClientStats:
@@ -119,7 +117,7 @@ class DoHClient:
               qname: "Name | str", qtype: RRType,
               callback: DoHCallback) -> None:
         """Issue one DoH query; ``callback`` fires exactly once."""
-        txid = self._transport.draw_txid()
+        txid = self._rng.randrange(TXID_SPACE)
         message = make_query(txid, Name(qname), qtype)
         _DoHQuery(self, server, server_name, message, callback).start()
 

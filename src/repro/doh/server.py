@@ -15,7 +15,7 @@ from repro.dns.resolver import RecursiveResolver
 from repro.dns.wire import WireFormatError
 from repro.doh.encoding import EncodingError, b64url_decode
 from repro.doh.http import HttpRequest, HttpResponse
-from repro.doh.tls import Certificate, KeyPair, TlsServer
+from repro.doh.tls import ServerIdentity, TlsServer
 from repro.netsim.address import Endpoint
 from repro.netsim.host import Host
 
@@ -30,16 +30,16 @@ class DoHServer:
 
     :param host: machine to run on (shared with the backend resolver).
     :param resolver: backend performing the actual recursion.
-    :param certificate: TLS identity (subject must be the provider name).
-    :param keypair: static DH keypair matching the certificate.
+    :param identity: the TLS identity (certificate, whose subject must
+        be the provider name, and the static DH keypair it binds),
+        made on first use; see :class:`~repro.doh.tls.TlsServer`.
     """
 
     def __init__(self, host: Host, resolver: RecursiveResolver,
-                 certificate: Certificate, keypair: KeyPair,
-                 port: int = DOH_PORT) -> None:
+                 identity: ServerIdentity, port: int = DOH_PORT) -> None:
         self._host = host
         self._resolver = resolver
-        self._tls = TlsServer(host, port, certificate, keypair,
+        self._tls = TlsServer(host, port, identity,
                               on_data=self._handle_http)
         self._requests_served = 0
         self._requests_rejected = 0

@@ -12,6 +12,10 @@ that property with *working* mechanics instead of an honour-system flag:
   Both modular exponentiations (minting a public value and deriving a
   shared secret) run in OpenSSL through the ``cryptography`` package,
   imported on the first one, so worlds that mint no keys never load it.
+  A server mints its static key pair only when its identity is first
+  needed (:class:`TlsServer` takes it as a callable), so that includes
+  every world whose clients never open a TLS connection: plain-DNS
+  providers, and plain-DNS fleets in front of DoH-serving ones.
   OpenSSL returns exactly the integers ``pow()`` would.
 * **Two modexps per handshake** — the client mints its ephemeral
   public value, the server derives the shared secret from it, and the
@@ -247,17 +251,31 @@ class CertificateAuthority:
 
     def issue(self, subject: str, public_key: int) -> Certificate:
         """Issue a certificate binding ``subject`` to ``public_key``."""
+        return self.reserve(subject)(public_key)
+
+    def reserve(self, subject: str) -> Callable[[int], Certificate]:
+        """Take the next serial now for a certificate issued later.
+
+        The returned callable issues ``subject``'s certificate for the
+        public key it is given, under the reserved serial, whatever the
+        CA has issued in between: a server whose key pair is minted on
+        first use keeps the serial of its deployment order.
+        """
         serial = next(self._serial)
-        unsigned = Certificate(subject=subject, issuer=self._name,
+
+        def issue(public_key: int) -> Certificate:
+            unsigned = Certificate(subject=subject, issuer=self._name,
+                                   public_key=public_key, serial=serial,
+                                   signature=b"")
+            signature = hmac.new(self._secret, unsigned._signed_blob(),
+                                 hashlib.sha256).digest()
+            cert = Certificate(subject=subject, issuer=self._name,
                                public_key=public_key, serial=serial,
-                               signature=b"")
-        signature = hmac.new(self._secret, unsigned._signed_blob(),
-                             hashlib.sha256).digest()
-        cert = Certificate(subject=subject, issuer=self._name,
-                           public_key=public_key, serial=serial,
-                           signature=signature)
-        self._issued.add(cert.fingerprint)
-        return cert
+                               signature=signature)
+            self._issued.add(cert.fingerprint)
+            return cert
+
+        return issue
 
     def has_issued(self, certificate: Certificate) -> bool:
         """Whether this CA issued the certificate (fingerprint match)."""
@@ -351,23 +369,29 @@ class _ServerSession:
 ServerDataHandler = Callable[[int, bytes, Callable[[bytes], None]], None]
 
 
+#: A server's TLS identity: returns its certificate and the static DH
+#: key pair the certificate binds.
+ServerIdentity = Callable[[], Tuple[Certificate, KeyPair]]
+
+
 class TlsServer:
     """Server half of the secure channel, bound to host:port.
 
     :param host: simulated machine.
     :param port: UDP port (443 for DoH).
-    :param certificate: the identity presented to clients.
-    :param keypair: static DH keypair matching the certificate.
+    :param identity: returns the certificate presented to clients and
+        the static DH keypair matching it. It is called once, on the
+        first ClientHello or the first read of :attr:`certificate`,
+        so a server nobody connects to never mints its key pair.
     :param on_data: application callback for each decrypted record.
     """
 
-    def __init__(self, host: Host, port: int, certificate: Certificate,
-                 keypair: KeyPair, on_data: Optional[ServerDataHandler] = None) -> None:
-        if certificate.public_key != keypair.public:
-            raise TlsError("certificate does not match keypair")
+    def __init__(self, host: Host, port: int, identity: ServerIdentity,
+                 on_data: Optional[ServerDataHandler] = None) -> None:
         self._host = host
-        self._certificate = certificate
-        self._keypair = keypair
+        self._identity: Optional[ServerIdentity] = identity
+        self._certificate: Optional[Certificate] = None
+        self._keypair: Optional[KeyPair] = None
         self._on_data = on_data
         self._sessions: Dict[int, _ServerSession] = {}
         self._socket = host.bind(port, self._handle_datagram)
@@ -380,7 +404,16 @@ class TlsServer:
 
     @property
     def certificate(self) -> Certificate:
-        return self._certificate
+        return self._credentials()[0]
+
+    def _credentials(self) -> Tuple[Certificate, KeyPair]:
+        if self._identity is not None:
+            certificate, keypair = self._identity()
+            if certificate.public_key != keypair.public:
+                raise TlsError("certificate does not match keypair")
+            self._certificate, self._keypair = certificate, keypair
+            self._identity = None
+        return self._certificate, self._keypair
 
     @property
     def handshakes_completed(self) -> int:
@@ -412,8 +445,9 @@ class TlsServer:
         if len(body) < _KEY_BYTES:
             return
         client_public = int.from_bytes(body[:_KEY_BYTES], "big")
+        certificate, keypair = self._credentials()
         try:
-            key = self._keypair.shared_secret(client_public)
+            key = keypair.shared_secret(client_public)
         except TlsError:
             return
         self._sessions[session_id] = _ServerSession(key=key, peer=datagram.src)
@@ -425,7 +459,7 @@ class TlsServer:
                                 + struct.pack("!Q", session_id),
                                 hashlib.sha256).digest()
         hello = (struct.pack("!BQ", _RECORD_SERVER_HELLO, session_id)
-                 + self._certificate.encode() + confirmation)
+                 + certificate.encode() + confirmation)
         self._socket.reply(datagram, hello)
 
     def _handle_data(self, datagram: Datagram, session_id: int,

@@ -119,6 +119,12 @@ class Endpoint:
 
     >>> Endpoint(ip("192.0.2.1"), 53)
     Endpoint(192.0.2.1:53)
+
+    An IPv6 address is bracketed, so the port cannot read as one more
+    group of the address:
+
+    >>> Endpoint(ip("2001:db8::1"), 53)
+    Endpoint([2001:db8::1]:53)
     """
 
     address: IPAddress
@@ -131,7 +137,7 @@ class Endpoint:
             raise ValueError(f"port must be in [0, 65535], got {self.port}")
 
     def __repr__(self) -> str:
-        return f"Endpoint({self.address}:{self.port})"
+        return f"Endpoint({self})"
 
     def __str__(self) -> str:
         if self.address.is_ipv6:

@@ -14,7 +14,9 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 from repro.netsim.address import Endpoint, IPAddress
 from repro.netsim.packet import Datagram
+from repro.netsim.simulator import Simulator
 from repro.netsim.socket import DatagramHandler, UdpSocket
+from repro.netsim.transport import Transport
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.internet import Internet
@@ -39,7 +41,8 @@ class Host:
     """
 
     __slots__ = ("_name", "_node", "_addresses", "_randomize_ports", "_rng",
-                 "_internet", "_sockets", "_next_sequential_port")
+                 "_internet", "_sockets", "_next_sequential_port",
+                 "_transport")
 
     def __init__(self, name: str, node: str, addresses: List[IPAddress],
                  randomize_ports: bool = True,
@@ -54,6 +57,7 @@ class Host:
         self._internet: Optional["Internet"] = None
         self._sockets: Dict[Endpoint, UdpSocket] = {}
         self._next_sequential_port = EPHEMERAL_RANGE[0]
+        self._transport: Optional[Transport] = None
 
     # ------------------------------------------------------------------
     # Identity.
@@ -119,6 +123,16 @@ class Host:
             raise RuntimeError(f"host {self._name} is not attached to a network")
         self._internet.send(datagram, origin_host=self)
 
+    def transport(self, simulator: Simulator) -> Transport:
+        """The host's one request/response engine, which every protocol
+        client on the host (stubs, NTP, DoH, a recursive resolver)
+        rides. The first client to ask creates it, so it publishes to
+        the registry and tracer ambient at that client's construction."""
+        transport = self._transport
+        if transport is None:
+            transport = self._transport = Transport(self, simulator)
+        return transport
+
     # ------------------------------------------------------------------
     # Sockets.
     # ------------------------------------------------------------------
@@ -134,7 +148,7 @@ class Host:
         endpoint = Endpoint(bind_address, port)
         if endpoint in self._sockets:
             raise PortInUseError(f"{endpoint} already bound on {self._name}")
-        sock = UdpSocket(self, bind_address, port, handler)
+        sock = UdpSocket(self, endpoint, handler)
         self._sockets[endpoint] = sock
         return sock
 
@@ -146,7 +160,7 @@ class Host:
             port = self._pick_ephemeral_port()
             endpoint = Endpoint(bind_address, port)
             if endpoint not in self._sockets:
-                sock = UdpSocket(self, bind_address, port, handler)
+                sock = UdpSocket(self, endpoint, handler)
                 self._sockets[endpoint] = sock
                 return sock
         raise PortInUseError(f"host {self._name} ran out of ephemeral ports")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional, TYPE_CHECKING
 
-from repro.netsim.address import Endpoint, IPAddress
+from repro.netsim.address import Endpoint
 from repro.netsim.packet import Datagram
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -33,10 +33,12 @@ class UdpSocket:
     __slots__ = ("_host", "_endpoint", "_handler", "_closed", "_sent",
                  "_received")
 
-    def __init__(self, host: "Host", address: IPAddress, port: int,
+    def __init__(self, host: "Host", endpoint: Endpoint,
                  handler: Optional[DatagramHandler] = None) -> None:
         self._host = host
-        self._endpoint = Endpoint(address, port)
+        # The very object the host's socket table is keyed by, so a
+        # reply addressed to this endpoint matches its key by identity.
+        self._endpoint = endpoint
         self._handler = handler
         self._closed = False
         self._sent = 0

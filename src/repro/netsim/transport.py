@@ -23,9 +23,16 @@ Two layers are exposed:
   duplication (:class:`~repro.netsim.link.FaultModel`) safe for every
   protocol riding on the transport.
 
-Determinism: the only randomness is the transaction-ID stream handed in
-by the caller, so two runs with the same seeds produce byte-identical
-wire traffic.
+Determinism: the only randomness is the transaction-ID stream each
+exchange is handed by its caller, so two runs with the same seeds
+produce byte-identical wire traffic.
+
+Sharing: a host has one :class:`Transport` (:meth:`Host.transport
+<repro.netsim.host.Host.transport>`), which every protocol client on
+the host rides. What differs between those clients' exchanges (the
+destination, the :class:`RetryPolicy`, the TXID stream) is passed per
+exchange, and policies are shared values: :func:`retry_policy` hands
+out one per ``(timeout, retries)``.
 
 Lifetime: a finished exchange holds no reference to its owner. On
 completion or cancellation :class:`PendingExchange` drops its owner
@@ -40,15 +47,16 @@ cyclic garbage collector never has to find it. Both exchange types (and
 
 from __future__ import annotations
 
+import functools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.netsim.address import Endpoint
 from repro.netsim.packet import Datagram
 from repro.netsim.simulator import Simulator, Timer
 from repro.netsim.socket import UdpSocket
-from repro.telemetry.registry import current_registry
+from repro.telemetry.registry import MetricsRegistry, current_registry
 from repro.telemetry.trace import Span, Tracer, current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -97,6 +105,18 @@ class RetryPolicy:
     def total_budget(self) -> float:
         """Worst-case virtual time the whole exchange may take."""
         return sum(self.timeout_for(a) for a in range(1, self.max_attempts + 1))
+
+
+@functools.lru_cache(maxsize=64)
+def retry_policy(timeout: float, retries: int = 0) -> RetryPolicy:
+    """The one fixed-timeout :class:`RetryPolicy` for ``(timeout,
+    retries)``. Policies are frozen values, so every client with the
+    same patience shares one instead of holding its own copy.
+
+    >>> retry_policy(3.0, 1) is retry_policy(3.0, 1)
+    True
+    """
+    return RetryPolicy(timeout=timeout, retries=retries)
 
 
 @dataclass(frozen=True, slots=True)
@@ -307,6 +327,9 @@ class PendingExchange:
         self._timer = None
 
 
+#: Transaction IDs are 16-bit, drawn as ``txids.randrange(TXID_SPACE)``.
+TXID_SPACE = 1 << 16
+
 # A classifier sees (datagram, attempt) and returns the accepted value,
 # or None to keep waiting (not ours / malformed / spoofed).
 ReplyClassifier = Callable[[Datagram, AttemptInfo], Optional[Any]]
@@ -320,7 +343,7 @@ class DatagramExchange:
 
     Per attempt it closes the previous attempt's socket, binds a fresh
     ephemeral one, builds the request (with a fresh transaction ID when
-    the transport draws them) and sends it; the classifier filters
+    the exchange has a TXID stream) and sends it; the classifier filters
     inbound datagrams. Closing the per-attempt socket is also what
     suppresses late and duplicated replies: once the exchange finishes
     (or retries onto a new port) the old port is unbound and the
@@ -334,7 +357,7 @@ class DatagramExchange:
     def __init__(self, transport: "Transport", destination: Endpoint,
                  build_request: RequestBuilder, classify: ReplyClassifier,
                  on_complete: CompletionCallback, policy: RetryPolicy,
-                 label: str, want_txid: bool) -> None:
+                 label: str, txids: Optional[random.Random]) -> None:
         self._transport = transport
         self._destination = destination
         self._build_request = build_request
@@ -345,7 +368,8 @@ class DatagramExchange:
         self._pending = PendingExchange(
             transport.simulator, policy, self._begin_attempt, self._finish,
             label=label,
-            next_txid=transport.draw_txid if want_txid else None,
+            next_txid=(None if txids is None
+                       else functools.partial(txids.randrange, TXID_SPACE)),
             on_cancel=self._close_socket,
             tracer=transport.tracer)
 
@@ -410,25 +434,16 @@ class DatagramExchange:
 class Transport:
     """Request/response engine bound to one host.
 
+    A host has one, shared by every protocol client on it; build it
+    with :meth:`Host.transport <repro.netsim.host.Host.transport>`.
+
     :param host: the machine exchanges originate from.
     :param simulator: virtual-time engine for timeouts and metrics.
-    :param rng: stream for transaction IDs (one draw per attempt),
-        stored as given. Without one, the first :meth:`draw_txid`
-        creates a ``random.Random(0)``; callers that identify
-        transactions some other way (NTP uses the origin timestamp)
-        never draw, and so never own a generator.
-    :param txid_bits: width of the transaction-ID space.
     """
 
-    def __init__(self, host: "Host", simulator: Simulator,
-                 rng: Optional[random.Random] = None,
-                 txid_bits: int = 16) -> None:
-        if txid_bits < 1:
-            raise ValueError(f"txid_bits must be >= 1, got {txid_bits}")
+    def __init__(self, host: "Host", simulator: Simulator) -> None:
         self._host = host
         self._simulator = simulator
-        self._rng = rng
-        self._txid_bits = txid_bits
         self._exchanges_started = 0
         self._exchanges_timed_out = 0
         # Captured once at construction: with no registry installed the
@@ -446,6 +461,11 @@ class Transport:
         return self._simulator
 
     @property
+    def telemetry(self) -> Optional[MetricsRegistry]:
+        """The registry captured at construction (``None`` = none)."""
+        return self._telemetry
+
+    @property
     def tracer(self) -> Optional[Tracer]:
         """The tracer captured at construction (``None`` = untraced)."""
         return self._tracer
@@ -458,13 +478,6 @@ class Transport:
     def exchanges_timed_out(self) -> int:
         return self._exchanges_timed_out
 
-    def draw_txid(self) -> int:
-        """Draw one transaction ID from the transport's RNG stream."""
-        rng = self._rng
-        if rng is None:
-            rng = self._rng = random.Random(0)
-        return rng.randrange(1 << self._txid_bits)
-
     # ------------------------------------------------------------------
     # The two entry points.
     # ------------------------------------------------------------------
@@ -475,13 +488,19 @@ class Transport:
                  on_complete: CompletionCallback,
                  policy: RetryPolicy,
                  label: str = "exchange",
-                 want_txid: bool = True) -> DatagramExchange:
+                 txids: Optional[random.Random] = None) -> DatagramExchange:
         """Run a datagram request/response exchange; ``on_complete``
-        fires exactly once with the :class:`ExchangeReport`."""
+        fires exactly once with the :class:`ExchangeReport`.
+
+        ``txids`` is the stream each attempt draws its transaction ID
+        from (``txids.randrange(TXID_SPACE)``, one draw per attempt);
+        without one the attempts carry none (NTP identifies its
+        transaction by the origin timestamp, the recursive resolver
+        draws its own)."""
         self._exchanges_started += 1
         exchange = DatagramExchange(
             self, destination, build_request, classify,
-            self._finalize(on_complete, label), policy, label, want_txid)
+            self._finalize(on_complete, label), policy, label, txids)
         return exchange.start()
 
     def supervise(self, *, begin_attempt: Callable[[AttemptInfo], None],

@@ -14,15 +14,8 @@ from repro.netsim.address import Endpoint, IPAddress
 from repro.netsim.host import Host
 from repro.netsim.packet import Datagram
 from repro.netsim.simulator import Simulator
-from repro.netsim.transport import (
-    AttemptInfo,
-    ExchangeReport,
-    RetryPolicy,
-    Transport,
-)
+from repro.netsim.transport import AttemptInfo, ExchangeReport, retry_policy
 from repro.ntp.clock import SimClock
-from repro.telemetry.registry import current_registry
-from repro.telemetry.trace import current_tracer
 from repro.ntp.packet import (
     MODE_SERVER,
     NTP_PORT,
@@ -61,15 +54,15 @@ class NtpClient:
 
     def __init__(self, host: Host, simulator: Simulator, clock: SimClock,
                  timeout: float = 1.0) -> None:
-        self._host = host
         self._simulator = simulator
         self._clock = clock
-        self._policy = RetryPolicy(timeout=timeout)
-        self._transport = Transport(host, simulator)
+        self._policy = retry_policy(timeout)
+        # The host's one transport, shared with any stubs on the host.
+        self._transport = host.transport(simulator)
         self._queries = 0
         self._timeouts = 0
-        self._telemetry = current_registry()
-        self._tracer = current_tracer()
+        self._telemetry = self._transport.telemetry
+        self._tracer = self._transport.tracer
 
     @property
     def clock(self) -> SimClock:
@@ -140,4 +133,4 @@ class NtpClient:
         self._transport.exchange(
             destination, build_request=build_request, classify=classify,
             on_complete=on_complete, policy=self._policy,
-            label="ntp-sample", want_txid=False)
+            label="ntp-sample")

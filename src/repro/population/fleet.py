@@ -13,7 +13,7 @@ Each client runs the paper's distributed-resolver lookup as rounds:
 query the pool domain through every configured provider, apply
 Algorithm 1's truncate-and-combine, pick one pool server, and discipline
 its clock with one SNTP exchange. Clients ride the plain-DNS stub
-(:class:`repro.dns.client.StubResolver`) rather than per-query TLS —
+query (:func:`repro.dns.client.stub_query`) rather than per-query TLS —
 the provider-corruption threat model lives behind the recursion engine
 (see ``RecursiveResolver.serve_engine``), so the DNS-layer outcome is
 identical to the DoH path while the hot loop stays cheap enough for
@@ -32,6 +32,12 @@ Scale machinery:
   The streams are :class:`~repro.util.rng.ParkedStream` objects: a
   client holds generator state only while it is in a round, and is a
   seed plus a word count per stream in between.
+* **Shared plumbing** — what every client sends through is built once
+  per fleet: one :class:`~repro.netsim.address.Endpoint` per provider
+  (over the provider host's own address object) and one retry policy
+  per ``(timeout, retries)``. A client holds its host, whose one
+  :class:`~repro.netsim.transport.Transport` carries its stub queries
+  and its SNTP exchanges alike, and its per-provider TXID streams.
 * **Streaming telemetry** — nothing per-client is accumulated in Python
   lists; every observation folds into the registry's counters,
   histograms and virtual-time series, and population outcomes are read
@@ -61,13 +67,14 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.pool import combine_with_quorum
-from repro.dns.client import StubOutcome, StubResolver
+from repro.dns.client import DNS_PORT, StubStats, stub_query
 from repro.dns.name import Name
 from repro.dns.rrtype import RRType
-from repro.netsim.address import IPAddress
+from repro.netsim.address import Endpoint, IPAddress
 from repro.netsim.host import Host
 from repro.netsim.internet import Internet
 from repro.netsim.simulator import SimulationError, Simulator
+from repro.netsim.transport import Transport, retry_policy
 from repro.ntp.client import NtpClient, NtpSample
 from repro.ntp.clock import SimClock
 from repro.population.arrivals import ArrivalProcess, make_arrivals
@@ -398,24 +405,27 @@ def population_outcomes(registry: MetricsRegistry,
 
 
 class _FleetClient:
-    """One population member: host + clock + stubs (or DoH) + SNTP."""
+    """One population member: host + clock + stub TXID streams (or
+    DoH) + SNTP, all over the host's one transport."""
 
-    __slots__ = ("fleet", "index", "host", "clock", "stubs", "doh", "ntp",
-                 "rng", "streams", "state", "span")
+    __slots__ = ("fleet", "index", "host", "clock", "transport", "doh",
+                 "ntp", "rng", "streams", "state", "span")
 
     def __init__(self, fleet: "ClientFleet", index: int, host: Host,
-                 clock: SimClock, stubs: List[StubResolver],
-                 ntp: NtpClient, rng: RoundRng,
-                 streams: Tuple[ParkedStream, ...], doh=None) -> None:
+                 clock: SimClock, transport: Transport, ntp: NtpClient,
+                 rng: RoundRng, streams: Tuple[ParkedStream, ...],
+                 doh=None) -> None:
         self.fleet = fleet
         self.index = index            # global index over the population
         self.host = host
         self.clock = clock
-        self.stubs = stubs
+        self.transport = transport    # the host's, shared by stubs and NTP
         self.doh = doh                # DoHClient in transport="doh" mode
         self.ntp = ntp
         self.rng = rng
-        self.streams = streams        # every stream above, to park/close
+        # Every stream above, to park/close. In transport="udp" mode
+        # streams[pi] is provider pi's TXID stream.
+        self.streams = streams
         self.state = ClientRoundState()
         self.span = None              # live "client.round" trace span
 
@@ -465,7 +475,12 @@ class ClientFleet:
             raise ValueError("fleet needs at least one provider")
         self._internet = internet
         self._simulator = internet.simulator
-        self._providers = [IPAddress(p) for p in providers]
+        # Addresses given as IPAddress objects are kept, not copied: the
+        # world passes each provider host's own address, so a query's
+        # destination matches the provider's socket and host tables by
+        # identity instead of through IPAddress.__eq__.
+        self._providers = [p if isinstance(p, IPAddress) else IPAddress(p)
+                           for p in providers]
         self._pool_domain = Name(pool_domain)
         self._nodes = list(nodes) if nodes else internet.topology.nodes
         self._rng = rng
@@ -498,6 +513,12 @@ class ClientFleet:
                 f"(got population={self._population}, max "
                 f"{FleetConfig.MAX_CLIENTS})")
         self.registry = registry or MetricsRegistry()
+        # The stub plumbing every client shares: one endpoint per
+        # provider, one retry policy, one statistics record.
+        self._stub_servers = [Endpoint(p, DNS_PORT) for p in self._providers]
+        self._stub_policy = retry_policy(self._config.dns_timeout,
+                                         self._config.dns_retries)
+        self._stub_stats = StubStats()
         # Same zero-cost contract as the registry: capture the ambient
         # tracer once; with none installed the round loop allocates
         # nothing trace-related.
@@ -570,13 +591,14 @@ class ClientFleet:
             lambda: self._simulator.now,
             offset=client_rng.uniform(-config.initial_clock_error,
                                       config.initial_clock_error))
-        # Protocol objects capture the fleet's registry, so transport
-        # and stub/NTP counters land next to the population metrics.
+        # The host's transport is created here, under the fleet's
+        # registry, so transport and stub/NTP counters land next to the
+        # population metrics.
         doh = None
         with use_registry(self.registry):
+            transport = host.transport(self._simulator)
             if config.transport == "doh":
                 from repro.doh.client import DoHClient
-                stubs: List[StubResolver] = []
                 query_streams = [streams.parked("doh")]
                 doh = DoHClient(host, self._simulator, self._trust_store,
                                 rng=query_streams[0],
@@ -585,12 +607,6 @@ class ClientFleet:
             else:
                 query_streams = [streams.parked("txid", str(pi))
                                  for pi in range(len(self._providers))]
-                stubs = [StubResolver(host, self._simulator, provider,
-                                      timeout=config.dns_timeout,
-                                      retries=config.dns_retries,
-                                      rng=txid)
-                         for provider, txid in zip(self._providers,
-                                                   query_streams)]
             ntp = NtpClient(host, self._simulator, clock,
                             timeout=config.ntp_timeout)
         arrival = (streams.parked("arrival")
@@ -602,8 +618,8 @@ class ClientFleet:
                        churn=(streams.parked("churn")
                               if config.churn_rate else None),
                        arrivals=arrivals)
-        owned = (ports, *query_streams, rng.select, rng.churn, arrival)
-        return _FleetClient(self, g, host, clock, stubs, ntp, rng,
+        owned = (*query_streams, ports, rng.select, rng.churn, arrival)
+        return _FleetClient(self, g, host, clock, transport, ntp, rng,
                             tuple(s for s in owned if s is not None),
                             doh=doh)
 
@@ -825,13 +841,15 @@ class ClientFleet:
                                        lambda outcome, pi=pi:
                                        on_answer(pi, _doh_addresses(outcome))))
         else:
-            for provider_index, stub in enumerate(client.stubs):
+            for provider_index, server in enumerate(self._stub_servers):
                 issue(provider_index,
-                      lambda s=stub, pi=provider_index:
-                      s.query(self._pool_domain, RRType.A,
-                              lambda outcome, pi=pi:
-                              on_answer(pi, outcome.addresses
-                                        if outcome.ok else None)))
+                      lambda s=server, pi=provider_index:
+                      stub_query(client.transport, s, self._stub_policy,
+                                 client.streams[pi], self._stub_stats,
+                                 self._pool_domain, RRType.A,
+                                 lambda outcome, pi=pi:
+                                 on_answer(pi, outcome.addresses
+                                           if outcome.ok else None)))
 
     def _after_sync(self, client: _FleetClient, sample: NtpSample,
                     attacker: bool) -> None:

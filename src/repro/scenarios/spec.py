@@ -1091,20 +1091,15 @@ def _build_pool_world(spec: ScenarioSpec, seed: int):
         profiles = [p.to_profile() for p in provider_spec.profiles]
     resolver_config = (provider_spec.resolver.to_config()
                        if provider_spec.resolver is not None else None)
-    if provider_spec.serve == "doh":
-        providers = [
-            deploy_provider(internet, profile, authority, root_hints,
-                            registry, resolver_config=resolver_config,
-                            instrument=iterative)
-            for profile in profiles
-        ]
-    else:
-        providers = [
-            _deploy_plain_provider(internet, profile, root_hints, registry,
-                                   resolver_config=resolver_config,
-                                   instrument=iterative)
-            for profile in profiles
-        ]
+    # serve="dns" providers get no CA: the same deployment without a
+    # DoH front end.
+    provider_ca = authority if provider_spec.serve == "doh" else None
+    providers = [
+        deploy_provider(internet, profile, provider_ca, root_hints,
+                        registry, resolver_config=resolver_config,
+                        instrument=iterative)
+        for profile in profiles
+    ]
 
     trust_store = TrustStore([authority])
     client = internet.add_host(
@@ -1119,27 +1114,6 @@ def _build_pool_world(spec: ScenarioSpec, seed: int):
         access_fault=access_fault, pool_domain=tree.pool_domain,
         hierarchy=tree if iterative else None,
     )
-
-
-def _deploy_plain_provider(internet, profile, root_hints, rng_registry,
-                           resolver_config=None, instrument=False):
-    """A provider in ``serve="dns"`` mode: recursion engine + plain :53
-    only — no TLS identity, no DoH front-end."""
-    from repro.dns.resolver import RecursiveResolver, ResolverConfig
-    from repro.doh.providers import ProviderDeployment
-    from repro.netsim.address import IPAddress
-    from repro.netsim.host import Host
-
-    host = internet.add_host(Host(
-        profile.name, profile.region, [IPAddress(profile.address)],
-        rng=rng_registry.stream("provider-ports", profile.name)))
-    resolver = RecursiveResolver(
-        host, internet.simulator, root_hints,
-        config=resolver_config or ResolverConfig(),
-        rng=rng_registry.stream("provider-txid", profile.name),
-        instrument=instrument)
-    return ProviderDeployment(profile=profile, host=host, resolver=resolver,
-                              doh_server=None, certificate=None, keypair=None)
 
 
 def _materialize_population(spec: ScenarioSpec, seed: int, registry,

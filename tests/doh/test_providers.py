@@ -1,5 +1,8 @@
 """Tests for provider profiles and deployment."""
 
+import json
+import random
+
 import pytest
 
 from repro.doh.providers import (
@@ -9,8 +12,19 @@ from repro.doh.providers import (
     QUAD9,
     deploy_provider,
 )
-from repro.doh.tls import CertificateAuthority
-from repro.scenarios import materialize, pool_spec
+from repro.doh.client import DoHClient
+from repro.doh.tls import CertificateAuthority, KeyPair
+from repro.dns.rrtype import RRType
+from repro.scenarios import materialize, pool_spec, population_spec
+from repro.scenarios.spec import set_path
+from tests.doh.record_certificates import (
+    FIXTURE_PATH,
+    WORLDS,
+    build,
+    certificates,
+)
+
+RECORDED = json.loads(FIXTURE_PATH.read_text())
 
 
 class TestFigure1Profiles:
@@ -73,3 +87,64 @@ class TestDeployment:
         scenario.simulator.run()
         assert outcomes[0].ok
         assert len(outcomes[0].addresses) == 4
+
+
+class TestLazyIdentity:
+    """A provider's key pair and certificate are made on first use, and
+    every value is the one the eager deployment made (the fixture was
+    recorded from a tree that minted them in ``deploy_provider``)."""
+
+    @pytest.mark.parametrize("key,count,seed", WORLDS)
+    def test_certificates_match_the_recorded_fixture(self, key, count, seed):
+        world = build(count, seed)
+        assert RECORDED[key] == {"providers": count, "seed": seed,
+                                 "certificates": certificates(world)}
+        for deployment in world.providers:
+            assert world.trust_store.verify(deployment.certificate,
+                                            deployment.name)
+            assert deployment.keypair.public == \
+                deployment.certificate.public_key
+
+    @pytest.mark.parametrize("key,count,seed", WORLDS)
+    def test_an_earlier_issue_shifts_no_provider_serial(self, key, count,
+                                                        seed):
+        # The CA issues another certificate before any provider is
+        # contacted, and the providers are first read last to first.
+        world = build(count, seed)
+        other = world.authority.issue(
+            "other.example", KeyPair.generate(random.Random(5)).public)
+        assert other.serial == count + 1
+        for deployment in reversed(world.providers):
+            deployment.certificate
+        assert certificates(world) == RECORDED[key]["certificates"]
+
+    def test_the_first_handshake_makes_only_that_providers_identity(self):
+        world = build(3, 23)
+        assert [d.identity._made for d in world.providers] == [None] * 3
+        last = world.providers[2]
+        client = DoHClient(world.client, world.simulator, world.trust_store,
+                           rng=random.Random(1))
+        outcomes = []
+        client.query(last.endpoint, last.name, world.pool_domain, RRType.A,
+                     outcomes.append)
+        world.simulator.run()
+        assert outcomes[0].ok
+        assert [d.identity._made is not None
+                for d in world.providers] == [False, False, True]
+        assert last.doh_server.tls.certificate is last.certificate
+        assert certificates(world)[2] == \
+            RECORDED["figure1"]["certificates"][2]
+
+    def test_plain_dns_provider_is_the_same_deployment_without_doh(self):
+        spec = population_spec(num_clients=2, rounds=1)
+        doh = materialize(spec, 31).pool
+        dns = materialize(set_path(spec, "provider.serve", "dns"), 31).pool
+        for plain, full in zip(dns.providers, doh.providers):
+            assert (plain.name, plain.address) == (full.name, full.address)
+            assert plain.resolver.host is plain.host
+            assert plain.doh_server is None
+            assert plain.certificate is None and plain.keypair is None
+            with pytest.raises(ValueError):
+                plain.endpoint
+        # No serial was reserved for a provider without a front end.
+        assert dns.authority.issue("x.example", 5).serial == 1

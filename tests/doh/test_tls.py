@@ -315,7 +315,7 @@ def build_tls_world():
 class TestHandshakeAndData:
     def test_echo_roundtrip(self):
         sim, net, client_host, server_host, ca, cert, key, reg = build_tls_world()
-        server = TlsServer(server_host, 443, cert, key)
+        server = TlsServer(server_host, 443, lambda: (cert, key))
         server.on_data(lambda sid, data, reply: reply(b"echo:" + data))
 
         received = []
@@ -331,7 +331,7 @@ class TestHandshakeAndData:
 
     def test_multiple_records_in_order(self):
         sim, net, client_host, server_host, ca, cert, key, reg = build_tls_world()
-        server = TlsServer(server_host, 443, cert, key)
+        server = TlsServer(server_host, 443, lambda: (cert, key))
         server.on_data(lambda sid, data, reply: reply(data.upper()))
         received = []
         conn = TlsClientConnection(client_host, Endpoint(ip("10.0.0.2"), 443),
@@ -351,7 +351,7 @@ class TestHandshakeAndData:
 
     def test_wrong_name_certificate_fails_handshake(self):
         sim, net, client_host, server_host, ca, cert, key, reg = build_tls_world()
-        TlsServer(server_host, 443, cert, key)
+        TlsServer(server_host, 443, lambda: (cert, key))
         failures = []
         conn = TlsClientConnection(client_host, Endpoint(ip("10.0.0.2"), 443),
                                    "dns.other", TrustStore([ca]),
@@ -365,7 +365,7 @@ class TestHandshakeAndData:
 
     def test_untrusted_ca_fails_handshake(self):
         sim, net, client_host, server_host, ca, cert, key, reg = build_tls_world()
-        TlsServer(server_host, 443, cert, key)
+        TlsServer(server_host, 443, lambda: (cert, key))
         other_ca = CertificateAuthority("Other CA", reg.stream("other-ca"))
         failures = []
         conn = TlsClientConnection(client_host, Endpoint(ip("10.0.0.2"), 443),
@@ -379,14 +379,16 @@ class TestHandshakeAndData:
     def test_mismatched_cert_keypair_rejected_at_server(self):
         sim, net, client_host, server_host, ca, cert, key, reg = build_tls_world()
         wrong_key = KeyPair.generate(reg.stream("wrong"))
+        server = TlsServer(server_host, 443, lambda: (cert, wrong_key))
+        # The identity is checked when first used.
         with pytest.raises(TlsError):
-            TlsServer(server_host, 443, cert, wrong_key)
+            server.certificate
 
     def test_onpath_tamper_is_dropped_not_decrypted(self):
         """An attacker flipping ciphertext bits cannot alter plaintext —
         the record just fails its MAC and is dropped."""
         sim, net, client_host, server_host, ca, cert, key, reg = build_tls_world()
-        server = TlsServer(server_host, 443, cert, key)
+        server = TlsServer(server_host, 443, lambda: (cert, key))
         server.on_data(lambda sid, data, reply: reply(b"echo:" + data))
 
         def corrupt_data_records(link, datagram):
@@ -410,7 +412,7 @@ class TestHandshakeAndData:
 
     def test_onpath_observer_sees_no_plaintext(self):
         sim, net, client_host, server_host, ca, cert, key, reg = build_tls_world()
-        server = TlsServer(server_host, 443, cert, key)
+        server = TlsServer(server_host, 443, lambda: (cert, key))
         server.on_data(lambda sid, data, reply: reply(b"SECRET-RESPONSE"))
         observed = []
 
@@ -437,7 +439,7 @@ class TestHandshakeAndData:
         complete the handshake without the server's private key."""
         import struct as structlib
         sim, net, client_host, server_host, ca, cert, key, reg = build_tls_world()
-        TlsServer(server_host, 443, cert, key)
+        TlsServer(server_host, 443, lambda: (cert, key))
         failures = []
 
         def impersonate(link, datagram):
@@ -461,7 +463,7 @@ class TestHandshakeAndData:
         """A ServerHello whose certificate names are not UTF-8 fails the
         handshake cleanly instead of raising out of delivery."""
         sim, net, client_host, server_host, ca, cert, key, reg = build_tls_world()
-        TlsServer(server_host, 443, cert, key)
+        TlsServer(server_host, 443, lambda: (cert, key))
         failures = []
 
         def corrupt(link, datagram):
@@ -485,7 +487,7 @@ class TestHandshakeAndData:
         """The client mints its public value and the server derives the
         secret; the client reads the server's derivation."""
         sim, net, client_host, server_host, ca, cert, key, reg = build_tls_world()
-        TlsServer(server_host, 443, cert, key)
+        TlsServer(server_host, 443, lambda: (cert, key))
         tls._SHARED_MEMO.clear()
         calls = []
         real = tls._exchange
@@ -509,7 +511,7 @@ class TestHandshakeAndData:
         the certificate untrusted) leave the server's entry behind; past
         the cap the memo is cleared, never grown."""
         sim, net, client_host, server_host, ca, cert, key, reg = build_tls_world()
-        TlsServer(server_host, 443, cert, key)
+        TlsServer(server_host, 443, lambda: (cert, key))
         untrusted = TrustStore([CertificateAuthority("Other CA",
                                                      reg.stream("other-ca"))])
         drop_hello = [False]
@@ -550,7 +552,7 @@ class TestHandshakeAndData:
         from repro.netsim.packet import Datagram
         import struct as structlib
         sim, net, client_host, server_host, ca, cert, key, reg = build_tls_world()
-        server = TlsServer(server_host, 443, cert, key)
+        server = TlsServer(server_host, 443, lambda: (cert, key))
         server.on_data(lambda sid, data, reply: None)
         conn = TlsClientConnection(client_host, Endpoint(ip("10.0.0.2"), 443),
                                    "dns.example", TrustStore([ca]),

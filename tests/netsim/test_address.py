@@ -124,6 +124,13 @@ class TestEndpoint:
     def test_str_v6_brackets(self):
         assert str(Endpoint(ip("2001:db8::1"), 443)) == "[2001:db8::1]:443"
 
+    def test_repr_v6_brackets(self):
+        # Unbracketed, "2001:db8::1:53" also reads as the address
+        # 2001:db8::1:53 with no port at all.
+        assert repr(Endpoint(ip("2001:db8::1"), 53)) == \
+            "Endpoint([2001:db8::1]:53)"
+        assert repr(Endpoint(ip("192.0.2.1"), 53)) == "Endpoint(192.0.2.1:53)"
+
 
 class TestAddressAllocator:
     def test_unique_ipv4(self):

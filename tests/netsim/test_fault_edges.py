@@ -44,8 +44,7 @@ def build_world(fault=None, telemetry=None, tracer=None):
             Host("client", "a", [ip("10.0.0.1")],
                  rng=registry.stream("client-ports")))
         internet.add_host(Host("server", "b", [ip("10.0.0.2")]))
-        transport = Transport(client, simulator,
-                              rng=registry.stream("txid"))
+        transport = Transport(client, simulator)
     return simulator, internet, transport
 
 

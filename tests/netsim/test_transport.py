@@ -10,6 +10,8 @@ from repro.netsim.internet import Internet
 from repro.netsim.link import LinkProfile
 from repro.netsim.simulator import Simulator
 from repro.netsim.topology import Topology
+from repro.dns.client import StubResolver
+from repro.dns.rrtype import RRType
 from repro.netsim.transport import RetryPolicy, Transport
 from repro.telemetry.registry import MetricsRegistry, use_registry
 from repro.util.rng import RngRegistry
@@ -62,8 +64,8 @@ class _World:
         self.server = self.internet.add_host(
             Host("server", "b", [ip("10.0.0.2")]))
         self.server_endpoint = Endpoint(IPAddress("10.0.0.2"), 7)
-        self.transport = Transport(self.client, self.simulator,
-                                   rng=self.registry.stream("txid"))
+        self.transport = self.client.transport(self.simulator)
+        self.txids = self.registry.stream("txid")
 
     def serve(self, responder):
         """Bind the server port; ``responder(socket, datagram)``."""
@@ -82,7 +84,8 @@ def run_exchange(world, policy, responder=None, **kwargs):
                                  lambda attempt: b"ping"),
         classify=kwargs.pop("classify",
                             lambda datagram, attempt: datagram.payload),
-        on_complete=reports.append, policy=policy, **kwargs)
+        on_complete=reports.append, policy=policy,
+        txids=kwargs.pop("txids", world.txids), **kwargs)
     world.simulator.run()
     assert len(reports) == 1, "completion must fire exactly once"
     return reports[0]
@@ -262,18 +265,83 @@ class TestSupervise:
 
 
 class TestTxidStream:
-    def test_without_rng_draws_random_zero_sequence(self):
+    def test_each_exchange_draws_from_its_own_stream(self):
         world = _World()
-        transport = Transport(world.client, world.simulator)
-        reference = random.Random(0)
-        assert [transport.draw_txid() for _ in range(8)] == [
-            reference.randrange(1 << 16) for _ in range(8)]
+        world.serve(lambda socket, datagram: socket.reply(datagram, b"pong"))
+        streams = {name: world.registry.stream("txid", name)
+                   for name in ("a", "b")}
+        seen = []
+        for name in ("a", "b", "a"):
+            world.transport.exchange(
+                world.server_endpoint,
+                build_request=lambda attempt, n=name: (
+                    seen.append((n, attempt.txid)) or b"ping"),
+                classify=lambda datagram, attempt: datagram.payload,
+                on_complete=lambda report: None,
+                policy=RetryPolicy(timeout=1.0), txids=streams[name])
+        world.simulator.run()
+        a = RngRegistry(1).stream("txid", "a")
+        b = RngRegistry(1).stream("txid", "b")
+        assert seen == [("a", a.randrange(1 << 16)),
+                        ("b", b.randrange(1 << 16)),
+                        ("a", a.randrange(1 << 16))]
 
-    def test_without_rng_holds_no_generator_before_drawing(self):
+    def test_without_a_stream_attempts_carry_no_txid(self):
         world = _World()
-        transport = Transport(world.client, world.simulator)
+        seen = []
+        run_exchange(world, RetryPolicy(timeout=0.2, retries=1),
+                     build_request=lambda a: seen.append(a.txid) or b"ping",
+                     txids=None)
+        assert seen == [None, None]
+
+    def test_stub_without_rng_draws_random_zero_sequence(self):
+        world = _World()
+        wire_txids = []
+        socket = world.server.bind(53)
+        socket.on_datagram(lambda datagram: wire_txids.append(
+            int.from_bytes(datagram.payload[:2], "big")))
+        stub = StubResolver(world.client, world.simulator, ip("10.0.0.2"),
+                            timeout=0.5, retries=0)
+        for _ in range(3):
+            stub.query("example.org", RRType.A, lambda outcome: None)
+        world.simulator.run()
+        reference = random.Random(0)
+        assert wire_txids == [reference.randrange(1 << 16) for _ in range(3)]
+
+    def test_stub_without_rng_holds_no_generator_before_querying(self):
+        world = _World()
+        stub = StubResolver(world.client, world.simulator, ip("10.0.0.2"))
+        assert stub._txids is None
+        transport = world.client.transport(world.simulator)
         assert not any(isinstance(value, random.Random)
                        for value in vars(transport).values())
+
+
+class TestOneTransportPerHost:
+    def test_protocol_clients_on_a_host_share_its_transport(self):
+        from repro.ntp.client import NtpClient
+        from repro.ntp.clock import SimClock
+
+        world = _World()
+        stubs = [StubResolver(world.client, world.simulator, ip("10.0.0.2"))
+                 for _ in range(2)]
+        ntp = NtpClient(world.client, world.simulator,
+                        SimClock(lambda: world.simulator.now))
+        assert stubs[0]._transport is stubs[1]._transport
+        assert ntp._transport is stubs[0]._transport
+        assert world.transport is stubs[0]._transport
+
+    def test_equal_patience_shares_one_policy(self):
+        world = _World()
+        first = StubResolver(world.client, world.simulator, ip("10.0.0.2"),
+                             timeout=2.0, retries=1)
+        second = StubResolver(world.server, world.simulator, ip("10.0.0.1"),
+                              timeout=2.0, retries=1)
+        other = StubResolver(world.client, world.simulator, ip("10.0.0.2"),
+                             timeout=2.0, retries=0)
+        assert first._policy is second._policy
+        assert first._policy == RetryPolicy(timeout=2.0, retries=1)
+        assert other._policy is not first._policy
 
 
 class TestSharedInstruments:
@@ -282,8 +350,7 @@ class TestSharedInstruments:
         world = _World()
         world.serve(lambda socket, datagram: socket.reply(datagram, b"pong"))
         with use_registry(registry):
-            transports = [Transport(world.client, world.simulator,
-                                    rng=world.registry.stream("txid", str(i)))
+            transports = [Transport(world.client, world.simulator)
                           for i in range(3)]
         reports = []
         for transport in transports:

@@ -1,11 +1,15 @@
 """The client fleet: batching, population semantics, reproducibility."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
 from repro.netsim.simulator import SimulationError, Simulator
+from repro.netsim.transport import retry_policy
 from repro.population import BatchDispatcher, FleetConfig
 from repro.scenarios import materialize, population_spec
 from repro.util.rng import StreamClosedError, StreamPrefix, make_rng
@@ -321,6 +325,71 @@ class TestClientStreams:
                 arrival.expovariate(1 / 16.0) for _ in range(3)]
             assert [client.rng.churn.random() for _ in range(3)] == [
                 churn.random() for _ in range(3)]
+
+
+class TestFleetFootprint:
+    """A fleet world holds only what its traffic uses."""
+
+    def test_udp_fleet_in_front_of_doh_providers_never_loads_cryptography(
+            self):
+        # provider.serve="doh" is the default: the providers run DoH
+        # front ends, but a UDP fleet never opens a TLS connection, so
+        # no provider mints its key pair and OpenSSL stays unloaded.
+        import repro
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys\n"
+            "from repro.campaign import ParameterGrid, spec_trial\n"
+            "from repro.scenarios.spec import materialize, population_spec\n"
+            "spec = population_spec(num_clients=30, rounds=1, corrupted=1)\n"
+            "assert spec.provider.serve == 'doh'\n"
+            "assert spec.fleet.transport == 'udp'\n"
+            "outcomes = materialize(spec, 42).run()\n"
+            "assert outcomes.rounds == 30, outcomes\n"
+            "grid = ParameterGrid.over_spec(\n"
+            "    population_spec(num_clients=8, rounds=2),\n"
+            "    {'provider.corrupted': (1,)})\n"
+            "(point,) = grid.points()\n"
+            "metrics, _ = spec_trial(point.params, 7)\n"
+            "assert metrics['availability'] > 0, metrics\n"
+            "loaded = sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'cryptography')\n"
+            "assert not loaded, loaded\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"]
+                                   if env.get("PYTHONPATH") else "")
+        result = subprocess.run([sys.executable, "-c", code], env=env,
+                                capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+
+    def test_at_most_25_gc_tracked_objects_per_client(self):
+        # Each client shares its providers' endpoints and addresses and
+        # the fleet's retry policies, and rides one transport; 40.3
+        # objects per client when each stub owned its own copies.
+        spec = population_spec(num_clients=300, rounds=1, corrupted=1)
+        materialize(population_spec(num_clients=5, rounds=1), 1)  # warm
+        gc.collect()
+        before = len(gc.get_objects())
+        world = materialize(spec, 42)
+        gc.collect()
+        per_client = (len(gc.get_objects()) - before) / world.fleet.clients
+        assert per_client <= 25, per_client
+
+    def test_clients_share_provider_endpoints_and_one_transport(self):
+        world = materialize(population_spec(num_clients=4, rounds=1), 3)
+        fleet = world.fleet
+        addresses = [d.address for d in world.pool.providers]
+        # One endpoint per provider, over the provider host's own
+        # address object.
+        assert [e.address for e in fleet._stub_servers] == addresses
+        assert all(e.address is a
+                   for e, a in zip(fleet._stub_servers, addresses))
+        for client in fleet._clients:
+            assert client.transport is client.host.transport(
+                world.pool.simulator)
+            assert client.ntp._transport is client.transport
+            assert client.ntp._policy is retry_policy(1.0)
+        assert fleet._stub_policy is retry_policy(3.0, 1)
 
 
 class TestEventCap:

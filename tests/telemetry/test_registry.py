@@ -72,7 +72,7 @@ class TestScoping:
         world = build_dns_world()
         stub = StubResolver(world.client, world.simulator,
                             IPAddress("10.0.1.1"))
-        assert stub._telemetry is None
+        assert stub._transport.telemetry is None
 
     def test_components_publish_into_scoped_registry(self):
         registry = MetricsRegistry()
