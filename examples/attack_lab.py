@@ -18,10 +18,10 @@ from repro.attacks.offpath import OffPathPoisoner
 from repro.attacks.overpopulation import OverPopulationAttack
 from repro.core.policy import TruncationPolicy
 from repro.dns.client import StubResolver
-from repro.dns.resolver import ResolverConfig
 from repro.dns.rrtype import RRType
 from repro.netsim.address import Endpoint, IPAddress
 from repro.scenarios import materialize, pool_spec
+from repro.scenarios.spec import ResolverSpec
 
 FORGED = [f"203.0.113.{i + 1}" for i in range(4)]
 
@@ -29,7 +29,7 @@ FORGED = [f"203.0.113.{i + 1}" for i in range(4)]
 def act1_and_2_offpath() -> None:
     for hardened in (False, True):
         scenario = materialize(pool_spec(
-            resolver_config=None if hardened else ResolverConfig(
+            resolver_config=None if hardened else ResolverSpec(
                 txid_bits=6, randomize_txid=False)), seed=5)
         victim = scenario.providers[0]
         if not hardened:

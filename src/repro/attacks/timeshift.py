@@ -22,8 +22,8 @@ holds (crop discards the minority liars).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from repro.attacks.compromise import (
     CompromiseConfig,
@@ -31,7 +31,6 @@ from repro.attacks.compromise import (
     compromise_provider,
 )
 from repro.attacks.mitm import OnPathAttacker
-from repro.core.pool import PoolGeneratorConfig
 from repro.dns.client import StubResolver
 from repro.dns.rrtype import RRType
 from repro.netsim.address import IPAddress

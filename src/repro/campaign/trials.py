@@ -29,7 +29,6 @@ from repro.core.policy import DualStackPolicy, TruncationPolicy
 from repro.core.pool import PoolGeneratorConfig
 from repro.dns.client import StubResolver
 from repro.dns.message import Question
-from repro.dns.resolver import ResolverConfig
 from repro.dns.rrtype import RRType
 from repro.netsim.address import Endpoint, IPAddress
 from repro.ntp.chronos import ChronosClient, ChronosConfig
@@ -38,6 +37,7 @@ from repro.ntp.clock import SimClock
 from repro.ntp.pool import deploy_ntp_fleet
 from repro.scenarios import PoolScenario
 from repro.scenarios.spec import (
+    ResolverSpec,
     ScenarioSpec,
     effective_forged,
     get_path,
@@ -96,14 +96,12 @@ def _pool_metrics(spec: ScenarioSpec, world: PoolScenario) -> Dict[str, float]:
     forged = {IPAddress(a) for a in effective_forged(spec)}
     for attack in spec.attacks:
         forged.update(IPAddress(a) for a in attack.param("forged", ()))
-    min_answers = spec.pool.min_answers
     policy = spec.pool.dual_stack_policy
     pool = world.generate_pool_sync(world.make_generator(
         config=PoolGeneratorConfig(
             truncation=TruncationPolicy(spec.pool.truncation),
             dual_stack=None if policy is None else DualStackPolicy(policy),
-            min_answers=min_answers,
-            ignore_empty_answers=min_answers is not None)))
+            min_answers=spec.pool.min_answers)))
     voted = (MajorityVoteCombiner().combine(pool.contributions)
              if pool.contributions else [])
     v4 = [a for a in pool.addresses if a.family == 4]
@@ -441,8 +439,8 @@ def offpath_spray_trial(params: Mapping[str, Any],
     covered_bits = int(params["covered_bits"])
     scenario = materialize(pool_spec(
         num_providers=1,
-        resolver_config=ResolverConfig(txid_bits=txid_bits,
-                                       randomize_txid=True)), seed)
+        resolver_config=ResolverSpec(txid_bits=txid_bits,
+                                     randomize_txid=True)), seed)
     victim = scenario.providers[0]
     victim.host.randomize_ports = False
     poisoner = OffPathPoisoner(scenario.internet,

@@ -19,6 +19,15 @@ repeated addresses as individual servers, otherwise an attacker
 controlling a majority of resolvers could not be out-voted by honest
 duplicates).
 
+Before combining, one availability gate decides which answers count
+(:func:`quorum_gate`). Strict mode (the paper) needs every resolver to
+answer, and one empty answer truncates the pool to nothing. Quorum
+mode (§II fn. 2, the E6 extension) drops empty answers like failures
+and needs ``min_answers`` of the rest. Both combiners apply that one
+statement: :func:`combine_with_quorum` (the population fleet's) and
+:class:`SecurePoolGenerator` (the single client's, which also keeps
+the per-resolver metadata).
+
 ``combine_answer_lists`` is the pure-function heart of the algorithm,
 used directly by property tests; :class:`SecurePoolGenerator` is the
 network-facing orchestrator.
@@ -27,7 +36,7 @@ network-facing orchestrator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.policy import DualStackPolicy, TruncationPolicy
@@ -71,34 +80,44 @@ def combine_answer_lists(
     return pool, truncate_length, contributions
 
 
-def combine_with_quorum(
-    answer_lists: Dict[str, Optional[Sequence[IPAddress]]],
+def quorum_gate(
+    answer_lists: Mapping[str, Optional[Sequence[IPAddress]]],
     min_answers: Optional[int] = None,
-    policy: TruncationPolicy = TruncationPolicy.SHORTEST,
-) -> Optional[List[IPAddress]]:
-    """Algorithm 1's availability gate plus truncate-and-combine.
+) -> Tuple[Dict[str, Sequence[IPAddress]], int]:
+    """Algorithm 1's availability gate: which answers count, and how
+    many must.
 
-    The single authoritative statement of the strict-vs-quorum
-    semantics :class:`SecurePoolGenerator` implements (and E6
-    measures), shared with the population layer so fleet clients can
-    never drift from the single-client trials:
+    ``answer_lists`` maps resolver name to its answer, ``None`` for a
+    resolver that failed to answer at all. Returns the usable answers
+    (in input order) and the number required:
 
-    * ``answer_lists`` maps resolver name → its answer, with ``None``
-      for a resolver that failed to answer at all;
-    * strict (``min_answers=None``): every resolver must have answered,
-      and one empty answer truncates the pool to nothing — §II fn.2's
-      documented DoS;
-    * quorum: zero-record answers are discarded like failures
-      (``ignore_empty_answers`` pairing) and at least ``min_answers``
-      usable answers are required.
-
-    Returns the combined pool, or ``None`` when no usable pool exists.
+    * strict (``min_answers=None``): every answer is usable and every
+      resolver is required. One empty answer then truncates the pool to
+      nothing: §II fn. 2's documented DoS.
+    * quorum: empty answers are dropped like failures and
+      ``min_answers`` usable answers are required. The cost: with e of
+      N resolvers dropped, a remaining corrupted resolver's share grows
+      from 1/N to 1/(N-e).
     """
     usable = {
         name: addresses for name, addresses in answer_lists.items()
         if addresses is not None and (min_answers is None or addresses)
     }
     required = len(answer_lists) if min_answers is None else min_answers
+    return usable, required
+
+
+def combine_with_quorum(
+    answer_lists: Dict[str, Optional[Sequence[IPAddress]]],
+    min_answers: Optional[int] = None,
+    policy: TruncationPolicy = TruncationPolicy.SHORTEST,
+) -> Optional[List[IPAddress]]:
+    """:func:`quorum_gate` plus truncate-and-combine.
+
+    Returns the combined pool, or ``None`` when fewer answers than
+    required are usable or the combination truncates to nothing.
+    """
+    usable, required = quorum_gate(answer_lists, min_answers)
     if len(usable) < required:
         return None
     pool, truncate_length, _ = combine_answer_lists(usable, policy)
@@ -119,23 +138,17 @@ class PoolGeneratorConfig:
     :param truncation: list-truncation policy (§II fn. 2).
     :param dual_stack: None for single-family lookups, or a
         :class:`DualStackPolicy` to query both A and AAAA (§II fn. 1).
-    :param min_answers: minimum resolvers that must answer successfully.
-        The paper's strict reading requires *all* (an empty or missing
-        answer is a DoS); setting this below N is the documented
-        availability extension measured in E6.
-    :param ignore_empty_answers: treat a zero-record answer as a failed
-        resolver instead of letting it truncate the pool to nothing.
-        Off by default (the paper's semantics, §II fn. 2); pairs with
-        ``min_answers`` for the E6 availability extension. The cost:
-        with e of N resolvers excluded as empty, a remaining corrupted
-        resolver's share grows from 1/N to 1/(N-e).
+    :param min_answers: ``None`` for the paper's strict reading (every
+        resolver must answer, and an empty or missing answer is a DoS);
+        an integer for the E6 quorum extension, where empty answers
+        count as failures and ``min_answers`` non-empty ones suffice
+        (see :func:`quorum_gate`).
     :param qtype: address family for single-family operation.
     """
 
     truncation: TruncationPolicy = TruncationPolicy.SHORTEST
     dual_stack: Optional[DualStackPolicy] = None
     min_answers: Optional[int] = None
-    ignore_empty_answers: bool = False
     qtype: RRType = RRType.A
 
     def __post_init__(self) -> None:
@@ -240,22 +253,16 @@ class SecurePoolGenerator:
 
     def _combine(self, answers: List[ResolverAnswer],
                  started_at: float) -> GeneratedPool:
-        # The gate below is the rich-metadata (contributions, failed
-        # resolvers, dual-stack) form of ``combine_with_quorum``; any
-        # change to the strict/quorum semantics must land in both.
-        def usable(answer: ResolverAnswer) -> bool:
-            if not answer.ok:
-                return False
-            if self._config.ignore_empty_answers and not answer.addresses:
-                return False
-            return True
-
-        succeeded = [answer for answer in answers if usable(answer)]
+        # The gate is combine_with_quorum's; this form keeps the
+        # per-resolver metadata (contributions, failures, dual stack).
+        usable, required = quorum_gate(
+            {answer.resolver.name: answer.addresses if answer.ok else None
+             for answer in answers},
+            self._config.min_answers)
+        succeeded = [answer for answer in answers
+                     if answer.resolver.name in usable]
         failed = [answer.resolver.name for answer in answers
-                  if not usable(answer)]
-        required = (self._config.min_answers
-                    if self._config.min_answers is not None
-                    else len(self._resolvers))
+                  if answer.resolver.name not in usable]
         elapsed = self._simulator.now - started_at
         if len(succeeded) < required:
             generated = GeneratedPool(addresses=[], truncate_length=0,

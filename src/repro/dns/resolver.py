@@ -50,13 +50,19 @@ from repro.netsim.transport import (
     ExchangeReport,
     RetryPolicy,
 )
+from repro.util.errors import ConfigurationError
+from repro.util.specbase import SpecBase
 
 DNS_PORT = 53
 
 
 @dataclass(frozen=True)
-class ResolverConfig:
+class ResolverConfig(SpecBase):
     """Tunables for the recursive resolver.
+
+    A spec like :class:`~repro.dns.hierarchy.HierarchySpec`: scenario
+    worlds carry it as :class:`~repro.scenarios.spec.ResolverSpec`, which
+    adds only the world's resolution mode.
 
     ``txid_bits`` exists so attack experiments can shrink the TXID space
     (the real space is 16 bits; classic pre-randomisation resolvers
@@ -83,9 +89,9 @@ class ResolverConfig:
 
     def __post_init__(self) -> None:
         if not 1 <= self.txid_bits <= 16:
-            raise ValueError("txid_bits must be in [1, 16]")
+            raise ConfigurationError("txid_bits must be in [1, 16]")
         if self.retry_backoff < 1.0:
-            raise ValueError("retry_backoff must be >= 1.0")
+            raise ConfigurationError("retry_backoff must be >= 1.0")
 
     def retry_policy(self) -> RetryPolicy:
         """The transport schedule for one server's retry budget."""

@@ -28,11 +28,13 @@ from repro.netsim.address import Endpoint, IPAddress
 from repro.netsim.host import Host
 from repro.netsim.internet import Internet
 from repro.util.rng import RngRegistry
+from repro.util.specbase import SpecBase
 
 
 @dataclass(frozen=True)
-class DoHProviderProfile:
-    """Static description of a provider before deployment."""
+class DoHProviderProfile(SpecBase):
+    """Static description of a provider before deployment; also the
+    spec :attr:`repro.scenarios.spec.ProviderSpec.profiles` holds."""
 
     name: str          # TLS server name, e.g. "dns.google"
     region: str        # topology node to attach to

@@ -42,7 +42,6 @@ class DoHServer:
         self._tls = TlsServer(host, port, identity,
                               on_data=self._handle_http)
         self._requests_served = 0
-        self._requests_rejected = 0
         # Bounded-queue capacity during chaos Overload windows; None
         # (the steady state) keeps the historical inline serve path.
         self.capacity: Optional["ServerCapacity"] = None  # noqa: F821
@@ -66,10 +65,6 @@ class DoHServer:
     @property
     def requests_served(self) -> int:
         return self._requests_served
-
-    @property
-    def requests_rejected(self) -> int:
-        return self._requests_rejected
 
     # ------------------------------------------------------------------
     # HTTP handling.
@@ -151,5 +146,4 @@ class DoHServer:
         return None
 
     def _reject(self, reply: Callable[[bytes], None], status: int) -> None:
-        self._requests_rejected += 1
         reply(HttpResponse(status=status).encode())

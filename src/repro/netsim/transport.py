@@ -444,8 +444,6 @@ class Transport:
     def __init__(self, host: "Host", simulator: Simulator) -> None:
         self._host = host
         self._simulator = simulator
-        self._exchanges_started = 0
-        self._exchanges_timed_out = 0
         # Captured once at construction: with no registry installed the
         # per-exchange publish below is skipped entirely; likewise with
         # no tracer installed no exchange/attempt spans are allocated.
@@ -470,14 +468,6 @@ class Transport:
         """The tracer captured at construction (``None`` = untraced)."""
         return self._tracer
 
-    @property
-    def exchanges_started(self) -> int:
-        return self._exchanges_started
-
-    @property
-    def exchanges_timed_out(self) -> int:
-        return self._exchanges_timed_out
-
     # ------------------------------------------------------------------
     # The two entry points.
     # ------------------------------------------------------------------
@@ -497,7 +487,6 @@ class Transport:
         without one the attempts carry none (NTP identifies its
         transaction by the origin timestamp, the recursive resolver
         draws its own)."""
-        self._exchanges_started += 1
         exchange = DatagramExchange(
             self, destination, build_request, classify,
             self._finalize(on_complete, label), policy, label, txids)
@@ -511,7 +500,6 @@ class Transport:
         that own their channel (DoH's per-query TLS connection). The
         caller starts its attempt in ``begin_attempt`` and reports the
         terminal value through :meth:`PendingExchange.resolve`."""
-        self._exchanges_started += 1
         pending = PendingExchange(
             self._simulator, policy, begin_attempt,
             self._finalize(on_complete, label), label=label,
@@ -521,8 +509,6 @@ class Transport:
     def _finalize(self, on_complete: CompletionCallback,
                   label: str) -> CompletionCallback:
         def wrapped(report: ExchangeReport) -> None:
-            if report.timed_out:
-                self._exchanges_timed_out += 1
             if self._telemetry is not None:
                 self._publish(report, label)
             on_complete(report)

@@ -22,7 +22,6 @@ from repro.population.fleet import (
     BatchDispatcher,
     ClientFleet,
     ClientRoundState,
-    FleetConfig,
     PopulationOutcomes,
     RoundRng,
     RoundStep,
@@ -44,7 +43,6 @@ __all__ = [
     "BatchDispatcher",
     "ClientFleet",
     "ClientRoundState",
-    "FleetConfig",
     "PeriodicArrivals",
     "PoissonArrivals",
     "PopulationOutcomes",

@@ -45,7 +45,7 @@ Scale machinery:
 * **A pure round loop** — every decision a round makes (resolve or
   reuse, combine, pick, victim/shift classification, churn, next
   delay) lives in the module-level :func:`advance_round` function over
-  explicit ``(config, state, rng, phase event)`` inputs, returning the
+  explicit ``(spec, state, rng, phase event)`` inputs, returning the
   effects as a :class:`RoundStep`. :class:`ClientFleet` is the thin
   effectful shell (sockets, clocks, telemetry, scheduling); the
   sharded engine (:mod:`repro.population.sharding`) reuses the same
@@ -64,7 +64,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.core.pool import combine_with_quorum
 from repro.dns.client import DNS_PORT, StubStats, stub_query
@@ -81,6 +91,23 @@ from repro.population.arrivals import ArrivalProcess, make_arrivals
 from repro.telemetry.registry import MetricsRegistry, use_registry
 from repro.telemetry.trace import current_tracer
 from repro.util.rng import ParkedStream, RngRegistry
+
+if TYPE_CHECKING:
+    from repro.doh.providers import ProviderDeployment
+    from repro.scenarios.spec import FleetSpec
+
+#: Ceiling of the fleet's ``10.120+`` address scheme: 200 hosts per
+#: /24 block, 256 blocks per second octet, second octets 10.120-10.255.
+MAX_CLIENTS = 136 * 256 * 200
+
+#: A client's patience: per-attempt timeout (s) and retries of each
+#: stub or DoH query, and the SNTP exchange's timeout (s).
+DNS_TIMEOUT = 3.0
+DNS_RETRIES = 1
+NTP_TIMEOUT = 1.0
+
+#: Batching bin (virtual seconds) of round wake-ups.
+DISPATCH_QUANTUM = 0.05
 
 
 def _doh_addresses(outcome) -> Optional[List[IPAddress]]:
@@ -143,80 +170,6 @@ class BatchDispatcher:
         for fn in self._bins.pop(index):
             self._dispatched += 1
             fn()
-
-
-@dataclass(frozen=True)
-class FleetConfig:
-    """Shape and behaviour of a client population.
-
-    :param num_clients: fleet size.
-    :param rounds: resolve→sync rounds each client performs.
-    :param mean_interval: seconds between one client's rounds (the
-        period for ``periodic`` arrivals, the mean for ``poisson``).
-    :param arrival: ``"periodic"`` or ``"poisson"``.
-    :param resolve_every: re-query DNS every k-th round; between
-        re-resolutions a client reuses its cached pool (real SNTP
-        clients do not hit DNS per packet).
-    :param churn_rate: per-round probability that a client leaves after
-        the round and rejoins ``rejoin_delay`` seconds later with its
-        pool cache dropped (forcing a re-resolve).
-    :param min_answers: ``None`` for the paper's strict all-must-answer
-        combination; an integer for the E6 quorum extension.
-    :param transport: ``"udp"`` — one plain-DNS stub query per provider
-        (cheap, spoofable, the default) — or ``"doh"`` — one RFC 8484
-        query over a fresh TLS connection per provider per resolve, so
-        every client pays the per-query handshake cost the paper's
-        distributed lookup implies.  DoH mode needs the fleet to be
-        given provider ``endpoints``/``server_names`` and a
-        ``trust_store``.
-    :param initial_clock_error: clients start with clock errors uniform
-        in ±this (seconds).
-    :param shift_threshold: |clock error| beyond which a synced client
-        counts as successfully time-shifted.
-    :param dns_timeout / dns_retries / ntp_timeout: client patience.
-    :param time_bin: width (virtual seconds) of the telemetry time bins
-        for the population's victim/availability curves.
-    :param dispatch_quantum: batching bin for round wake-ups.
-    """
-
-    #: Ceiling of the fleet's ``10.120+`` address scheme: 256 hosts per
-    #: /24 block times the 10.120-10.255 second-octet range.
-    MAX_CLIENTS = 136 * 256 * 200
-
-    num_clients: int = 50
-    rounds: int = 3
-    mean_interval: float = 16.0
-    arrival: str = "periodic"
-    resolve_every: int = 1
-    churn_rate: float = 0.0
-    rejoin_delay: float = 30.0
-    min_answers: Optional[int] = None
-    transport: str = "udp"
-    initial_clock_error: float = 0.050
-    shift_threshold: float = 1.0
-    dns_timeout: float = 3.0
-    dns_retries: int = 1
-    ntp_timeout: float = 1.0
-    time_bin: float = 10.0
-    dispatch_quantum: float = 0.05
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.num_clients <= self.MAX_CLIENTS:
-            raise ValueError(
-                f"num_clients must be in [1, {self.MAX_CLIENTS}] "
-                f"(the fleet's 10.120.0.0+ address range)")
-        if self.rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        if self.resolve_every < 1:
-            raise ValueError("resolve_every must be >= 1")
-        if not 0.0 <= self.churn_rate <= 1.0:
-            raise ValueError("churn_rate must be in [0, 1]")
-        if self.min_answers is not None and self.min_answers < 1:
-            raise ValueError("min_answers must be >= 1 (or None for the "
-                             "strict all-must-answer semantics)")
-        if self.transport not in ("udp", "doh"):
-            raise ValueError(
-                f"transport must be 'udp' or 'doh', got {self.transport!r}")
 
 
 @dataclass
@@ -301,7 +254,7 @@ class RoundStep:
     clock_error: float = 0.0
 
 
-def advance_round(config: FleetConfig, state: ClientRoundState,
+def advance_round(spec: FleetSpec, state: ClientRoundState,
                   rng: RoundRng, phase: str,
                   answers: Optional[Dict[int, Optional[List[IPAddress]]]] = None,
                   synced: bool = False, attacker: bool = False,
@@ -311,7 +264,7 @@ def advance_round(config: FleetConfig, state: ClientRoundState,
     This is the *entire* round-loop logic — resolve cadence,
     truncate-and-combine, server selection, victim/shift
     classification, churn and next-arrival scheduling — over explicit
-    inputs: the fleet ``config``, the client's ``state`` (advanced in
+    inputs: the fleet ``spec``, the client's ``state`` (advanced in
     place), its ``rng`` streams and the phase payload. It touches no
     simulator, no sockets, no telemetry; every effect comes back as a
     :class:`RoundStep` for the shell to perform. Identical inputs
@@ -326,7 +279,7 @@ def advance_round(config: FleetConfig, state: ClientRoundState,
     """
     if phase == ROUND_BEGIN:
         needs_resolve = (state.pool is None
-                         or state.rounds_done % config.resolve_every == 0)
+                         or state.rounds_done % spec.resolve_every == 0)
         if needs_resolve:
             return RoundStep("resolve")
         return RoundStep("sync", pool=state.pool,
@@ -338,34 +291,34 @@ def advance_round(config: FleetConfig, state: ClientRoundState,
         pool = combine_with_quorum(
             {str(index): addresses
              for index, addresses in sorted(answers.items())},
-            min_answers=config.min_answers)
+            min_answers=spec.min_answers)
         state.pool = pool if pool else None
         if not pool:
-            return _conclude(config, state, rng, failed=True)
+            return _conclude(spec, state, rng, failed=True)
         return RoundStep("sync", pool=pool, pick=rng.select.choice(pool))
     if phase == SYNC_COMPLETE:
         # A victim is a client that actually *synced* against an
         # attacker server; a timed-out exchange shifts nothing.
         return _conclude(
-            config, state, rng, synced=synced, timed_out=not synced,
+            spec, state, rng, synced=synced, timed_out=not synced,
             victim=synced and attacker,
-            shifted=synced and clock_error > config.shift_threshold,
+            shifted=synced and clock_error > spec.shift_threshold,
             clock_error=clock_error if synced else 0.0)
     raise ValueError(f"unknown round phase {phase!r}")
 
 
-def _conclude(config: FleetConfig, state: ClientRoundState, rng: RoundRng,
+def _conclude(spec: FleetSpec, state: ClientRoundState, rng: RoundRng,
               **flags) -> RoundStep:
     """Close the round: count it, then decide stop / churn-leave /
     reschedule (drawing churn and arrival randomness in that order)."""
     state.rounds_done += 1
-    if state.rounds_done >= config.rounds:
+    if state.rounds_done >= spec.rounds:
         return RoundStep("stop", **flags)
-    if config.churn_rate and rng.churn.random() < config.churn_rate:
+    if spec.churn_rate and rng.churn.random() < spec.churn_rate:
         # Leave now, rejoin later with the pool cache dropped (the
         # rejoin is a fresh resolve — "churn forces re-resolution").
         state.pool = None
-        return RoundStep("leave", delay=config.rejoin_delay, **flags)
+        return RoundStep("leave", delay=spec.rejoin_delay, **flags)
     return RoundStep("reschedule", delay=rng.arrivals.next_delay(), **flags)
 
 
@@ -434,101 +387,90 @@ class ClientFleet:
     """N resolve→sync clients deployed on an existing topology.
 
     :param internet: the scenario's packet fabric.
-    :param providers: resolver addresses clients query (all of them,
-        per Algorithm 1's distributed lookup).
+    :param providers: the deployed providers clients query (all of
+        them, per Algorithm 1's distributed lookup): each provider's
+        plain-DNS address, or in ``transport="doh"`` mode its DoH
+        endpoint and TLS name.
     :param pool_domain: the name whose answers form each client's pool.
     :param rng: the scenario's seed universe; the fleet draws every
         client stream from it under the ``("population", ...)`` names.
+    :param spec: fleet shape and behaviour
+        (:class:`~repro.scenarios.spec.FleetSpec`).
+    :param time_bin: width (virtual seconds) of the telemetry time bins
+        (:attr:`~repro.scenarios.spec.TelemetrySpec.time_bin`).
     :param nodes: topology nodes clients attach to, round-robin
         (default: every node). Scenario builders pass dedicated access
         edges here so link faults reach the whole population.
-    :param config: fleet shape and behaviour.
     :param attacker_addresses: addresses that count a synced client as
         a victim (forged answers and attacker-enrolled pool members).
     :param registry: telemetry sink; a private one is created when not
         supplied. All client-side instruments (protocol counters
         included) are captured against it.
-    :param endpoints: the providers' DoH endpoints (required in
-        ``transport="doh"`` mode, parallel to ``providers``).
-    :param server_names: the providers' TLS names (DoH mode).
     :param trust_store: CAs the clients trust (DoH mode).
     :param first_index: global index of this fleet's first client —
         non-zero when the fleet is one shard's window of a larger
         population (see the module docstring).
+    :param clients: clients in this fleet (default: ``spec.size``).
     :param population: total population size across every window
-        (default: ``num_clients``, i.e. this fleet is the whole
-        population). Drives arrival phasing and the active-clients
-        gauge so per-shard telemetry is window-position-independent.
+        (default: ``spec.size``). Drives arrival phasing and the
+        active-clients gauge so per-shard telemetry is
+        window-position-independent.
     """
 
-    def __init__(self, internet: Internet, providers: Sequence[IPAddress],
+    def __init__(self, internet: Internet,
+                 providers: Sequence[ProviderDeployment],
                  pool_domain: "Name | str", rng: RngRegistry,
+                 spec: FleetSpec, time_bin: float,
                  nodes: Optional[Sequence[str]] = None,
-                 config: Optional[FleetConfig] = None,
                  attacker_addresses: Sequence["IPAddress | str"] = (),
                  registry: Optional[MetricsRegistry] = None,
-                 endpoints: Optional[Sequence] = None,
-                 server_names: Optional[Sequence[str]] = None,
                  trust_store=None, first_index: int = 0,
+                 clients: Optional[int] = None,
                  population: Optional[int] = None) -> None:
-        if not providers:
-            raise ValueError("fleet needs at least one provider")
         self._internet = internet
         self._simulator = internet.simulator
-        # Addresses given as IPAddress objects are kept, not copied: the
-        # world passes each provider host's own address, so a query's
-        # destination matches the provider's socket and host tables by
-        # identity instead of through IPAddress.__eq__.
-        self._providers = [p if isinstance(p, IPAddress) else IPAddress(p)
-                           for p in providers]
+        self._spec = spec
+        if spec.transport == "doh":
+            self._servers = [(d.endpoint, d.name) for d in providers]
+        else:
+            # Each provider host's own address object, not a copy: a
+            # query's destination then matches the provider's socket
+            # and host tables by identity instead of through
+            # IPAddress.__eq__.
+            self._servers = [Endpoint(d.address, DNS_PORT)
+                             for d in providers]
         self._pool_domain = Name(pool_domain)
         self._nodes = list(nodes) if nodes else internet.topology.nodes
         self._rng = rng
-        self._config = config or FleetConfig()
-        if self._config.transport == "doh":
-            if endpoints is None or server_names is None or trust_store is None:
-                raise ValueError(
-                    "transport='doh' needs endpoints, server_names and "
-                    "a trust_store")
-            if not len(endpoints) == len(server_names) == len(self._providers):
-                raise ValueError(
-                    "endpoints/server_names must parallel providers")
-        self._endpoints = list(endpoints) if endpoints is not None else None
-        self._server_names = (list(server_names)
-                              if server_names is not None else None)
         self._trust_store = trust_store
         self._attackers: Set[IPAddress] = {
             IPAddress(a) for a in attacker_addresses}
         self._first_index = int(first_index)
+        clients = spec.size if clients is None else int(clients)
         self._population = (int(population) if population is not None
-                            else self._config.num_clients)
-        if self._first_index < 0:
-            raise ValueError(f"first_index must be >= 0, got {first_index}")
-        if not (self._first_index + self._config.num_clients
-                <= self._population <= FleetConfig.MAX_CLIENTS):
+                            else spec.size)
+        if not (self._first_index >= 0 and clients >= 1
+                and self._first_index + clients
+                <= self._population <= MAX_CLIENTS):
             raise ValueError(
                 f"window [{self._first_index}, "
-                f"{self._first_index + self._config.num_clients}) must fit "
-                f"inside the population "
-                f"(got population={self._population}, max "
-                f"{FleetConfig.MAX_CLIENTS})")
+                f"{self._first_index + clients}) must be a non-empty "
+                f"window of the population "
+                f"(got population={self._population}, max {MAX_CLIENTS})")
         self.registry = registry or MetricsRegistry()
         # The stub plumbing every client shares: one endpoint per
-        # provider, one retry policy, one statistics record.
-        self._stub_servers = [Endpoint(p, DNS_PORT) for p in self._providers]
-        self._stub_policy = retry_policy(self._config.dns_timeout,
-                                         self._config.dns_retries)
+        # provider (above), one retry policy, one statistics record.
+        self._stub_policy = retry_policy(DNS_TIMEOUT, DNS_RETRIES)
         self._stub_stats = StubStats()
         # Same zero-cost contract as the registry: capture the ambient
         # tracer once; with none installed the round loop allocates
         # nothing trace-related.
         self._tracer = current_tracer()
-        self._dispatcher = BatchDispatcher(
-            self._simulator, self._config.dispatch_quantum)
+        self._dispatcher = BatchDispatcher(self._simulator, DISPATCH_QUANTUM)
         self._started = False
-        self._build_instruments()
+        self._build_instruments(time_bin)
         self._clients = [self._build_client(index)
-                         for index in range(self._config.num_clients)]
+                         for index in range(clients)]
         # The gauge reports the *global* population: every window of the
         # same population publishes the same value at the same virtual
         # times (under churn each shard tracks only its own leavers, so
@@ -539,9 +481,8 @@ class ClientFleet:
     # Construction.
     # ------------------------------------------------------------------
 
-    def _build_instruments(self) -> None:
+    def _build_instruments(self, bin_width: float) -> None:
         reg = self.registry
-        bin_width = self._config.time_bin
         self._m_rounds = reg.counter("pop.rounds")
         self._m_rounds_ok = reg.counter("pop.rounds_ok")
         self._m_rounds_failed = reg.counter("pop.rounds_failed")
@@ -559,7 +500,7 @@ class ClientFleet:
         reg.timeseries("ntp.offset", bin_width)
 
     def _build_client(self, index: int) -> _FleetClient:
-        config = self._config
+        spec = self._spec
         # Everything about a client keys off its *global* index, so a
         # window build is client-for-client identical to the same
         # client inside one whole-population fleet.
@@ -571,7 +512,7 @@ class ClientFleet:
         # to the direct derive_seed path — see StreamPrefix).
         streams = self._rng.prefixed("population", tag)
         # 200 clients per /24, 256 blocks per second octet, octets
-        # 10.120-10.255: room for FleetConfig.MAX_CLIENTS addresses
+        # 10.120-10.255: room for MAX_CLIENTS addresses
         # clear of every infrastructure range.
         block, slot = divmod(g, 200)
         address = IPAddress(
@@ -589,34 +530,33 @@ class ClientFleet:
         client_rng = random.Random(streams.derive("client"))
         clock = SimClock(
             lambda: self._simulator.now,
-            offset=client_rng.uniform(-config.initial_clock_error,
-                                      config.initial_clock_error))
+            offset=client_rng.uniform(-spec.initial_clock_error,
+                                      spec.initial_clock_error))
         # The host's transport is created here, under the fleet's
         # registry, so transport and stub/NTP counters land next to the
         # population metrics.
         doh = None
         with use_registry(self.registry):
             transport = host.transport(self._simulator)
-            if config.transport == "doh":
+            if spec.transport == "doh":
                 from repro.doh.client import DoHClient
                 query_streams = [streams.parked("doh")]
                 doh = DoHClient(host, self._simulator, self._trust_store,
                                 rng=query_streams[0],
-                                timeout=config.dns_timeout,
-                                retries=config.dns_retries)
+                                timeout=DNS_TIMEOUT, retries=DNS_RETRIES)
             else:
                 query_streams = [streams.parked("txid", str(pi))
-                                 for pi in range(len(self._providers))]
+                                 for pi in range(len(self._servers))]
             ntp = NtpClient(host, self._simulator, clock,
-                            timeout=config.ntp_timeout)
+                            timeout=NTP_TIMEOUT)
         arrival = (streams.parked("arrival")
-                   if config.arrival == "poisson" else None)
+                   if spec.arrival == "poisson" else None)
         arrivals = make_arrivals(
-            config.arrival, config.mean_interval, g, self._population,
+            spec.arrival, spec.mean_interval, g, self._population,
             rng=arrival)
         rng = RoundRng(select=streams.parked("select"),
                        churn=(streams.parked("churn")
-                              if config.churn_rate else None),
+                              if spec.churn_rate else None),
                        arrivals=arrivals)
         owned = (*query_streams, ports, rng.select, rng.churn, arrival)
         return _FleetClient(self, g, host, clock, transport, ntp, rng,
@@ -626,10 +566,6 @@ class ClientFleet:
     # ------------------------------------------------------------------
     # Introspection.
     # ------------------------------------------------------------------
-
-    @property
-    def config(self) -> FleetConfig:
-        return self._config
 
     @property
     def clients(self) -> int:
@@ -648,10 +584,6 @@ class ClientFleet:
     @property
     def dispatcher(self) -> BatchDispatcher:
         return self._dispatcher
-
-    def client_clock_errors(self) -> List[float]:
-        """Current per-client clock errors (diagnostics/tests)."""
-        return [client.clock.error() for client in self._clients]
 
     # ------------------------------------------------------------------
     # Driving.
@@ -695,7 +627,7 @@ class ClientFleet:
     def _round(self, client: _FleetClient) -> None:
         self._m_rounds.inc()
         tracer = self._tracer
-        step = advance_round(self._config, client.state, client.rng,
+        step = advance_round(self._spec, client.state, client.rng,
                              ROUND_BEGIN)
         if tracer is None:
             self._apply(client, step)
@@ -788,7 +720,7 @@ class ClientFleet:
         TLS-wrapped DoH, per the configured transport), then feed the
         completed answer set back into the round loop."""
         answers: Dict[int, Optional[List[IPAddress]]] = {}
-        expected = len(self._providers)
+        expected = len(self._servers)
         tracer = self._tracer
         query_spans: Dict[int, Any] = {}
 
@@ -805,7 +737,7 @@ class ClientFleet:
                     tracer.finish(span)
             if len(answers) < expected:
                 return
-            step = advance_round(self._config, client.state, client.rng,
+            step = advance_round(self._spec, client.state, client.rng,
                                  ANSWERS_COMPLETE, answers=answers)
             if tracer is None or client.span is None:
                 self._apply(client, step)
@@ -834,14 +766,14 @@ class ClientFleet:
 
         if client.doh is not None:
             for provider_index, (endpoint, name) in enumerate(
-                    zip(self._endpoints, self._server_names)):
+                    self._servers):
                 issue(provider_index,
                       lambda e=endpoint, n=name, pi=provider_index:
                       client.doh.query(e, n, self._pool_domain, RRType.A,
                                        lambda outcome, pi=pi:
                                        on_answer(pi, _doh_addresses(outcome))))
         else:
-            for provider_index, server in enumerate(self._stub_servers):
+            for provider_index, server in enumerate(self._servers):
                 issue(provider_index,
                       lambda s=server, pi=provider_index:
                       stub_query(client.transport, s, self._stub_policy,
@@ -860,7 +792,7 @@ class ClientFleet:
             client.clock.step(sample.offset)
             clock_error = abs(client.clock.error())
         step = advance_round(
-            self._config, client.state, client.rng, SYNC_COMPLETE,
+            self._spec, client.state, client.rng, SYNC_COMPLETE,
             synced=sample.ok, attacker=attacker, clock_error=clock_error)
         tracer = self._tracer
         if tracer is not None and client.span is not None:

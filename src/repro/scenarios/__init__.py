@@ -28,7 +28,6 @@ from repro.scenarios.spec import (
     LinkSpec,
     NetworkSpec,
     PoolSpec,
-    ProfileSpec,
     ProviderSpec,
     RegionSpec,
     ResolverSpec,
@@ -54,7 +53,6 @@ __all__ = [
     "PoolScenario",
     "PoolSpec",
     "PopulationScenario",
-    "ProfileSpec",
     "ProviderSpec",
     "RESOLVER_MODES",
     "RegionSpec",

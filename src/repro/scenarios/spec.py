@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import (
     Any,
     Callable,
@@ -52,6 +52,7 @@ from typing import (
 from repro.chaos.spec import ChaosSpec
 from repro.core.errors import ConfigurationError
 from repro.dns.resolver import ResolverConfig
+from repro.doh.providers import DoHProviderProfile
 from repro.netsim.link import FaultModel, LinkProfile
 
 
@@ -113,14 +114,6 @@ class FaultSpec(SpecBase):
             duplicate_rate=self.duplicate_rate,
             duplicate_gap_s=self.duplicate_gap_s)
 
-    @classmethod
-    def from_model(cls, model: FaultModel) -> "FaultSpec":
-        return cls(loss_rate=model.loss_rate, jitter_s=model.jitter_s,
-                   reorder_window=model.reorder_window,
-                   reorder_rate=model.reorder_rate,
-                   duplicate_rate=model.duplicate_rate,
-                   duplicate_gap_s=model.duplicate_gap_s)
-
 
 @dataclass(frozen=True)
 class RegionSpec(SpecBase):
@@ -158,8 +151,8 @@ class NetworkSpec(SpecBase):
         worlds without explicit regions, to every ``pop-edge-*`` link.
     :param fault: imposed degradation on the client access link (the
         E6/R1 sweep axes); inactive by default.
-    :param extra_fault: an additional whole :class:`FaultSpec` composed
-        on top (mirrors the legacy ``fault_model=`` kwarg).
+    :param extra_fault: a second :class:`FaultSpec` composed on top of
+        ``fault`` (set by dotted path, ``"network.extra_fault"``).
     :param regions: population access regions.  Empty means the legacy
         layout — one ``pop-edge-<region>`` link per backbone region
         (``access`` profile, metro by default), all carrying the
@@ -201,65 +194,29 @@ class NetworkSpec(SpecBase):
 # Provider / pool layers.
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProfileSpec(SpecBase):
-    """Serializable mirror of
-    :class:`repro.doh.providers.DoHProviderProfile`."""
-
-    name: str
-    region: str
-    address: str
-
-    def to_profile(self):
-        from repro.doh.providers import DoHProviderProfile
-        return DoHProviderProfile(name=self.name, region=self.region,
-                                  address=self.address)
-
-    @classmethod
-    def from_profile(cls, profile) -> "ProfileSpec":
-        return cls(name=profile.name, region=profile.region,
-                   address=profile.address)
-
-
 #: ResolverSpec modes: ``"forwarding"`` (the legacy flat tree — the
 #: providers' recursors resolve against the fixed root/org/ntpns
 #: layout) or ``"iterative"`` (a :class:`HierarchySpec`-compiled
 #: root→TLD→zone tree with instrumented caching recursion).
 RESOLVER_MODES = ("forwarding", "iterative")
 
-#: ResolverSpec fields that shape the *world*, not the per-resolver
-#: ResolverConfig; excluded from the config mirror round-trip.
-_RESOLVER_WORLD_FIELDS = ("mode", "hierarchy")
-
 
 @dataclass(frozen=True)
-class ResolverSpec(SpecBase):
-    """Serializable mirror of
-    :class:`repro.dns.resolver.ResolverConfig` (same defaults), plus
-    the world-level resolution axis: ``mode``/``hierarchy`` pick the
-    DNS tree the providers' recursors walk (they never reach the
-    per-resolver config).  Both serialize only when non-default, so
-    pre-hierarchy spec JSON stays byte-identical.
+class ResolverSpec(ResolverConfig):
+    """The providers' :class:`~repro.dns.resolver.ResolverConfig` (its
+    fields and defaults, passed to every provider's recursor as is),
+    plus the world-level resolution axis: ``mode``/``hierarchy`` pick
+    the DNS tree the recursors walk.  Both serialize only when
+    non-default, so pre-hierarchy spec JSON stays byte-identical.
     """
 
-    query_timeout: float = 2.0
-    max_retries_per_server: int = 1
-    retry_backoff: float = 1.5
-    retry_max_timeout: Optional[float] = 8.0
-    max_referral_depth: int = 16
-    max_cname_chain: int = 8
-    max_ns_resolution_depth: int = 4
-    txid_bits: int = 16
-    randomize_txid: bool = True
-    cache_max_entries: int = 10_000
-    negative_ttl_cap: int = 900
-    serve_port: int = 53
     mode: str = "forwarding"
     hierarchy: Optional[HierarchySpec] = None
 
     _NESTED = {"hierarchy": ("opt", HierarchySpec)}
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.mode not in RESOLVER_MODES:
             raise ConfigurationError(
                 f"resolver mode must be one of {RESOLVER_MODES}, "
@@ -275,17 +232,6 @@ class ResolverSpec(SpecBase):
         if self.hierarchy is None:
             del data["hierarchy"]
         return data
-
-    def to_config(self) -> ResolverConfig:
-        return ResolverConfig(**{f.name: getattr(self, f.name)
-                                 for f in fields(self)
-                                 if f.name not in _RESOLVER_WORLD_FIELDS})
-
-    @classmethod
-    def from_config(cls, config: ResolverConfig) -> "ResolverSpec":
-        return cls(**{f.name: getattr(config, f.name)
-                      for f in fields(cls)
-                      if f.name not in _RESOLVER_WORLD_FIELDS})
 
 
 #: ProviderSpec serving modes: full DoH front-end (the default, what
@@ -318,7 +264,7 @@ class ProviderSpec(SpecBase):
     """
 
     count: int = 3
-    profiles: Optional[Tuple[ProfileSpec, ...]] = None
+    profiles: Optional[Tuple[DoHProviderProfile, ...]] = None
     resolver: Optional[ResolverSpec] = None
     serve: str = "doh"
     corrupted: int = 0
@@ -326,13 +272,18 @@ class ProviderSpec(SpecBase):
     forged: Tuple[str, ...] = ()
     inflate_to: int = 20
 
-    _NESTED = {"profiles": ("opt_tuple", ProfileSpec),
+    _NESTED = {"profiles": ("opt_tuple", DoHProviderProfile),
                "resolver": ("opt", ResolverSpec),
                "forged": ("scalars", None)}
 
     def __post_init__(self) -> None:
         if self.count < 1:
             raise ConfigurationError("need at least one provider")
+        if self.resolver is not None and not isinstance(self.resolver,
+                                                        ResolverSpec):
+            raise ConfigurationError(
+                "ProviderSpec.resolver must be a ResolverSpec (a "
+                "ResolverConfig plus the world's resolution mode)")
         if self.profiles is not None:
             object.__setattr__(self, "profiles", tuple(self.profiles))
             if len(self.profiles) != self.count:
@@ -400,21 +351,45 @@ FLEET_TRANSPORTS = ("udp", "doh")
 
 @dataclass(frozen=True)
 class FleetSpec(SpecBase):
-    """A measured client population (see
-    :class:`repro.population.ClientFleet`).
+    """A measured client population; the configuration
+    :class:`repro.population.ClientFleet` and its round loop
+    (:func:`repro.population.fleet.advance_round`) read.
 
-    :param size: number of clients.
-    :param transport: ``"udp"`` (plain-DNS stub per provider) or
-        ``"doh"`` (one TLS-wrapped DoH query per provider per round —
-        clients pay the per-query handshake the paper's Table couples
-        to the distributed lookup).  ``"doh"`` requires
+    :param size: number of clients, at most
+        :data:`repro.population.fleet.MAX_CLIENTS` (the fleet's
+        ``10.120.0.0+`` address range).
+    :param rounds: resolve→sync rounds each client performs.
+    :param mean_interval: seconds between one client's rounds (the
+        period for ``periodic`` arrivals, the mean for ``poisson``).
+    :param arrival: ``"periodic"`` or ``"poisson"``.
+    :param resolve_every: re-query DNS every k-th round; between
+        re-resolutions a client reuses its cached pool (real SNTP
+        clients do not hit DNS per packet).
+    :param churn_rate: per-round probability that a client leaves after
+        the round and rejoins ``rejoin_delay`` seconds later with its
+        pool cache dropped (forcing a re-resolve).
+    :param rejoin_delay: seconds a churned client stays away.
+    :param min_answers: ``None`` for the paper's strict all-must-answer
+        combination; an integer for the E6 quorum extension (at most
+        the provider count).
+    :param transport: ``"udp"`` (one plain-DNS stub query per provider:
+        cheap, spoofable, the default) or ``"doh"`` (one RFC 8484 query
+        over a fresh TLS connection per provider per resolve, so every
+        client pays the per-query handshake the paper's distributed
+        lookup implies).  ``"doh"`` requires
         ``ProviderSpec.serve == "doh"``.
+    :param initial_clock_error: clients start with clock errors uniform
+        in ±this (seconds).
+    :param shift_threshold: |clock error| beyond which a synced client
+        counts as successfully time-shifted.
     :param shards: 1 (the default) runs the whole population in one
         world; K > 1 materializes a
         :class:`repro.population.sharding.ShardedFleet` — K windows of
         the population, each in its own world, executed through the
         campaign executor layer and folded back into one telemetry
         registry (the megafleet path; see the sharding module).
+
+    The telemetry bin width is :attr:`TelemetrySpec.time_bin`.
     """
 
     size: int = 50
@@ -431,10 +406,32 @@ class FleetSpec(SpecBase):
     shards: int = 1
 
     def __post_init__(self) -> None:
+        # Imported here: repro.population imports this module.
+        from repro.population.fleet import MAX_CLIENTS
+        if not 1 <= self.size <= MAX_CLIENTS:
+            raise ConfigurationError(
+                f"fleet size must be in [1, {MAX_CLIENTS}] (the fleet's "
+                f"10.120.0.0+ address range), got {self.size}")
+        if self.rounds < 1:
+            raise ConfigurationError("rounds must be >= 1")
+        if not self.mean_interval > 0:
+            raise ConfigurationError(
+                f"mean_interval must be > 0, got {self.mean_interval}")
         if self.arrival not in ("periodic", "poisson"):
             raise ConfigurationError(
                 f"arrival must be 'periodic' or 'poisson', "
                 f"got {self.arrival!r}")
+        if self.resolve_every < 1:
+            raise ConfigurationError("resolve_every must be >= 1")
+        if not 0.0 <= self.churn_rate <= 1.0:
+            raise ConfigurationError("churn_rate must be in [0, 1]")
+        if not self.rejoin_delay >= 0:
+            raise ConfigurationError(
+                f"rejoin_delay must be >= 0, got {self.rejoin_delay}")
+        if self.min_answers is not None and self.min_answers < 1:
+            raise ConfigurationError(
+                "min_answers must be >= 1 (or None for the strict "
+                "all-must-answer semantics)")
         if self.transport not in FLEET_TRANSPORTS:
             raise ConfigurationError(
                 f"transport must be one of {FLEET_TRANSPORTS}, "
@@ -850,15 +847,14 @@ def pool_spec(
     pool_size: int = 20,
     answers_per_query: int = 4,
     dual_stack: bool = False,
-    profiles: Optional[Sequence[Any]] = None,
-    resolver_config: Optional[ResolverConfig] = None,
+    profiles: Optional[Sequence[DoHProviderProfile]] = None,
+    resolver_config: Optional[ResolverSpec] = None,
     access_link: Optional[LinkProfile] = None,
     pool_ttl: int = 60,
     loss_rate: float = 0.0,
     jitter_s: float = 0.0,
     reorder_window: float = 0.0,
     duplicate_rate: float = 0.0,
-    fault_model: Optional[FaultModel] = None,
 ) -> ScenarioSpec:
     """The single-client Figure 1 spec, from flat keywords."""
     if num_providers < 1:
@@ -869,16 +865,9 @@ def pool_spec(
                     else LinkSpec.from_profile(access_link)),
             fault=FaultSpec(loss_rate=loss_rate, jitter_s=jitter_s,
                             reorder_window=reorder_window,
-                            duplicate_rate=duplicate_rate),
-            extra_fault=(None if fault_model is None
-                         else FaultSpec.from_model(fault_model))),
-        provider=ProviderSpec(
-            count=num_providers,
-            profiles=(None if profiles is None else tuple(
-                p if isinstance(p, ProfileSpec) else ProfileSpec.from_profile(p)
-                for p in profiles)),
-            resolver=(None if resolver_config is None
-                      else ResolverSpec.from_config(resolver_config))),
+                            duplicate_rate=duplicate_rate)),
+        provider=ProviderSpec(count=num_providers, profiles=profiles,
+                              resolver=resolver_config),
         pool=PoolSpec(size=pool_size, answers_per_query=answers_per_query,
                       ttl=pool_ttl, dual_stack=dual_stack))
 
@@ -1088,15 +1077,13 @@ def _build_pool_world(spec: ScenarioSpec, seed: int):
                 regions=["us-west", "us-east", "eu-west", "eu-central",
                          "asia-east", "asia-south"])
     else:
-        profiles = [p.to_profile() for p in provider_spec.profiles]
-    resolver_config = (provider_spec.resolver.to_config()
-                       if provider_spec.resolver is not None else None)
+        profiles = provider_spec.profiles
     # serve="dns" providers get no CA: the same deployment without a
     # DoH front end.
     provider_ca = authority if provider_spec.serve == "doh" else None
     providers = [
         deploy_provider(internet, profile, provider_ca, root_hints,
-                        registry, resolver_config=resolver_config,
+                        registry, resolver_config=provider_spec.resolver,
                         instrument=iterative)
         for profile in profiles
     ]
@@ -1133,7 +1120,7 @@ def _materialize_population(spec: ScenarioSpec, seed: int, registry,
     )
     from repro.netsim.address import IPAddress
     from repro.ntp.pool import deploy_ntp_fleet
-    from repro.population.fleet import ClientFleet, FleetConfig
+    from repro.population.fleet import ClientFleet
     from repro.scenarios.builders import PopulationScenario
     from repro.telemetry.registry import MetricsRegistry, use_registry
 
@@ -1223,30 +1210,12 @@ def _materialize_population(spec: ScenarioSpec, seed: int, registry,
             window if window is not None
             else (0, fleet_spec.size, fleet_spec.size))
         fleet = ClientFleet(
-            pool_scenario.internet,
-            [deployment.address for deployment in pool_scenario.providers],
-            pool_scenario.pool_domain, pool_scenario.rng,
-            nodes=access_nodes, first_index=first_index,
-            population=population,
-            config=FleetConfig(
-                num_clients=size, rounds=fleet_spec.rounds,
-                mean_interval=fleet_spec.mean_interval,
-                arrival=fleet_spec.arrival,
-                resolve_every=fleet_spec.resolve_every,
-                churn_rate=fleet_spec.churn_rate,
-                rejoin_delay=fleet_spec.rejoin_delay,
-                min_answers=fleet_spec.min_answers,
-                initial_clock_error=fleet_spec.initial_clock_error,
-                shift_threshold=fleet_spec.shift_threshold,
-                time_bin=spec.telemetry.time_bin,
-                transport=fleet_spec.transport),
+            pool_scenario.internet, pool_scenario.providers,
+            pool_scenario.pool_domain, pool_scenario.rng, fleet_spec,
+            spec.telemetry.time_bin, nodes=access_nodes,
             attacker_addresses=attackers, registry=registry,
-            endpoints=[d.endpoint for d in pool_scenario.providers]
-            if fleet_spec.transport == "doh" else None,
-            server_names=[d.name for d in pool_scenario.providers]
-            if fleet_spec.transport == "doh" else None,
-            trust_store=pool_scenario.trust_store
-            if fleet_spec.transport == "doh" else None)
+            trust_store=pool_scenario.trust_store, first_index=first_index,
+            clients=size, population=population)
     world = PopulationScenario(pool=pool_scenario, fleet=fleet,
                                ntp_fleet=ntp_fleet, telemetry=registry,
                                attacker_addresses=attackers)
@@ -1290,7 +1259,6 @@ __all__ = [
     "LinkSpec",
     "NetworkSpec",
     "PoolSpec",
-    "ProfileSpec",
     "ProviderSpec",
     "RESOLVER_MODES",
     "RegionSpec",

@@ -8,12 +8,12 @@ depends on.
 import pytest
 
 from repro.dns.rcode import RCode
-from repro.dns.resolver import ResolverConfig
 from repro.dns.rrtype import RRType
 from repro.doh.client import DoHStatus
 from repro.netsim.internet import TapAction
 from repro.netsim.link import LinkProfile
 from repro.scenarios import materialize, pool_spec
+from repro.scenarios.spec import ResolverSpec
 
 
 class TestDoHTransportRetries:
@@ -108,8 +108,8 @@ class TestPartitions:
 
 class TestUpstreamDnsFailures:
     def test_dead_pool_nameservers_yield_servfail_everywhere(self):
-        scenario = materialize(pool_spec(resolver_config=ResolverConfig(query_timeout=0.3,
-                                           max_retries_per_server=0)), 155)
+        scenario = materialize(pool_spec(resolver_config=ResolverSpec(
+            query_timeout=0.3, max_retries_per_server=0)), 155)
         topology = scenario.internet.topology
         # ntpns-edge hosts all three pool nameservers.
         for other in list(topology.nodes):
@@ -127,8 +127,8 @@ class TestUpstreamDnsFailures:
     def test_loss_on_provider_recursion_path_retries(self):
         """Loss between a provider and the DNS tree is absorbed by the
         resolver's own retry logic."""
-        scenario = materialize(pool_spec(resolver_config=ResolverConfig(query_timeout=0.3,
-                                           max_retries_per_server=10)), 156)
+        scenario = materialize(pool_spec(resolver_config=ResolverSpec(
+            query_timeout=0.3, max_retries_per_server=10)), 156)
         topology = scenario.internet.topology
         # Degrade the nameserver access link.
         topology.remove_link("ntpns-edge", "us-west")

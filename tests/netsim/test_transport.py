@@ -105,13 +105,15 @@ class TestDatagramExchange:
         assert report.rtt == pytest.approx(0.02)
 
     def test_timeout_exhausts_attempts(self):
-        world = _World()
+        telemetry = MetricsRegistry()
+        with use_registry(telemetry):
+            world = _World()
         report = run_exchange(world, RetryPolicy(timeout=0.5, retries=2))
         assert report.timed_out
         assert report.value is None
         assert report.attempts == 3
         assert world.simulator.now == pytest.approx(1.5)
-        assert world.transport.exchanges_timed_out == 1
+        assert telemetry.value("transport.timeouts", label="exchange") == 1
 
     def test_backoff_timing(self):
         world = _World()

@@ -8,10 +8,13 @@ import sys
 
 import pytest
 
+from repro.core.errors import ConfigurationError
 from repro.netsim.simulator import SimulationError, Simulator
 from repro.netsim.transport import retry_policy
-from repro.population import BatchDispatcher, FleetConfig
+from repro.population import BatchDispatcher
+from repro.population.fleet import MAX_CLIENTS
 from repro.scenarios import materialize, population_spec
+from repro.scenarios.spec import FleetSpec
 from repro.util.rng import StreamClosedError, StreamPrefix, make_rng
 
 
@@ -57,16 +60,27 @@ class TestBatchDispatcher:
             BatchDispatcher(simulator).call_after(-1.0, lambda: None)
 
 
-class TestFleetConfig:
+class TestFleetSpecValidation:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            FleetConfig(num_clients=0)
-        with pytest.raises(ValueError):
-            FleetConfig(rounds=0)
-        with pytest.raises(ValueError):
-            FleetConfig(churn_rate=1.5)
-        with pytest.raises(ValueError):
-            FleetConfig(resolve_every=0)
+        for bad in ({"size": 0}, {"size": MAX_CLIENTS + 1}, {"rounds": 0},
+                    {"churn_rate": 1.5}, {"resolve_every": 0}):
+            with pytest.raises(ConfigurationError):
+                FleetSpec(**bad)
+        assert FleetSpec(size=MAX_CLIENTS).size == MAX_CLIENTS
+
+    def test_rejects_negative_rejoin_delay(self):
+        # Accepting it built a world whose first churned client made
+        # run() fail at virtual t=0.71 s, in BatchDispatcher.call_after.
+        with pytest.raises(ConfigurationError, match="rejoin_delay"):
+            population_spec(num_clients=5, rounds=3, rejoin_delay=-10.0,
+                            churn_rate=1.0)
+        assert population_spec(rejoin_delay=0.0).fleet.rejoin_delay == 0.0
+
+    @pytest.mark.parametrize("interval", [0.0, -16.0])
+    def test_rejects_non_positive_mean_interval(self, interval):
+        # Caught at construction, not first at materialize.
+        with pytest.raises(ConfigurationError, match="mean_interval"):
+            population_spec(mean_interval=interval)
 
 
 class TestPopulationSemantics:
@@ -381,9 +395,9 @@ class TestFleetFootprint:
         addresses = [d.address for d in world.pool.providers]
         # One endpoint per provider, over the provider host's own
         # address object.
-        assert [e.address for e in fleet._stub_servers] == addresses
+        assert [e.address for e in fleet._servers] == addresses
         assert all(e.address is a
-                   for e, a in zip(fleet._stub_servers, addresses))
+                   for e, a in zip(fleet._servers, addresses))
         for client in fleet._clients:
             assert client.transport is client.host.transport(
                 world.pool.simulator)
@@ -417,7 +431,7 @@ class TestBuilderValidation:
         with pytest.raises(ValueError):
             materialize(population_spec(min_answers=4, num_providers=3), 1)
         with pytest.raises(ValueError):
-            FleetConfig(min_answers=0)
+            FleetSpec(min_answers=0)
 
     def test_spec_trial_rejects_non_grid_parameters(self):
         # The seed is campaign-derived and the registry is per-trial, so

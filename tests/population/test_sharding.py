@@ -18,7 +18,6 @@ from repro.population.fleet import (
     ROUND_BEGIN,
     SYNC_COMPLETE,
     ClientRoundState,
-    FleetConfig,
     RoundRng,
     advance_round,
 )
@@ -91,25 +90,25 @@ POOL = [IPAddress("172.16.0.1"), IPAddress("172.16.0.2")]
 
 class TestAdvanceRound:
     def test_first_round_resolves(self):
-        step = advance_round(FleetConfig(), ClientRoundState(), _rng(),
+        step = advance_round(FleetSpec(), ClientRoundState(), _rng(),
                              ROUND_BEGIN)
         assert step.action == "resolve"
 
     def test_cached_pool_reused_between_resolves(self):
-        config = FleetConfig(rounds=4, resolve_every=2)
+        config = FleetSpec(rounds=4, resolve_every=2)
         state = ClientRoundState(pool=list(POOL), rounds_done=1)
         step = advance_round(config, state, _rng(), ROUND_BEGIN)
         assert step.action == "sync"
         assert step.pick in POOL
 
     def test_resolve_cadence_forces_requery(self):
-        config = FleetConfig(rounds=4, resolve_every=2)
+        config = FleetSpec(rounds=4, resolve_every=2)
         state = ClientRoundState(pool=list(POOL), rounds_done=2)
         step = advance_round(config, state, _rng(), ROUND_BEGIN)
         assert step.action == "resolve"
 
     def test_answers_combine_to_sync(self):
-        config = FleetConfig(rounds=3)
+        config = FleetSpec(rounds=3)
         state = ClientRoundState()
         answers = {0: list(POOL), 1: list(POOL), 2: list(POOL)}
         step = advance_round(config, state, _rng(), ANSWERS_COMPLETE,
@@ -120,7 +119,7 @@ class TestAdvanceRound:
         assert step.pick in step.pool
 
     def test_empty_combine_fails_round_and_reschedules(self):
-        config = FleetConfig(rounds=3)
+        config = FleetSpec(rounds=3)
         state = ClientRoundState(pool=list(POOL))
         step = advance_round(config, state, _rng(), ANSWERS_COMPLETE,
                              answers={0: None, 1: list(POOL), 2: list(POOL)})
@@ -130,7 +129,7 @@ class TestAdvanceRound:
         assert state.rounds_done == 1
 
     def test_sync_against_attacker_is_victim(self):
-        config = FleetConfig(rounds=2)
+        config = FleetSpec(rounds=2)
         state = ClientRoundState(pool=list(POOL), rounds_done=0)
         step = advance_round(config, state, _rng(), SYNC_COMPLETE,
                              synced=True, attacker=True, clock_error=9.5)
@@ -138,7 +137,7 @@ class TestAdvanceRound:
         assert step.clock_error == 9.5
 
     def test_timeout_is_not_a_victim(self):
-        config = FleetConfig(rounds=2)
+        config = FleetSpec(rounds=2)
         state = ClientRoundState(pool=list(POOL))
         step = advance_round(config, state, _rng(), SYNC_COMPLETE,
                              synced=False, attacker=True, clock_error=9.5)
@@ -146,14 +145,14 @@ class TestAdvanceRound:
         assert step.clock_error == 0.0
 
     def test_final_round_stops(self):
-        config = FleetConfig(rounds=1)
+        config = FleetSpec(rounds=1)
         state = ClientRoundState(pool=list(POOL))
         step = advance_round(config, state, _rng(), SYNC_COMPLETE,
                              synced=True)
         assert step.action == "stop"
 
     def test_churn_leaves_and_drops_pool(self):
-        config = FleetConfig(rounds=5, churn_rate=1.0, rejoin_delay=30.0)
+        config = FleetSpec(rounds=5, churn_rate=1.0, rejoin_delay=30.0)
         state = ClientRoundState(pool=list(POOL))
         step = advance_round(config, state, _rng(), SYNC_COMPLETE,
                              synced=True)
@@ -162,7 +161,7 @@ class TestAdvanceRound:
         assert state.pool is None
 
     def test_identical_streams_replay_identically(self):
-        config = FleetConfig(rounds=6, churn_rate=0.3)
+        config = FleetSpec(rounds=6, churn_rate=0.3)
         runs = []
         for _ in range(2):
             state = ClientRoundState(pool=list(POOL))
@@ -175,7 +174,7 @@ class TestAdvanceRound:
 
     def test_unknown_phase_rejected(self):
         with pytest.raises(ValueError):
-            advance_round(FleetConfig(), ClientRoundState(), _rng(),
+            advance_round(FleetSpec(), ClientRoundState(), _rng(),
                           "no-such-phase")
 
 

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError, UnknownPresetError
+from repro.doh.providers import DoHProviderProfile
 from repro.scenarios.presets import (
     SPEC_PRESETS,
     degraded_network_spec,
@@ -30,7 +31,6 @@ from repro.scenarios.spec import (
     LinkSpec,
     NetworkSpec,
     PoolSpec,
-    ProfileSpec,
     ProviderSpec,
     RegionSpec,
     ResolverSpec,
@@ -127,7 +127,7 @@ class TestRoundTrip:
         for spec in (LinkSpec(latency=0.02), FaultSpec(loss_rate=0.3),
                      RegionSpec(name="eu", fault=FaultSpec(jitter_s=0.1)),
                      NetworkSpec(regions=(RegionSpec(name="x"),)),
-                     ProfileSpec("dns.example", "us-east", "10.54.0.9"),
+                     DoHProviderProfile("dns.example", "us-east", "10.54.0.9"),
                      ResolverSpec(query_timeout=1.0),
                      ProviderSpec(count=4, corrupted=2,
                                   forged=("203.0.113.1",)),
