@@ -11,23 +11,27 @@ distributed DoH + Chronos holds.
 Run:  python examples/chronos_timeshift.py
 """
 
-from repro.attacks.timeshift import TimeShiftExperiment
+from repro.campaign import timeshift_trial
+from repro.campaign.trials import TIMESHIFT_CONFIGURATIONS
+
+LIE = 10.0
 
 
 def main() -> None:
-    experiment = TimeShiftExperiment(seed=7, lie_offset=10.0,
-                                     num_providers=3, corrupted_providers=1)
     print("Attacker: on-path at the client edge + 1 of 3 DoH providers; "
           "goal: shift clock by 10 s\n")
     header = (f"{'configuration':28s} {'pool poisoned':>13s} "
               f"{'clock error':>12s} {'verdict':>10s}")
     print(header)
     print("-" * len(header))
-    for result in experiment.run_all():
-        verdict = "SHIFTED" if result.shifted else "safe"
-        print(f"{result.configuration:28s} "
-              f"{result.pool_malicious_fraction:>12.0%} "
-              f"{result.clock_error_after:>10.3f}s "
+    for configuration in TIMESHIFT_CONFIGURATIONS:
+        result = timeshift_trial(
+            {"configuration": configuration, "lie_offset": LIE,
+             "num_providers": 3, "corrupted_providers": 1}, seed=7)
+        verdict = "SHIFTED" if result["shifted"] else "safe"
+        print(f"{configuration:28s} "
+              f"{result['pool_malicious_fraction']:>12.0%} "
+              f"{result['clock_error']:>10.3f}s "
               f"{verdict:>10s}")
     print("\nReading: Chronos alone cannot survive a poisoned pool "
           "(rows 1-2); Algorithm 1 bounds the poison to 1/3 (rows 3-4); "

@@ -18,9 +18,13 @@ because of a hard-coded coin flip:
   empty-answer DoS);
 * :mod:`repro.attacks.overpopulation` — [1]'s anti-Chronos move:
   flooding the answer list with attacker addresses, the attack §II
-  footnote 2's truncation neutralises;
-* :mod:`repro.attacks.timeshift` — end-to-end orchestration: poison the
-  pool, stand up lying NTP servers, measure the client clock error.
+  footnote 2's truncation neutralises.
+
+Scenario specs install these by data: ``ProviderSpec.corrupted``
+compromises providers and ``AttackSpec`` kinds (``mitm``, ``offpath``,
+``timeshift``) name the rest (see :mod:`repro.scenarios.spec`).  The
+end-to-end time-shift attack (E7) is the ``"e7-timeshift"`` spec
+preset, run by :func:`repro.campaign.timeshift_trial`.
 """
 
 from repro.attacks.compromise import CompromisedResolverBehavior, compromise_provider
@@ -28,7 +32,6 @@ from repro.attacks.fragmentation import FragmentationPoisoner
 from repro.attacks.mitm import OnPathAttacker
 from repro.attacks.offpath import OffPathPoisoner, SprayPlan
 from repro.attacks.overpopulation import OverPopulationAttack
-from repro.attacks.timeshift import TimeShiftExperiment, TimeShiftResult
 
 __all__ = [
     "CompromisedResolverBehavior",
@@ -38,6 +41,4 @@ __all__ = [
     "OffPathPoisoner",
     "SprayPlan",
     "OverPopulationAttack",
-    "TimeShiftExperiment",
-    "TimeShiftResult",
 ]

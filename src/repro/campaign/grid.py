@@ -165,11 +165,6 @@ class ParameterGrid:
         return grid
 
     @property
-    def base_spec(self) -> Optional[Any]:
-        """The spec swept by :meth:`over_spec`, if any."""
-        return self._base_spec
-
-    @property
     def axes(self) -> Dict[str, Tuple[Any, ...]]:
         """The declared axes (copy; empty for explicit point lists)."""
         return dict(self._axes)

@@ -7,9 +7,11 @@ simulation stack.  World trials take their world from the grid point:
 with :func:`~repro.scenarios.spec.materialize`.  :func:`spec_trial` is
 the one generic world trial — the spec itself picks its metric set —
 and the Figure 1 pipeline (E1) and distribution-overhead (E10) trials
-add their experiment knobs on top of the same spec.  Besides those
-there are self-contained trials for the time-shift attack (E7), the
-off-path spray ablation (A1) and the closed-form advantage (E4).
+add their experiment knobs on top of the same spec.  The time-shift
+attack trial (E7) compiles the ``"e7-timeshift"`` spec preset from its
+own parameters, and the off-path spray ablation (A1) a one-provider
+:func:`~repro.scenarios.spec.pool_spec` world; the closed-form
+advantage trial (E4) builds no world.
 
 Everything here is module-level and picklable so campaigns can shard
 trials across worker processes. The closed-form Monte-Carlo trials live
@@ -23,7 +25,6 @@ from typing import Any, Dict, List, Mapping
 
 from repro.analysis.advantage import security_bits
 from repro.attacks.offpath import OffPathPoisoner, SprayPlan
-from repro.attacks.timeshift import TimeShiftExperiment
 from repro.core.majority import MajorityVoteCombiner
 from repro.core.policy import DualStackPolicy, TruncationPolicy
 from repro.core.pool import PoolGeneratorConfig
@@ -35,10 +36,11 @@ from repro.ntp.chronos import ChronosClient, ChronosConfig
 from repro.ntp.client import NtpClient
 from repro.ntp.clock import SimClock
 from repro.ntp.pool import deploy_ntp_fleet
-from repro.scenarios import PoolScenario
+from repro.scenarios import PoolScenario, get_spec_preset
 from repro.scenarios.spec import (
     ResolverSpec,
     ScenarioSpec,
+    attacker_servers,
     effective_forged,
     get_path,
     materialize,
@@ -304,6 +306,34 @@ def spec_trial(params: Mapping[str, Any], seed: int):
 
 
 # ----------------------------------------------------------------------
+# Steps the single-client experiment trials share.
+# ----------------------------------------------------------------------
+
+
+def _plain_dns_query(world: PoolScenario):
+    """One RD query for the pool name to the first provider over
+    spoofable UDP; the stub's outcome, or ``None`` if none arrived."""
+    stub = StubResolver(world.client, world.simulator,
+                        world.providers[0].address, timeout=5.0)
+    outcomes: List = []
+    stub.query(world.pool_domain, RRType.A, outcomes.append)
+    world.simulator.run()
+    return outcomes[0] if outcomes else None
+
+
+def _chronos_sync(world: PoolScenario, ntp_client: NtpClient, pool,
+                  config: ChronosConfig, stream: str):
+    """One Chronos sync over ``pool`` drawing from the world's
+    ``stream``; its outcome, or ``None`` if none arrived."""
+    chronos = ChronosClient(ntp_client, pool, config=config,
+                            rng=world.rng.stream(stream))
+    outcomes: List = []
+    chronos.sync(outcomes.append)
+    world.simulator.run()
+    return outcomes[0] if outcomes else None
+
+
+# ----------------------------------------------------------------------
 # E1 — the whole Figure 1 pipeline, DNS→DoH→pool→Chronos.
 # ----------------------------------------------------------------------
 
@@ -329,23 +359,22 @@ def figure1_system_trial(params: Mapping[str, Any],
     ``latency[<name>]`` so tables can reproduce Figure 1's per-resolver
     rows.
     """
-    scenario = materialize(_point_spec(params, _FIGURE1_KNOBS), seed)
-    deploy_ntp_fleet(scenario.internet, scenario.directory, scenario.rng)
+    spec = _point_spec(params, _FIGURE1_KNOBS)
+    scenario = materialize(spec, seed)
+    deploy_ntp_fleet(scenario.internet, scenario.directory, scenario.rng,
+                     extra_addresses=attacker_servers(spec,
+                                                      scenario.directory))
     pool = scenario.generate_pool_sync()
     offset = float(params.get("clock_offset", 0.080))
     clock = SimClock(lambda: scenario.simulator.now, offset=offset)
     ntp_client = NtpClient(scenario.client, scenario.simulator, clock)
-    chronos = ChronosClient(
-        ntp_client, pool.addresses,
-        config=ChronosConfig(
+    sync = _chronos_sync(
+        scenario, ntp_client, pool.addresses,
+        ChronosConfig(
             sample_size=int(params.get("sample_size", 9)),
             agreement_window=float(params.get("agreement_window", 0.060)),
             min_responses=int(params.get("min_responses", 5))),
-        rng=scenario.rng.stream("bench-chronos"))
-    outcomes: List = []
-    chronos.sync(outcomes.append)
-    scenario.simulator.run()
-    sync = outcomes[0]
+        "bench-chronos")
     metrics = {
         "pool_size": float(len(pool.addresses)),
         "truncate_length": float(pool.truncate_length),
@@ -382,8 +411,17 @@ def timeshift_trial(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
 
     ``configuration`` must be one of :data:`TIMESHIFT_CONFIGURATIONS`;
     ``lie_offset``, ``num_providers``, ``corrupted_providers`` and
-    ``pool_size`` pass through to
-    :class:`repro.attacks.timeshift.TimeShiftExperiment`.
+    ``pool_size`` pass through to the ``"e7-timeshift"`` spec preset
+    (:func:`repro.scenarios.presets.e7_timeshift_spec`).  The client
+    acquires its pool over plain DNS (one stub query to the first
+    provider, which the on-path attacker rewrites) or with Algorithm 1
+    over DoH, then disciplines a correct clock by naive SNTP (the mean
+    offset of up to 4 pool servers) or by Chronos.
+
+    Returned metrics: ``clock_error`` / ``abs_clock_error`` (seconds,
+    after discipline), ``pool_malicious_fraction`` (of the acquired
+    pool, the attacker's servers), ``shifted`` (1.0 when the clock
+    moved by more than 10% of the lie), ``synced`` and ``pool_size``.
     """
     unknown = set(params) - _TIMESHIFT_KEYS
     if unknown:
@@ -396,20 +434,48 @@ def timeshift_trial(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
         raise ValueError(
             f"unknown configuration {configuration!r}; known: "
             f"{sorted(TIMESHIFT_CONFIGURATIONS)}") from None
-    experiment = TimeShiftExperiment(
-        seed=seed, lie_offset=float(params.get("lie_offset", 10.0)),
+    spec = get_spec_preset("e7-timeshift")(
+        lie_offset=float(params.get("lie_offset", 10.0)),
         num_providers=int(params.get("num_providers", 3)),
         corrupted_providers=int(params.get("corrupted_providers", 1)),
         pool_size=int(params.get("pool_size", 20)))
-    result = experiment.run(use_distributed_doh=use_doh,
-                            use_chronos=use_chronos)
+    scenario = materialize(spec, seed)
+    attackers = attacker_servers(spec, scenario.directory)
+    deploy_ntp_fleet(scenario.internet, scenario.directory, scenario.rng,
+                     malicious_lie_offset=spec.pool.lie_offset,
+                     extra_addresses=attackers)
+    clock = SimClock(lambda: scenario.simulator.now)
+    ntp_client = NtpClient(scenario.client, scenario.simulator, clock)
+    if use_doh:
+        pool = scenario.generate_pool_sync().addresses
+    else:
+        outcome = _plain_dns_query(scenario)
+        pool = outcome.addresses if outcome is not None and outcome.ok else []
+    synced = False
+    if pool and use_chronos:
+        sync = _chronos_sync(scenario, ntp_client, pool,
+                             ChronosConfig(agreement_window=0.060), "chronos")
+        synced = sync is not None and sync.ok
+    elif pool:
+        # Naive SNTP: step by the mean offset of (up to) 4 pool servers.
+        rng = scenario.rng.stream("naive-pick")
+        samples: List = []
+        for server in pool if len(pool) <= 4 else rng.sample(pool, 4):
+            ntp_client.sample(server, samples.append)
+        scenario.simulator.run()
+        good = [s.offset for s in samples if s.ok]
+        if good:
+            clock.step(sum(good) / len(good))
+            synced = True
+    error = clock.error()
     return {
-        "clock_error": result.clock_error_after,
-        "abs_clock_error": abs(result.clock_error_after),
-        "pool_malicious_fraction": result.pool_malicious_fraction,
-        "shifted": 1.0 if result.shifted else 0.0,
-        "synced": 1.0 if result.synced else 0.0,
-        "pool_size": float(result.pool_size),
+        "clock_error": error,
+        "abs_clock_error": abs(error),
+        "pool_malicious_fraction": _share(pool, set(attackers)),
+        "shifted": (1.0 if abs(error) > 0.1 * abs(spec.pool.lie_offset)
+                    else 0.0),
+        "synced": 1.0 if synced else 0.0,
+        "pool_size": float(len(pool)),
     }
 
 
@@ -449,7 +515,7 @@ def offpath_spray_trial(params: Mapping[str, Any],
     victim.resolver.resolve(scenario.pool_domain, RRType.A, outcomes.append)
     plan = SprayPlan(
         question=Question(scenario.pool_domain, RRType.A),
-        spoofed_server=Endpoint(IPAddress("10.0.0.1"), 53),
+        spoofed_server=Endpoint(scenario.root_hints[0][1], 53),
         target_ports=poisoner.sequential_port_guesses(
             int(params.get("port_guesses", 2))),
         txid_guesses=poisoner.txid_space(covered_bits),
@@ -502,14 +568,10 @@ def overhead_trial(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
     bytes_before = scenario.internet.bytes_sent
     packets_before = scenario.internet.datagrams_sent
     if mechanism == "plain-dns":
-        stub = StubResolver(scenario.client, scenario.simulator,
-                            scenario.providers[0].address, timeout=5.0)
         started = scenario.simulator.now
-        outcomes: List = []
-        stub.query(scenario.pool_domain, RRType.A, outcomes.append)
-        scenario.simulator.run()
+        outcome = _plain_dns_query(scenario)
         latency = scenario.simulator.now - started
-        pool_size = len(outcomes[0].addresses) if outcomes else 0
+        pool_size = len(outcome.addresses) if outcome is not None else 0
     else:
         pool = scenario.generate_pool_sync()
         latency = pool.elapsed

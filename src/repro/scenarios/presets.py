@@ -75,9 +75,10 @@ def degraded_network_spec(loss_rate: float = 0.0, jitter_s: float = 0.0,
         provider=replace(spec.provider, resolver=_PATIENT_RESOLVER))
 
 
-#: Forged answers the documentation block provides, one per answer slot
-#: of the E2 base spec (kept in lockstep with ``_default_forged``).
-_E2_FORGED = tuple(f"203.0.113.{i + 1}" for i in range(4))
+#: Attacker addresses from the documentation block, 203.0.113.1-.12:
+#: the E7 attacker's NTP servers.  The first 4 are E2's forged answers,
+#: one per answer slot (what ``effective_forged`` synthesises).
+ATTACKER = tuple(f"203.0.113.{i + 1}" for i in range(12))
 
 
 def e2_grid_base_spec() -> ScenarioSpec:
@@ -87,7 +88,7 @@ def e2_grid_base_spec() -> ScenarioSpec:
     ``provider.corrupted`` × ``network.access.latency`` directly."""
     spec = pool_spec(pool_size=40, answers_per_query=4)
     spec = set_path(spec, "provider.resolver", ResolverSpec())
-    spec = set_path(spec, "provider.forged", _E2_FORGED)
+    spec = set_path(spec, "provider.forged", ATTACKER[:4])
     return set_path(spec, "network.access", LinkSpec())
 
 
@@ -146,6 +147,26 @@ def hierarchy_population_spec(
     return replace(spec, attacks=(attack,))
 
 
+def e7_timeshift_spec(lie_offset: float = 10.0, num_providers: int = 3,
+                      corrupted_providers: int = 1,
+                      pool_size: int = 20) -> ScenarioSpec:
+    """The E7 time-shift world (§I, §V): one attacker on the client's
+    access link, rewriting plaintext pool answers to its 12 NTP servers
+    (:data:`ATTACKER`, which lie by ``lie_offset`` seconds), that also
+    controls the first ``corrupted_providers`` DoH providers, which
+    substitute 4 of those servers.  Algorithm 1 rides TLS past the
+    on-path rewrite; plain DNS does not."""
+    spec = pool_spec(num_providers=num_providers, pool_size=pool_size,
+                     answers_per_query=4)
+    return replace(
+        spec,
+        provider=replace(spec.provider, corrupted=corrupted_providers,
+                         behavior="substitute", forged=ATTACKER[:4]),
+        pool=replace(spec.pool, lie_offset=lie_offset),
+        attacks=(AttackSpec.of("mitm", mode="poison", forged=ATTACKER,
+                               inflate_to=12),))
+
+
 #: The preset registry: name -> builder returning a :class:`ScenarioSpec`.
 SPEC_PRESETS = {
     "figure1": figure1_spec,
@@ -155,6 +176,7 @@ SPEC_PRESETS = {
     "e2-grid-base": e2_grid_base_spec,
     "hierarchy": hierarchy_spec,
     "hierarchy-population": hierarchy_population_spec,
+    "e7-timeshift": e7_timeshift_spec,
     "custom": pool_spec,
 }
 

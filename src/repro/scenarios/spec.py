@@ -555,22 +555,6 @@ class AttackContext:
             f"attack 'at' must be 'access' or 'region:<name>', got {at!r}")
 
 
-def _install_compromise(attack: AttackSpec, ctx: AttackContext):
-    from repro.attacks.compromise import (
-        CompromiseConfig,
-        CompromisedResolverBehavior,
-        corrupt_first_k,
-    )
-    forged = [str(a) for a in attack.param("forged", ())]
-    behavior = CompromisedResolverBehavior(
-        attack.param("behavior", "substitute"))
-    return corrupt_first_k(
-        ctx.providers, int(attack.param("count", 1)),
-        CompromiseConfig(target=ctx.pool_domain, behavior=behavior,
-                         forged_addresses=forged,
-                         inflate_to=int(attack.param("inflate_to", 20))))
-
-
 def _install_mitm(attack: AttackSpec, ctx: AttackContext):
     from repro.attacks.mitm import OnPathAttacker
     attacker = OnPathAttacker(ctx.internet, ctx.links_for(attack))
@@ -666,21 +650,9 @@ def _install_timeshift(attack: AttackSpec, ctx: AttackContext):
     return corrupted
 
 
-def _attack_server_addresses(attack: AttackSpec, directory) -> List[str]:
-    """Addresses an attack implies count as attacker-serving *before*
-    the fleet is built: forged answer targets (which get malicious NTP
-    servers deployed behind them) and timeshift-corrupted pool members."""
-    if attack.kind == "timeshift":
-        count = int(attack.param("count", 1))
-        return [str(a) for a in directory.benign[:count]]
-    return [str(a) for a in attack.param("forged", ())]
-
-
 #: The attack registry: spec kind -> installer over a built world.
 ATTACK_INSTALLERS: Dict[str, Callable[[AttackSpec, AttackContext], Any]] = {
-    "compromise": _install_compromise,
     "mitm": _install_mitm,
-    "onpath": _install_mitm,
     "offpath": _install_offpath,
     "timeshift": _install_timeshift,
 }
@@ -722,11 +694,14 @@ class ScenarioSpec(SpecBase):
     def __post_init__(self) -> None:
         object.__setattr__(self, "attacks", tuple(self.attacks))
         count = self.provider.count
-        if self.fleet is not None and self.fleet.min_answers is not None:
-            if not 1 <= self.fleet.min_answers <= count:
-                raise ValueError(
-                    f"min_answers must be in [1, {count}] or None, "
-                    f"got {self.fleet.min_answers}")
+        quorums = {"pool.min_answers": self.pool.min_answers,
+                   "fleet.min_answers": (None if self.fleet is None
+                                         else self.fleet.min_answers)}
+        for path, quorum in quorums.items():
+            if quorum is not None and not 1 <= quorum <= count:
+                raise ConfigurationError(
+                    f"{path} must be in [1, {count}] (the provider "
+                    f"count) or None, got {quorum}")
         if (self.fleet is not None and self.fleet.transport == "doh"
                 and self.provider.serve != "doh"):
             raise ConfigurationError(
@@ -953,30 +928,20 @@ def materialize(spec: ScenarioSpec, seed: int, registry=None) -> World:
 
 def effective_forged(spec: ScenarioSpec) -> List[str]:
     """The forged addresses the compiled world's corruption actually
-    serves — the spec's own plus the legacy synthesis
-    (:func:`_default_forged`) when a corruption behaviour needs
-    addresses and none were given.  Metric code must score attacker
-    shares against *this*, not ``spec.provider.forged`` alone."""
-    return _default_forged(spec.provider, spec.pool)
-
-
-def _default_forged(provider: ProviderSpec, pool: PoolSpec) -> List[str]:
-    """The legacy builders' forged-address synthesis: when a corruption
-    behaviour needs addresses and none were given, use the documentation
-    block (one per answer slot)."""
+    serves: the spec's own or, when a corruption behaviour needs
+    addresses and none were given, the documentation block (one per
+    answer slot).  Metric code must score attacker shares against
+    *this*, not ``spec.provider.forged`` alone."""
+    provider = spec.provider
     if provider.forged or not provider.corrupted:
         return list(provider.forged)
     if provider.behavior in ("substitute", "inflate"):
-        return [f"203.0.113.{i + 1}" for i in range(pool.answers_per_query)]
+        return [f"203.0.113.{i + 1}"
+                for i in range(spec.pool.answers_per_query)]
     return []
 
 
 def _materialize_single(spec: ScenarioSpec, seed: int, registry):
-    from repro.attacks.compromise import (
-        CompromiseConfig,
-        CompromisedResolverBehavior,
-        corrupt_first_k,
-    )
     from repro.telemetry.registry import MetricsRegistry, use_registry
 
     if spec.telemetry.enabled:
@@ -987,20 +952,10 @@ def _materialize_single(spec: ScenarioSpec, seed: int, registry):
         registry = None
         world = _build_pool_world(spec, seed)
     world.telemetry = registry
-    if spec.provider.corrupted:
-        corrupt_first_k(
-            world.providers, spec.provider.corrupted,
-            CompromiseConfig(
-                target=world.pool_domain,
-                behavior=CompromisedResolverBehavior(spec.provider.behavior),
-                forged_addresses=_default_forged(spec.provider, spec.pool),
-                inflate_to=spec.provider.inflate_to))
-    _install_attacks(spec, world, world, ntp_fleet=None,
-                     access_links=["client-edge--eu-central"],
-                     region_links={})
-    from repro.chaos.controller import install_chaos
-    world.chaos = install_chaos(spec, world, ntp_fleet=None,
-                                registry=registry)
+    _install_adversary(spec, world, world, ntp_fleet=None,
+                       registry=registry,
+                       access_links=["client-edge--eu-central"],
+                       region_links={})
     return world
 
 
@@ -1113,22 +1068,12 @@ def _materialize_population(spec: ScenarioSpec, seed: int, registry,
     covering only that window of the population (``spec.fleet.shards``
     is ignored — the caller, :class:`ShardedFleet`, owns the split).
     """
-    from repro.attacks.compromise import (
-        CompromiseConfig,
-        CompromisedResolverBehavior,
-        corrupt_first_k,
-    )
-    from repro.netsim.address import IPAddress
     from repro.ntp.pool import deploy_ntp_fleet
     from repro.population.fleet import ClientFleet
     from repro.scenarios.builders import PopulationScenario
     from repro.telemetry.registry import MetricsRegistry, use_registry
 
     fleet_spec = spec.fleet
-    provider_spec = spec.provider
-    behavior = CompromisedResolverBehavior(provider_spec.behavior)
-    forged_list = [IPAddress(a)
-                   for a in _default_forged(provider_spec, spec.pool)]
 
     if spec.telemetry.enabled is False:
         raise ConfigurationError(
@@ -1172,28 +1117,15 @@ def _materialize_population(spec: ScenarioSpec, seed: int, registry,
                     topology.set_fault_model(node, region,
                                              pool_scenario.access_fault)
                 access_nodes.append(node)
-        if provider_spec.corrupted:
-            corrupt_first_k(
-                pool_scenario.providers, provider_spec.corrupted,
-                CompromiseConfig(target=pool_scenario.pool_domain,
-                                 behavior=behavior,
-                                 forged_addresses=forged_list,
-                                 inflate_to=provider_spec.inflate_to))
-        # Attack-implied attacker servers (forged answer targets,
-        # timeshift victims) must exist before the fleet deploys and
-        # count as attackers from the first sync.
-        attack_addresses: List[IPAddress] = []
-        for attack in spec.attacks:
-            for address in _attack_server_addresses(attack,
-                                                    pool_scenario.directory):
-                address = IPAddress(address)
-                if address not in attack_addresses:
-                    attack_addresses.append(address)
-        extra_servers = forged_list + [
-            a for a in attack_addresses
-            if a not in forged_list
-            and a not in pool_scenario.directory.benign
-            and a not in pool_scenario.directory.malicious]
+        # Attacker servers (forged answer targets) must exist before
+        # the fleet deploys; with the malicious directory members and
+        # the timeshift-corrupted ones they count as attackers from the
+        # first sync.
+        directory = pool_scenario.directory
+        servers = attacker_servers(spec, directory)
+        attackers = servers + directory.malicious + [
+            a for a in _attack_addresses(spec, directory)
+            if a not in servers and a not in directory.malicious]
         # Servers stay on the backbone regions: a pool server co-located
         # on a population access edge would let its clients sync without
         # ever crossing the access link.
@@ -1201,11 +1133,7 @@ def _materialize_population(spec: ScenarioSpec, seed: int, registry,
             pool_scenario.internet, pool_scenario.directory,
             pool_scenario.rng, regions=regions,
             malicious_lie_offset=spec.pool.lie_offset,
-            extra_addresses=extra_servers)
-        attackers = forged_list + pool_scenario.directory.malicious + [
-            a for a in attack_addresses
-            if a not in forged_list
-            and a not in pool_scenario.directory.malicious]
+            extra_addresses=servers)
         first_index, size, population = (
             window if window is not None
             else (0, fleet_spec.size, fleet_spec.size))
@@ -1219,22 +1147,71 @@ def _materialize_population(spec: ScenarioSpec, seed: int, registry,
     world = PopulationScenario(pool=pool_scenario, fleet=fleet,
                                ntp_fleet=ntp_fleet, telemetry=registry,
                                attacker_addresses=attackers)
-    _install_attacks(spec, world, pool_scenario, ntp_fleet=ntp_fleet,
-                     access_links=[
-                         "--".join(sorted((node, attach)))
-                         for node, attach in zip(
-                             access_nodes,
-                             [r.attach for r in spec.network.regions]
-                             or regions)],
-                     region_links=region_links)
-    from repro.chaos.controller import install_chaos
-    world.chaos = install_chaos(spec, pool_scenario, ntp_fleet=ntp_fleet,
-                                registry=registry)
+    _install_adversary(spec, world, pool_scenario, ntp_fleet=ntp_fleet,
+                       registry=registry,
+                       access_links=[
+                           "--".join(sorted((node, attach)))
+                           for node, attach in zip(
+                               access_nodes,
+                               [r.attach for r in spec.network.regions]
+                               or regions)],
+                       region_links=region_links)
     return world
 
 
-def _install_attacks(spec: ScenarioSpec, world, pool_scenario,
-                     ntp_fleet, access_links, region_links) -> None:
+def _attack_addresses(spec: ScenarioSpec, directory) -> List["IPAddress"]:
+    """The addresses the spec's attacks make attacker-serving, once
+    each in attack order: forged answer targets and timeshift-corrupted
+    pool members."""
+    from repro.netsim.address import IPAddress
+    addresses: List[IPAddress] = []
+    for attack in spec.attacks:
+        if attack.kind == "timeshift":
+            named = directory.benign[:int(attack.param("count", 1))]
+        else:
+            named = attack.param("forged", ())
+        for address in map(IPAddress, named):
+            if address not in addresses:
+                addresses.append(address)
+    return addresses
+
+
+def attacker_servers(spec: ScenarioSpec, directory) -> List["IPAddress"]:
+    """The addresses a world deploys lying NTP servers at, beyond the
+    pool directory's own members: the forged set the corrupted
+    providers serve (:func:`effective_forged`), then every forged
+    address an attack names that is neither listed yet nor a directory
+    member.  Callers pass it to
+    :func:`repro.ntp.pool.deploy_ntp_fleet` as ``extra_addresses``."""
+    from repro.netsim.address import IPAddress
+    servers = [IPAddress(a) for a in effective_forged(spec)]
+    return servers + [
+        a for a in _attack_addresses(spec, directory)
+        if a not in servers and a not in directory.benign
+        and a not in directory.malicious]
+
+
+def _install_adversary(spec: ScenarioSpec, world, pool_scenario, ntp_fleet,
+                       registry, access_links, region_links) -> None:
+    """The compile steps every world ends with: corrupt the first
+    ``provider.corrupted`` providers, install ``spec.attacks`` (into
+    ``world.attacks``) and schedule the chaos timeline."""
+    from repro.attacks.compromise import (
+        CompromiseConfig,
+        CompromisedResolverBehavior,
+        corrupt_first_k,
+    )
+    from repro.chaos.controller import install_chaos
+
+    provider = spec.provider
+    if provider.corrupted:
+        corrupt_first_k(
+            pool_scenario.providers, provider.corrupted,
+            CompromiseConfig(
+                target=pool_scenario.pool_domain,
+                behavior=CompromisedResolverBehavior(provider.behavior),
+                forged_addresses=effective_forged(spec),
+                inflate_to=provider.inflate_to))
     context = AttackContext(
         internet=pool_scenario.internet, rng=pool_scenario.rng,
         pool_domain=pool_scenario.pool_domain,
@@ -1246,6 +1223,8 @@ def _install_attacks(spec: ScenarioSpec, world, pool_scenario,
         world.attacks.append((attack.kind,
                               ATTACK_INSTALLERS[attack.kind](attack,
                                                              context)))
+    world.chaos = install_chaos(spec, pool_scenario, ntp_fleet=ntp_fleet,
+                                registry=registry)
 
 
 __all__ = [
@@ -1268,6 +1247,7 @@ __all__ = [
     "TelemetrySpec",
     "World",
     "apply_paths",
+    "attacker_servers",
     "effective_forged",
     "get_path",
     "materialize",

