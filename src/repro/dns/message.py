@@ -171,6 +171,10 @@ class ResourceRecord:
     def from_wire(cls, reader: WireReader) -> "ResourceRecord":
         name = reader.read_name()
         type_code, class_code, ttl, rdlength = reader.unpack(_RR_FIXED)
+        if ttl > 0x7FFFFFFF:
+            # RFC 2181 section 8: a TTL with the top bit set is read as
+            # zero.
+            ttl = 0
         rdata = decode_rdata(type_code, reader, rdlength)
         try:
             rrtype = RRType(type_code)

@@ -88,6 +88,17 @@ class Host:
         self._randomize_ports = bool(value)
 
     @property
+    def rng(self) -> random.Random:
+        """The stream randomised ephemeral ports are drawn from."""
+        return self._rng
+
+    @rng.setter
+    def rng(self, value: random.Random) -> None:
+        # A population client hands its host the port stream of the
+        # round it wakes for, and a closed one between rounds.
+        self._rng = value
+
+    @property
     def next_sequential_port(self) -> int:
         """The next ephemeral port a sequential-allocation stack will
         hand out — the off-path attacker's port oracle against hosts

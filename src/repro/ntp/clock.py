@@ -46,6 +46,13 @@ class SimClock:
         return self.now() - self._true_time()
 
     @property
+    def offset(self) -> float:
+        """The offset as last set or stepped, without the drift error
+        accumulated since: ``SimClock(true_time, clock.offset)`` reads
+        the same as a drift-free ``clock``."""
+        return self._offset
+
+    @property
     def drift_ppm(self) -> float:
         return self._drift / 1e-6
 

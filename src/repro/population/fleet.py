@@ -29,15 +29,25 @@ Scale machinery:
   server selection from its own named streams of the scenario's
   :class:`~repro.util.rng.RngRegistry`, so fleet behaviour is
   reproducible from the seed alone and independent of dispatch order.
-  The streams are :class:`~repro.util.rng.ParkedStream` objects: a
-  client holds generator state only while it is in a round, and is a
-  seed plus a word count per stream in between.
+  Between rounds a stream is its seed plus the number of words it has
+  drawn; a round in flight draws through a
+  :class:`~repro.util.rng.ParkedStream` rebuilt from the two, so every
+  draw keeps the value one long-lived generator would give.
 * **Shared plumbing** — what every client sends through is built once
   per fleet: one :class:`~repro.netsim.address.Endpoint` per provider
   (over the provider host's own address object) and one retry policy
-  per ``(timeout, retries)``. A client holds its host, whose one
-  :class:`~repro.netsim.transport.Transport` carries its stub queries
-  and its SNTP exchanges alike, and its per-provider TXID streams.
+  per ``(timeout, retries)``. A client's host has one
+  :class:`~repro.netsim.transport.Transport`, which carries its stub
+  queries and its SNTP exchanges alike.
+* **Clients as rows** — between rounds a client is its registered
+  :class:`~repro.netsim.host.Host` plus one row of per-fleet columns
+  indexed by window position: rounds done, the cached pool, the clock
+  offset, and each stream's seed and word count (or a closed mark).
+  The objects only a round in flight reads (round state and
+  randomness, the clock view, the SNTP and DoH clients, the round's
+  trace span) are built when the client wakes and dropped when its
+  round concludes. The host stays registered, so a late reply to a
+  finished round still lands on the host and drops as ``no-socket``.
 * **Streaming telemetry** — nothing per-client is accumulated in Python
   lists; every observation folds into the registry's counters,
   histograms and virtual-time series, and population outcomes are read
@@ -63,7 +73,9 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -108,6 +120,14 @@ NTP_TIMEOUT = 1.0
 
 #: Batching bin (virtual seconds) of round wake-ups.
 DISPATCH_QUANTUM = 0.05
+
+#: A row's word count once its client has stopped: the stream is
+#: closed, and a draw from it raises StreamClosedError.
+_CLOSED = -1
+
+#: The port stream a client host holds between rounds: closed, so a
+#: port drawn outside a round raises instead of drawing out of turn.
+_NO_PORTS = ParkedStream(0, None)
 
 
 def _doh_addresses(outcome) -> Optional[List[IPAddress]]:
@@ -357,29 +377,32 @@ def population_outcomes(registry: MetricsRegistry,
     )
 
 
-class _FleetClient:
-    """One population member: host + clock + stub TXID streams (or
-    DoH) + SNTP, all over the host's one transport."""
+class _LiveRound:
+    """One client's round in flight: the objects only a running round
+    reads, built from the client's row when it wakes
+    (:meth:`ClientFleet._open_round`) and dropped when the round
+    concludes (:meth:`ClientFleet._close_round`)."""
 
-    __slots__ = ("fleet", "index", "host", "clock", "transport", "doh",
-                 "ntp", "rng", "streams", "state", "span")
+    __slots__ = ("row", "index", "host", "transport", "clock", "ntp", "doh",
+                 "streams", "rng", "state", "span")
 
-    def __init__(self, fleet: "ClientFleet", index: int, host: Host,
-                 clock: SimClock, transport: Transport, ntp: NtpClient,
-                 rng: RoundRng, streams: Tuple[ParkedStream, ...],
-                 doh=None) -> None:
-        self.fleet = fleet
+    def __init__(self, row: int, index: int, host: Host,
+                 transport: Transport, clock: SimClock, ntp: NtpClient,
+                 doh, streams: List[ParkedStream], rng: RoundRng,
+                 state: ClientRoundState) -> None:
+        self.row = row                # window position: the column index
         self.index = index            # global index over the population
         self.host = host
-        self.clock = clock
         self.transport = transport    # the host's, shared by stubs and NTP
-        self.doh = doh                # DoHClient in transport="doh" mode
+        self.clock = clock
         self.ntp = ntp
-        self.rng = rng
-        # Every stream above, to park/close. In transport="udp" mode
-        # streams[pi] is provider pi's TXID stream.
+        self.doh = doh                # DoHClient in transport="doh" mode
+        # One stream per column of the row, in ClientFleet._kinds order:
+        # the query streams first (streams[pi] is provider pi's TXID
+        # stream in transport="udp" mode).
         self.streams = streams
-        self.state = ClientRoundState()
+        self.rng = rng
+        self.state = state
         self.span = None              # live "client.round" trace span
 
 
@@ -469,8 +492,37 @@ class ClientFleet:
         self._dispatcher = BatchDispatcher(self._simulator, DISPATCH_QUANTUM)
         self._started = False
         self._build_instruments(time_bin)
-        self._clients = [self._build_client(index)
-                         for index in range(clients)]
+        simulator = self._simulator
+        # Every round's clock view reads virtual true time through this.
+        self._true_time = lambda: simulator.now
+        # The streams of a row, in column order: the query streams (one
+        # TXID stream per provider, or the DoH stream), the host's
+        # ports, select, then churn and arrival where the spec draws
+        # them.
+        kinds = ([("doh",)] if spec.transport == "doh"
+                 else [("txid", str(pi)) for pi in range(len(self._servers))])
+        self._ports_at = len(kinds)
+        kinds += [("ports",), ("select",)]
+        self._churn_at = self._arrival_at = None
+        if spec.churn_rate:
+            self._churn_at = len(kinds)
+            kinds.append(("churn",))
+        if spec.arrival == "poisson":
+            self._arrival_at = len(kinds)
+            kinds.append(("arrival",))
+        self._kinds = tuple(kinds)
+        self._stride = len(kinds)
+        # The rows: one entry per client in each column (one entry per
+        # stream in the seed and word columns), indexed by window
+        # position.
+        self._hosts: List[Host] = []
+        self._seeds = array("Q")
+        self._words = array("q", bytes(8 * self._stride * clients))
+        self._offsets = array("d")
+        self._rounds_done = array("q", bytes(8 * clients))
+        self._pools: List[Optional[List[IPAddress]]] = [None] * clients
+        for index in range(clients):
+            self._add_row(index)
         # The gauge reports the *global* population: every window of the
         # same population publishes the same value at the same virtual
         # times (under churn each shard tracks only its own leavers, so
@@ -499,69 +551,97 @@ class ClientFleet:
         # Pin the NTP client series' binning before any client exists.
         reg.timeseries("ntp.offset", bin_width)
 
-    def _build_client(self, index: int) -> _FleetClient:
+    def _add_row(self, index: int) -> None:
         spec = self._spec
         # Everything about a client keys off its *global* index, so a
         # window build is client-for-client identical to the same
         # client inside one whole-population fleet.
         g = self._first_index + index
-        tag = str(g)
         # One pre-hashed ("population", tag) prefix per client: each of
-        # the client's streams derives from a digest copy instead of
+        # the client's seeds derives from a digest copy instead of
         # re-hashing the shared path (the construction is bit-identical
         # to the direct derive_seed path — see StreamPrefix).
-        streams = self._rng.prefixed("population", tag)
+        prefix = self._rng.prefixed("population", str(g))
         # 200 clients per /24, 256 blocks per second octet, octets
         # 10.120-10.255: room for MAX_CLIENTS addresses
         # clear of every infrastructure range.
         block, slot = divmod(g, 200)
         address = IPAddress(
             f"10.{120 + block // 256}.{block % 256}.{slot + 1}")
-        # Every stream the client draws during rounds is parked: it
-        # holds a Mersenne Twister (2.5 KB) only from its first draw in
-        # a round until the round concludes. The clock offset is the
-        # "client" stream's only draw, so that generator is transient,
-        # and "arrival" / "churn" exist only under Poisson arrivals / a
-        # nonzero churn rate.
-        ports = streams.parked("ports")
         host = self._internet.add_host(Host(
             f"pop-{g}", self._nodes[g % len(self._nodes)], [address],
-            rng=ports))
-        client_rng = random.Random(streams.derive("client"))
-        clock = SimClock(
-            lambda: self._simulator.now,
-            offset=client_rng.uniform(-spec.initial_clock_error,
-                                      spec.initial_clock_error))
+            rng=_NO_PORTS))
         # The host's transport is created here, under the fleet's
         # registry, so transport and stub/NTP counters land next to the
         # population metrics.
-        doh = None
         with use_registry(self.registry):
-            transport = host.transport(self._simulator)
-            if spec.transport == "doh":
-                from repro.doh.client import DoHClient
-                query_streams = [streams.parked("doh")]
-                doh = DoHClient(host, self._simulator, self._trust_store,
-                                rng=query_streams[0],
-                                timeout=DNS_TIMEOUT, retries=DNS_RETRIES)
-            else:
-                query_streams = [streams.parked("txid", str(pi))
-                                 for pi in range(len(self._servers))]
-            ntp = NtpClient(host, self._simulator, clock,
-                            timeout=NTP_TIMEOUT)
-        arrival = (streams.parked("arrival")
-                   if spec.arrival == "poisson" else None)
-        arrivals = make_arrivals(
-            spec.arrival, spec.mean_interval, g, self._population,
-            rng=arrival)
-        rng = RoundRng(select=streams.parked("select"),
-                       churn=(streams.parked("churn")
-                              if spec.churn_rate else None),
-                       arrivals=arrivals)
-        owned = (*query_streams, ports, rng.select, rng.churn, arrival)
-        return _FleetClient(self, g, host, clock, transport, ntp, rng,
-                            tuple(s for s in owned if s is not None),
-                            doh=doh)
+            host.transport(self._simulator)
+        self._hosts.append(host)
+        self._seeds.extend([prefix.derive(*names) for names in self._kinds])
+        # The clock offset is the "client" stream's only draw, so that
+        # generator is transient.
+        self._offsets.append(random.Random(prefix.derive("client")).uniform(
+            -spec.initial_clock_error, spec.initial_clock_error))
+
+    def _stream(self, row: int, kind: int) -> ParkedStream:
+        """Stream ``kind`` (a position in ``_kinds``) of a row, resumed
+        from its seed and word count."""
+        at = row * self._stride + kind
+        words = self._words[at]
+        return ParkedStream(self._seeds[at],
+                            None if words == _CLOSED else words)
+
+    def _arrivals(self, g: int,
+                  stream: Optional[ParkedStream]) -> ArrivalProcess:
+        spec = self._spec
+        return make_arrivals(spec.arrival, spec.mean_interval, g,
+                             self._population, rng=stream)
+
+    def _open_round(self, row: int) -> _LiveRound:
+        """Build the objects a round of the client at ``row`` reads."""
+        spec = self._spec
+        simulator = self._simulator
+        streams = [self._stream(row, kind) for kind in range(self._stride)]
+        host = self._hosts[row]
+        host.rng = streams[self._ports_at]
+        clock = SimClock(self._true_time, offset=self._offsets[row])
+        doh = None
+        if spec.transport == "doh":
+            from repro.doh.client import DoHClient
+            doh = DoHClient(host, simulator, self._trust_store,
+                            rng=streams[0], timeout=DNS_TIMEOUT,
+                            retries=DNS_RETRIES)
+        g = self._first_index + row
+        rng = RoundRng(
+            select=streams[self._ports_at + 1],
+            churn=None if self._churn_at is None else streams[self._churn_at],
+            arrivals=self._arrivals(g, None if self._arrival_at is None
+                                    else streams[self._arrival_at]))
+        return _LiveRound(
+            row, g, host, host.transport(simulator), clock,
+            NtpClient(host, simulator, clock, timeout=NTP_TIMEOUT), doh,
+            streams, rng, ClientRoundState(pool=self._pools[row],
+                                           rounds_done=self._rounds_done[row]))
+
+    def _close_round(self, client: _LiveRound, stop: bool) -> None:
+        """Write a concluded round back into its row.
+
+        Every draw of the round is behind it (the fleet waited for each
+        answer and for the sync), so the word counts are final. The
+        round's stream objects are closed, so none of them can draw
+        outside its row; a client out of rounds closes its row's
+        streams for good and drops its pool."""
+        row = client.row
+        self._rounds_done[row] = client.state.rounds_done
+        self._pools[row] = None if stop else client.state.pool
+        self._offsets[row] = client.clock.offset
+        words = self._words
+        at = row * self._stride
+        for stream in client.streams:
+            words[at] = _CLOSED if stop else stream.words
+            stream.close()
+            at += 1
+        client.host.rng = _NO_PORTS
 
     # ------------------------------------------------------------------
     # Introspection.
@@ -569,7 +649,7 @@ class ClientFleet:
 
     @property
     def clients(self) -> int:
-        return len(self._clients)
+        return len(self._hosts)
 
     @property
     def first_index(self) -> int:
@@ -595,12 +675,16 @@ class ClientFleet:
             raise RuntimeError("fleet already started")
         self._started = True
         self._m_active.set(self._active_count, at=self._simulator.now)
-        for client in self._clients:
-            self._dispatcher.call_after(client.rng.arrivals.first_delay(),
-                                        lambda c=client: self._round(c))
-            # A Poisson first delay woke the arrival stream.
-            for stream in client.streams:
-                stream.park()
+        arrival_at = self._arrival_at
+        for row in range(len(self._hosts)):
+            stream = (None if arrival_at is None
+                      else self._stream(row, arrival_at))
+            self._dispatcher.call_after(
+                self._arrivals(self._first_index + row, stream).first_delay(),
+                partial(self._wake, row))
+            if stream is not None:
+                # A Poisson first delay drew from the arrival stream.
+                self._words[row * self._stride + arrival_at] = stream.words
         return self
 
     def run(self, max_events: int = 5_000_000) -> PopulationOutcomes:
@@ -624,7 +708,16 @@ class ClientFleet:
     # One client round — the effectful shell around advance_round.
     # ------------------------------------------------------------------
 
-    def _round(self, client: _FleetClient) -> None:
+    def _wake(self, row: int) -> None:
+        self._round(self._open_round(row))
+
+    def _rejoin(self, row: int) -> None:
+        self._m_joins.inc()
+        self._active_count += 1
+        self._m_active.set(self._active_count, at=self._simulator.now)
+        self._wake(row)
+
+    def _round(self, client: _LiveRound) -> None:
         self._m_rounds.inc()
         tracer = self._tracer
         step = advance_round(self._spec, client.state, client.rng,
@@ -642,7 +735,7 @@ class ClientFleet:
         with tracer.scope(client.span):
             self._apply(client, step)
 
-    def _apply(self, client: _FleetClient, step: RoundStep) -> None:
+    def _apply(self, client: _LiveRound, step: RoundStep) -> None:
         """Perform one :class:`RoundStep`: the I/O, telemetry and
         scheduling half of the round loop."""
         if step.action == "resolve":
@@ -688,34 +781,22 @@ class ClientFleet:
             if step.synced:
                 span.set(clock_error=step.clock_error)
             tracer.finish(span)
-        # ...then schedule what comes next. Every draw of the round is
-        # behind it (the fleet waited for each answer and for the
-        # sync), so a client out of rounds drops its streams for good
-        # and one with rounds left parks them until it wakes.
+        # ...then fold the round back into its row and schedule what
+        # comes next.
+        self._close_round(client, stop=step.action == "stop")
         if step.action == "stop":
-            for stream in client.streams:
-                stream.close()
             return
-        for stream in client.streams:
-            stream.park()
         if step.action == "leave":
             self._m_leaves.inc()
             self._active_count -= 1
             self._m_active.set(self._active_count, at=now)
-
-            def rejoin() -> None:
-                self._m_joins.inc()
-                self._active_count += 1
-                self._m_active.set(self._active_count,
-                                   at=self._simulator.now)
-                self._round(client)
-
-            self._dispatcher.call_after(step.delay, rejoin)
+            self._dispatcher.call_after(step.delay,
+                                        partial(self._rejoin, client.row))
             return
         self._dispatcher.call_after(step.delay,
-                                    lambda: self._round(client))
+                                    partial(self._wake, client.row))
 
-    def _resolve(self, client: _FleetClient) -> None:
+    def _resolve(self, client: _LiveRound) -> None:
         """Algorithm 1's fan-out: one query per provider (plain stub or
         TLS-wrapped DoH, per the configured transport), then feed the
         completed answer set back into the round loop."""
@@ -783,7 +864,7 @@ class ClientFleet:
                                  on_answer(pi, outcome.addresses
                                            if outcome.ok else None)))
 
-    def _after_sync(self, client: _FleetClient, sample: NtpSample,
+    def _after_sync(self, client: _LiveRound, sample: NtpSample,
                     attacker: bool) -> None:
         clock_error = 0.0
         if sample.ok:
@@ -808,4 +889,4 @@ class ClientFleet:
     # ------------------------------------------------------------------
 
     def outcomes(self) -> PopulationOutcomes:
-        return population_outcomes(self.registry, len(self._clients))
+        return population_outcomes(self.registry, len(self._hosts))

@@ -2,8 +2,8 @@
 
 A 100k-client population does not fit comfortably in one simulator —
 not because the event loop is slow (it is O(bins) thanks to the batch
-dispatcher) but because one world holds every client's host, sockets,
-RNG streams and protocol objects at once. The megafleet path instead
+dispatcher) but because one world holds every client's host and state
+at once. The megafleet path instead
 splits the population into K contiguous *windows* and materializes each
 window as its own complete world from the same :class:`ScenarioSpec`
 and seed: same backbone, same DNS tree, same providers, same pool

@@ -75,26 +75,28 @@ class _CountingRandom(random.Random):
 
 
 class ParkedStream:
-    """A named stream that holds generator state only while in use.
+    """A named stream resumed from its seed and a word count.
 
-    While parked, a stream is its seed plus the number of 32-bit words
-    it has drawn. The first draw builds a
-    :class:`random.Random` from the seed; :meth:`park` records the word
-    count and drops the generator (2.5 KB of Mersenne Twister state);
-    the next draw rebuilds it and skips the recorded words with one
+    Between uses a stream is its seed plus the number of 32-bit words
+    it has drawn, which :attr:`words` reads. ``ParkedStream(seed,
+    words)`` resumes it: the first draw builds a :class:`random.Random`
+    from the seed and skips the counted words with one
     ``getrandbits(32 * words)`` — the twister's state after N words
     does not depend on how those words were grouped. Every draw
     therefore returns what one long-lived ``random.Random(seed)``
-    would. The price is CPU: each wake-up reseeds (about 7 µs on a
-    2-vCPU x86 machine, Python 3.11) and regenerates the words drawn
-    so far. :meth:`close` is final: a later draw raises
-    :class:`StreamClosedError`.
+    would, while nothing holds the 2.5 KB of Mersenne Twister state
+    between uses. The price is CPU: each resumption reseeds (about 7 µs
+    on a 2-vCPU x86 machine, Python 3.11) and regenerates the words
+    drawn so far. :meth:`close` is final: a later draw raises
+    :class:`StreamClosedError`, and so does a draw from a stream
+    resumed from a closed one (``words=None``).
 
     >>> stream, plain = ParkedStream(7), random.Random(7)
-    >>> a = stream.randint(0, 99); stream.park()
+    >>> a = stream.randint(0, 99)
+    >>> stream = ParkedStream(7, stream.words)
     >>> [a, stream.random()] == [plain.randint(0, 99), plain.random()]
     True
-    >>> stream.close(); stream.random()
+    >>> stream.close(); ParkedStream(7, stream.words).random()
     Traceback (most recent call last):
     ...
     repro.util.rng.StreamClosedError: draw from a closed stream
@@ -102,10 +104,16 @@ class ParkedStream:
 
     __slots__ = ("_seed", "_words", "_rng")
 
-    def __init__(self, seed: int) -> None:
+    def __init__(self, seed: int, words: Optional[int] = 0) -> None:
         self._seed = seed
-        self._words: Optional[int] = 0     # None once closed
+        self._words = words                # None once closed
         self._rng: Optional[_CountingRandom] = None
+
+    @property
+    def words(self) -> Optional[int]:
+        """The 32-bit words drawn so far (``None`` once closed)."""
+        rng = self._rng
+        return self._words if rng is None else rng.words
 
     def _wake(self) -> _CountingRandom:
         words = self._words
@@ -115,13 +123,6 @@ class ParkedStream:
         if words:
             rng.getrandbits(32 * words)
         return rng
-
-    def park(self) -> None:
-        """Drop the generator, keeping only the word count."""
-        rng = self._rng
-        if rng is not None:
-            self._words = rng.words
-            self._rng = None
 
     def close(self) -> None:
         """Drop the generator for good; later draws raise."""
@@ -173,11 +174,8 @@ class StreamPrefix:
     re-hashing the shared prefix per lookup. The population layer uses
     one prefix per client (``("population", tag)``) so building a
     100k-client shard does one prefix pass, not one per stream, per
-    client.
-
-    Its streams are :class:`ParkedStream` objects, never memoised in
-    the registry: each holds generator state only between its first
-    draw and its next :meth:`~ParkedStream.park`.
+    client; it keeps the seeds and resumes a :class:`ParkedStream`
+    over one only for a round in flight.
     """
 
     __slots__ = ("_names", "_hasher")
@@ -207,11 +205,6 @@ class StreamPrefix:
             hasher.update(len(encoded).to_bytes(4, "big"))
             hasher.update(encoded)
         return int.from_bytes(hasher.digest()[:_SEED_BYTES], "big")
-
-    def parked(self, *names: str) -> ParkedStream:
-        """A :class:`ParkedStream` over the seed
-        ``RngRegistry.stream(*self.names, *names)`` would use."""
-        return ParkedStream(self.derive(*names))
 
 
 class RngRegistry:
@@ -252,7 +245,7 @@ class RngRegistry:
 
     def prefixed(self, *names: str) -> StreamPrefix:
         """A :class:`StreamPrefix` over ``names``: bulk-derive child
-        parked streams without re-hashing the shared path prefix."""
+        seeds without re-hashing the shared path prefix."""
         return StreamPrefix(self, tuple(names))
 
     def fork(self, *names: str) -> "RngRegistry":

@@ -1,5 +1,6 @@
 """Tests for the wire codec and full messages, including round-trips."""
 
+import random
 import struct
 
 import pytest
@@ -26,9 +27,18 @@ from repro.dns.rdata import (
     SOARdata,
     TXTRdata,
 )
+from repro.dns.client import StubResolver, validate_reply
 from repro.dns.rrtype import RRClass, RRType
 from repro.dns.wire import WireFormatError, WireReader, WireWriter
-from repro.netsim.address import IPAddress
+from repro.netsim.address import Endpoint, IPAddress
+from repro.netsim.host import Host
+from repro.netsim.internet import Internet
+from repro.netsim.link import LinkProfile
+from repro.netsim.packet import Datagram
+from repro.netsim.simulator import Simulator
+from repro.netsim.topology import Topology
+from repro.util.rng import RngRegistry
+from tests.dns.record_wire_corpus import LONG, corpus
 
 
 class TestWirePrimitives:
@@ -454,3 +464,102 @@ class TestUnknownTypeAndClass:
         # Re-encoding would otherwise rewrite CLASS 7 as IN.
         with pytest.raises(WireFormatError, match="CLASS 7"):
             Message.decode(_one_record_reply(type_code, 7, rdata))
+
+
+def _a_reply_with_ttl(query: Message, ttl: int) -> bytes:
+    """The encoded reply to ``query`` with one A record (192.0.2.1)
+    whose wire TTL is ``ttl``, written past the record's range check."""
+    wire = make_response(query, answers=[
+        ResourceRecord(query.question.qname, RRType.A, 60,
+                       ARdata("192.0.2.1"))]).encode()
+    # The A record ends the message: TTL, RDLENGTH, then 4 RDATA bytes.
+    return wire[:-10] + struct.pack("!I", ttl) + wire[-6:]
+
+
+@pytest.mark.parametrize("ttl", [0x80000000, 0xFFFFFFFF])
+class TestTopBitTtl:
+    """RFC 2181 section 8: a TTL with the top bit set reads as zero, so
+    such an answer is an answer, not a crash in the decoder's
+    callers."""
+
+    QUERY = make_query(7, "pool.ntp.org", RRType.A)
+
+    def test_decodes_as_zero(self, ttl):
+        message = Message.decode(_a_reply_with_ttl(self.QUERY, ttl))
+        assert [(r.ttl, r.rdata) for r in message.answers] == [
+            (0, ARdata("192.0.2.1"))]
+
+    def test_validate_reply_accepts_it(self, ttl):
+        server = Endpoint(IPAddress("10.0.0.2"), 53)
+        datagram = Datagram(src=server,
+                            dst=Endpoint(IPAddress("10.0.0.1"), 40000),
+                            payload=_a_reply_with_ttl(self.QUERY, ttl))
+        reply = validate_reply(datagram, 7, server, Name("pool.ntp.org"),
+                               RRType.A)
+        assert reply is not None
+        assert [r.ttl for r in reply.answers] == [0]
+
+    def test_a_stub_world_answered_with_it_runs_to_completion(self, ttl):
+        registry = RngRegistry(5)
+        simulator = Simulator()
+        topology = Topology(registry)
+        topology.add_link("a", "b", LinkProfile(latency=0.01))
+        internet = Internet(simulator, topology, registry)
+        client = internet.add_host(Host("client", "a", [IPAddress("10.0.0.1")],
+                                        rng=registry.stream("ports")))
+        server = internet.add_host(Host("server", "b",
+                                        [IPAddress("10.0.0.2")]))
+        socket = server.bind(53)
+        socket.on_datagram(lambda datagram: socket.reply(
+            datagram, _a_reply_with_ttl(Message.decode(datagram.payload),
+                                        ttl)))
+        stub = StubResolver(client, simulator, IPAddress("10.0.0.2"),
+                            timeout=1.0, retries=1,
+                            rng=registry.stream("txid"))
+        outcomes = []
+        stub.query("pool.ntp.org", RRType.A, outcomes.append)
+        simulator.run()
+        assert simulator.pending_events == 0
+        (outcome,) = outcomes
+        assert outcome.ok
+        assert outcome.addresses == [IPAddress("192.0.2.1")]
+        assert [r.ttl for r in outcome.response.answers] == [0]
+
+
+#: Encoded corpus messages (compressed and not, the long ones left
+#: out) the mutation property starts from; built on first use.
+_CORPUS_WIRES: list = []
+
+
+def _corpus_wires() -> list:
+    if not _CORPUS_WIRES:
+        _CORPUS_WIRES.extend(
+            message.encode(compress)
+            for index, message in enumerate(corpus()[:200])
+            if index not in LONG for compress in (True, False))
+    return _CORPUS_WIRES
+
+
+class TestDecoderErrorsAreTyped:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_mutated_messages_raise_only_wire_format_errors(self, seed):
+        # Every caller of Message.decode catches WireFormatError alone,
+        # so any other exception out of a malformed message would end
+        # the simulation. Each example flips (xor with a nonzero byte)
+        # or deletes 1-3 bytes of 20 corpus messages; a top-bit TTL
+        # turns up in about 1 of 200 mutated messages.
+        rng = random.Random(seed)
+        wires = _corpus_wires()
+        for _ in range(20):
+            wire = bytearray(rng.choice(wires))
+            for _ in range(rng.randint(1, 3)):
+                position = rng.randrange(len(wire))
+                if rng.random() < 0.75:
+                    wire[position] ^= rng.randint(1, 255)
+                else:
+                    del wire[position]
+            try:
+                Message.decode(bytes(wire))
+            except WireFormatError:
+                pass

@@ -3,13 +3,21 @@
 Every datagram the fabric accepts lands exactly once: after a drained
 run, the datagrams counted at send time equal the ``net.*`` deliveries
 plus drops counted at landing (duplicate copies are neither), and no
-event is left on the heap. Checked on smoke-size versions of the perf
-workloads' fleets and on the golden scenarios' worlds.
+event is left on the heap. No exchange outlives its world either: once
+the run is drained, no datagram exchange, exchange supervisor or TLS
+connection the world started is still alive. Checked on smoke-size
+versions of the perf workloads' fleets and on the golden scenarios'
+worlds.
 """
+
+import gc
+import weakref
 
 import pytest
 
 from benchmarks.perf.unit import SIZES, fleet_spec
+from repro.doh.tls import TlsClientConnection
+from repro.netsim.transport import DatagramExchange, PendingExchange
 from repro.scenarios import materialize, set_path
 from repro.telemetry.registry import MetricsRegistry
 from tests.golden.scenarios import SPECS
@@ -17,6 +25,33 @@ from tests.golden.scenarios import SPECS
 SEEDS = (1, 2, 3)
 
 FLEETS = ("udp-fleet", "doh-fleet", "iterative-chaos")
+
+
+@pytest.fixture
+def exchanges(monkeypatch):
+    """Weak references to every datagram exchange, exchange supervisor
+    and TLS client connection constructed while the test runs, with
+    the cyclic collector off: a finished exchange must die by
+    refcount, so one kept alive by a reference cycle stays visible."""
+    refs = []
+    for cls in (PendingExchange, DatagramExchange, TlsClientConnection):
+        def recording(self, *args, __init__=cls.__init__, **kwargs):
+            __init__(self, *args, **kwargs)
+            refs.append(weakref.ref(self))
+        monkeypatch.setattr(cls, "__init__", recording)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield refs
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def assert_no_exchange_alive(refs):
+    alive = [type(ref()).__name__ for ref in refs if ref() is not None]
+    assert refs
+    assert alive == []
 
 
 def _drained(spec, seed):
@@ -44,12 +79,16 @@ def assert_conserved(world):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("workload", FLEETS)
-def test_fleet_conserves_datagrams(workload, seed):
+def test_fleet_conserves_datagrams(workload, seed, exchanges):
     clients, rounds = SIZES[workload]["smoke"]
-    assert_conserved(_drained(fleet_spec(workload, clients, rounds), seed))
+    world = _drained(fleet_spec(workload, clients, rounds), seed)
+    assert_conserved(world)
+    assert_no_exchange_alive(exchanges)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", sorted(SPECS))
-def test_golden_world_conserves_datagrams(name, seed):
-    assert_conserved(_drained(SPECS[name](), seed))
+def test_golden_world_conserves_datagrams(name, seed, exchanges):
+    world = _drained(SPECS[name](), seed)
+    assert_conserved(world)
+    assert_no_exchange_alive(exchanges)

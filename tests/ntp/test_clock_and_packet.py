@@ -36,6 +36,22 @@ class TestSimClock:
         assert clock.now() == pytest.approx(10.25)
         assert clock.error() == pytest.approx(0.25)
 
+    @given(st.floats(-1.0, 1.0), st.floats(-20.0, 20.0),
+           st.floats(0.0, 1e6), st.floats(0.0, 1e6))
+    def test_offset_rebuilds_a_drift_free_clock(self, offset, step, at,
+                                                later):
+        # A fleet client keeps only its clock's offset between rounds;
+        # the clock rebuilt from it must read exactly what the
+        # long-lived one reads, errors included.
+        time = FakeTime()
+        clock = SimClock(time, offset=offset)
+        time.now = at
+        clock.step(step)
+        time.now = at + later
+        rebuilt = SimClock(time, offset=clock.offset)
+        assert rebuilt.now() == clock.now()
+        assert rebuilt.error() == clock.error()
+
     def test_drift_accumulates(self):
         time = FakeTime()
         clock = SimClock(time, drift_ppm=100.0)

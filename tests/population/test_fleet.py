@@ -1,10 +1,12 @@
 """The client fleet: batching, population semantics, reproducibility."""
 
 import gc
+import json
 import os
 import random
 import subprocess
 import sys
+import weakref
 
 import pytest
 
@@ -12,10 +14,16 @@ from repro.core.errors import ConfigurationError
 from repro.netsim.simulator import SimulationError, Simulator
 from repro.netsim.transport import retry_policy
 from repro.population import BatchDispatcher
-from repro.population.fleet import MAX_CLIENTS
-from repro.scenarios import materialize, population_spec
+from repro.population import fleet as fleet_module
+from repro.population.fleet import MAX_CLIENTS, ClientFleet
+from repro.scenarios import materialize, population_spec, set_path
 from repro.scenarios.spec import FleetSpec
-from repro.util.rng import StreamClosedError, StreamPrefix, make_rng
+from repro.util.rng import (
+    ParkedStream,
+    StreamClosedError,
+    derive_seed,
+    make_rng,
+)
 
 
 class TestBatchDispatcher:
@@ -242,9 +250,9 @@ class _RecordedStream:
         self._stream = stream
         self._log = log
 
-    def park(self) -> None:
-        self._log.append(("park", (), None))
-        self._stream.park()
+    @property
+    def words(self):
+        return self._stream.words
 
     def close(self) -> None:
         self._stream.close()
@@ -263,10 +271,11 @@ class TestClientStreams:
     """A client holds generators only while it is in a round."""
 
     def test_fleet_holds_no_generators_between_rounds(self):
-        # Every per-client stream is parked: after materialize a client
-        # holds no generator (the clock offset's one draw leaves
-        # nothing behind), and after a drained run each client has
-        # closed its streams.
+        # Between rounds a client's streams are seeds and word counts
+        # in its row: after materialize no client holds a generator
+        # (the clock offset's one draw leaves nothing behind), and
+        # after a drained run each client's row marks its streams
+        # closed.
         spec = population_spec(num_clients=50, rounds=2)
         materialize(spec, 5)                      # warm import-time state
         before = _live_randoms()
@@ -279,50 +288,62 @@ class TestClientStreams:
         large.run()
         assert _live_randoms() - after == 0
         assert small.fleet.clients == 50 and large.fleet.clients == 100
-        client = large.fleet._clients[0]
-        with pytest.raises(StreamClosedError):
-            client.rng.select.random()
+        for row in (0, 99):
+            client = large.fleet._open_round(row)
+            with pytest.raises(StreamClosedError):
+                client.rng.select.random()
+            for stream in client.streams:
+                with pytest.raises(StreamClosedError):
+                    stream.getrandbits(32)
 
     def test_churn_and_poisson_fleet_draws_the_make_rng_sequences(
             self, monkeypatch):
-        # Leave -> rejoin parks every stream between rounds, and Poisson
-        # arrivals park the arrival stream after the first delay; each
-        # named stream must still draw what one long-lived make_rng
-        # generator over the same name draws.
-        seed = 13
+        # Every round rebuilds its streams from the row's seeds and word
+        # counts (leave -> rejoin too), and Poisson arrivals draw the
+        # first delay from a stream rebuilt the same way; each named
+        # stream must still draw what one long-lived make_rng generator
+        # over the same name draws.
+        seed, clients = 13, 20
+        names = [("ports",), ("txid", "0"), ("txid", "1"), ("txid", "2"),
+                 ("arrival",), ("select",), ("churn",)]
+        paths = {derive_seed(seed, "population", str(g), *name):
+                 ("population", str(g), *name)
+                 for g in range(clients) for name in names}
         logs = {}
-        parked = StreamPrefix.parked
 
-        def recording(prefix, *names):
-            log = logs.setdefault(prefix.names + names, [])
-            return _RecordedStream(parked(prefix, *names), log)
+        def recording(stream_seed, words=0):
+            log = logs.setdefault(paths[stream_seed], [])
+            if words:
+                log.append(("resume", (words,), None))
+            return _RecordedStream(ParkedStream(stream_seed, words), log)
 
-        monkeypatch.setattr(StreamPrefix, "parked", recording)
+        monkeypatch.setattr(fleet_module, "ParkedStream", recording)
         scenario = materialize(population_spec(
-            num_clients=20, rounds=4, arrival="poisson", churn_rate=0.5,
-            resolve_every=2, corrupted=1), seed)
+            num_clients=clients, rounds=4, arrival="poisson",
+            churn_rate=0.5, resolve_every=2, corrupted=1), seed)
         outcomes = scenario.run()
         assert outcomes.churn_leaves > 0 and outcomes.churn_joins > 0
-        assert {path[2:] for path in logs} == {
-            ("ports",), ("txid", "0"), ("txid", "1"), ("txid", "2"),
-            ("arrival",), ("select",), ("churn",)}
+        assert {path[2:] for path in logs} == set(names)
         rebuilt = 0
         for path, log in logs.items():
             replay = make_rng(seed, *path)
-            parked_since_draw = False
+            resumed_since_draw = False
             for method, args, value in log:
-                if method == "park":
-                    parked_since_draw = True
+                if method == "resume":
+                    resumed_since_draw = True
                     continue
-                rebuilt += parked_since_draw
-                parked_since_draw = False
+                rebuilt += resumed_since_draw
+                resumed_since_draw = False
                 assert getattr(replay, method)(*args) == value, path
-        # Plenty of draws came from a generator rebuilt after a park.
+        # Plenty of draws came from a generator rebuilt from a row's
+        # word count.
         assert rebuilt > 100
 
     def test_clock_offset_is_the_client_streams_first_draw(self):
         scenario = materialize(population_spec(num_clients=5, rounds=1), 11)
-        for client in scenario.fleet._clients:
+        fleet = scenario.fleet
+        for row in range(fleet.clients):
+            client = fleet._open_round(row)
             expected = make_rng(11, "population", str(client.index),
                                 "client").uniform(-0.050, 0.050)
             assert client.clock.error() == expected
@@ -331,7 +352,9 @@ class TestClientStreams:
         seed = 12
         scenario = materialize(population_spec(
             num_clients=6, rounds=2, arrival="poisson", churn_rate=0.3), seed)
-        for client in scenario.fleet._clients:
+        fleet = scenario.fleet
+        for row in range(fleet.clients):
+            client = fleet._open_round(row)
             tag = str(client.index)
             arrival = make_rng(seed, "population", tag, "arrival")
             churn = make_rng(seed, "population", tag, "churn")
@@ -376,10 +399,12 @@ class TestFleetFootprint:
                                 capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
 
-    def test_at_most_25_gc_tracked_objects_per_client(self):
-        # Each client shares its providers' endpoints and addresses and
-        # the fleet's retry policies, and rides one transport; 40.3
-        # objects per client when each stub owned its own copies.
+    def test_at_most_10_gc_tracked_objects_per_client(self):
+        # Between rounds a client is its host (with its address list,
+        # address and one transport) plus a row of the fleet's columns;
+        # 20.3 objects per client when each held its clock, SNTP
+        # client, round state and parked streams, and 40.3 when each
+        # stub owned its own endpoints and policies.
         spec = population_spec(num_clients=300, rounds=1, corrupted=1)
         materialize(population_spec(num_clients=5, rounds=1), 1)  # warm
         gc.collect()
@@ -387,7 +412,7 @@ class TestFleetFootprint:
         world = materialize(spec, 42)
         gc.collect()
         per_client = (len(gc.get_objects()) - before) / world.fleet.clients
-        assert per_client <= 25, per_client
+        assert per_client <= 10, per_client
 
     def test_clients_share_provider_endpoints_and_one_transport(self):
         world = materialize(population_spec(num_clients=4, rounds=1), 3)
@@ -398,12 +423,59 @@ class TestFleetFootprint:
         assert [e.address for e in fleet._servers] == addresses
         assert all(e.address is a
                    for e, a in zip(fleet._servers, addresses))
-        for client in fleet._clients:
+        for row in range(fleet.clients):
+            client = fleet._open_round(row)
             assert client.transport is client.host.transport(
                 world.pool.simulator)
             assert client.ntp._transport is client.transport
             assert client.ntp._policy is retry_policy(1.0)
         assert fleet._stub_policy is retry_policy(3.0, 1)
+
+
+class TestClientRows:
+    """Between rounds a client is its host plus one row of columns."""
+
+    def test_hosts_stay_registered_between_rounds(self):
+        # Duplicated replies reach clients after their round concluded:
+        # each must find the client's host and drop for want of a
+        # socket, never for want of a host (695 such drops at seed 3).
+        spec = set_path(population_spec(num_clients=200, rounds=3),
+                        "network.fault.duplicate_rate", 0.3)
+        world = materialize(spec, 3)
+        world.run()
+        counters = json.loads(world.telemetry.snapshot_json())["counter"]
+        drops = {key: value for key, value in counters.items()
+                 if key.startswith("net.drops")}
+        assert "net.drops{reason=no-host}" not in drops
+        assert drops == {"net.drops{reason=no-socket}":
+                         counters["net.datagrams_dropped"]}
+        assert counters["net.datagrams_dropped"] > 0
+
+    def test_round_objects_die_when_the_round_concludes(self, monkeypatch):
+        # With the collector off, a round's clock and SNTP client are
+        # freed by refcount once the round folds back into its row:
+        # nothing a wake-up or a finished exchange keeps pins them.
+        refs = []
+        open_round = ClientFleet._open_round
+
+        def recording(fleet, row):
+            client = open_round(fleet, row)
+            refs.extend([weakref.ref(client.clock), weakref.ref(client.ntp)])
+            return client
+
+        monkeypatch.setattr(ClientFleet, "_open_round", recording)
+        world = materialize(population_spec(
+            num_clients=30, rounds=3, churn_rate=0.3, corrupted=1), 4)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            world.run()
+            alive = [ref() for ref in refs if ref() is not None]
+        finally:
+            if enabled:
+                gc.enable()
+        assert len(refs) == 2 * 30 * 3
+        assert alive == []
 
 
 class TestEventCap:

@@ -128,8 +128,9 @@ class TestRngRegistry:
         assert a == b
 
 
-#: One call on a stream, as ``(method, args)``; ``("park", ())`` parks
-#: it, and ``("random", (n,))`` stands for ``n`` consecutive
+#: One call on a stream, as ``(method, args)``; ``("park", ())``
+#: resumes it from its seed and word count, and ``("random", (n,))``
+#: stands for ``n`` consecutive
 #: ``random()`` calls (two words each), so a short program can run the
 #: Mersenne Twister through several 624-word twists.
 _CALLS = st.one_of(
@@ -146,56 +147,67 @@ _CALLS = st.one_of(
 )
 
 
-def _replay(stream, calls) -> list:
+def _replay(stream, calls, seed=None) -> list:
+    """Run ``calls`` on ``stream``; with a ``seed``, each park replaces
+    the stream by a :class:`ParkedStream` resumed from its word count."""
     outputs = []
     for method, args in calls:
         if method == "park":
-            if isinstance(stream, ParkedStream):
-                stream.park()
+            if seed is not None:
+                stream = ParkedStream(seed, stream.words)
         elif method == "random":
             outputs.append([stream.random() for _ in range(args[0])])
         else:
             outputs.append(getattr(stream, method)(*args))
+    outputs.append(stream.getstate())
     return outputs
 
 
 class TestParkedStream:
-    """A parked stream draws exactly what one long-lived generator
-    over the same seed draws, however often it is parked."""
+    """A stream resumed from its seed and word count draws exactly what
+    one long-lived generator over the same seed draws, however often
+    it is parked and resumed."""
 
     @given(st.integers(0, 2**64 - 1), st.lists(_CALLS, max_size=40))
     def test_draws_and_final_state_match_a_plain_generator(self, seed,
                                                             calls):
-        parked, plain = ParkedStream(seed), random.Random(seed)
-        assert _replay(parked, calls) == _replay(plain, calls)
-        assert parked.getstate() == plain.getstate()
+        # The outputs end with each stream's final getstate().
+        assert (_replay(ParkedStream(seed), calls, seed)
+                == _replay(random.Random(seed), calls))
 
     def test_parking_across_several_twists(self):
-        # 3000 random() calls = 6000 words, parked every 7th call: the
+        # 3000 random() calls = 6000 words, resumed every 7th call: the
         # skip crosses nine twists of the 624-word state.
         parked, plain = ParkedStream(11), random.Random(11)
         for i in range(3000):
             if i % 7 == 0:
-                parked.park()
+                parked = ParkedStream(11, parked.words)
             assert parked.random() == plain.random()
-        parked.park()
+        parked = ParkedStream(11, parked.words)
         assert parked.getstate() == plain.getstate()
 
     def test_prefixed_parked_stream_draws_the_make_rng_sequence(self):
-        reg = RngRegistry(3)
-        stream = reg.prefixed("population", "7").parked("txid", "0")
+        # A stream rebuilt each time from a prefixed seed and the word
+        # count its last build reached, as a fleet round does.
+        seed = RngRegistry(3).prefixed("population", "7").derive("txid", "0")
         expected = make_rng(3, "population", "7", "txid", "0")
-        drawn = []
+        drawn, words = [], 0
         for _ in range(5):
+            stream = ParkedStream(seed, words)
             drawn.append(stream.randrange(1 << 16))
-            stream.park()
+            words = stream.words
         assert drawn == [expected.randrange(1 << 16) for _ in range(5)]
 
     def test_parked_streams_are_not_memoised(self):
-        prefix = RngRegistry(3).prefixed("population", "7")
-        first, second = prefix.parked("select"), prefix.parked("select")
-        assert first is not second
-        assert first.random() == second.random()
+        # Two streams built from one seed and word count share no
+        # generator: each draws the same next value on its own.
+        seed = RngRegistry(3).prefixed("population", "7").derive("select")
+        first = ParkedStream(seed)
+        first.random()
+        second, third = (ParkedStream(seed, first.words),
+                         ParkedStream(seed, first.words))
+        assert second is not third
+        assert second.random() == third.random() == first.random()
 
     @pytest.mark.parametrize("drawn", [False, True])
     def test_draw_after_close_raises(self, drawn):
@@ -203,8 +215,10 @@ class TestParkedStream:
         if drawn:
             stream.randint(1, 6)
         stream.close()
-        stream.park()                     # a no-op, never a reseed
-        with pytest.raises(StreamClosedError):
-            stream.choice([1, 2, 3])
-        with pytest.raises(StreamClosedError):
-            stream.getrandbits(8)
+        resumed = ParkedStream(5, stream.words)
+        assert stream.words is resumed.words is None
+        for closed in (stream, resumed):
+            with pytest.raises(StreamClosedError):
+                closed.choice([1, 2, 3])
+            with pytest.raises(StreamClosedError):
+                closed.getrandbits(8)
