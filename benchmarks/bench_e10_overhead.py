@@ -6,32 +6,34 @@ the *slowest* resolver (not the sum), while bytes on the wire grow
 linearly with N. We sweep N and report virtual latency, wire bytes and
 upstream queries against the single-resolver plain-DNS baseline.
 
-Declared as two campaigns through one runner: the plain-DNS baseline
-(the ``mechanism`` knob of :func:`repro.campaign.overhead_trial` over a
-fixed one-provider spec) and the distributed-DoH sweep over
-``provider.count``; the trial measures one acquisition per point.
+Declared as two campaigns through one runner over one client spec: the
+plain-DNS baseline (``client.acquire="plain-dns"`` over a one-provider
+spec) and the distributed-DoH sweep over ``provider.count``;
+:func:`repro.campaign.spec_trial` measures one acquisition per point.
 """
 
-from repro.campaign import CampaignRunner, ParameterGrid, overhead_trial
+from dataclasses import replace
+
+from repro.campaign import CampaignRunner, ParameterGrid, spec_trial
+from repro.scenarios import ClientSpec, materialize, pool_spec, set_path
 
 from benchmarks.conftest import CACHE_DIR, run_once
 
-from repro.scenarios import materialize, pool_spec, set_path
-
 N_SWEEP = [1, 3, 5, 9, 15]
 
-BASE_SPEC = pool_spec(pool_size=40, answers_per_query=4)
+BASE_SPEC = replace(pool_spec(pool_size=40, answers_per_query=4),
+                    client=ClientSpec())
 
-BASELINE_GRID = ParameterGrid.from_points(
-    [{"mechanism": "plain-dns"}],
-    fixed={"spec": set_path(BASE_SPEC, "provider.count", 1)},
+BASELINE_GRID = ParameterGrid.over_spec(
+    set_path(BASE_SPEC, "provider.count", 1),
+    {"client.acquire": ("plain-dns",)},
     name="e10_overhead_baseline",
 )
 
 GRID = ParameterGrid.over_spec(
     BASE_SPEC, {"provider.count": N_SWEEP}, name="e10_overhead")
 
-RUNNER = CampaignRunner(overhead_trial, base_seed=701, cache_dir=CACHE_DIR)
+RUNNER = CampaignRunner(spec_trial, base_seed=701, cache_dir=CACHE_DIR)
 
 SMOKE_GRID = ParameterGrid.over_spec(
     BASE_SPEC, {"provider.count": N_SWEEP[:2]}, name="e10_overhead_smoke")
@@ -46,13 +48,13 @@ def bench_e10_overhead(benchmark, emit_table, smoke, results_dir):
 
     rows = []
     for summary in baseline.summaries + result.summaries:
-        mechanism = summary.params.get("mechanism", "distributed-doh")
-        label = ("plain DNS (baseline)" if mechanism == "plain-dns"
+        spec = summary.params["spec"]
+        label = ("plain DNS (baseline)" if spec.client.acquire == "plain-dns"
                  else "distributed DoH")
         rows.append([
             label,
-            summary.params["spec"].provider.count,
-            f"{summary['latency'].mean * 1000:.1f} ms",
+            spec.provider.count,
+            f"{summary['elapsed'].mean * 1000:.1f} ms",
             round(summary["bytes"].mean),
             round(summary["packets"].mean),
             round(summary["pool_size"].mean),
@@ -75,7 +77,7 @@ def bench_e10_overhead(benchmark, emit_table, smoke, results_dir):
         # Parallel fan-out: going 3 -> 15 resolvers must cost far less
         # than 5x the latency (it is bounded by the slowest, plus
         # scheduling).
-        assert doh("latency", 15) < 3 * doh("latency", 3)
+        assert doh("elapsed", 15) < 3 * doh("elapsed", 3)
         assert doh("packets", 15) > doh("packets", 3)
 
 

@@ -11,10 +11,20 @@ distributed DoH + Chronos holds.
 Run:  python examples/chronos_timeshift.py
 """
 
-from repro.campaign import timeshift_trial
-from repro.campaign.trials import TIMESHIFT_CONFIGURATIONS
+from dataclasses import replace
+
+from repro.campaign import spec_trial
+from repro.scenarios import ClientSpec, get_spec_preset
 
 LIE = 10.0
+
+#: Each configuration's client: how it acquires the pool, how it syncs.
+CONFIGURATIONS = {
+    "plain-dns+naive-sntp": ClientSpec(acquire="plain-dns", sync="sntp-mean"),
+    "plain-dns+chronos": ClientSpec(acquire="plain-dns", sync="chronos"),
+    "distributed-doh+naive-sntp": ClientSpec(sync="sntp-mean"),
+    "distributed-doh+chronos": ClientSpec(sync="chronos"),
+}
 
 
 def main() -> None:
@@ -24,10 +34,10 @@ def main() -> None:
               f"{'clock error':>12s} {'verdict':>10s}")
     print(header)
     print("-" * len(header))
-    for configuration in TIMESHIFT_CONFIGURATIONS:
-        result = timeshift_trial(
-            {"configuration": configuration, "lie_offset": LIE,
-             "num_providers": 3, "corrupted_providers": 1}, seed=7)
+    world = get_spec_preset("e7-timeshift")(
+        lie_offset=LIE, num_providers=3, corrupted_providers=1)
+    for configuration, client in CONFIGURATIONS.items():
+        result = spec_trial({"spec": replace(world, client=client)}, seed=7)
         verdict = "SHIFTED" if result["shifted"] else "safe"
         print(f"{configuration:28s} "
               f"{result['pool_malicious_fraction']:>12.0%} "

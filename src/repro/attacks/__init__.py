@@ -24,7 +24,8 @@ Scenario specs install these by data: ``ProviderSpec.corrupted``
 compromises providers and ``AttackSpec`` kinds (``mitm``, ``offpath``,
 ``timeshift``) name the rest (see :mod:`repro.scenarios.spec`).  The
 end-to-end time-shift attack (E7) is the ``"e7-timeshift"`` spec
-preset, run by :func:`repro.campaign.timeshift_trial`.
+preset with a :class:`~repro.scenarios.spec.ClientSpec`, run by
+:func:`repro.campaign.spec_trial`.
 """
 
 from repro.attacks.compromise import CompromisedResolverBehavior, compromise_provider

@@ -5,11 +5,14 @@ one into three declarative pieces instead of a hand-rolled nested loop:
 
 * a :class:`ParameterGrid` naming the axes (presets × attacks × pool
   sizes × resolver configurations × dual-stack families, ...);
-* a picklable trial function ``(params, seed) -> metrics`` — the stock
+* a picklable trial function ``(params, seed) -> metrics`` — the one
   world trial :func:`spec_trial` compiles and measures whatever
   :class:`~repro.scenarios.spec.ScenarioSpec` a point carries
-  (:meth:`ParameterGrid.over_spec` sweeps dotted spec paths), and the
-  §III Monte-Carlos are provided too;
+  (:meth:`ParameterGrid.over_spec` sweeps dotted spec paths, the
+  single client's procedure included: ``client.acquire``,
+  ``client.sync``); beside it are the A1 spray race
+  (:func:`offpath_spray_trial`), the closed-form E4 trial
+  (:func:`advantage_bits_trial`) and the §III Monte-Carlos;
 * a :class:`CampaignRunner` that executes the trials on an adaptively
   chosen executor (serial or process pool, picked from a measured
   per-trial cost) with deterministic per-trial seeds derived from
@@ -60,11 +63,8 @@ from repro.campaign.runner import CampaignProgress, CampaignRunner, trial_seed
 from repro.campaign.sampling import AdaptiveSampling
 from repro.campaign.trials import (
     advantage_bits_trial,
-    figure1_system_trial,
     offpath_spray_trial,
-    overhead_trial,
     spec_trial,
-    timeshift_trial,
 )
 
 __all__ = [
@@ -83,13 +83,10 @@ __all__ = [
     "advantage_bits_trial",
     "attack_probability_trial",
     "choose_executor",
-    "figure1_system_trial",
     "journal_path",
     "offpath_spray_trial",
-    "overhead_trial",
     "point_key",
     "pool_fraction_trial",
     "spec_trial",
-    "timeshift_trial",
     "trial_seed",
 ]

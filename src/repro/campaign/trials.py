@@ -1,17 +1,17 @@
 """Reusable trial functions for campaign sweeps.
 
 These are the bridge between the declarative campaign layer and the
-simulation stack.  World trials take their world from the grid point:
-``params["spec"]`` is a :class:`~repro.scenarios.spec.ScenarioSpec`
-(expanded by :meth:`repro.campaign.ParameterGrid.over_spec`), compiled
-with :func:`~repro.scenarios.spec.materialize`.  :func:`spec_trial` is
-the one generic world trial — the spec itself picks its metric set —
-and the Figure 1 pipeline (E1) and distribution-overhead (E10) trials
-add their experiment knobs on top of the same spec.  The time-shift
-attack trial (E7) compiles the ``"e7-timeshift"`` spec preset from its
-own parameters, and the off-path spray ablation (A1) a one-provider
-:func:`~repro.scenarios.spec.pool_spec` world; the closed-form
-advantage trial (E4) builds no world.
+simulation stack.  :func:`spec_trial` is the one world trial: it takes
+its world from the grid point (``params["spec"]``, a
+:class:`~repro.scenarios.spec.ScenarioSpec` expanded by
+:meth:`repro.campaign.ParameterGrid.over_spec`), compiles it with
+:func:`~repro.scenarios.spec.materialize`, and the spec picks the
+metric set — including what the single client does
+(:class:`~repro.scenarios.spec.ClientSpec`: the Figure 1 pipeline of
+E1, the time-shift configurations of E7, the acquisition cost of E10).
+Beside it, the off-path spray ablation (A1) races one hand-aimed spray
+burst against a one-provider :func:`~repro.scenarios.spec.pool_spec`
+world, and the closed-form advantage trial (E4) builds no world.
 
 Everything here is module-level and picklable so campaigns can shard
 trials across worker processes. The closed-form Monte-Carlo trials live
@@ -35,8 +35,7 @@ from repro.netsim.address import Endpoint, IPAddress
 from repro.ntp.chronos import ChronosClient, ChronosConfig
 from repro.ntp.client import NtpClient
 from repro.ntp.clock import SimClock
-from repro.ntp.pool import deploy_ntp_fleet
-from repro.scenarios import PoolScenario, get_spec_preset
+from repro.scenarios import PoolScenario
 from repro.scenarios.spec import (
     ResolverSpec,
     ScenarioSpec,
@@ -48,15 +47,13 @@ from repro.scenarios.spec import (
 )
 
 
-def _point_spec(params: Mapping[str, Any],
-                knobs: frozenset = frozenset()) -> ScenarioSpec:
+def _point_spec(params: Mapping[str, Any]) -> ScenarioSpec:
     """The spec a grid point carries, with its swept paths validated.
 
     ``params["spec"]`` (a spec object or its ``to_dict`` form) is the
-    world.  Every other parameter that is not one of the trial's own
-    ``knobs`` must be a dotted path the spec carries with exactly the
-    point's value: a mistyped axis, or a point whose sweep silently
-    failed to land, cannot run.
+    world.  Every other parameter must be a dotted path the spec
+    carries with exactly the point's value: a mistyped axis, or a point
+    whose sweep silently failed to land, cannot run.
     """
     if "spec" not in params:
         raise ValueError("world trials need params['spec'] "
@@ -65,7 +62,7 @@ def _point_spec(params: Mapping[str, Any],
     if isinstance(spec, Mapping):
         spec = ScenarioSpec.from_dict(spec)
     for name, value in params.items():
-        if name == "spec" or name in knobs:
+        if name == "spec":
             continue
         applied = get_path(spec, name)   # raises on a path the spec lacks
         expected = tuple(value) if isinstance(value, list) else value
@@ -230,6 +227,91 @@ def _chaos_metrics(spec: ScenarioSpec, world,
     }
 
 
+#: The Chronos settings every syncing client uses: sample size 9,
+#: agreement window 60 ms, 5 responses.
+CHRONOS = ChronosConfig(agreement_window=0.060)
+
+
+def _plain_dns_query(world: PoolScenario):
+    """One RD query for the pool name to the first provider over
+    spoofable UDP; the stub's outcome, or ``None`` if none arrived."""
+    stub = StubResolver(world.client, world.simulator,
+                        world.providers[0].address, timeout=5.0)
+    outcomes: List = []
+    stub.query(world.pool_domain, RRType.A, outcomes.append)
+    world.simulator.run()
+    return outcomes[0] if outcomes else None
+
+
+def _sync(world: PoolScenario, sync: str, clock: SimClock, pool) -> bool:
+    """Discipline ``clock`` over ``pool`` by ``sync`` (a
+    ``client.sync`` mode); whether it synced."""
+    ntp_client = NtpClient(world.client, world.simulator, clock)
+    if sync == "chronos":
+        chronos = ChronosClient(ntp_client, pool, config=CHRONOS,
+                                rng=world.rng.stream("chronos"))
+        outcomes: List = []
+        chronos.sync(outcomes.append)
+        world.simulator.run()
+        return bool(outcomes) and outcomes[0].ok
+    # Naive SNTP: step by the mean offset of (up to) 4 pool servers.
+    rng = world.rng.stream("naive-pick")
+    samples: List = []
+    for server in pool if len(pool) <= 4 else rng.sample(pool, 4):
+        ntp_client.sample(server, samples.append)
+    world.simulator.run()
+    good = [s.offset for s in samples if s.ok]
+    if good:
+        clock.step(sum(good) / len(good))
+    return bool(good)
+
+
+def _client_metrics(spec: ScenarioSpec,
+                    world: PoolScenario) -> Dict[str, float]:
+    """The single client's procedure (``spec.client``): acquire a pool,
+    then discipline a clock that starts ``client.clock_offset`` off."""
+    client = spec.client
+    internet = world.internet
+    bytes_before = internet.bytes_sent
+    packets_before = internet.datagrams_sent
+    metrics: Dict[str, float] = {}
+    if client.acquire == "algorithm1":
+        generated = world.generate_pool_sync()
+        pool = generated.addresses
+        elapsed = generated.elapsed
+        metrics["truncate_length"] = float(generated.truncate_length)
+        for answer in generated.answers:
+            name = answer.resolver.name
+            metrics[f"answers[{name}]"] = float(len(answer.addresses))
+            metrics[f"latency[{name}]"] = answer.outcome.latency or 0.0
+    else:
+        started = world.simulator.now
+        outcome = _plain_dns_query(world)
+        pool = outcome.addresses if outcome is not None and outcome.ok else []
+        elapsed = world.simulator.now - started
+    metrics["bytes"] = float(internet.bytes_sent - bytes_before)
+    metrics["packets"] = float(internet.datagrams_sent - packets_before)
+
+    clock = SimClock(lambda: world.simulator.now, offset=client.clock_offset)
+    synced = (client.sync is not None and bool(pool)
+              and _sync(world, client.sync, clock, pool))
+    error = clock.error()
+    attackers = set(attacker_servers(spec, world.directory))
+    metrics.update({
+        "pool_size": float(len(pool)),
+        "elapsed": elapsed,
+        "benign_fraction": (world.directory.benign_fraction(pool)
+                            if pool else 0.0),
+        "pool_malicious_fraction": _share(pool, attackers),
+        "synced": 1.0 if synced else 0.0,
+        "clock_error": error,
+        "abs_clock_error": abs(error),
+        "shifted": (1.0 if abs(error) > 0.1 * abs(spec.pool.lie_offset)
+                    else 0.0),
+    })
+    return metrics
+
+
 # ----------------------------------------------------------------------
 # The world trial.
 # ----------------------------------------------------------------------
@@ -247,7 +329,7 @@ def spec_trial(params: Mapping[str, Any], seed: int):
 
     The spec picks the metric set:
 
-    single-client specs (``fleet is None``)
+    single-client specs (``fleet is None``) without a ``client``
         one Algorithm 1 generation under the spec's combine policy:
         ``ok`` / ``degraded`` (availability), ``elapsed``,
         ``pool_size``, ``truncate_length``, ``attacker_share`` /
@@ -255,6 +337,25 @@ def spec_trial(params: Mapping[str, Any], seed: int):
         addresses the compiled world serves), ``voted_size`` /
         ``voted_attacker_share`` (per-address majority vote over the
         same contributions) and ``benign_fraction``.
+    single-client specs with a ``client``
+        (:class:`~repro.scenarios.spec.ClientSpec`)
+        the client's procedure: it acquires a pool (``client.acquire``:
+        Algorithm 1 under the default combine policy, or one plain-DNS
+        query to the first provider over spoofable UDP), then
+        disciplines a clock that starts ``client.clock_offset`` seconds
+        off (``client.sync``: not at all, by the mean offset of up to 4
+        pool servers, or by Chronos with :data:`CHRONOS`; never over an
+        empty pool).  Metrics: ``pool_size``; ``elapsed`` (virtual
+        seconds of the acquisition: Algorithm 1's own timing, or until
+        the plain query's world drained); ``bytes`` / ``packets`` (wire
+        cost of the acquisition); ``benign_fraction`` and
+        ``pool_malicious_fraction`` (of the pool, the attacker's
+        servers, :func:`~repro.scenarios.spec.attacker_servers`);
+        ``synced``; ``clock_error`` / ``abs_clock_error`` (seconds,
+        after discipline) and ``shifted`` (1.0 when ``|clock_error|``
+        exceeds 10% of ``pool.lie_offset``).  Algorithm 1 adds
+        ``truncate_length`` and, per resolver, ``answers[<name>]`` and
+        ``latency[<name>]`` (Figure 1's per-resolver rows).
     population specs
         the whole fleet: ``victim_fraction`` (of rounds that completed
         an NTP sync, how many synced against an attacker server),
@@ -282,7 +383,8 @@ def spec_trial(params: Mapping[str, Any], seed: int):
     spec = _point_spec(params)
     if spec.fleet is None:
         world = materialize(spec, seed)
-        metrics = _pool_metrics(spec, world)
+        metrics = (_pool_metrics(spec, world) if spec.client is None
+                   else _client_metrics(spec, world))
         if world.telemetry is not None:
             return metrics, world.telemetry.snapshot_json()
         return metrics
@@ -303,180 +405,6 @@ def spec_trial(params: Mapping[str, Any], seed: int):
     if chaos:
         metrics.update(_chaos_metrics(spec, world, metrics["availability"]))
     return metrics, world.telemetry.snapshot_json()
-
-
-# ----------------------------------------------------------------------
-# Steps the single-client experiment trials share.
-# ----------------------------------------------------------------------
-
-
-def _plain_dns_query(world: PoolScenario):
-    """One RD query for the pool name to the first provider over
-    spoofable UDP; the stub's outcome, or ``None`` if none arrived."""
-    stub = StubResolver(world.client, world.simulator,
-                        world.providers[0].address, timeout=5.0)
-    outcomes: List = []
-    stub.query(world.pool_domain, RRType.A, outcomes.append)
-    world.simulator.run()
-    return outcomes[0] if outcomes else None
-
-
-def _chronos_sync(world: PoolScenario, ntp_client: NtpClient, pool,
-                  config: ChronosConfig, stream: str):
-    """One Chronos sync over ``pool`` drawing from the world's
-    ``stream``; its outcome, or ``None`` if none arrived."""
-    chronos = ChronosClient(ntp_client, pool, config=config,
-                            rng=world.rng.stream(stream))
-    outcomes: List = []
-    chronos.sync(outcomes.append)
-    world.simulator.run()
-    return outcomes[0] if outcomes else None
-
-
-# ----------------------------------------------------------------------
-# E1 — the whole Figure 1 pipeline, DNS→DoH→pool→Chronos.
-# ----------------------------------------------------------------------
-
-_FIGURE1_KNOBS = frozenset({"clock_offset", "sample_size",
-                            "agreement_window", "min_responses"})
-
-
-def figure1_system_trial(params: Mapping[str, Any],
-                         seed: int) -> Dict[str, float]:
-    """One end-to-end system run: generate a pool through the
-    distributed DoH resolvers of the single-client world
-    ``params["spec"]``, then discipline a skewed clock with Chronos
-    over the generated pool.
-
-    Knobs: ``clock_offset`` (initial clock error, default 80 ms) and the
-    Chronos ``sample_size`` / ``agreement_window`` / ``min_responses``;
-    every other parameter is a validated spec path.
-
-    Returned metrics: ``pool_size``, ``truncate_length``, ``elapsed``
-    (pool generation, virtual seconds), ``benign_fraction``,
-    ``chronos_ok``, ``clock_error`` and ``clock_error_before``
-    (seconds), plus per-resolver ``answers[<name>]`` and
-    ``latency[<name>]`` so tables can reproduce Figure 1's per-resolver
-    rows.
-    """
-    spec = _point_spec(params, _FIGURE1_KNOBS)
-    scenario = materialize(spec, seed)
-    deploy_ntp_fleet(scenario.internet, scenario.directory, scenario.rng,
-                     extra_addresses=attacker_servers(spec,
-                                                      scenario.directory))
-    pool = scenario.generate_pool_sync()
-    offset = float(params.get("clock_offset", 0.080))
-    clock = SimClock(lambda: scenario.simulator.now, offset=offset)
-    ntp_client = NtpClient(scenario.client, scenario.simulator, clock)
-    sync = _chronos_sync(
-        scenario, ntp_client, pool.addresses,
-        ChronosConfig(
-            sample_size=int(params.get("sample_size", 9)),
-            agreement_window=float(params.get("agreement_window", 0.060)),
-            min_responses=int(params.get("min_responses", 5))),
-        "bench-chronos")
-    metrics = {
-        "pool_size": float(len(pool.addresses)),
-        "truncate_length": float(pool.truncate_length),
-        "elapsed": pool.elapsed,
-        "benign_fraction": scenario.directory.benign_fraction(pool.addresses),
-        "chronos_ok": 1.0 if sync.ok else 0.0,
-        "clock_error": clock.error(),
-        "clock_error_before": offset,
-    }
-    for answer in pool.answers:
-        name = answer.resolver.name
-        metrics[f"answers[{name}]"] = float(len(answer.addresses))
-        metrics[f"latency[{name}]"] = answer.outcome.latency or 0.0
-    return metrics
-
-
-# ----------------------------------------------------------------------
-# E7 — the end-to-end time-shift attack, one configuration per point.
-# ----------------------------------------------------------------------
-
-TIMESHIFT_CONFIGURATIONS = {
-    "plain-dns+naive-sntp": (False, False),
-    "plain-dns+chronos": (False, True),
-    "distributed-doh+naive-sntp": (True, False),
-    "distributed-doh+chronos": (True, True),
-}
-
-_TIMESHIFT_KEYS = frozenset({"configuration", "lie_offset", "num_providers",
-                             "corrupted_providers", "pool_size"})
-
-
-def timeshift_trial(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
-    """One E7 configuration in a fresh world (trial index = world seed).
-
-    ``configuration`` must be one of :data:`TIMESHIFT_CONFIGURATIONS`;
-    ``lie_offset``, ``num_providers``, ``corrupted_providers`` and
-    ``pool_size`` pass through to the ``"e7-timeshift"`` spec preset
-    (:func:`repro.scenarios.presets.e7_timeshift_spec`).  The client
-    acquires its pool over plain DNS (one stub query to the first
-    provider, which the on-path attacker rewrites) or with Algorithm 1
-    over DoH, then disciplines a correct clock by naive SNTP (the mean
-    offset of up to 4 pool servers) or by Chronos.
-
-    Returned metrics: ``clock_error`` / ``abs_clock_error`` (seconds,
-    after discipline), ``pool_malicious_fraction`` (of the acquired
-    pool, the attacker's servers), ``shifted`` (1.0 when the clock
-    moved by more than 10% of the lie), ``synced`` and ``pool_size``.
-    """
-    unknown = set(params) - _TIMESHIFT_KEYS
-    if unknown:
-        raise ValueError(f"unrecognised trial parameters: {sorted(unknown)}; "
-                         f"known: {sorted(_TIMESHIFT_KEYS)}")
-    configuration = params["configuration"]
-    try:
-        use_doh, use_chronos = TIMESHIFT_CONFIGURATIONS[configuration]
-    except KeyError:
-        raise ValueError(
-            f"unknown configuration {configuration!r}; known: "
-            f"{sorted(TIMESHIFT_CONFIGURATIONS)}") from None
-    spec = get_spec_preset("e7-timeshift")(
-        lie_offset=float(params.get("lie_offset", 10.0)),
-        num_providers=int(params.get("num_providers", 3)),
-        corrupted_providers=int(params.get("corrupted_providers", 1)),
-        pool_size=int(params.get("pool_size", 20)))
-    scenario = materialize(spec, seed)
-    attackers = attacker_servers(spec, scenario.directory)
-    deploy_ntp_fleet(scenario.internet, scenario.directory, scenario.rng,
-                     malicious_lie_offset=spec.pool.lie_offset,
-                     extra_addresses=attackers)
-    clock = SimClock(lambda: scenario.simulator.now)
-    ntp_client = NtpClient(scenario.client, scenario.simulator, clock)
-    if use_doh:
-        pool = scenario.generate_pool_sync().addresses
-    else:
-        outcome = _plain_dns_query(scenario)
-        pool = outcome.addresses if outcome is not None and outcome.ok else []
-    synced = False
-    if pool and use_chronos:
-        sync = _chronos_sync(scenario, ntp_client, pool,
-                             ChronosConfig(agreement_window=0.060), "chronos")
-        synced = sync is not None and sync.ok
-    elif pool:
-        # Naive SNTP: step by the mean offset of (up to) 4 pool servers.
-        rng = scenario.rng.stream("naive-pick")
-        samples: List = []
-        for server in pool if len(pool) <= 4 else rng.sample(pool, 4):
-            ntp_client.sample(server, samples.append)
-        scenario.simulator.run()
-        good = [s.offset for s in samples if s.ok]
-        if good:
-            clock.step(sum(good) / len(good))
-            synced = True
-    error = clock.error()
-    return {
-        "clock_error": error,
-        "abs_clock_error": abs(error),
-        "pool_malicious_fraction": _share(pool, set(attackers)),
-        "shifted": (1.0 if abs(error) > 0.1 * abs(spec.pool.lie_offset)
-                    else 0.0),
-        "synced": 1.0 if synced else 0.0,
-        "pool_size": float(len(pool)),
-    }
 
 
 # ----------------------------------------------------------------------
@@ -542,43 +470,3 @@ def advantage_bits_trial(params: Mapping[str, Any],
     return {"bits": security_bits(int(params["n"]),
                                   float(params.get("x", 0.5)),
                                   float(params["p_attack"]))}
-
-
-# ----------------------------------------------------------------------
-# E10 — the cost of distribution vs the plain-DNS baseline.
-# ----------------------------------------------------------------------
-
-_OVERHEAD_KNOBS = frozenset({"mechanism"})
-
-
-def overhead_trial(params: Mapping[str, Any], seed: int) -> Dict[str, float]:
-    """Measure one pool acquisition's latency/bytes/packets in the
-    single-client world ``params["spec"]``.
-
-    The ``mechanism`` knob selects ``"plain-dns"`` (one stub query to
-    the first provider over spoofable UDP) or ``"distributed-doh"``
-    (Algorithm 1 across all providers, the default, so plain
-    :meth:`~repro.campaign.ParameterGrid.over_spec` grids sweep it);
-    every other parameter is a validated spec path.
-    """
-    mechanism = params.get("mechanism", "distributed-doh")
-    if mechanism not in ("plain-dns", "distributed-doh"):
-        raise ValueError(f"unknown mechanism {mechanism!r}")
-    scenario = materialize(_point_spec(params, _OVERHEAD_KNOBS), seed)
-    bytes_before = scenario.internet.bytes_sent
-    packets_before = scenario.internet.datagrams_sent
-    if mechanism == "plain-dns":
-        started = scenario.simulator.now
-        outcome = _plain_dns_query(scenario)
-        latency = scenario.simulator.now - started
-        pool_size = len(outcome.addresses) if outcome is not None else 0
-    else:
-        pool = scenario.generate_pool_sync()
-        latency = pool.elapsed
-        pool_size = len(pool.addresses)
-    return {
-        "latency": latency,
-        "bytes": float(scenario.internet.bytes_sent - bytes_before),
-        "packets": float(scenario.internet.datagrams_sent - packets_before),
-        "pool_size": float(pool_size),
-    }

@@ -26,7 +26,6 @@ from repro.core.pool import (
     SecurePoolGenerator,
     combine_answer_lists,
 )
-from repro.core.refresher import PoolRefresher, RefresherStats
 from repro.core.resolverset import ResolverRef, ResolverSet
 from repro.core.frontend import MajorityDnsFrontend
 
@@ -41,8 +40,6 @@ __all__ = [
     "ResolverAnswer",
     "SecurePoolGenerator",
     "combine_answer_lists",
-    "PoolRefresher",
-    "RefresherStats",
     "ResolverRef",
     "ResolverSet",
     "MajorityDnsFrontend",

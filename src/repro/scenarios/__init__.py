@@ -22,6 +22,7 @@ from repro.scenarios.presets import (
 from repro.scenarios.spec import (
     RESOLVER_MODES,
     AttackSpec,
+    ClientSpec,
     FaultSpec,
     FleetSpec,
     HierarchySpec,
@@ -44,6 +45,7 @@ from repro.scenarios.workload import PoolDirectory
 
 __all__ = [
     "AttackSpec",
+    "ClientSpec",
     "FaultSpec",
     "FleetSpec",
     "HierarchySpec",

@@ -65,6 +65,9 @@ class PoolScenario:
     #: The installed :class:`repro.chaos.ChaosController` when the
     #: scenario spec declared a failure timeline; None otherwise.
     chaos: Optional[Any] = None
+    #: The pool's deployed :class:`repro.ntp.pool.NtpFleet` when the
+    #: spec's client syncs its clock; None otherwise.
+    ntp_fleet: Optional[Any] = None
 
     def run(self, until: Optional[float] = None) -> None:
         """Drain the simulation (convenience passthrough)."""

@@ -17,7 +17,8 @@ The spec tree::
     ├── fleet: FleetSpec | None       # population (None = single client)
     ├── attacks: (AttackSpec, ...)    # named installers from repro.attacks
     ├── telemetry: TelemetrySpec      # registry scoping + binning
-    └── chaos: ChaosSpec | None       # scheduled failure timeline
+    ├── chaos: ChaosSpec | None       # scheduled failure timeline
+    └── client: ClientSpec | None     # the single client's procedure
 
 Three operations close the loop:
 
@@ -460,6 +461,43 @@ class TelemetrySpec(SpecBase):
             raise ConfigurationError("time_bin must be > 0")
 
 
+#: ClientSpec acquisition modes: Algorithm 1 over every provider's DoH
+#: front end, or one plain-DNS query to the first provider over
+#: spoofable UDP.
+CLIENT_ACQUIRE_MODES = ("algorithm1", "plain-dns")
+
+#: ClientSpec clock disciplines: none, a step by the mean offset of up
+#: to 4 pool servers (naive SNTP), or Chronos.
+CLIENT_SYNC_MODES = (None, "sntp-mean", "chronos")
+
+
+@dataclass(frozen=True)
+class ClientSpec(SpecBase):
+    """What the single client of a single-client world does:
+    acquire a pool, then (optionally) discipline its clock over it.
+
+    :param acquire: one of :data:`CLIENT_ACQUIRE_MODES`.
+    :param sync: one of :data:`CLIENT_SYNC_MODES`.  Setting it makes
+        :func:`materialize` deploy the pool's NTP servers, lying ones
+        at :func:`attacker_servers` included.
+    :param clock_offset: the client clock's initial error (seconds).
+    """
+
+    acquire: str = "algorithm1"
+    sync: Optional[str] = None
+    clock_offset: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.acquire not in CLIENT_ACQUIRE_MODES:
+            raise ConfigurationError(
+                f"client.acquire must be one of {CLIENT_ACQUIRE_MODES}, "
+                f"got {self.acquire!r}")
+        if self.sync not in CLIENT_SYNC_MODES:
+            raise ConfigurationError(
+                f"client.sync must be one of {CLIENT_SYNC_MODES}, "
+                f"got {self.sync!r}")
+
+
 # ----------------------------------------------------------------------
 # Attacks.
 # ----------------------------------------------------------------------
@@ -673,6 +711,7 @@ class ScenarioSpec(SpecBase):
     attacks: Tuple[AttackSpec, ...] = ()
     telemetry: TelemetrySpec = TelemetrySpec()
     chaos: Optional[ChaosSpec] = None
+    client: Optional[ClientSpec] = None
 
     _NESTED = {"network": ("spec", NetworkSpec),
                "provider": ("spec", ProviderSpec),
@@ -680,15 +719,17 @@ class ScenarioSpec(SpecBase):
                "fleet": ("opt", FleetSpec),
                "attacks": ("tuple", AttackSpec),
                "telemetry": ("spec", TelemetrySpec),
-               "chaos": ("opt", ChaosSpec)}
+               "chaos": ("opt", ChaosSpec),
+               "client": ("opt", ClientSpec)}
 
     def to_dict(self) -> Dict[str, Any]:
-        # ``chaos`` postdates the committed golden spec fixtures; omit
-        # it when absent so chaos-free specs serialize byte-identically
-        # to their pre-chaos JSON.
+        # ``chaos`` and ``client`` postdate the committed golden spec
+        # fixtures; omit each when absent so specs without them
+        # serialize byte-identically to their earlier JSON.
         data = super().to_dict()
-        if self.chaos is None:
-            del data["chaos"]
+        for name in ("chaos", "client"):
+            if data[name] is None:
+                del data[name]
         return data
 
     def __post_init__(self) -> None:
@@ -711,6 +752,10 @@ class ScenarioSpec(SpecBase):
                 "single-client worlds resolve via DoH; "
                 "provider.serve='dns' needs a FleetSpec riding the "
                 "plain-DNS transport")
+        if self.fleet is not None and self.client is not None:
+            raise ConfigurationError(
+                "client describes the single client; a spec with a "
+                "FleetSpec has none")
 
 
 #: What :func:`materialize` returns — a single-client world
@@ -903,7 +948,8 @@ def materialize(spec: ScenarioSpec, seed: int, registry=None) -> World:
     """Compile a spec (plus a seed) into a wired world.
 
     Single-client specs (``fleet is None``) produce a
-    :class:`~repro.scenarios.builders.PoolScenario`; specs with a
+    :class:`~repro.scenarios.builders.PoolScenario` (with the pool's
+    NTP servers deployed when ``client.sync`` is set); specs with a
     :class:`FleetSpec` produce a
     :class:`~repro.scenarios.builders.PopulationScenario` — or, when
     ``fleet.shards > 1``, a
@@ -952,7 +998,7 @@ def _materialize_single(spec: ScenarioSpec, seed: int, registry):
         registry = None
         world = _build_pool_world(spec, seed)
     world.telemetry = registry
-    _install_adversary(spec, world, world, ntp_fleet=None,
+    _install_adversary(spec, world, world, ntp_fleet=world.ntp_fleet,
                        registry=registry,
                        access_links=["client-edge--eu-central"],
                        region_links={})
@@ -1048,13 +1094,23 @@ def _build_pool_world(spec: ScenarioSpec, seed: int):
         Host("client", "client-edge", [ip(CLIENT_ADDRESS)],
              rng=registry.stream("client-ports")))
 
+    # A syncing client needs the pool's NTP servers: honest directory
+    # members, lying malicious ones and the attacker's own servers.
+    ntp_fleet = None
+    if spec.client is not None and spec.client.sync is not None:
+        from repro.ntp.pool import deploy_ntp_fleet
+        ntp_fleet = deploy_ntp_fleet(
+            internet, directory, registry,
+            malicious_lie_offset=pool.lie_offset,
+            extra_addresses=attacker_servers(spec, directory))
+
     return PoolScenario(
         seed=seed, simulator=simulator, internet=internet, rng=registry,
         client=client, providers=providers, authority=authority,
         trust_store=trust_store, directory=directory, pool_zone=pool_zone,
         dns_servers=dns_servers, root_hints=root_hints,
         access_fault=access_fault, pool_domain=tree.pool_domain,
-        hierarchy=tree if iterative else None,
+        hierarchy=tree if iterative else None, ntp_fleet=ntp_fleet,
     )
 
 
@@ -1232,6 +1288,7 @@ __all__ = [
     "AttackContext",
     "AttackSpec",
     "ChaosSpec",
+    "ClientSpec",
     "FaultSpec",
     "FleetSpec",
     "HierarchySpec",

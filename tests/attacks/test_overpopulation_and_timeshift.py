@@ -3,12 +3,12 @@
 import pytest
 
 from repro.attacks.overpopulation import OverPopulationAttack
-from repro.campaign import timeshift_trial
-from repro.campaign.trials import TIMESHIFT_CONFIGURATIONS
+from repro.campaign import spec_trial
 from repro.core.policy import TruncationPolicy
 from repro.dns.client import StubResolver
 from repro.dns.rrtype import RRType
 from repro.scenarios import get_spec_preset, materialize, pool_spec
+from tests.campaign.record_timeshift_records import CONFIGURATIONS, e7_spec
 
 
 class TestOverPopulation:
@@ -54,10 +54,9 @@ class TestTimeShiftEndToEnd:
 
     @pytest.fixture(scope="class")
     def results(self):
-        return {configuration: timeshift_trial(
-                    {"configuration": configuration, "lie_offset": 10.0,
-                     "num_providers": 3, "corrupted_providers": 1}, seed=7)
-                for configuration in TIMESHIFT_CONFIGURATIONS}
+        return {configuration: spec_trial(
+                    {"spec": e7_spec(configuration)}, seed=7)
+                for configuration in CONFIGURATIONS}
 
     def test_plain_dns_naive_client_shifted(self, results):
         result = results["plain-dns+naive-sntp"]

@@ -1,9 +1,13 @@
 """Tests for the stock trial functions against the real simulation."""
 
+import ast
+import inspect
 import json
+from dataclasses import replace
 
 import pytest
 
+import repro.campaign
 from repro.analysis.model import attack_probability_exact
 from repro.analysis.montecarlo import MonteCarloResult
 from repro.campaign import (
@@ -12,9 +16,12 @@ from repro.campaign import (
     attack_probability_trial,
     spec_trial,
 )
+from repro.campaign import trials as trials_module
 from repro.chaos import ChaosSpec, ServerOutage
 from repro.core.errors import ConfigurationError
 from repro.scenarios import (
+    AttackSpec,
+    ClientSpec,
     get_spec_preset,
     hierarchy_population_spec,
     pool_spec,
@@ -155,6 +162,114 @@ class TestSpecTrialExtractors:
         spec = set_path(make(), "fleet.shards", 2)
         with pytest.raises(ValueError, match="shard the campaign"):
             spec_trial({"spec": spec}, 3)
+
+
+#: What ``spec_trial`` returns on a client-less single-client spec.
+_POOL_METRICS = {"ok", "degraded", "elapsed", "pool_size", "truncate_length",
+                 "attacker_share", "v4_share", "v6_share", "voted_size",
+                 "voted_attacker_share", "benign_fraction"}
+
+#: What it returns on a spec with a client, for either acquire mode.
+_CLIENT_METRICS = {"pool_size", "elapsed", "bytes", "packets",
+                   "benign_fraction", "pool_malicious_fraction", "synced",
+                   "clock_error", "abs_clock_error", "shifted"}
+
+#: Figure 1's three providers.
+_FIGURE1_RESOLVERS = ("dns.google", "cloudflare-dns.com", "dns.quad9.net")
+
+#: What Algorithm 1 adds, over those providers.
+_ALGORITHM1_METRICS = {"truncate_length"} | {
+    f"{metric}[{name}]" for metric in ("answers", "latency")
+    for name in _FIGURE1_RESOLVERS}
+
+
+def _client_trial(seed, spec=None, **client):
+    """spec_trial on ``spec`` (Figure 1 by default) with a client."""
+    spec = spec if spec is not None else get_spec_preset("figure1")()
+    return spec_trial({"spec": replace(spec, client=ClientSpec(**client))},
+                      seed)
+
+
+class TestClientTrial:
+    """spec_trial runs the single client's procedure (``spec.client``)."""
+
+    def test_figure1_pipeline_syncs_a_skewed_clock(self):
+        """E1's shape: Algorithm 1, then Chronos over the pool."""
+        metrics = _client_trial(100, sync="chronos", clock_offset=0.080)
+        assert metrics["pool_size"] == 12.0
+        assert metrics["benign_fraction"] == 1.0
+        assert metrics["synced"] == 1.0
+        assert abs(metrics["clock_error"]) < 0.03
+
+    def test_acquisition_without_sync_counts_wire_cost(self):
+        """E10's shape: the acquisition alone; the clock is untouched."""
+        metrics = _client_trial(701, clock_offset=0.25)
+        assert metrics["bytes"] > 0
+        assert metrics["packets"] > 0
+        assert metrics["elapsed"] > 0
+        assert metrics["synced"] == 0.0
+        assert metrics["clock_error"] == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("acquire,expected", [
+        ("algorithm1", _CLIENT_METRICS | _ALGORITHM1_METRICS),
+        ("plain-dns", _CLIENT_METRICS),
+    ])
+    @pytest.mark.parametrize("sync", [None, "sntp-mean", "chronos"])
+    def test_key_set_per_acquire_mode(self, acquire, expected, sync):
+        metrics = _client_trial(5, acquire=acquire, sync=sync)
+        assert set(metrics) == expected
+
+    def test_clientless_single_client_spec_reports_pool_metrics(self):
+        metrics = spec_trial({"spec": get_spec_preset("figure1")()}, 5)
+        assert set(metrics) == _POOL_METRICS
+
+    @pytest.mark.parametrize("sync", ["sntp-mean", "chronos"])
+    def test_empty_pool_leaves_the_clock_alone(self, sync):
+        """Regression: with TLS blocked, Algorithm 1 yields no pool;
+        the client reports unsynced instead of handing Chronos an empty
+        pool (which raised ValueError)."""
+        spec = replace(get_spec_preset("figure1")(),
+                       attacks=(AttackSpec.of("mitm", mode="block-tls"),))
+        metrics = _client_trial(1, spec, sync=sync, clock_offset=0.080)
+        assert metrics["pool_size"] == 0.0
+        assert metrics["synced"] == 0.0
+        assert metrics["clock_error"] == pytest.approx(0.080)
+        assert metrics["shifted"] == 0.0
+
+    def test_plain_dns_pool_is_the_on_path_attackers(self):
+        spec = replace(get_spec_preset("e7-timeshift")(),
+                       client=ClientSpec(acquire="plain-dns",
+                                         sync="chronos"))
+        metrics = spec_trial({"spec": spec}, 7)
+        assert metrics["pool_malicious_fraction"] == 1.0
+        assert metrics["shifted"] == 1.0
+
+
+class TestOneWorldTrial:
+    """``spec_trial`` is the one world trial; A1's spray race is the one
+    other trial that builds a world."""
+
+    def test_only_two_trials_build_worlds(self):
+        tree = ast.parse(inspect.getsource(trials_module))
+        builders = {
+            node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id == "materialize"
+                    for call in ast.walk(node))}
+        assert builders == {"spec_trial", "offpath_spray_trial"}
+
+    def test_trial_functions(self):
+        defined = {name for name, value in vars(trials_module).items()
+                   if name.endswith("_trial") and inspect.isfunction(value)
+                   and value.__module__ == trials_module.__name__}
+        assert defined == {"spec_trial", "offpath_spray_trial",
+                           "advantage_bits_trial"}
+        exported = {name for name in repro.campaign.__all__
+                    if name.endswith("_trial")}
+        assert exported == defined | {"attack_probability_trial",
+                                      "pool_fraction_trial"}
 
 
 class TestMonteCarloTrial:

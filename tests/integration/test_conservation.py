@@ -6,8 +6,10 @@ plus drops counted at landing (duplicate copies are neither), and no
 event is left on the heap. No exchange outlives its world either: once
 the run is drained, no datagram exchange, exchange supervisor or TLS
 connection the world started is still alive. Checked on smoke-size
-versions of the perf workloads' fleets and on the golden scenarios'
-worlds.
+versions of the perf workloads' fleets, on the golden scenarios'
+worlds, and on every population point of the chaos (C1) and hierarchy
+(H1) benches' smoke grids: outages, overload and referral walks under
+an off-path spray.
 """
 
 import gc
@@ -15,6 +17,7 @@ import weakref
 
 import pytest
 
+from benchmarks import bench_c1_chaos, bench_h1_hierarchy
 from benchmarks.perf.unit import SIZES, fleet_spec
 from repro.doh.tls import TlsClientConnection
 from repro.netsim.transport import DatagramExchange, PendingExchange
@@ -90,5 +93,20 @@ def test_fleet_conserves_datagrams(workload, seed, exchanges):
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_golden_world_conserves_datagrams(name, seed, exchanges):
     world = _drained(SPECS[name](), seed)
+    assert_conserved(world)
+    assert_no_exchange_alive(exchanges)
+
+
+#: The population points of the C1 and H1 smoke grids.
+BENCH_POINTS = {f"{grid.name}:{point.key}": point.params["spec"]
+                for grid in (bench_c1_chaos.SMOKE_GRID,
+                             bench_c1_chaos.MTTR_SMOKE_GRID,
+                             bench_h1_hierarchy.SMOKE_GRID)
+                for point in grid}
+
+
+@pytest.mark.parametrize("point", sorted(BENCH_POINTS))
+def test_bench_smoke_world_conserves_datagrams(point, exchanges):
+    world = _drained(BENCH_POINTS[point], SEEDS[0])
     assert_conserved(world)
     assert_no_exchange_alive(exchanges)

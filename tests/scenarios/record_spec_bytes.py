@@ -10,7 +10,8 @@ Run from the repository root::
 (``tests/golden/scenarios.SPECS``), the trace-digest worlds
 (``tests/golden/trace_worlds.WORLDS``), the three perf fleet workloads
 at their full and smoke sizes (``benchmarks/perf/unit.fleet_spec``,
-read-only), and two specs that carry explicit values through the
+read-only), the client specs E1, E7 and E10 sweep (each bench's
+``BASE_SPEC``), and two specs that carry explicit values through the
 keyword builder: a custom resolver and explicit provider profiles.
 ``fixtures/spec_bytes.json`` keeps the SHA-256 of each spec's
 ``to_json()``. Campaign fingerprints, cache keys and result files all
@@ -52,6 +53,11 @@ def _explicit_profiles():
 
 def specs() -> Dict[str, Callable[[], object]]:
     """Fixture key -> zero-argument spec builder."""
+    from benchmarks import (
+        bench_e1_system_overview,
+        bench_e7_end_to_end_timeshift,
+        bench_e10_overhead,
+    )
     from benchmarks.perf.unit import SIZES, fleet_spec
     from repro.scenarios.presets import SPEC_PRESETS
     from tests.golden.scenarios import SPECS
@@ -69,6 +75,10 @@ def specs() -> Dict[str, Callable[[], object]]:
         for size, (clients, rounds) in SIZES[workload].items():
             named[f"perf/{workload}/{size}"] = (
                 lambda w=workload, c=clients, r=rounds: fleet_spec(w, c, r))
+    for key, bench in (("e1", bench_e1_system_overview),
+                       ("e7", bench_e7_end_to_end_timeshift),
+                       ("e10", bench_e10_overhead)):
+        named[f"bench/{key}"] = lambda b=bench: b.BASE_SPEC
     named["custom/resolver"] = _custom_resolver
     named["custom/profiles"] = _explicit_profiles
     return named

@@ -7,6 +7,7 @@ DoH transport, plain-DNS provider serving).
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +29,7 @@ from repro.scenarios.spec import (
     ATTACK_INSTALLERS,
     RESOLVER_MODES,
     AttackSpec,
+    ClientSpec,
     HierarchySpec,
     FaultSpec,
     FleetSpec,
@@ -403,6 +405,45 @@ class TestE7Preset:
         assert set(first.addresses) <= {IPAddress(a) for a in ATTACKER[:4]}
         assert not set(pool.answers[1].addresses) & {
             IPAddress(a) for a in ATTACKER}
+
+
+class TestClientSpec:
+    def test_round_trips_and_sweeps_by_path(self):
+        spec = set_path(replace(pool_spec(), client=ClientSpec()),
+                        "client.sync", "chronos")
+        assert spec.client == ClientSpec(sync="chronos")
+        assert get_path(spec, "client.acquire") == "algorithm1"
+        assert ScenarioSpec.from_json(spec.to_json()) == spec
+        assert spec.to_dict()["client"] == {
+            "acquire": "algorithm1", "sync": "chronos", "clock_offset": 0.0}
+
+    def test_omitted_from_json_when_absent(self):
+        assert "client" not in pool_spec().to_dict()
+        assert ScenarioSpec.from_json(pool_spec().to_json()).client is None
+
+    @pytest.mark.parametrize("fields", [{"acquire": "doh"},
+                                        {"sync": "ntp"}])
+    def test_unknown_modes_rejected(self, fields):
+        with pytest.raises(ConfigurationError, match="client"):
+            ClientSpec(**fields)
+
+    def test_population_spec_has_no_client(self):
+        with pytest.raises(ConfigurationError, match="client"):
+            replace(population_spec(), client=ClientSpec())
+
+    def test_syncing_client_gets_the_pools_ntp_servers(self):
+        spec = replace(get_spec_preset("e7-timeshift")(),
+                       client=ClientSpec(sync="sntp-mean"))
+        world = materialize(spec, 7)
+        for address in world.directory.benign:
+            assert not world.ntp_fleet.server_for(address).is_malicious
+        for address in attacker_servers(spec, world.directory):
+            assert world.ntp_fleet.server_for(address).is_malicious
+
+    def test_no_ntp_servers_without_sync(self):
+        spec = replace(pool_spec(), client=ClientSpec(acquire="plain-dns"))
+        assert materialize(spec, 7).ntp_fleet is None
+        assert materialize(pool_spec(), 7).ntp_fleet is None
 
 
 class TestPresetRegistry:
