@@ -9,7 +9,7 @@ asks for them — malicious ones lying by a configured shift.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.netsim.address import IPAddress
 from repro.netsim.host import Host
@@ -42,11 +42,20 @@ class NtpFleet:
         self.server_for(address).set_lie_offset(lie_offset)
 
 
+def backbone_nodes(topology) -> List[str]:
+    """The nodes pool servers may sit on: every node but the access
+    edges (names ending in ``-edge``).  A server on a client's own edge
+    node would let that client sync without crossing its access link,
+    out of reach of the link's faults and on-path attackers.  Call it
+    before population edges (``pop-edge-*``) are attached."""
+    return [node for node in topology.nodes if not node.endswith("-edge")]
+
+
 def deploy_ntp_fleet(
     internet: Internet,
     directory: PoolDirectory,
     rng_registry: RngRegistry,
-    regions: Optional[Sequence[str]] = None,
+    regions: Sequence[str],
     honest_clock_error: float = 0.010,
     honest_drift_ppm: float = 50.0,
     malicious_lie_offset: float = 10.0,
@@ -59,11 +68,11 @@ def deploy_ntp_fleet(
     members the directory marks malicious serve time shifted by
     ``malicious_lie_offset`` seconds.
 
+    :param regions: the topology nodes servers are spread over, round
+        robin (worlds pass :func:`backbone_nodes`).
     :param extra_addresses: additional addresses (e.g. attacker-hosted
         servers outside the directory) deployed as malicious.
     """
-    if regions is None:
-        regions = [node for node in internet.topology.nodes]
     rng = rng_registry.stream("ntp-fleet")
     fleet = NtpFleet()
     simulator = internet.simulator

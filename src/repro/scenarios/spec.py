@@ -1098,9 +1098,9 @@ def _build_pool_world(spec: ScenarioSpec, seed: int):
     # members, lying malicious ones and the attacker's own servers.
     ntp_fleet = None
     if spec.client is not None and spec.client.sync is not None:
-        from repro.ntp.pool import deploy_ntp_fleet
+        from repro.ntp.pool import backbone_nodes, deploy_ntp_fleet
         ntp_fleet = deploy_ntp_fleet(
-            internet, directory, registry,
+            internet, directory, registry, backbone_nodes(topology),
             malicious_lie_offset=pool.lie_offset,
             extra_addresses=attacker_servers(spec, directory))
 
@@ -1124,7 +1124,7 @@ def _materialize_population(spec: ScenarioSpec, seed: int, registry,
     covering only that window of the population (``spec.fleet.shards``
     is ignored — the caller, :class:`ShardedFleet`, owns the split).
     """
-    from repro.ntp.pool import deploy_ntp_fleet
+    from repro.ntp.pool import backbone_nodes, deploy_ntp_fleet
     from repro.population.fleet import ClientFleet
     from repro.scenarios.builders import PopulationScenario
     from repro.telemetry.registry import MetricsRegistry, use_registry
@@ -1145,8 +1145,7 @@ def _materialize_population(spec: ScenarioSpec, seed: int, registry,
         # layout.  With RegionSpecs: exactly the declared regions, each
         # with its own link profile and fault.
         topology = pool_scenario.internet.topology
-        regions = [node for node in topology.nodes
-                   if not node.endswith("-edge")]
+        regions = backbone_nodes(topology)
         access_nodes = []
         region_links: Dict[str, str] = {}
         if spec.network.regions:
@@ -1182,12 +1181,9 @@ def _materialize_population(spec: ScenarioSpec, seed: int, registry,
         attackers = servers + directory.malicious + [
             a for a in _attack_addresses(spec, directory)
             if a not in servers and a not in directory.malicious]
-        # Servers stay on the backbone regions: a pool server co-located
-        # on a population access edge would let its clients sync without
-        # ever crossing the access link.
         ntp_fleet = deploy_ntp_fleet(
             pool_scenario.internet, pool_scenario.directory,
-            pool_scenario.rng, regions=regions,
+            pool_scenario.rng, regions,
             malicious_lie_offset=spec.pool.lie_offset,
             extra_addresses=servers)
         first_index, size, population = (

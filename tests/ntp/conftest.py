@@ -6,7 +6,7 @@ import pytest
 
 from repro.ntp.client import NtpClient
 from repro.ntp.clock import SimClock
-from repro.ntp.pool import NtpFleet, deploy_ntp_fleet
+from repro.ntp.pool import NtpFleet, backbone_nodes, deploy_ntp_fleet
 from repro.scenarios import materialize, pool_spec
 from repro.scenarios import PoolScenario
 
@@ -28,6 +28,7 @@ def build_ntp_world(seed: int = 50, pool_size: int = 20,
                            seed)
     fleet = deploy_ntp_fleet(scenario.internet, scenario.directory,
                              scenario.rng,
+                             backbone_nodes(scenario.internet.topology),
                              malicious_lie_offset=malicious_lie)
     for address in scenario.directory.benign[:malicious_count]:
         fleet.corrupt(address, malicious_lie)

@@ -440,6 +440,17 @@ class TestClientSpec:
         for address in attacker_servers(spec, world.directory):
             assert world.ntp_fleet.server_for(address).is_malicious
 
+    @pytest.mark.parametrize("preset", ["figure1", "e7-timeshift"])
+    def test_ntp_servers_stay_off_access_edges(self, preset):
+        """A server on ``client-edge`` would answer without its traffic
+        crossing the client's access link."""
+        spec = replace(get_spec_preset(preset)(),
+                       client=ClientSpec(sync="chronos"))
+        world = materialize(spec, 1)
+        nodes = {server.host.node
+                 for server in world.ntp_fleet.servers.values()}
+        assert nodes and not any(node.endswith("-edge") for node in nodes)
+
     def test_no_ntp_servers_without_sync(self):
         spec = replace(pool_spec(), client=ClientSpec(acquire="plain-dns"))
         assert materialize(spec, 7).ntp_fleet is None
