@@ -10,20 +10,30 @@ transport that stops it (or doesn't):
 4. over-population through 1 corrupted DoH resolver, with
    and without §II fn.2's truncation                      -> split
 
+Acts 3 and 4 are spec data: an ``AttackSpec`` and ``provider.*``
+paths that ``materialize`` installs, the same attacks the benches sweep.
+
 Run:  python examples/attack_lab.py
 """
 
-from repro.attacks.mitm import OnPathAttacker
+from dataclasses import replace
+
 from repro.attacks.offpath import OffPathPoisoner
-from repro.attacks.overpopulation import OverPopulationAttack
-from repro.core.policy import TruncationPolicy
+from repro.campaign import spec_trial
 from repro.dns.client import StubResolver
 from repro.dns.rrtype import RRType
 from repro.netsim.address import Endpoint, IPAddress
-from repro.scenarios import materialize, pool_spec
-from repro.scenarios.spec import ResolverSpec
+from repro.scenarios import AttackSpec, materialize, pool_spec
+from repro.scenarios.spec import ResolverSpec, apply_paths
 
 FORGED = [f"203.0.113.{i + 1}" for i in range(4)]
+
+# E5's attack: one of three providers answers with 20 addresses drawn
+# from eight attacker servers.
+OVERPOPULATION = {"provider.corrupted": 1, "provider.behavior": "inflate",
+                  "provider.forged": tuple(f"203.0.113.{i + 1}"
+                                           for i in range(8)),
+                  "provider.inflate_to": 20}
 
 
 def act1_and_2_offpath() -> None:
@@ -33,7 +43,7 @@ def act1_and_2_offpath() -> None:
                 txid_bits=6, randomize_txid=False)), seed=5)
         victim = scenario.providers[0]
         if not hardened:
-            victim.host._randomize_ports = False
+            victim.host.randomize_ports = False
         poisoner = OffPathPoisoner(scenario.internet,
                                    injection_node=victim.host.node)
         outcomes = []
@@ -56,10 +66,11 @@ def act1_and_2_offpath() -> None:
 
 
 def act3_onpath() -> None:
-    scenario = materialize(pool_spec(), seed=6)
-    mitm = OnPathAttacker(scenario.internet,
-                          ["client-edge--eu-central"])
-    mitm.poison_a_records(scenario.pool_domain, FORGED)
+    # The attacker sits on the client's access link (the default).
+    scenario = materialize(replace(pool_spec(), attacks=(
+        AttackSpec.of("mitm", mode="poison", forged=tuple(FORGED)),)),
+        seed=6)
+    (mitm,) = [attack for kind, attack in scenario.attacks if kind == "mitm"]
 
     stub = StubResolver(scenario.client, scenario.simulator,
                         scenario.providers[0].address, timeout=5.0)
@@ -78,14 +89,13 @@ def act3_onpath() -> None:
 
 
 def act4_overpopulation() -> None:
-    for policy in (TruncationPolicy.NONE, TruncationPolicy.SHORTEST):
-        scenario = materialize(pool_spec(answers_per_query=4), seed=8)
-        attack = OverPopulationAttack(scenario, corrupted=1, inflate_to=20)
-        result = attack.run(policy)
-        verdict = ("ATTACKER MAJORITY"
-                   if result.attacker_controls_majority else "bounded to 1/N")
-        print(f"  over-population, truncation={policy.value:8s}: "
-              f"attacker share {result.attacker_fraction:.0%} -> {verdict}")
+    for truncation in ("none", "shortest"):
+        spec = apply_paths(pool_spec(), {**OVERPOPULATION,
+                                         "pool.truncation": truncation})
+        share = spec_trial({"spec": spec}, seed=8)["attacker_share"]
+        verdict = "ATTACKER MAJORITY" if share > 0.5 else "bounded to 1/N"
+        print(f"  over-population, truncation={truncation:8s}: "
+              f"attacker share {share:.0%} -> {verdict}")
 
 
 def main() -> None:

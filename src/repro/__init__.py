@@ -9,15 +9,15 @@ Subpackages
 -----------
 ``repro.core``
     The paper's contribution: Algorithm 1, majority voting, policies,
-    the backward-compatible plain-DNS front-end, periodic refresh.
+    the backward-compatible plain-DNS front-end.
 ``repro.dns`` / ``repro.doh``
     Wire-accurate DNS substrate and the RFC 8484 DoH transport over a
     structurally honest TLS simulation.
 ``repro.ntp``
     NTP clocks/servers/clients and the Chronos watchdog.
 ``repro.attacks``
-    Off-path, fragmentation, on-path, compromised-resolver and
-    time-shift attacker models.
+    Off-path, on-path and compromised-resolver attacker models, which
+    scenario specs install (``ProviderSpec`` and ``AttackSpec`` kinds).
 ``repro.analysis``
     Section III closed forms and Monte-Carlo validation.
 ``repro.netsim`` / ``repro.scenarios``

@@ -24,12 +24,11 @@ from __future__ import annotations
 from typing import Any, Dict, List, Mapping
 
 from repro.analysis.advantage import security_bits
-from repro.attacks.offpath import OffPathPoisoner, SprayPlan
+from repro.attacks.offpath import OffPathPoisoner
 from repro.core.majority import MajorityVoteCombiner
 from repro.core.policy import DualStackPolicy, TruncationPolicy
 from repro.core.pool import PoolGeneratorConfig
 from repro.dns.client import StubResolver
-from repro.dns.message import Question
 from repro.dns.rrtype import RRType
 from repro.netsim.address import Endpoint, IPAddress
 from repro.ntp.chronos import ChronosClient, ChronosConfig
@@ -441,20 +440,17 @@ def offpath_spray_trial(params: Mapping[str, Any],
                                injection_node=victim.host.node)
     outcomes: List = []
     victim.resolver.resolve(scenario.pool_domain, RRType.A, outcomes.append)
-    plan = SprayPlan(
-        question=Question(scenario.pool_domain, RRType.A),
+    report = poisoner.poison_resolver_lookup(
+        victim.address, scenario.pool_domain, RRType.A,
         spoofed_server=Endpoint(scenario.root_hints[0][1], 53),
-        target_ports=poisoner.sequential_port_guesses(
-            int(params.get("port_guesses", 2))),
-        txid_guesses=poisoner.txid_space(covered_bits),
         forged_addresses=[IPAddress(a) for a in
                           params.get("forged", ("203.0.113.200",))],
-    )
-    poisoner.spray(victim.address, plan)
+        port_window=int(params.get("port_guesses", 2)),
+        txid_bits=covered_bits)
     scenario.simulator.run()
     return {
         "poisoned": 1.0 if victim.resolver.stats.poisoned_acceptances else 0.0,
-        "packets": float(plan.packet_count),
+        "packets": float(report.packets_injected),
     }
 
 

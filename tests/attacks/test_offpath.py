@@ -39,7 +39,7 @@ class TestWeakResolver:
             seed=80,
             resolver_config=ResolverConfig(txid_bits=6,
                                            randomize_txid=False))
-        world.resolver.host._randomize_ports = False
+        world.resolver.host.randomize_ports = False
         poisoner, outcome = run_poisoning_attempt(world, port_window=4,
                                                   txid_bits=6)
         assert outcome.ok
@@ -52,7 +52,7 @@ class TestWeakResolver:
             seed=81,
             resolver_config=ResolverConfig(txid_bits=6,
                                            randomize_txid=False))
-        world.resolver.host._randomize_ports = False
+        world.resolver.host.randomize_ports = False
         run_poisoning_attempt(world, port_window=4, txid_bits=6)
         outcomes = []
         world.resolver.resolve("pool.ntppool.org", RRType.A, outcomes.append)

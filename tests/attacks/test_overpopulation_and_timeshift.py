@@ -1,52 +1,16 @@
-"""Over-population defence (E5 logic) and end-to-end time shift (E7)."""
+"""End-to-end time shift (E7).
+
+The over-population defence (E5) is checked through ``spec_trial`` in
+``tests/campaign/test_trials.py`` (``test_inflate_share_under_truncation``).
+"""
 
 import pytest
 
-from repro.attacks.overpopulation import OverPopulationAttack
 from repro.campaign import spec_trial
-from repro.core.policy import TruncationPolicy
 from repro.dns.client import StubResolver
 from repro.dns.rrtype import RRType
-from repro.scenarios import get_spec_preset, materialize, pool_spec
+from repro.scenarios import get_spec_preset, materialize
 from tests.campaign.record_timeshift_records import CONFIGURATIONS, e7_spec
-
-
-class TestOverPopulation:
-    def test_truncation_neutralises_inflation(self):
-        """With SHORTEST truncation, a 1-of-3 attacker inflating to 20
-        addresses still owns exactly 1/3 of the pool."""
-        scenario = materialize(pool_spec(num_providers=3, answers_per_query=4),
-                               120)
-        attack = OverPopulationAttack(scenario, corrupted=1, inflate_to=20)
-        result = attack.run(TruncationPolicy.SHORTEST)
-        assert result.pool.ok
-        assert result.attacker_fraction == pytest.approx(1 / 3)
-        assert not result.attacker_controls_majority
-
-    def test_without_truncation_attacker_wins(self):
-        """Ablation: NONE truncation lets the inflated list dominate —
-        reproducing [1]'s attack shape."""
-        scenario = materialize(pool_spec(num_providers=3, answers_per_query=4),
-                               121)
-        attack = OverPopulationAttack(scenario, corrupted=1, inflate_to=20)
-        result = attack.run(TruncationPolicy.NONE)
-        assert result.pool.ok
-        # 20 attacker addresses vs 2x4 honest.
-        assert result.attacker_fraction == pytest.approx(20 / 28)
-        assert result.attacker_controls_majority
-
-    def test_median_truncation_partial_defence(self):
-        scenario = materialize(pool_spec(num_providers=3, answers_per_query=4),
-                               122)
-        attack = OverPopulationAttack(scenario, corrupted=1, inflate_to=20)
-        result = attack.run(TruncationPolicy.MEDIAN)
-        # Median of (4, 4, 20) is 4: same as SHORTEST here.
-        assert result.attacker_fraction == pytest.approx(1 / 3)
-
-    def test_corrupted_count_validation(self):
-        scenario = materialize(pool_spec(), 123)
-        with pytest.raises(ValueError):
-            OverPopulationAttack(scenario, corrupted=0)
 
 
 class TestTimeShiftEndToEnd:

@@ -31,6 +31,8 @@ from repro.scenarios import (
 from repro.scenarios.spec import apply_paths
 
 FORGED = ("203.0.113.1", "203.0.113.2", "203.0.113.3", "203.0.113.4")
+#: E5's attacker servers, recycled by the inflate behaviour.
+FORGED_SERVERS = tuple(f"203.0.113.{i + 1}" for i in range(8))
 
 
 def _pool_trial(paths, seed, **keywords):
@@ -75,18 +77,29 @@ class TestPoolAttackTrial:
             spec_trial({"spec": pool_spec(),
                         "pool.answers_per_qeury": 2}, 7)
 
-    def test_inflate_behavior_reaches_full_control(self):
-        """All resolvers corrupted with inflate: the truncated pool is
-        entirely attacker addresses (the [1] over-population ceiling)."""
-        many = tuple(f"203.0.113.{i + 1}" for i in range(12))
-        metrics = _pool_trial({"provider.corrupted": 3,
-                               "provider.behavior": "inflate",
-                               "provider.forged": many,
-                               "provider.inflate_to": 2,
-                               "pool.truncation": "none"}, 7,
-                              num_providers=3, pool_size=8)
-        assert metrics["attacker_share"] == 1.0
-        assert metrics["pool_size"] == 6.0  # 3 resolvers × inflate_to=2
+    @pytest.mark.parametrize("paths, seed, pool_size, share", [
+        # All three inflate: the pool is entirely the attacker's, the
+        # [1] over-population ceiling (3 resolvers x inflate_to=2).
+        ({"provider.corrupted": 3, "provider.inflate_to": 2,
+          "provider.forged": tuple(f"203.0.113.{i + 1}" for i in range(12)),
+          "pool.truncation": "none", "pool.size": 8}, 7, 6, 1.0),
+        # E5's shape, one of three inflating to 20: §II fn.2's
+        # shortest-list truncation keeps the attacker at its 1/3 ...
+        ({"pool.truncation": "shortest"}, 120, 12, 1 / 3),
+        # ... without it the 20 forged answers outnumber the 2x4 honest.
+        ({"pool.truncation": "none"}, 121, 28, 20 / 28),
+        # The median of (4, 4, 20) is 4, so median truncation bounds it.
+        ({"pool.truncation": "median"}, 122, 12, 1 / 3),
+    ], ids=["all-corrupted", "shortest", "none", "median"])
+    def test_inflate_share_under_truncation(self, paths, seed, pool_size,
+                                            share):
+        e5_shape = {"provider.corrupted": 1, "provider.behavior": "inflate",
+                    "provider.forged": FORGED_SERVERS,
+                    "provider.inflate_to": 20}
+        metrics = _pool_trial({**e5_shape, **paths}, seed, num_providers=3)
+        assert metrics["ok"] == 1.0
+        assert metrics["pool_size"] == pool_size
+        assert metrics["attacker_share"] == pytest.approx(share)
 
     def test_policy_accepts_string_values(self):
         metrics = _pool_trial({"pool.dual_stack_policy": "union",

@@ -27,7 +27,7 @@ def weak_world():
     world = build_dns_world(
         seed=170,
         resolver_config=ResolverConfig(txid_bits=1, randomize_txid=False))
-    world.resolver.host._randomize_ports = False
+    world.resolver.host.randomize_ports = False
     return world
 
 
