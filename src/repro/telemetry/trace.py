@@ -23,16 +23,23 @@ parent children across event-driven boundaries is a plain attribute on
 the tracer. Callbacks scheduled on the simulator heap do **not**
 inherit it automatically — instrumentation captures the span it wants
 restored (e.g. a transport attempt) and re-activates it inside the
-callback via :meth:`Tracer.activate`.
+callback with :meth:`Tracer.scope`.
 
-What a span costs when tracing is on is one :class:`Span` and one list
-append. The text that instrumentation puts in span attributes is cached
-on the immutable values it renders (``IPAddress`` and ``Name`` keep a
-``_text`` slot beside their ``_hash``), so a traced fleet renders each
-address through :mod:`ipaddress` once rather than per span;
-:meth:`Tracer.scope` is a slotted context manager, not a generator.
-None of this changes a trace byte:
-``tests/golden/fixtures/trace_digests.json`` pins the
+A recorded span is one row of six plain lists in its tracer (ID,
+parent ID, name, start, end, attrs dict), and a :class:`Span` is a
+short-lived handle on that row that dies by refcount once
+instrumentation drops it. A row leaves nothing the collector keeps
+tracking: the IDs, names and times are atoms, and an attrs dict of
+atoms is never tracked (list values are stored as tuples, which
+CPython stops tracking, and JSON renders alike). So a full collection
+does not rescan the trace, and a traced 3000-client fleet makes no
+more of them than an untraced one. The text that instrumentation puts
+in span attributes is cached on the immutable values it renders
+(``IPAddress`` and ``Name`` keep a ``_text`` slot beside their
+``_hash``), so a traced fleet renders each address through
+:mod:`ipaddress` once rather than per span; :meth:`Tracer.scope` is a
+slotted context manager, not a generator. None of this changes a trace
+byte: ``tests/golden/fixtures/trace_digests.json`` pins the
 :meth:`Tracer.snapshot_json` digest of UDP, DoH and iterative-chaos
 worlds across commits.
 
@@ -45,6 +52,7 @@ seconds mapped to microseconds.
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
 from contextlib import contextmanager
@@ -64,43 +72,107 @@ from typing import (
 TRACE_SCHEMA = "repro-trace/1"
 
 
-class Span:
-    """One named interval in virtual time, linked to a parent span.
+#: Bound once: it runs for every recorded span that carries attrs.
+_is_tracked = gc.is_tracked
 
-    ``end`` is ``None`` while the span is open; snapshots render open
-    spans as zero-length at their start so exports stay deterministic
-    even when a trace is cut mid-flight.
+
+def _freeze(attrs: Dict[str, Any]) -> None:
+    """Store ``attrs``'s list values as tuples, in nested dicts too.
+    The collector stops tracking a tuple of atoms, and at its next full
+    collection the dict holding it, so a span with an ``answers`` list
+    is not rescanned either."""
+    for key, value in attrs.items():
+        if type(value) is list:
+            attrs[key] = tuple(value)
+        elif type(value) is dict:
+            _freeze(value)
+
+
+def _as_data(value: Any) -> Any:
+    """A JSON-shaped copy of stored span data (tuples read back as
+    lists) that shares nothing with the store."""
+    return json.loads(json.dumps(value))
+
+
+def _entry(row: tuple) -> Dict[str, Any]:
+    """One stored row as its snapshot entry (sharing the attrs dict)."""
+    span_id, parent_id, name, start, end, attrs = row
+    entry: Dict[str, Any] = {
+        "id": span_id,
+        "parent": parent_id,
+        "name": name,
+        "start": start,
+        "end": start if end is None else end,
+    }
+    if attrs:
+        entry["attrs"] = attrs
+    return entry
+
+
+def _column(name: str) -> property:
+    """A :class:`Span` field that reads and writes its tracer's
+    ``name`` column."""
+    def read(span: "Span") -> Any:
+        return getattr(span._tracer, name)[span._row]
+
+    def write(span: "Span", value: Any) -> None:
+        getattr(span._tracer, name)[span._row] = value
+
+    return property(read, write)
+
+
+class Span:
+    """A handle on one recorded span: its tracer, its row and its ID.
+
+    Every field reads and writes through to the tracer's columns, so
+    :meth:`set` and a new ``end`` still land after
+    :meth:`Tracer.finish` (the fabric downgrades a finished flight when
+    its delivery fails). ``end`` is ``None`` while the span is open;
+    snapshots render open spans as zero-length at their start so
+    exports stay deterministic even when a trace is cut mid-flight.
     """
 
-    __slots__ = ("span_id", "parent_id", "name", "start", "end", "attrs")
+    __slots__ = ("_tracer", "_row", "span_id")
 
-    def __init__(self, span_id: int, parent_id: Optional[int], name: str,
-                 start: float, attrs: Optional[Dict[str, Any]]) -> None:
+    def __init__(self, tracer: "Tracer", row: int, span_id: int) -> None:
+        self._tracer = tracer
+        self._row = row
         self.span_id = span_id
-        self.parent_id = parent_id
-        self.name = name
-        self.start = start
-        self.end: Optional[float] = None
-        self.attrs: Optional[Dict[str, Any]] = attrs
+
+    parent_id = _column("_parents")
+    name = _column("_names")
+    start = _column("_starts")
+    end = _column("_ends")
+
+    @property
+    def attrs(self) -> Optional[Dict[str, Any]]:
+        return self._tracer._attrs[self._row]
+
+    @attrs.setter
+    def attrs(self, attrs: Optional[Dict[str, Any]]) -> None:
+        if attrs is not None:
+            _freeze(attrs)
+        self._tracer._attrs[self._row] = attrs
 
     def set(self, **attrs: Any) -> "Span":
         """Attach (or overwrite) attributes; returns ``self``."""
-        if self.attrs is None:
-            self.attrs = {}
-        self.attrs.update(attrs)
+        if _is_tracked(attrs):
+            _freeze(attrs)
+        column = self._tracer._attrs
+        current = column[self._row]
+        if current is None:
+            column[self._row] = attrs
+        else:
+            current.update(attrs)
         return self
 
     def to_dict(self) -> Dict[str, Any]:
-        payload: Dict[str, Any] = {
-            "id": self.span_id,
-            "parent": self.parent_id,
-            "name": self.name,
-            "start": self.start,
-            "end": self.start if self.end is None else self.end,
-        }
-        if self.attrs:
-            payload["attrs"] = self.attrs
-        return payload
+        """This span's snapshot entry (a copy)."""
+        return _as_data(_entry(self._tracer._row(self._row)))
+
+
+def _unbound_clock() -> float:
+    return 0.0
 
 
 #: Sentinel distinguishing "parent defaulted" from "explicitly root".
@@ -114,16 +186,22 @@ class Tracer:
     order; because each world is single-threaded and event dispatch
     order is pinned by the simulator heap, the numbering — and therefore
     the whole trace — is reproducible byte-for-byte across executors.
+    Each span is one row of the six column lists, in emission order.
     """
 
     def __init__(self) -> None:
-        self._spans: List[Span] = []
+        self._ids: List[int] = []
+        self._parents: List[Optional[int]] = []
+        self._names: List[str] = []
+        self._starts: List[float] = []
+        self._ends: List[Optional[float]] = []
+        self._attrs: List[Optional[Dict[str, Any]]] = []
         self._next_id = 0
         #: The span new children parent under by default. Managed with
         #: :meth:`activate` / :meth:`scope`; callbacks hopping through
         #: the simulator heap must restore it explicitly.
         self.current: Optional[Span] = None
-        self._clock: Optional[Callable[[], float]] = None
+        self._clock: Callable[[], float] = _unbound_clock
 
     # ------------------------------------------------------------------
     # Virtual clock.
@@ -136,39 +214,53 @@ class Tracer:
         self._clock = clock
 
     def now(self) -> float:
-        return 0.0 if self._clock is None else self._clock()
+        return self._clock()
 
     # ------------------------------------------------------------------
     # Recording.
     # ------------------------------------------------------------------
+
+    def _record(self, name: str, parent: Any, start: float,
+                end: Optional[float],
+                attrs: Optional[Dict[str, Any]]) -> Span:
+        """Write one row, closed if ``end`` is given, and hand out its
+        handle. The row keeps ``attrs`` itself, list values frozen."""
+        if parent is _CURRENT:
+            parent = self.current
+        if attrs is not None and _is_tracked(attrs):
+            _freeze(attrs)
+        span_id = self._next_id
+        self._next_id = span_id + 1
+        row = len(self._ids)
+        self._ids.append(span_id)
+        self._parents.append(None if parent is None else parent.span_id)
+        self._names.append(name)
+        self._starts.append(start)
+        self._ends.append(end)
+        self._attrs.append(attrs)
+        return Span(self, row, span_id)
 
     def begin(self, name: str, *, parent: Any = _CURRENT,
               start: Optional[float] = None,
               attrs: Optional[Dict[str, Any]] = None) -> Span:
         """Open a span. ``parent`` defaults to the current span; pass
         ``parent=None`` for an explicit root."""
-        if parent is _CURRENT:
-            parent = self.current
-        span = Span(self._next_id,
-                    None if parent is None else parent.span_id,
-                    name,
-                    self.now() if start is None else start,
-                    attrs)
-        self._next_id += 1
-        self._spans.append(span)
-        return span
+        return self._record(name, parent,
+                            self._clock() if start is None else start,
+                            None, attrs)
 
     def finish(self, span: Span, end: Optional[float] = None) -> Span:
-        span.end = self.now() if end is None else end
+        span._tracer._ends[span._row] = (self._clock() if end is None
+                                         else end)
         return span
 
     def event(self, name: str, *, parent: Any = _CURRENT,
               at: Optional[float] = None,
               attrs: Optional[Dict[str, Any]] = None) -> Span:
         """A zero-length span (instantaneous event) at ``at``."""
-        span = self.begin(name, parent=parent, start=at, attrs=attrs)
-        span.end = span.start
-        return span
+        if at is None:
+            at = self._clock()
+        return self._record(name, parent, at, at, attrs)
 
     def span_at(self, name: str, start: float, end: float, *,
                 parent: Any = _CURRENT,
@@ -176,9 +268,7 @@ class Tracer:
         """A closed span over a precomputed ``[start, end]`` interval —
         flight/hop timelines are decided at schedule time, before the
         virtual clock reaches them."""
-        span = self.begin(name, parent=parent, start=start, attrs=attrs)
-        span.end = end
-        return span
+        return self._record(name, parent, start, end, attrs)
 
     def absorb(self, snapshot: Dict[str, Any],
                parent: Any = _CURRENT) -> None:
@@ -191,20 +281,24 @@ class Tracer:
         """
         if parent is _CURRENT:
             parent = self.current
+        root_parent = None if parent is None else parent.span_id
         base = self._next_id
         top = base
-        for payload in snapshot.get("spans", ()):
-            if payload.get("parent") is not None:
-                parent_id: Optional[int] = payload["parent"] + base
-            else:
-                parent_id = None if parent is None else parent.span_id
-            span = Span(payload["id"] + base, parent_id, payload["name"],
-                        payload["start"],
-                        dict(payload["attrs"])
-                        if payload.get("attrs") else None)
-            span.end = payload.get("end", payload["start"])
-            self._spans.append(span)
-            top = max(top, span.span_id + 1)
+        for entry in snapshot.get("spans", ()):
+            span_id = entry["id"] + base
+            parent_id = entry.get("parent")
+            start = entry["start"]
+            attrs = dict(entry["attrs"]) if entry.get("attrs") else None
+            if attrs is not None:
+                _freeze(attrs)
+            self._ids.append(span_id)
+            self._parents.append(
+                root_parent if parent_id is None else parent_id + base)
+            self._names.append(entry["name"])
+            self._starts.append(start)
+            self._ends.append(entry.get("end", start))
+            self._attrs.append(attrs)
+            top = max(top, span_id + 1)
         self._next_id = top
 
     # ------------------------------------------------------------------
@@ -228,27 +322,43 @@ class Tracer:
     # ------------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._ids)
 
     @property
     def spans(self) -> List[Span]:
-        return self._spans
+        """A handle on every recorded span, in span-ID order (built on
+        each access)."""
+        return [Span(self, row, span_id)
+                for row, span_id in enumerate(self._ids)]
+
+    def _row(self, row: int) -> tuple:
+        return (self._ids[row], self._parents[row], self._names[row],
+                self._starts[row], self._ends[row], self._attrs[row])
+
+    def _stored(self) -> Dict[str, Any]:
+        """The snapshot read straight from the store, sharing its attrs
+        dicts — for exporters that serialize it at once."""
+        return {"schema": TRACE_SCHEMA,
+                "spans": [_entry(row) for row in zip(
+                    self._ids, self._parents, self._names, self._starts,
+                    self._ends, self._attrs)]}
 
     def snapshot(self) -> Dict[str, Any]:
-        """Deterministic state of the whole trace (span-ID order)."""
-        return {"schema": TRACE_SCHEMA,
-                "spans": [span.to_dict() for span in self._spans]}
+        """Deterministic state of the whole trace (span-ID order), as
+        JSON-shaped data that shares nothing with the tracer: editing
+        the snapshot never edits the trace."""
+        return _as_data(self._stored())
 
     def snapshot_json(self) -> str:
         """The snapshot as canonical JSON (byte-comparable; strict —
         NaN/Infinity raise instead of emitting unparseable output)."""
-        return json.dumps(self.snapshot(), sort_keys=True, allow_nan=False)
+        return json.dumps(self._stored(), sort_keys=True, allow_nan=False)
 
     def to_jsonl(self) -> str:
         """The snapshot as JSONL: a schema header line, then one span
         per line in span-ID order — line-diffable and identical across
         serial and process executors."""
-        return snapshot_to_jsonl(self.snapshot())
+        return snapshot_to_jsonl(self._stored())
 
     def to_chrome(self) -> Dict[str, Any]:
         return snapshot_to_chrome(self.snapshot())

@@ -10,6 +10,7 @@ Three contracts, mirrored from the metrics registry's:
   snapshots, and the fold is byte-deterministic.
 """
 
+import gc
 import json
 
 import pytest
@@ -114,6 +115,95 @@ class TestSpanRecording:
         tracer = Tracer()
         span = tracer.begin("s").set(a=1).set(b=2, a=3)
         assert span.to_dict()["attrs"] == {"a": 3, "b": 2}
+
+
+class TestColumnStore:
+    """Spans live in the tracer's columns; a ``Span`` is a handle on
+    its row, and every export reads the columns."""
+
+    def test_snapshot_hands_out_copies(self):
+        tracer = Tracer()
+        tracer.event("evt", at=1.0, attrs={"x": 1, "answers": ["a"]})
+        before = tracer.snapshot_json()
+        snap = tracer.snapshot()
+        snap["spans"][0]["attrs"]["x"] = 99
+        snap["spans"][0]["attrs"]["answers"].append("b")
+        assert tracer.snapshot_json() == before
+        assert tracer.snapshot()["spans"][0]["attrs"] == {
+            "x": 1, "answers": ["a"]}
+
+    def test_set_after_finish_is_exported(self):
+        tracer = Tracer()
+        span = tracer.begin("flight", start=1.0, attrs={"outcome": "ok"})
+        tracer.finish(span, 2.0)
+        span.set(outcome="dropped", dropped_by="no-socket")
+        (entry,) = json.loads(tracer.snapshot_json())["spans"]
+        assert entry["attrs"] == {"outcome": "dropped",
+                                  "dropped_by": "no-socket"}
+
+    def test_end_moved_after_finish_is_exported(self):
+        tracer = Tracer()
+        span = tracer.begin("flight", start=1.0)
+        tracer.finish(span, 2.0)
+        span.end = 3.5
+        (entry,) = json.loads(tracer.snapshot_json())["spans"]
+        assert (entry["start"], entry["end"]) == (1.0, 3.5)
+
+    def test_times_keep_their_type(self):
+        tracer = Tracer()
+        tracer.span_at("x", 20, 40)
+        text = tracer.snapshot_json()
+        assert '"end": 40,' in text and '"start": 20}' in text
+        (entry,) = json.loads(text)["spans"]
+        assert type(entry["start"]) is int and type(entry["end"]) is int
+
+    def test_open_span_renders_zero_length(self):
+        tracer = Tracer()
+        tracer.begin("open", start=7.0)
+        (entry,) = json.loads(tracer.snapshot_json())["spans"]
+        assert entry["end"] == entry["start"] == 7.0
+        assert tracer.spans[0].end is None
+
+    def test_span_views_agree_with_snapshot(self):
+        tracer, _ = _traced_population()
+        entries = tracer.snapshot()["spans"]
+        assert [span.to_dict() for span in tracer.spans] == entries
+        for span, entry in zip(tracer.spans, entries):
+            assert (span.span_id, span.parent_id, span.name, span.start) == (
+                entry["id"], entry["parent"], entry["name"], entry["start"])
+
+    def test_snapshot_is_its_json(self):
+        tracer, _ = _traced_population()
+        assert tracer.snapshot() == json.loads(tracer.snapshot_json())
+
+    def test_store_holds_no_tracked_object_per_span(self):
+        """A recorded span leaves nothing the collector keeps tracking:
+        after a full collection no stored value is tracked, however
+        many spans the run recorded."""
+        def tracked_values(value):
+            if isinstance(value, dict):
+                return gc.is_tracked(value) + sum(
+                    tracked_values(item) for item in value.values())
+            if isinstance(value, (list, tuple)):
+                return gc.is_tracked(value) + sum(
+                    tracked_values(item) for item in value)
+            return int(gc.is_tracked(value))
+
+        for clients in (150, 300):
+            tracer = Tracer()
+            with use_tracer(tracer):
+                world = materialize(population_spec(
+                    num_clients=clients, rounds=1, corrupted=1), 7)
+                world.run()
+            assert len(tracer) > 40 * clients
+            assert any(isinstance(value, tuple)
+                       for attrs in tracer._attrs if attrs
+                       for value in attrs.values())
+            gc.collect()
+            columns = (tracer._ids, tracer._parents, tracer._names,
+                       tracer._starts, tracer._ends, tracer._attrs)
+            assert sum(tracked_values(item) for column in columns
+                       for item in column) == 0
 
 
 class TestSnapshotRoundTrip:
