@@ -4,8 +4,10 @@ The robustness experiment the chaos layer exists for: client
 populations keep acquiring pools and syncing while a scheduled
 :class:`~repro.chaos.ServerOutage` crashes a fraction of the DoH
 providers mid-run, and the graceful-degradation question is whether the
-E6 quorum extension (``fleet.min_answers``) buys availability the
-paper's strict all-must-answer combination gives up.
+E6 quorum extension buys availability the paper's strict
+all-must-answer combination gives up.  A fleet spells its quorum
+``fleet.min_answers``; ``pool.min_answers``, E6's single-client axis,
+raises on a fleet spec.
 
 Claims measured:
 

@@ -52,10 +52,6 @@ class SprayPlan:
     forged_addresses: Sequence[IPAddress]
     ttl: int = 86_400
 
-    @property
-    def packet_count(self) -> int:
-        return len(self.target_ports) * len(self.txid_guesses)
-
 
 @dataclass
 class SprayReport:

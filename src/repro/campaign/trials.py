@@ -26,8 +26,6 @@ from typing import Any, Dict, List, Mapping
 from repro.analysis.advantage import security_bits
 from repro.attacks.offpath import OffPathPoisoner
 from repro.core.majority import MajorityVoteCombiner
-from repro.core.policy import DualStackPolicy, TruncationPolicy
-from repro.core.pool import PoolGeneratorConfig
 from repro.dns.client import StubResolver
 from repro.dns.rrtype import RRType
 from repro.netsim.address import Endpoint, IPAddress
@@ -85,21 +83,16 @@ def _share(addresses, forged: set) -> float:
 
 
 def _pool_metrics(spec: ScenarioSpec, world: PoolScenario) -> Dict[str, float]:
-    """One Algorithm 1 generation under the spec's combine policy
-    (``pool.truncation`` / ``pool.min_answers`` /
-    ``pool.dual_stack_policy``)."""
+    """One Algorithm 1 generation under the world's policy, which
+    :func:`~repro.scenarios.spec.materialize` compiled from the spec's
+    ``pool``."""
     # Score attacker shares against what the compiler actually serves:
     # the spec's forged set plus the default synthesis for corruption
     # behaviours that need addresses but declared none.
     forged = {IPAddress(a) for a in effective_forged(spec)}
     for attack in spec.attacks:
         forged.update(IPAddress(a) for a in attack.param("forged", ()))
-    policy = spec.pool.dual_stack_policy
-    pool = world.generate_pool_sync(world.make_generator(
-        config=PoolGeneratorConfig(
-            truncation=TruncationPolicy(spec.pool.truncation),
-            dual_stack=None if policy is None else DualStackPolicy(policy),
-            min_answers=spec.pool.min_answers)))
+    pool = world.generate_pool_sync()
     voted = (MajorityVoteCombiner().combine(pool.contributions)
              if pool.contributions else [])
     v4 = [a for a in pool.addresses if a.family == 4]
@@ -326,12 +319,17 @@ def spec_trial(params: Mapping[str, Any], seed: int):
     swept dotted paths, which are validated against the spec so a
     point whose sweep silently failed to land cannot run.
 
+    Every world combines by the one Algorithm 1 policy
+    :func:`~repro.scenarios.spec.materialize` compiles from
+    ``spec.pool`` (truncation, quorum, dual stack); a fleet takes its
+    quorum from ``fleet.min_answers`` instead.
+
     The spec picks the metric set:
 
     single-client specs (``fleet is None``) without a ``client``
-        one Algorithm 1 generation under the spec's combine policy:
-        ``ok`` / ``degraded`` (availability), ``elapsed``,
-        ``pool_size``, ``truncate_length``, ``attacker_share`` /
+        one Algorithm 1 generation: ``ok`` / ``degraded``
+        (availability), ``elapsed``, ``pool_size``,
+        ``truncate_length``, ``attacker_share`` /
         ``v4_share`` / ``v6_share`` (scored against the forged
         addresses the compiled world serves), ``voted_size`` /
         ``voted_attacker_share`` (per-address majority vote over the
@@ -339,15 +337,15 @@ def spec_trial(params: Mapping[str, Any], seed: int):
     single-client specs with a ``client``
         (:class:`~repro.scenarios.spec.ClientSpec`)
         the client's procedure: it acquires a pool (``client.acquire``:
-        Algorithm 1 under the default combine policy, or one plain-DNS
-        query to the first provider over spoofable UDP), then
-        disciplines a clock that starts ``client.clock_offset`` seconds
-        off (``client.sync``: not at all, by the mean offset of up to 4
-        pool servers, or by Chronos with :data:`CHRONOS`; never over an
-        empty pool).  Metrics: ``pool_size``; ``elapsed`` (virtual
-        seconds of the acquisition: Algorithm 1's own timing, or until
-        the plain query's world drained); ``bytes`` / ``packets`` (wire
-        cost of the acquisition); ``benign_fraction`` and
+        Algorithm 1, or one plain-DNS query to the first provider over
+        spoofable UDP), then disciplines a clock that starts
+        ``client.clock_offset`` seconds off (``client.sync``: not at
+        all, by the mean offset of up to 4 pool servers, or by Chronos
+        with :data:`CHRONOS`; never over an empty pool).  Metrics:
+        ``pool_size``; ``elapsed`` (virtual seconds of the acquisition:
+        Algorithm 1's own timing, or until the plain query's world
+        drained); ``bytes`` / ``packets`` (wire cost of the
+        acquisition); ``benign_fraction`` and
         ``pool_malicious_fraction`` (of the pool, the attacker's
         servers, :func:`~repro.scenarios.spec.attacker_servers`);
         ``synced``; ``clock_error`` / ``abs_clock_error`` (seconds,

@@ -143,18 +143,11 @@ class PoolGeneratorConfig:
         an integer for the E6 quorum extension, where empty answers
         count as failures and ``min_answers`` non-empty ones suffice
         (see :func:`quorum_gate`).
-    :param qtype: address family for single-family operation.
     """
 
     truncation: TruncationPolicy = TruncationPolicy.SHORTEST
     dual_stack: Optional[DualStackPolicy] = None
     min_answers: Optional[int] = None
-    qtype: RRType = RRType.A
-
-    def __post_init__(self) -> None:
-        if self.qtype not in (RRType.A, RRType.AAAA):
-            raise ConfigurationError(
-                f"pool lookups are address lookups; got {self.qtype.name}")
 
 
 @dataclass
@@ -242,7 +235,7 @@ class SecurePoolGenerator:
     def generate(self, domain: str, callback: PoolCallback) -> None:
         """Run Algorithm 1 for ``domain``; ``callback`` fires once."""
         if self._config.dual_stack is None:
-            qtypes = [self._config.qtype]
+            qtypes = [RRType.A]
         else:
             qtypes = [RRType.A, RRType.AAAA]
         _Generation(self, domain, qtypes, callback).start()

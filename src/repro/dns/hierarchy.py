@@ -110,11 +110,6 @@ class HierarchySpec(SpecBase):
         """The pool domain this hierarchy serves (``pool.<zone>``)."""
         return f"pool.{self.zone}"
 
-    @property
-    def levels(self) -> int:
-        """Delegation levels under the root (root → TLD → zone = 2)."""
-        return 2
-
 
 @dataclass
 class HierarchyDeployment:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from repro.telemetry.trace import current_tracer
 
@@ -249,9 +249,3 @@ class Timer:
     def _fire(self) -> None:
         self._event = None
         self._callback()
-
-
-def run_all(simulator: Simulator, *, max_events: int = 1_000_000) -> Any:
-    """Convenience: drain ``simulator`` and return it (for chaining)."""
-    simulator.run_until_idle(max_events=max_events)
-    return simulator

@@ -55,11 +55,12 @@ Scale machinery:
 * **A pure round loop** — every decision a round makes (resolve or
   reuse, combine, pick, victim/shift classification, churn, next
   delay) lives in the module-level :func:`advance_round` function over
-  explicit ``(spec, state, rng, phase event)`` inputs, returning the
-  effects as a :class:`RoundStep`. :class:`ClientFleet` is the thin
-  effectful shell (sockets, clocks, telemetry, scheduling); the
-  sharded engine (:mod:`repro.population.sharding`) reuses the same
-  function, so the round semantics cannot fork between the two.
+  explicit ``(spec, truncation, state, rng, phase event)`` inputs,
+  returning the effects as a :class:`RoundStep`. :class:`ClientFleet`
+  is the thin effectful shell (sockets, clocks, telemetry,
+  scheduling); the sharded engine (:mod:`repro.population.sharding`)
+  reuses the same function, so the round semantics cannot fork
+  between the two.
 
 Fleets can also be a *window* of a larger population: ``first_index``
 and ``population`` give each client its **global** identity — RNG
@@ -88,6 +89,7 @@ from typing import (
     Tuple,
 )
 
+from repro.core.policy import TruncationPolicy
 from repro.core.pool import combine_with_quorum
 from repro.dns.client import DNS_PORT, StubStats, stub_query
 from repro.dns.name import Name
@@ -274,8 +276,8 @@ class RoundStep:
     clock_error: float = 0.0
 
 
-def advance_round(spec: FleetSpec, state: ClientRoundState,
-                  rng: RoundRng, phase: str,
+def advance_round(spec: FleetSpec, truncation: TruncationPolicy,
+                  state: ClientRoundState, rng: RoundRng, phase: str,
                   answers: Optional[Dict[int, Optional[List[IPAddress]]]] = None,
                   synced: bool = False, attacker: bool = False,
                   clock_error: float = 0.0) -> RoundStep:
@@ -284,8 +286,9 @@ def advance_round(spec: FleetSpec, state: ClientRoundState,
     This is the *entire* round-loop logic — resolve cadence,
     truncate-and-combine, server selection, victim/shift
     classification, churn and next-arrival scheduling — over explicit
-    inputs: the fleet ``spec``, the client's ``state`` (advanced in
-    place), its ``rng`` streams and the phase payload. It touches no
+    inputs: the fleet ``spec``, the world's ``truncation`` policy
+    (``pool.truncation``), the client's ``state`` (advanced in place),
+    its ``rng`` streams and the phase payload. It touches no
     simulator, no sockets, no telemetry; every effect comes back as a
     :class:`RoundStep` for the shell to perform. Identical inputs
     (including stream states) produce identical steps, which is what
@@ -311,7 +314,7 @@ def advance_round(spec: FleetSpec, state: ClientRoundState,
         pool = combine_with_quorum(
             {str(index): addresses
              for index, addresses in sorted(answers.items())},
-            min_answers=spec.min_answers)
+            min_answers=spec.min_answers, policy=truncation)
         state.pool = pool if pool else None
         if not pool:
             return _conclude(spec, state, rng, failed=True)
@@ -419,6 +422,8 @@ class ClientFleet:
         client stream from it under the ``("population", ...)`` names.
     :param spec: fleet shape and behaviour
         (:class:`~repro.scenarios.spec.FleetSpec`).
+    :param truncation: the world's Algorithm 1 truncation policy
+        (``pool.truncation``), which every round combines by.
     :param time_bin: width (virtual seconds) of the telemetry time bins
         (:attr:`~repro.scenarios.spec.TelemetrySpec.time_bin`).
     :param nodes: topology nodes clients attach to, round-robin
@@ -443,7 +448,8 @@ class ClientFleet:
     def __init__(self, internet: Internet,
                  providers: Sequence[ProviderDeployment],
                  pool_domain: "Name | str", rng: RngRegistry,
-                 spec: FleetSpec, time_bin: float,
+                 spec: FleetSpec, truncation: TruncationPolicy,
+                 time_bin: float,
                  nodes: Optional[Sequence[str]] = None,
                  attacker_addresses: Sequence["IPAddress | str"] = (),
                  registry: Optional[MetricsRegistry] = None,
@@ -453,6 +459,7 @@ class ClientFleet:
         self._internet = internet
         self._simulator = internet.simulator
         self._spec = spec
+        self._truncation = truncation
         if spec.transport == "doh":
             self._servers = [(d.endpoint, d.name) for d in providers]
         else:
@@ -720,8 +727,8 @@ class ClientFleet:
     def _round(self, client: _LiveRound) -> None:
         self._m_rounds.inc()
         tracer = self._tracer
-        step = advance_round(self._spec, client.state, client.rng,
-                             ROUND_BEGIN)
+        step = advance_round(self._spec, self._truncation, client.state,
+                             client.rng, ROUND_BEGIN)
         if tracer is None:
             self._apply(client, step)
             return
@@ -818,8 +825,9 @@ class ClientFleet:
                     tracer.finish(span)
             if len(answers) < expected:
                 return
-            step = advance_round(self._spec, client.state, client.rng,
-                                 ANSWERS_COMPLETE, answers=answers)
+            step = advance_round(self._spec, self._truncation, client.state,
+                                 client.rng, ANSWERS_COMPLETE,
+                                 answers=answers)
             if tracer is None or client.span is None:
                 self._apply(client, step)
                 return
@@ -873,8 +881,9 @@ class ClientFleet:
             client.clock.step(sample.offset)
             clock_error = abs(client.clock.error())
         step = advance_round(
-            self._spec, client.state, client.rng, SYNC_COMPLETE,
-            synced=sample.ok, attacker=attacker, clock_error=clock_error)
+            self._spec, self._truncation, client.state, client.rng,
+            SYNC_COMPLETE, synced=sample.ok, attacker=attacker,
+            clock_error=clock_error)
         tracer = self._tracer
         if tracer is not None and client.span is not None:
             # Sync completion also arrives through a callback hop —

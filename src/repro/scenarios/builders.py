@@ -68,6 +68,10 @@ class PoolScenario:
     #: The pool's deployed :class:`repro.ntp.pool.NtpFleet` when the
     #: spec's client syncs its clock; None otherwise.
     ntp_fleet: Optional[Any] = None
+    #: The world's Algorithm 1 policy (a
+    #: :class:`repro.core.pool.PoolGeneratorConfig`), compiled from the
+    #: spec's ``pool`` once; generators and fleet rounds combine by it.
+    policy: Optional[Any] = None
 
     def run(self, until: Optional[float] = None) -> None:
         """Drain the simulation (convenience passthrough)."""
@@ -97,13 +101,15 @@ class PoolScenario:
     def make_generator(self, config=None, assumed_secure_fraction: float = 0.5,
                        method: str = "GET", timeout: float = 4.0,
                        retries: int = 2):
-        """A ready-to-use :class:`repro.core.SecurePoolGenerator`."""
+        """A ready-to-use :class:`repro.core.SecurePoolGenerator`,
+        combining by ``config`` or, when none is passed, by the world's
+        :attr:`policy`."""
         from repro.core.pool import SecurePoolGenerator
         return SecurePoolGenerator(
             self.make_doh_client(method=method, timeout=timeout,
                                  retries=retries),
             self.make_resolver_set(assumed_secure_fraction),
-            self.simulator, config)
+            self.simulator, config or self.policy)
 
     def generate_pool_sync(self, generator=None, domain: Optional[str] = None):
         """Run one Algorithm 1 generation to completion and return it."""

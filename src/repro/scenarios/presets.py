@@ -20,6 +20,7 @@ from repro.core.errors import UnknownPresetError
 from repro.netsim.link import LinkProfile
 from repro.scenarios.spec import (
     AttackSpec,
+    ClientSpec,
     FaultSpec,
     HierarchySpec,
     LinkSpec,
@@ -155,7 +156,10 @@ def e7_timeshift_spec(lie_offset: float = 10.0, num_providers: int = 3,
     (:data:`ATTACKER`, which lie by ``lie_offset`` seconds), that also
     controls the first ``corrupted_providers`` DoH providers, which
     substitute 4 of those servers.  Algorithm 1 rides TLS past the
-    on-path rewrite; plain DNS does not."""
+    on-path rewrite; plain DNS does not.  The world has a client
+    (:class:`ClientSpec`, Algorithm 1 by default), since only a client
+    meets the lying servers; E7's grid varies how it acquires and
+    syncs."""
     spec = pool_spec(num_providers=num_providers, pool_size=pool_size,
                      answers_per_query=4)
     return replace(
@@ -164,7 +168,8 @@ def e7_timeshift_spec(lie_offset: float = 10.0, num_providers: int = 3,
                          behavior="substitute", forged=ATTACKER[:4]),
         pool=replace(spec.pool, lie_offset=lie_offset),
         attacks=(AttackSpec.of("mitm", mode="poison", forged=ATTACKER,
-                               inflate_to=12),))
+                               inflate_to=12),),
+        client=ClientSpec())
 
 
 #: The preset registry: name -> builder returning a :class:`ScenarioSpec`.

@@ -309,12 +309,15 @@ _DUAL_STACK_POLICIES = (None, "union", "per-family")
 
 @dataclass(frozen=True)
 class PoolSpec(SpecBase):
-    """The NTP pool directory behind ``pool.ntp.org`` and the client's
-    combination policy over the providers' answers.
+    """The NTP pool directory behind ``pool.ntp.org`` and the world's
+    Algorithm 1 policy over the providers' answers.
 
-    ``min_answers`` / ``truncation`` / ``dual_stack_policy`` govern the
-    *single-client* Algorithm 1 generator (population fleets carry
-    their quorum on :attr:`FleetSpec.min_answers`).
+    :func:`materialize` compiles ``truncation`` / ``min_answers`` /
+    ``dual_stack_policy`` into the one policy every world combines by
+    (``PoolScenario.policy``).  A fleet spells its quorum
+    :attr:`FleetSpec.min_answers` and asks for A records only, so a
+    fleet spec that sets ``min_answers`` or ``dual_stack_policy``
+    raises (see :data:`WORLD_READS`).
     """
 
     size: int = 20
@@ -697,6 +700,81 @@ ATTACK_INSTALLERS: Dict[str, Callable[[AttackSpec, AttackContext], Any]] = {
 
 
 # ----------------------------------------------------------------------
+# The reach table: what each world kind reads.
+# ----------------------------------------------------------------------
+
+#: The paths every world kind reads: its network, providers, pool
+#: directory, attacks and chaos timeline.
+_READ_BY_EVERY_WORLD = (
+    "network.access", "network.fault", "network.extra_fault",
+    "network.backbone", "provider.count", "provider.profiles",
+    "provider.resolver", "provider.serve", "provider.corrupted",
+    "provider.behavior", "provider.forged", "provider.inflate_to",
+    "pool.size", "pool.answers_per_query", "pool.ttl", "pool.dual_stack",
+    "attacks", "chaos")
+
+#: Per world kind, the spec paths its worlds read; a path covers
+#: everything beneath it.  Every other path must keep its default, or
+#: the spec raises at construction, so no world runs without a setting
+#: it was given.  A sharded fleet reads what a fleet does.
+WORLD_READS: Dict[str, Tuple[str, ...]] = {
+    "single-client": _READ_BY_EVERY_WORLD + (
+        "pool.truncation", "pool.dual_stack_policy", "pool.min_answers",
+        "telemetry.enabled"),
+    "single-client with client": _READ_BY_EVERY_WORLD + (
+        "pool.truncation", "pool.dual_stack_policy", "pool.min_answers",
+        "pool.lie_offset", "telemetry.enabled", "client"),
+    "fleet": _READ_BY_EVERY_WORLD + (
+        "network.regions", "pool.lie_offset", "pool.truncation", "fleet",
+        "telemetry.time_bin"),
+}
+
+#: Why a fleet leaves a path unread, where the reason is not plain.
+_UNREAD_BECAUSE = {
+    "pool.min_answers": "a fleet's quorum is fleet.min_answers",
+    "pool.dual_stack_policy": "fleet clients ask for A records only",
+    "client": "client describes the single client; a spec with a "
+              "FleetSpec has none",
+}
+
+
+def _changed_paths(node: SpecBase, prefix: str = "") -> List[str]:
+    """The paths under ``node`` whose values differ from their
+    defaults: a sub-spec that replaces a default of its own type is
+    compared field by field, anything else is one path."""
+    paths = []
+    for item in dataclasses.fields(node):
+        value = getattr(node, item.name)
+        default = item.default
+        if value == default:
+            continue
+        path = prefix + item.name
+        if (dataclasses.is_dataclass(default)
+                and type(value) is type(default)):
+            paths.extend(_changed_paths(value, path + "."))
+        else:
+            paths.append(path)
+    return paths
+
+
+def _check_reach(spec: "ScenarioSpec") -> None:
+    if spec.fleet is not None:
+        kind = "fleet"
+    elif spec.client is not None:
+        kind = "single-client with client"
+    else:
+        kind = "single-client"
+    for path in _changed_paths(spec):
+        if not any(path == read or path.startswith(read + ".")
+                   for read in WORLD_READS[kind]):
+            because = _UNREAD_BECAUSE.get(path)
+            raise ConfigurationError(
+                f"{kind} worlds do not read {path}"
+                + (f" ({because})" if because else "")
+                + "; leave it at its default")
+
+
+# ----------------------------------------------------------------------
 # The scenario spec itself.
 # ----------------------------------------------------------------------
 
@@ -752,10 +830,7 @@ class ScenarioSpec(SpecBase):
                 "single-client worlds resolve via DoH; "
                 "provider.serve='dns' needs a FleetSpec riding the "
                 "plain-DNS transport")
-        if self.fleet is not None and self.client is not None:
-            raise ConfigurationError(
-                "client describes the single client; a spec with a "
-                "FleetSpec has none")
+        _check_reach(self)
 
 
 #: What :func:`materialize` returns — a single-client world
@@ -1012,7 +1087,10 @@ def _build_pool_world(spec: ScenarioSpec, seed: int):
     worlds stay bit-identical); ``mode="iterative"`` compiles the
     scenario's :class:`~repro.dns.hierarchy.HierarchySpec` into a
     root→TLD→zone referral chain and instruments the providers'
-    caching resolvers."""
+    caching resolvers.  ``spec.pool``'s combine settings become the
+    world's one Algorithm 1 policy (``PoolScenario.policy``)."""
+    from repro.core.policy import DualStackPolicy, TruncationPolicy
+    from repro.core.pool import PoolGeneratorConfig
     from repro.dns.hierarchy import (
         HierarchySpec,
         compile_hierarchy,
@@ -1104,6 +1182,12 @@ def _build_pool_world(spec: ScenarioSpec, seed: int):
             malicious_lie_offset=pool.lie_offset,
             extra_addresses=attacker_servers(spec, directory))
 
+    policy = PoolGeneratorConfig(
+        truncation=TruncationPolicy(pool.truncation),
+        dual_stack=(None if pool.dual_stack_policy is None
+                    else DualStackPolicy(pool.dual_stack_policy)),
+        min_answers=pool.min_answers)
+
     return PoolScenario(
         seed=seed, simulator=simulator, internet=internet, rng=registry,
         client=client, providers=providers, authority=authority,
@@ -1111,6 +1195,7 @@ def _build_pool_world(spec: ScenarioSpec, seed: int):
         dns_servers=dns_servers, root_hints=root_hints,
         access_fault=access_fault, pool_domain=tree.pool_domain,
         hierarchy=tree if iterative else None, ntp_fleet=ntp_fleet,
+        policy=policy,
     )
 
 
@@ -1130,11 +1215,6 @@ def _materialize_population(spec: ScenarioSpec, seed: int, registry,
     from repro.telemetry.registry import MetricsRegistry, use_registry
 
     fleet_spec = spec.fleet
-
-    if spec.telemetry.enabled is False:
-        raise ConfigurationError(
-            "population worlds need telemetry; leave "
-            "TelemetrySpec.enabled unset or True")
     registry = registry or MetricsRegistry()
     with use_registry(registry):
         pool_scenario = _build_pool_world(spec, seed)
@@ -1192,7 +1272,8 @@ def _materialize_population(spec: ScenarioSpec, seed: int, registry,
         fleet = ClientFleet(
             pool_scenario.internet, pool_scenario.providers,
             pool_scenario.pool_domain, pool_scenario.rng, fleet_spec,
-            spec.telemetry.time_bin, nodes=access_nodes,
+            pool_scenario.policy.truncation, spec.telemetry.time_bin,
+            nodes=access_nodes,
             attacker_addresses=attackers, registry=registry,
             trust_store=pool_scenario.trust_store, first_index=first_index,
             clients=size, population=population)

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -10,6 +11,10 @@ import pytest
 import repro.campaign
 from repro.analysis.model import attack_probability_exact
 from repro.analysis.montecarlo import MonteCarloResult
+from repro.analysis.poolquality import (
+    pool_fraction_with_truncation,
+    pool_fraction_without_truncation,
+)
 from repro.campaign import (
     CampaignRunner,
     ParameterGrid,
@@ -33,6 +38,9 @@ from repro.scenarios.spec import apply_paths
 FORGED = ("203.0.113.1", "203.0.113.2", "203.0.113.3", "203.0.113.4")
 #: E5's attacker servers, recycled by the inflate behaviour.
 FORGED_SERVERS = tuple(f"203.0.113.{i + 1}" for i in range(8))
+#: E5's inflate shape: one of three providers inflates to 20 answers.
+E5_SHAPE = {"provider.corrupted": 1, "provider.behavior": "inflate",
+            "provider.forged": FORGED_SERVERS, "provider.inflate_to": 20}
 
 
 def _pool_trial(paths, seed, **keywords):
@@ -93,10 +101,7 @@ class TestPoolAttackTrial:
     ], ids=["all-corrupted", "shortest", "none", "median"])
     def test_inflate_share_under_truncation(self, paths, seed, pool_size,
                                             share):
-        e5_shape = {"provider.corrupted": 1, "provider.behavior": "inflate",
-                    "provider.forged": FORGED_SERVERS,
-                    "provider.inflate_to": 20}
-        metrics = _pool_trial({**e5_shape, **paths}, seed, num_providers=3)
+        metrics = _pool_trial({**E5_SHAPE, **paths}, seed, num_providers=3)
         assert metrics["ok"] == 1.0
         assert metrics["pool_size"] == pool_size
         assert metrics["attacker_share"] == pytest.approx(share)
@@ -256,6 +261,67 @@ class TestClientTrial:
         metrics = spec_trial({"spec": spec}, 7)
         assert metrics["pool_malicious_fraction"] == 1.0
         assert metrics["shifted"] == 1.0
+
+
+class TestOnePolicy:
+    """Every world kind combines by the Algorithm 1 policy its spec's
+    ``pool`` declares."""
+
+    @pytest.mark.parametrize("truncation, share", [
+        ("shortest", pool_fraction_with_truncation(3, 1, 4, 20)),
+        ("median", pool_fraction_with_truncation(3, 1, 4, 20)),
+        ("none", pool_fraction_without_truncation(3, 1, 4, 20)),
+    ])
+    def test_fleet_victims_follow_the_closed_form(self, truncation, share):
+        """E5's trend at population scale: each synced round picks one
+        pool member, so the victim fraction estimates the attacker's
+        pool share (3 binomial standard errors)."""
+        spec = set_path(population_spec(num_clients=60, rounds=2,
+                                        corrupted=1, behavior="inflate"),
+                        "pool.truncation", truncation)
+        metrics, _ = spec_trial({"spec": spec}, 7)
+        syncs = round(metrics["sync_fraction"] * metrics["rounds_ok"])
+        assert syncs == 120
+        stderr = math.sqrt(share * (1 - share) / syncs)
+        assert abs(metrics["victim_fraction"] - share) <= 3 * stderr
+
+    def test_fleet_quorum_rides_out_an_empty_answer(self):
+        spec = population_spec(num_clients=60, rounds=2, corrupted=1,
+                               behavior="empty")
+        strict, _ = spec_trial({"spec": spec}, 7)
+        quorum, _ = spec_trial(
+            {"spec": set_path(spec, "fleet.min_answers", 2)}, 7)
+        assert strict["availability"] == 0.0
+        assert quorum["availability"] == 1.0
+
+    @pytest.mark.parametrize("truncation, pool_size, share", [
+        ("shortest", 12, 1 / 3), ("none", 28, 20 / 28)])
+    def test_client_acquires_under_the_spec_truncation(
+            self, truncation, pool_size, share):
+        spec = apply_paths(replace(pool_spec(), client=ClientSpec()),
+                           {**E5_SHAPE, "pool.truncation": truncation})
+        metrics = spec_trial({"spec": spec}, 120)
+        assert metrics["pool_size"] == pool_size
+        assert metrics["pool_malicious_fraction"] == pytest.approx(share)
+
+    def test_client_quorum_drops_an_empty_answer(self):
+        spec = apply_paths(replace(pool_spec(), client=ClientSpec()),
+                           {"provider.corrupted": 1,
+                            "provider.behavior": "empty"})
+        strict = spec_trial({"spec": spec}, 120)
+        quorum = spec_trial(
+            {"spec": set_path(spec, "pool.min_answers", 2)}, 120)
+        assert strict["pool_size"] == 0.0
+        assert quorum["pool_size"] == 8.0
+
+    def test_trials_build_no_policy_of_their_own(self):
+        imported = {alias.name
+                    for node in ast.walk(ast.parse(
+                        inspect.getsource(trials_module)))
+                    if isinstance(node, ast.ImportFrom)
+                    for alias in node.names}
+        assert not imported & {"PoolGeneratorConfig", "TruncationPolicy",
+                               "DualStackPolicy"}
 
 
 class TestOneWorldTrial:

@@ -5,7 +5,6 @@ import pytest
 from repro.core.errors import ConfigurationError
 from repro.core.policy import DualStackPolicy, TruncationPolicy
 from repro.core.pool import PoolGeneratorConfig, SecurePoolGenerator
-from repro.dns.rrtype import RRType
 from repro.scenarios import materialize, pool_spec
 
 
@@ -93,10 +92,6 @@ class TestGenerationFailures:
         scenario = materialize(pool_spec(), 29)
         with pytest.raises(ConfigurationError):
             scenario.make_generator(config=PoolGeneratorConfig(min_answers=4))
-
-    def test_qtype_validation(self):
-        with pytest.raises(ConfigurationError):
-            PoolGeneratorConfig(qtype=RRType.TXT)
 
 
 class TestDualStack:

@@ -72,9 +72,8 @@ class TestHierarchySpec:
                              glue=False)
         assert HierarchySpec.from_dict(spec.to_dict()) == spec
 
-    def test_pool_name_and_levels(self):
+    def test_pool_name(self):
         assert HierarchySpec().pool_name == "pool.ntp.org"
-        assert HierarchySpec().levels == 2
 
     def test_zone_must_live_under_tld(self):
         with pytest.raises(ConfigurationError):
@@ -103,7 +102,7 @@ class TestCompiledHierarchy:
         world.resolve("pool.ntp.org")
         stats = world.resolver.stats
         # root -> TLD -> authoritative: two referrals, three upstream
-        # queries, depth matching HierarchySpec.levels.
+        # queries.
         assert stats.referrals_followed == 2
         assert stats.upstream_queries == 3
 

@@ -10,6 +10,7 @@ import random
 
 import pytest
 
+from repro.core.policy import TruncationPolicy
 from repro.netsim.address import IPAddress
 from repro.netsim.simulator import SimulationError
 from repro.population.arrivals import make_arrivals
@@ -35,6 +36,7 @@ from repro.scenarios.spec import (
     ScenarioSpec,
     materialize,
     population_spec,
+    set_path,
 )
 
 
@@ -86,42 +88,56 @@ def _rng(seed=1):
 
 
 POOL = [IPAddress("172.16.0.1"), IPAddress("172.16.0.2")]
+SHORTEST = TruncationPolicy.SHORTEST
 
 
 class TestAdvanceRound:
     def test_first_round_resolves(self):
-        step = advance_round(FleetSpec(), ClientRoundState(), _rng(),
-                             ROUND_BEGIN)
+        step = advance_round(FleetSpec(), SHORTEST, ClientRoundState(),
+                             _rng(), ROUND_BEGIN)
         assert step.action == "resolve"
 
     def test_cached_pool_reused_between_resolves(self):
         config = FleetSpec(rounds=4, resolve_every=2)
         state = ClientRoundState(pool=list(POOL), rounds_done=1)
-        step = advance_round(config, state, _rng(), ROUND_BEGIN)
+        step = advance_round(config, SHORTEST, state, _rng(), ROUND_BEGIN)
         assert step.action == "sync"
         assert step.pick in POOL
 
     def test_resolve_cadence_forces_requery(self):
         config = FleetSpec(rounds=4, resolve_every=2)
         state = ClientRoundState(pool=list(POOL), rounds_done=2)
-        step = advance_round(config, state, _rng(), ROUND_BEGIN)
+        step = advance_round(config, SHORTEST, state, _rng(), ROUND_BEGIN)
         assert step.action == "resolve"
 
     def test_answers_combine_to_sync(self):
         config = FleetSpec(rounds=3)
         state = ClientRoundState()
         answers = {0: list(POOL), 1: list(POOL), 2: list(POOL)}
-        step = advance_round(config, state, _rng(), ANSWERS_COMPLETE,
-                             answers=answers)
+        step = advance_round(config, SHORTEST, state, _rng(),
+                             ANSWERS_COMPLETE, answers=answers)
         assert step.action == "sync"
         assert state.pool == step.pool
         assert set(step.pool) == set(POOL)
         assert step.pick in step.pool
 
+    @pytest.mark.parametrize("truncation, size", [
+        (TruncationPolicy.SHORTEST, 3), (TruncationPolicy.MEDIAN, 3),
+        (TruncationPolicy.NONE, 6)])
+    def test_combine_truncates_by_the_world_policy(self, truncation, size):
+        # One provider inflates to four answers: the truncation policy
+        # decides how many of them reach the pool.
+        inflated = [IPAddress(f"203.0.113.{i}") for i in range(1, 5)]
+        answers = {0: inflated, 1: POOL[:1], 2: POOL[1:]}
+        step = advance_round(FleetSpec(), truncation, ClientRoundState(),
+                             _rng(), ANSWERS_COMPLETE, answers=answers)
+        assert len(step.pool) == size
+
     def test_empty_combine_fails_round_and_reschedules(self):
         config = FleetSpec(rounds=3)
         state = ClientRoundState(pool=list(POOL))
-        step = advance_round(config, state, _rng(), ANSWERS_COMPLETE,
+        step = advance_round(config, SHORTEST, state, _rng(),
+                             ANSWERS_COMPLETE,
                              answers={0: None, 1: list(POOL), 2: list(POOL)})
         assert step.action == "reschedule"
         assert step.failed
@@ -131,31 +147,33 @@ class TestAdvanceRound:
     def test_sync_against_attacker_is_victim(self):
         config = FleetSpec(rounds=2)
         state = ClientRoundState(pool=list(POOL), rounds_done=0)
-        step = advance_round(config, state, _rng(), SYNC_COMPLETE,
-                             synced=True, attacker=True, clock_error=9.5)
+        step = advance_round(config, SHORTEST, state, _rng(),
+                             SYNC_COMPLETE, synced=True, attacker=True,
+                             clock_error=9.5)
         assert step.synced and step.victim and step.shifted
         assert step.clock_error == 9.5
 
     def test_timeout_is_not_a_victim(self):
         config = FleetSpec(rounds=2)
         state = ClientRoundState(pool=list(POOL))
-        step = advance_round(config, state, _rng(), SYNC_COMPLETE,
-                             synced=False, attacker=True, clock_error=9.5)
+        step = advance_round(config, SHORTEST, state, _rng(),
+                             SYNC_COMPLETE, synced=False, attacker=True,
+                             clock_error=9.5)
         assert step.timed_out and not step.synced and not step.victim
         assert step.clock_error == 0.0
 
     def test_final_round_stops(self):
         config = FleetSpec(rounds=1)
         state = ClientRoundState(pool=list(POOL))
-        step = advance_round(config, state, _rng(), SYNC_COMPLETE,
-                             synced=True)
+        step = advance_round(config, SHORTEST, state, _rng(),
+                             SYNC_COMPLETE, synced=True)
         assert step.action == "stop"
 
     def test_churn_leaves_and_drops_pool(self):
         config = FleetSpec(rounds=5, churn_rate=1.0, rejoin_delay=30.0)
         state = ClientRoundState(pool=list(POOL))
-        step = advance_round(config, state, _rng(), SYNC_COMPLETE,
-                             synced=True)
+        step = advance_round(config, SHORTEST, state, _rng(),
+                             SYNC_COMPLETE, synced=True)
         assert step.action == "leave"
         assert step.delay == 30.0
         assert state.pool is None
@@ -166,15 +184,15 @@ class TestAdvanceRound:
         for _ in range(2):
             state = ClientRoundState(pool=list(POOL))
             rng = _rng(99)
-            steps = [advance_round(config, state, rng, SYNC_COMPLETE,
-                                   synced=True)
+            steps = [advance_round(config, SHORTEST, state, rng,
+                                   SYNC_COMPLETE, synced=True)
                      for _ in range(4)]
             runs.append([(s.action, s.delay) for s in steps])
         assert runs[0] == runs[1]
 
     def test_unknown_phase_rejected(self):
         with pytest.raises(ValueError):
-            advance_round(FleetSpec(), ClientRoundState(), _rng(),
+            advance_round(FleetSpec(), SHORTEST, ClientRoundState(), _rng(),
                           "no-such-phase")
 
 
@@ -294,6 +312,28 @@ class TestShardDeterminism:
             outcomes = sharded.run()
             assert sharded.invariant_snapshot_json() == expected
             assert outcomes.rounds == reference.outcomes().rounds
+
+    def test_truncation_policy_reaches_every_shard(self):
+        # One inflating provider, no truncation: the policy must reach
+        # each shard's rounds, or the K=4 fold would read the default
+        # SHORTEST population instead of the K=1 one.
+        def inflated(truncation, shards):
+            spec = set_path(shard_invariant_spec(32, shards=shards),
+                            "provider.behavior", "inflate")
+            return set_path(spec, "pool.truncation", truncation)
+
+        for seed in SEEDS:
+            reference = materialize(inflated("none", 1), seed)
+            reference_outcomes = reference.run()
+            expected = invariant_snapshot_json(reference.telemetry)
+
+            sharded = materialize(inflated("none", 4), seed)
+            sharded.run()
+            assert sharded.invariant_snapshot_json() == expected
+
+            shortest = materialize(inflated("shortest", 4), seed)
+            assert (shortest.run().victim_fraction
+                    < reference_outcomes.victim_fraction)
 
     def test_outcomes_agree_with_legacy_on_invariant_spec(self):
         seed = 404

@@ -69,13 +69,18 @@ region_specs = st.builds(RegionSpec, name=region_names,
                          attach=st.sampled_from(["eu-central", "us-east"]),
                          link=link_specs,
                          fault=st.none() | fault_specs)
-network_specs = st.builds(
-    NetworkSpec,
-    access=st.none() | link_specs,
-    fault=fault_specs,
-    extra_fault=st.none() | fault_specs,
-    regions=st.lists(region_specs, max_size=3,
-                     unique_by=lambda r: r.name).map(tuple))
+region_tuples = st.lists(region_specs, min_size=1, max_size=3,
+                         unique_by=lambda r: r.name).map(tuple)
+
+
+def network_specs(fleet: bool):
+    """Network specs; only a fleet reads ``regions``."""
+    return st.builds(
+        NetworkSpec,
+        access=st.none() | link_specs,
+        fault=fault_specs,
+        extra_fault=st.none() | fault_specs,
+        regions=st.just(()) | region_tuples if fleet else st.just(()))
 provider_specs = st.builds(
     ProviderSpec,
     count=st.integers(1, 6),
@@ -92,15 +97,26 @@ provider_specs = st.builds(
                     max_size=2, unique=True).map(tuple))
 
 
-def pool_specs(providers: int):
-    """Pool specs whose quorum fits ``providers`` answers."""
+def pool_specs(providers: int, fleet: bool):
+    """Pool specs whose quorum fits ``providers`` answers; a fleet's
+    quorum is ``fleet.min_answers``, so fleets draw none here."""
+    quorums = st.none() | st.integers(1, providers)
     return st.builds(PoolSpec, size=st.integers(1, 50),
                      answers_per_query=st.integers(1, 6),
                      ttl=st.integers(1, 600),
                      dual_stack=st.booleans(),
                      truncation=st.sampled_from(["shortest", "median",
                                                  "none"]),
-                     min_answers=st.none() | st.integers(1, providers))
+                     min_answers=st.none() if fleet else quorums)
+
+
+def telemetry_specs(fleet: bool):
+    """A fleet always has telemetry and bins its series by
+    ``time_bin``; a single-client world may toggle telemetry and has
+    no series to bin."""
+    if fleet:
+        return st.builds(TelemetrySpec, time_bin=st.floats(0.5, 60.0))
+    return st.builds(TelemetrySpec, enabled=st.none() | st.booleans())
 
 
 fleet_specs = st.builds(FleetSpec, size=st.integers(1, 500),
@@ -113,16 +129,38 @@ attack_specs = st.builds(
     kind=st.sampled_from(["mitm", "timeshift"]),
     forged=st.lists(st.sampled_from(["203.0.113.31", "203.0.113.32"]),
                     min_size=1, max_size=2, unique=True).map(tuple))
-scenario_specs = provider_specs.flatmap(lambda provider: st.builds(
-    ScenarioSpec,
-    network=network_specs,
-    provider=st.just(provider),
-    pool=pool_specs(provider.count),
-    fleet=st.none() | fleet_specs,
-    attacks=st.lists(attack_specs, max_size=2).map(tuple),
-    telemetry=st.builds(TelemetrySpec,
-                        enabled=st.none() | st.booleans(),
-                        time_bin=st.floats(0.5, 60.0))))
+
+
+def _scenarios(provider: ProviderSpec, fleet):
+    kind = fleet is not None
+    return st.builds(
+        ScenarioSpec,
+        network=network_specs(kind),
+        provider=st.just(provider),
+        pool=pool_specs(provider.count, kind),
+        fleet=st.just(fleet),
+        attacks=st.lists(attack_specs, max_size=2).map(tuple),
+        telemetry=telemetry_specs(kind))
+
+
+#: Legal scenario specs: the draws leave every path the spec's world
+#: kind does not read at its default (see ``WORLD_READS``).
+scenario_specs = st.tuples(provider_specs, st.none() | fleet_specs).flatmap(
+    lambda drawn: _scenarios(*drawn))
+
+#: Per world kind, (path, values) a spec of that kind may not set
+#: (a quorum of 1 fits every provider count, so only the kind rejects
+#: it).
+ILLEGAL = {
+    "single-client": (("network.regions", region_tuples),
+                      ("telemetry.time_bin", st.floats(0.5, 9.5)),
+                      ("pool.lie_offset", st.floats(-60.0, 9.0))),
+    "fleet": (("pool.min_answers", st.just(1)),
+              ("pool.dual_stack_policy", st.sampled_from(["union",
+                                                          "per-family"])),
+              ("telemetry.enabled", st.booleans()),
+              ("client", st.builds(ClientSpec))),
+}
 
 
 class TestRoundTrip:
@@ -134,6 +172,14 @@ class TestRoundTrip:
         # The canonical JSON itself is stable through a parse cycle.
         assert ScenarioSpec.from_dict(
             json.loads(json.dumps(spec.to_dict()))) == spec
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario_specs, st.data())
+    def test_each_unread_setting_raises(self, spec, data):
+        kind = "single-client" if spec.fleet is None else "fleet"
+        path, values = data.draw(st.sampled_from(ILLEGAL[kind]))
+        with pytest.raises(ConfigurationError, match="do not read"):
+            set_path(spec, path, data.draw(values))
 
     def test_every_spec_type_round_trips(self):
         for spec in (LinkSpec(latency=0.02), FaultSpec(loss_rate=0.3),
@@ -196,6 +242,19 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match=r"\[1, 2\]"):
             set_path(spec, "provider.count", 2)
 
+    def test_fleet_rejects_pool_quorum(self):
+        # One quorum spelling per world kind: a fleet's is
+        # fleet.min_answers.
+        with pytest.raises(ConfigurationError, match="fleet.min_answers"):
+            set_path(population_spec(), "pool.min_answers", 2)
+        assert set_path(population_spec(), "fleet.min_answers",
+                        2).fleet.min_answers == 2
+
+    @pytest.mark.parametrize("policy", ["union", "per-family"])
+    def test_fleet_rejects_dual_stack_policy(self, policy):
+        with pytest.raises(ConfigurationError, match="A records only"):
+            set_path(population_spec(), "pool.dual_stack_policy", policy)
+
     def test_doh_fleet_needs_doh_providers(self):
         spec = set_path(population_spec(), "fleet.transport", "doh")
         with pytest.raises(ConfigurationError, match="doh"):
@@ -225,7 +284,7 @@ class TestDottedPaths:
         assert get_path(spec, "fleet.size") == 50   # original untouched
 
     def test_indexed_path(self):
-        spec = set_path(pool_spec(), "network.regions",
+        spec = set_path(population_spec(), "network.regions",
                         (RegionSpec(name="a"), RegionSpec(name="b")))
         lossy = set_path(spec, "network.regions[1].link.loss", 0.25)
         assert get_path(lossy, "network.regions[1].link.loss") == 0.25
