@@ -25,8 +25,7 @@ from repro.netsim.host import Host
 from repro.netsim.packet import Datagram
 from repro.netsim.simulator import Simulator
 from repro.netsim.transport import (
-    AttemptInfo,
-    ExchangeReport,
+    PendingExchange,
     RetryPolicy,
     Transport,
     retry_policy,
@@ -154,19 +153,18 @@ def stub_query(transport: Transport, server: Endpoint, policy: RetryPolicy,
     telemetry = transport.telemetry
     tracer = transport.tracer
 
-    def build_request(attempt: AttemptInfo) -> bytes:
+    def build_request(txid: Optional[int]) -> bytes:
         stats.queries += 1
         if tracer is not None:
-            # Runs under the attempt span's scope (the transport
-            # activates it around begin_attempt).
+            # Runs under the attempt span's scope (the exchange
+            # activates it around each attempt).
             tracer.event("dns.encode",
                          attrs={"qname": str(qname), "qtype": qtype.name})
-        return make_query(attempt.txid, qname, qtype).encode()
+        return make_query(txid, qname, qtype).encode()
 
     def classify(datagram: Datagram,
-                 attempt: AttemptInfo) -> Optional[Message]:
-        response = validate_reply(datagram, attempt.txid, server,
-                                  qname, qtype)
+                 txid: Optional[int]) -> Optional[Message]:
+        response = validate_reply(datagram, txid, server, qname, qtype)
         if response is None:
             stats.spoofs_rejected += 1
             if tracer is not None:
@@ -190,23 +188,24 @@ def stub_query(transport: Transport, server: Endpoint, policy: RetryPolicy,
                 telemetry.counter("dns.stub.poisoned").inc()
         return response
 
-    def on_complete(report: ExchangeReport) -> None:
+    def on_complete(exchange: PendingExchange) -> None:
         if telemetry is not None:
             # Per attempt, mirroring StubStats.queries.
-            telemetry.counter("dns.stub.queries").inc(report.attempts)
-            if report.rejected_replies:
+            telemetry.counter("dns.stub.queries").inc(exchange.attempts)
+            if exchange.rejected_replies:
                 telemetry.counter("dns.stub.spoofs_rejected").inc(
-                    report.rejected_replies)
-        if report.timed_out:
+                    exchange.rejected_replies)
+        if exchange.timed_out:
             stats.timeouts += 1
             if telemetry is not None:
                 telemetry.counter("dns.stub.timeouts").inc()
             callback(StubOutcome(response=None, timed_out=True,
-                                 attempts=report.attempts))
+                                 attempts=exchange.attempts))
             return
         if telemetry is not None:
             telemetry.counter("dns.stub.responses").inc()
-        callback(StubOutcome(response=report.value, attempts=report.attempts))
+        callback(StubOutcome(response=exchange.value,
+                             attempts=exchange.attempts))
 
     transport.exchange(
         server, build_request=build_request, classify=classify,

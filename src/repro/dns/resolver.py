@@ -45,9 +45,8 @@ from repro.netsim.host import Host
 from repro.netsim.packet import Datagram
 from repro.netsim.simulator import Simulator
 from repro.netsim.transport import (
-    AttemptInfo,
     DatagramExchange,
-    ExchangeReport,
+    PendingExchange,
     RetryPolicy,
 )
 from repro.util.errors import ConfigurationError
@@ -420,7 +419,7 @@ class _Resolution:
         # them in build_request rather than asking the transport.
         expected: Dict[str, object] = {}
 
-        def build_request(attempt: AttemptInfo) -> bytes:
+        def build_request(_: None) -> bytes:
             txid = self._resolver._next_txid()
             query = make_query(txid, self._qname, self._qtype,
                                recursion_desired=False)
@@ -429,8 +428,7 @@ class _Resolution:
             self._resolver._stats.upstream_queries += 1
             return query.encode()
 
-        def classify(datagram: Datagram,
-                     attempt: AttemptInfo) -> Optional[Message]:
+        def classify(datagram: Datagram, _: None) -> Optional[Message]:
             # Wrong TXID / source / question: a real resolver drops it
             # and keeps waiting — this is what the attacker races.
             response = validate_reply(datagram, expected["txid"],
@@ -447,25 +445,25 @@ class _Resolution:
                     step_span.set(poisoned=True)
             return response
 
-        def on_complete(report: ExchangeReport) -> None:
+        def on_complete(exchange: PendingExchange) -> None:
             self._exchange = None
             if step_span is not None:
-                step_span.set(attempts=report.attempts,
-                              timed_out=report.timed_out)
+                step_span.set(attempts=exchange.attempts,
+                              timed_out=exchange.timed_out)
                 tracer.finish(step_span)
             if self._finished:
                 return
-            if report.timed_out:
+            if exchange.timed_out:
                 # Every attempt in the budget timed out.
-                self._resolver._stats.timeouts += report.attempts
+                self._resolver._stats.timeouts += exchange.attempts
                 self._next_server()
                 return
             if (self._resolver._hop_rtt is not None
-                    and report.rtt is not None):
-                self._resolver._hop_rtt.record(self._sim.now, report.rtt)
+                    and exchange.rtt is not None):
+                self._resolver._hop_rtt.record(self._sim.now, exchange.rtt)
             # Attempts before the accepted one each burned a timeout.
-            self._resolver._stats.timeouts += report.attempts - 1
-            self._handle_response(report.value)
+            self._resolver._stats.timeouts += exchange.attempts - 1
+            self._handle_response(exchange.value)
 
         self._exchange = self._resolver._transport.exchange(
             server_endpoint, build_request=build_request, classify=classify,
@@ -676,7 +674,7 @@ class _Resolution:
         self._finished = True
         if self._exchange is not None:
             # Abandon any in-flight exchange (releases its socket).
-            self._exchange.pending.cancel()
+            self._exchange.cancel()
             self._exchange = None
         if not outcome.from_cache and self._upstream_queries:
             # A cache miss that went to the network kept a cache slot

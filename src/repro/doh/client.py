@@ -30,12 +30,7 @@ from repro.doh.tls import TlsClientConnection, TrustStore
 from repro.netsim.address import Endpoint
 from repro.netsim.host import Host
 from repro.netsim.simulator import Simulator
-from repro.netsim.transport import (
-    TXID_SPACE,
-    AttemptInfo,
-    ExchangeReport,
-    retry_policy,
-)
+from repro.netsim.transport import TXID_SPACE, PendingExchange, retry_policy
 
 
 class DoHStatus(enum.Enum):
@@ -148,7 +143,7 @@ class _DoHQuery:
     def _finished(self) -> bool:
         return self._exchange is not None and self._exchange.finished
 
-    def _open_connection(self, attempt: AttemptInfo) -> None:
+    def _open_connection(self) -> None:
         """Open (or reopen, on retry) a fresh TLS connection."""
         if self._connection is not None:
             self._connection.close()
@@ -268,16 +263,16 @@ class _DoHQuery:
                                      failure_reason=reason))
 
     def _finish(self, outcome: DoHQueryOutcome) -> None:
-        """Hand the terminal outcome to the transport supervisor (which
-        suppresses anything arriving after the first decision)."""
+        """Hand the terminal outcome to the exchange (the first call
+        wins; anything arriving after it is ignored)."""
         self._exchange.resolve(outcome)
 
-    def _on_exchange_complete(self, report: ExchangeReport) -> None:
-        outcome = report.value
-        if report.timed_out:
+    def _on_exchange_complete(self, exchange: PendingExchange) -> None:
+        outcome = exchange.value
+        if exchange.timed_out:
             self._client._stats.timeouts += 1
             outcome = DoHQueryOutcome(DoHStatus.TIMEOUT)
-        outcome.latency = report.elapsed
+        outcome.latency = exchange.elapsed
         telemetry = self._client._telemetry
         if telemetry is not None:
             telemetry.counter("doh.queries").inc()

@@ -32,24 +32,14 @@ from repro.netsim.packet import Datagram
 from repro.netsim.simulator import Event, Simulator
 from repro.netsim.socket import UdpSocket
 from repro.netsim.topology import Topology
-from repro.netsim.transport import (
-    AttemptInfo,
-    DatagramExchange,
-    ExchangeReport,
-    PendingExchange,
-    RetryPolicy,
-    Transport,
-)
+from repro.netsim.transport import PendingExchange, RetryPolicy, Transport
 
 __all__ = [
-    "AttemptInfo",
     "Endpoint",
     "IPAddress",
     "ip",
     "Host",
     "Internet",
-    "DatagramExchange",
-    "ExchangeReport",
     "FaultModel",
     "LinkTap",
     "PendingExchange",

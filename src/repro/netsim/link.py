@@ -145,11 +145,9 @@ class FaultModel:
         )
 
     # ------------------------------------------------------------------
-    # Per-packet sampling (called by the owning Link, in order).
+    # Per-packet sampling (called by Link.transit, which draws the loss
+    # itself).
     # ------------------------------------------------------------------
-
-    def sample_drop(self, rng: random.Random) -> bool:
-        return self.loss_rate > 0.0 and rng.random() < self.loss_rate
 
     def sample_extra_delay(self, rng: random.Random) -> float:
         extra = 0.0
@@ -171,8 +169,8 @@ class Link:
     """A bidirectional link between two topology node names.
 
     The link itself is passive; the :class:`repro.netsim.internet.Internet`
-    walks a packet along its route's links, asking each link for a delay
-    sample and a drop decision.
+    walks a packet along its route's links, asking each link for its
+    hop decision (:meth:`transit`).
     """
 
     __slots__ = ("_a", "_b", "_profile", "_rng", "_fault", "_fault_rng",
@@ -253,15 +251,25 @@ class Link:
         self._fault_rng = rng if self._fault is not None else None
 
     def transit(self, size: int) -> "Tuple[bool, Optional[float], float]":
-        """One packet's fused hop decision: ``(dropped, dup_gap, delay)``.
+        """One packet's hop decision: ``(dropped, dup_gap, delay)``.
 
-        Exactly the draws of :meth:`sample_drop` →
-        :meth:`sample_duplicate` → :meth:`account` → :meth:`sample_delay`
-        in that order (the delivery loop's historical call sequence), so
-        a run driven through ``transit`` consumes the link's intrinsic
-        and fault RNG streams bit-identically to one driven through the
-        individual sampling methods. A dropped packet draws nothing
-        further, and its ``delay`` is meaningless.
+        Every packet is counted as carried (``size`` bytes). The draws
+        come in a fixed order, each only when its knob is set:
+
+        1. intrinsic loss, one ``random()`` from the link's stream;
+        2. fault loss, one ``random()`` from the fault stream (skipped
+           once the intrinsic draw dropped the packet).
+
+        A dropped packet is counted, draws nothing further and returns
+        a meaningless ``delay``. A surviving one goes on with:
+
+        3. fault duplication (:meth:`FaultModel.sample_duplicate`), from
+           the fault stream;
+        4. intrinsic jitter, one ``uniform(0, jitter)`` from the link's
+           stream, added to the latency;
+        5. fault jitter, then fault reordering
+           (:meth:`FaultModel.sample_extra_delay`), from the fault
+           stream.
         """
         rng = self._rng
         fault = self._fault
@@ -285,35 +293,6 @@ class Link:
         if fault is not None:
             delay += fault.sample_extra_delay(self._fault_rng)
         return False, gap, delay
-
-    def sample_delay(self) -> float:
-        """Draw the per-packet one-way delay for this hop."""
-        jitter = self._rng.uniform(0.0, self._profile.jitter) if self._profile.jitter else 0.0
-        delay = self._profile.latency + jitter
-        if self._fault is not None:
-            delay += self._fault.sample_extra_delay(self._fault_rng)
-        return delay
-
-    def sample_drop(self) -> bool:
-        """Decide whether this hop drops the packet."""
-        if self._profile.loss and self._rng.random() < self._profile.loss:
-            return True
-        if self._fault is not None:
-            return self._fault.sample_drop(self._fault_rng)
-        return False
-
-    def sample_duplicate(self) -> Optional[float]:
-        """Gap behind the original for a duplicated copy, or ``None``."""
-        if self._fault is None:
-            return None
-        return self._fault.sample_duplicate(self._fault_rng)
-
-    def account(self, size: int, dropped: bool) -> None:
-        """Record traffic statistics for this hop."""
-        self._packets_carried += 1
-        self._bytes_carried += size
-        if dropped:
-            self._packets_dropped += 1
 
     def count_duplicate(self) -> None:
         """Charge one duplicated copy to this link (called by the

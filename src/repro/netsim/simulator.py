@@ -9,7 +9,8 @@ The engine is intentionally callback-based (no coroutines): callbacks
 keep execution order explicit and make attack races reproducible. It
 never reads the wall clock; per-layer wall time is measured from
 outside by ``benchmarks/perf``, which wraps the callbacks handed to
-:meth:`Simulator.schedule_at` and :class:`Timer`.
+:meth:`Simulator.schedule_at`. Timeouts are plain events: a transport
+exchange schedules one per attempt and cancels it when it finishes.
 
 Hot-path layout: the heap holds plain ``(time, sequence, event)``
 tuples, so ordering is decided by C-level tuple comparison instead of a
@@ -220,7 +221,10 @@ class Simulator:
 class Timer:
     """A restartable one-shot timer bound to a :class:`Simulator`.
 
-    Commonly used for retransmission/timeout logic in protocol code.
+    No library code uses it: a transport exchange schedules and cancels
+    its own timeout :class:`Event` per attempt. It is kept because the
+    committed benchmark's layer profiler (``benchmarks/perf/profiler.py``)
+    patches ``Timer.__init__`` by name as a callback registration site.
     """
 
     __slots__ = ("_simulator", "_callback", "_event", "__weakref__")

@@ -2,24 +2,30 @@
 
 Every client protocol in this repository (stub DNS, DoH, SNTP) is at
 heart the same loop: send a request, wait with a timeout, maybe retry,
-accept the first matching reply, suppress everything that arrives after
+accept the first matching reply, ignore everything that arrives after
 the decision. Before this module each client carried its own copy of
 that loop; now :class:`Transport` owns it once.
 
-Two layers are exposed:
+One exchange is one object, and that object is also what its owner
+reads when it finishes:
 
 * :class:`PendingExchange` — the protocol-agnostic attempt supervisor.
-  It owns the retry schedule (per-attempt timeouts with optional
-  exponential backoff from a :class:`RetryPolicy`), guarantees the
-  completion callback fires exactly once, and records per-exchange
-  metrics. Connection-oriented flows (DoH over its TLS channel) use it
-  directly via :meth:`Transport.supervise`.
-* :meth:`Transport.exchange` — the datagram layer on top: one ephemeral
-  :class:`~repro.netsim.socket.UdpSocket` per attempt, RNG-derived
-  transaction IDs, byte accounting, and reply classification. Replies
-  the classifier rejects (wrong txid, unparsable, spoofed source) leave
-  the exchange pending; replies after completion are suppressed and
-  counted, never delivered twice — which is what makes link-level
+  It owns the retry schedule (one timeout event per attempt, with
+  optional exponential backoff from a :class:`RetryPolicy`), draws each
+  attempt's transaction ID from the exchange's TXID stream, guarantees
+  the completion callback fires exactly once, and records the
+  exchange's outcome and metrics in its own fields (``value``,
+  ``timed_out``, ``attempts``, ``rtt``, byte counts, ...).
+  Connection-oriented flows (DoH over its TLS channel) get one from
+  :meth:`Transport.supervise` and start each attempt themselves.
+* :class:`DatagramExchange` — the subclass :meth:`Transport.exchange`
+  builds. Each attempt closes the previous attempt's
+  :class:`~repro.netsim.socket.UdpSocket`, binds a fresh ephemeral one
+  and sends the request; a classifier filters inbound datagrams.
+  Replies it rejects (wrong txid, unparsable, spoofed source) leave the
+  exchange pending. Closing the socket is also what drops late and
+  duplicated replies (the fabric counts them as ``no-socket``), so
+  none reaches the owner twice — which is what makes link-level
   duplication (:class:`~repro.netsim.link.FaultModel`) safe for every
   protocol riding on the transport.
 
@@ -35,14 +41,13 @@ exchange, and policies are shared values: :func:`retry_policy` hands
 out one per ``(timeout, retries)``.
 
 Lifetime: a finished exchange holds no reference to its owner. On
-completion or cancellation :class:`PendingExchange` drops its owner
-callbacks (``begin_attempt``, ``on_complete``, ``on_cancel``, the txid
-source) and its :class:`~repro.netsim.simulator.Timer`, and a cancelled
-:class:`~repro.netsim.simulator.Event` drops its callback, so no
-reference cycle outlives the exchange and refcounting frees it (with
-its closures, messages and report) the moment its owner lets go. The
-cyclic garbage collector never has to find it. Both exchange types (and
-``Timer``) accept weak references, so tests can watch them die.
+completion or cancellation it cancels its pending timeout (a cancelled
+:class:`~repro.netsim.simulator.Event` drops its callback, so the dead
+heap entry pins nothing), closes its socket and drops the owner's
+callbacks and its TXID stream. No reference cycle outlives the
+exchange, and refcounting frees it the moment its owner lets go; the
+cyclic garbage collector never has to find it. Exchanges accept weak
+references, so tests can watch them die.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from typing import Any, Callable, Optional, TYPE_CHECKING
 
 from repro.netsim.address import Endpoint
 from repro.netsim.packet import Datagram
-from repro.netsim.simulator import Simulator, Timer
+from repro.netsim.simulator import Event, Simulator
 from repro.netsim.socket import UdpSocket
 from repro.telemetry.registry import MetricsRegistry, current_registry
 from repro.telemetry.trace import Span, Tracer, current_tracer
@@ -119,99 +124,74 @@ def retry_policy(timeout: float, retries: int = 0) -> RetryPolicy:
     return RetryPolicy(timeout=timeout, retries=retries)
 
 
-@dataclass(frozen=True, slots=True)
-class AttemptInfo:
-    """Identity of one attempt, handed to the request builder."""
+#: Transaction IDs are 16-bit, drawn as ``txids.randrange(TXID_SPACE)``.
+TXID_SPACE = 1 << 16
 
-    index: int                      # 1-based attempt number
-    txid: Optional[int] = None      # transaction ID, when the transport
-    #                                 draws one for this exchange
+# A classifier sees (datagram, the attempt's txid) and returns the
+# accepted value, or None to keep waiting (not ours / malformed /
+# spoofed). The request builder sees the attempt's txid. Either txid is
+# None when the exchange has no TXID stream.
+ReplyClassifier = Callable[[Datagram, Optional[int]], Optional[Any]]
+RequestBuilder = Callable[[Optional[int]], bytes]
+CompletionCallback = Callable[["PendingExchange"], None]
 
 
-@dataclass(slots=True)
-class ExchangeReport:
-    """Everything one finished exchange can tell its owner."""
+class PendingExchange:
+    """One supervised exchange: attempt scheduling, exactly-once finish,
+    and the record its owner reads.
 
-    value: Any = None               # what the classifier accepted
-    timed_out: bool = False
-    attempts: int = 0
-    started_at: float = 0.0
-    finished_at: float = 0.0
-    rtt: Optional[float] = None     # last attempt's send → accept delay
-    bytes_sent: int = 0
-    bytes_received: int = 0
-    rejected_replies: int = 0       # classified as not-ours while pending
-    suppressed_replies: int = 0     # duplicates / late arrivals after done
+    Each attempt draws its transaction ID (when the exchange has a TXID
+    stream), runs the attempt hook (``begin_attempt()`` for a
+    supervised exchange) and arms the attempt's timeout. Whoever
+    observes the response calls :meth:`resolve` with the terminal value;
+    when every attempt times out the exchange finishes with
+    ``timed_out=True``. Either way ``on_complete`` receives the exchange
+    itself, once: :meth:`resolve` after the finish is ignored.
+    """
+
+    __slots__ = (
+        # The record, complete once ``finished`` is set.
+        "label", "value", "timed_out", "attempts", "started_at",
+        "finished_at", "rtt", "bytes_sent", "bytes_received",
+        "rejected_replies", "finished",
+        # The open span of the in-flight attempt (None untraced): reply
+        # handlers re-activate it so decode spans parent there.
+        "attempt_span",
+        "_transport", "_simulator", "_tracer", "_policy", "_begin_attempt",
+        "_on_complete", "_txids", "_timeout", "_attempt_started_at",
+        "_span", "__weakref__")
+
+    def __init__(self, transport: "Transport", policy: RetryPolicy,
+                 on_complete: CompletionCallback, label: str,
+                 begin_attempt: Optional[Callable[[], None]] = None,
+                 txids: Optional[random.Random] = None) -> None:
+        self.label = label
+        self.value: Any = None              # what the classifier accepted
+        self.timed_out = False
+        self.attempts = 0
+        self.started_at = 0.0
+        self.finished_at = 0.0
+        self.rtt: Optional[float] = None    # last attempt's send → accept
+        self.bytes_sent = 0
+        self.bytes_received = 0
+        self.rejected_replies = 0           # not-ours while pending
+        self.finished = False
+        self.attempt_span: Optional[Span] = None
+        self._transport = transport
+        self._simulator = transport._simulator
+        self._tracer: Optional[Tracer] = transport._tracer
+        self._policy = policy
+        self._begin_attempt = begin_attempt
+        self._on_complete = on_complete
+        self._txids = txids
+        self._timeout: Optional[Event] = None
+        self._attempt_started_at = 0.0
+        self._span: Optional[Span] = None
 
     @property
     def elapsed(self) -> float:
         """Whole-exchange virtual duration (all attempts)."""
         return self.finished_at - self.started_at
-
-
-class PendingExchange:
-    """One supervised exchange: attempt scheduling + exactly-once finish.
-
-    ``begin_attempt`` is called once per attempt (1-based
-    :class:`AttemptInfo`); the supervisor then arms the attempt's
-    timeout. Whoever observes the response calls :meth:`resolve` with
-    the terminal value; when every attempt times out the report is
-    delivered with ``timed_out=True``. ``resolve`` after completion is
-    suppressed (and counted), never delivered twice.
-    """
-
-    __slots__ = ("_simulator", "_policy", "_begin_attempt", "_on_complete",
-                 "_label", "_next_txid", "_on_cancel", "_report",
-                 "_finished", "_attempt_started_at", "_timer",
-                 "_tracer", "_span", "_attempt_span", "__weakref__")
-
-    def __init__(self, simulator: Simulator, policy: RetryPolicy,
-                 begin_attempt: Callable[[AttemptInfo], None],
-                 on_complete: Callable[[ExchangeReport], None],
-                 label: str = "exchange",
-                 next_txid: Optional[Callable[[], int]] = None,
-                 on_cancel: Optional[Callable[[], None]] = None,
-                 tracer: Optional[Tracer] = None) -> None:
-        self._simulator = simulator
-        self._policy = policy
-        self._begin_attempt = begin_attempt
-        self._on_complete = on_complete
-        self._label = label
-        self._next_txid = next_txid
-        self._on_cancel = on_cancel
-        self._report = ExchangeReport()
-        self._finished = False
-        self._attempt_started_at = 0.0
-        self._timer = Timer(simulator, self._on_timeout)
-        # The exchange and current-attempt spans. The attempt span is
-        # re-activated explicitly whenever control re-enters through a
-        # simulator callback hop (timeout firing, reply delivery), so
-        # children recorded there still parent under the right attempt.
-        self._tracer = tracer
-        self._span: Optional[Span] = None
-        self._attempt_span: Optional[Span] = None
-
-    # ------------------------------------------------------------------
-    # State.
-    # ------------------------------------------------------------------
-
-    @property
-    def finished(self) -> bool:
-        return self._finished
-
-    @property
-    def attempts(self) -> int:
-        return self._report.attempts
-
-    @property
-    def report(self) -> ExchangeReport:
-        return self._report
-
-    @property
-    def attempt_span(self) -> Optional[Span]:
-        """The open span of the in-flight attempt (``None`` untraced) —
-        reply handlers re-activate it so decode spans parent here."""
-        return self._attempt_span
 
     # ------------------------------------------------------------------
     # Lifecycle.
@@ -219,216 +199,180 @@ class PendingExchange:
 
     def start(self) -> "PendingExchange":
         """Launch the first attempt; returns self for chaining."""
-        self._report.started_at = self._simulator.now
+        self.started_at = self._simulator.now
         if self._tracer is not None:
             self._span = self._tracer.begin(
-                "transport.exchange", attrs={"label": self._label})
+                "transport.exchange", attrs={"label": self.label})
         self._start_attempt()
         return self
 
     def resolve(self, value: Any) -> None:
-        """Deliver the exchange's terminal value (first call wins)."""
-        if self._finished:
-            self._report.suppressed_replies += 1
+        """Deliver the exchange's terminal value (the first call wins;
+        later calls are ignored)."""
+        if self.finished:
             return
-        self._report.value = value
-        self._report.rtt = self._simulator.now - self._attempt_started_at
-        if self._attempt_span is not None:
-            self._tracer.finish(self._attempt_span.set(outcome="accepted"))
-            self._attempt_span = None
+        self.value = value
+        self.rtt = self._simulator.now - self._attempt_started_at
+        if self.attempt_span is not None:
+            self._tracer.finish(self.attempt_span.set(outcome="accepted"))
+            self.attempt_span = None
         self._finish()
 
     def cancel(self) -> None:
-        """Abandon the exchange silently (no completion callback).
-
-        Owner resources (the datagram layer's per-attempt socket) are
-        released through the ``on_cancel`` hook.
-        """
-        if self._finished:
+        """Abandon the exchange silently: no completion callback, no
+        metrics. Its socket, if any, is released at once."""
+        if self.finished:
             return
-        self._finished = True
-        self._timer.cancel()
-        if self._attempt_span is not None:
-            self._tracer.finish(self._attempt_span.set(outcome="cancelled"))
-            self._attempt_span = None
+        self.finished = True
+        if self.attempt_span is not None:
+            self._tracer.finish(self.attempt_span.set(outcome="cancelled"))
+            self.attempt_span = None
         if self._span is not None:
             self._tracer.finish(self._span.set(outcome="cancelled"))
             self._span = None
-        on_cancel = self._on_cancel
         self._release()
-        if on_cancel is not None:
-            on_cancel()
 
     # ------------------------------------------------------------------
     # Internals.
     # ------------------------------------------------------------------
 
     def _start_attempt(self) -> None:
-        attempt_index = self._report.attempts + 1
-        self._report.attempts = attempt_index
+        attempt = self.attempts = self.attempts + 1
         self._attempt_started_at = self._simulator.now
-        txid = self._next_txid() if self._next_txid is not None else None
-        attempt = AttemptInfo(index=attempt_index, txid=txid)
+        txids = self._txids
+        txid = None if txids is None else txids.randrange(TXID_SPACE)
         tracer = self._tracer
         if tracer is None:
-            self._begin_attempt(attempt)
+            self._attempt(txid)
         else:
-            attrs = {"attempt": attempt_index}
+            attrs = {"attempt": attempt}
             if txid is not None:
                 attrs["txid"] = txid
-            self._attempt_span = tracer.begin(
+            self.attempt_span = tracer.begin(
                 "transport.attempt", parent=self._span, attrs=attrs)
-            with tracer.scope(self._attempt_span):
-                self._begin_attempt(attempt)
-        if not self._finished:
-            self._timer.start(self._policy.timeout_for(attempt_index))
+            # The attempt's sends parent under its span.
+            with tracer.scope(self.attempt_span):
+                self._attempt(txid)
+        if not self.finished:
+            self._timeout = self._simulator.schedule_after(
+                self._policy.timeout_for(attempt), self._on_timeout)
+
+    def _attempt(self, txid: Optional[int]) -> None:
+        """Start one attempt (the owner's hook; a supervised exchange
+        never draws a txid)."""
+        self._begin_attempt()
 
     def _on_timeout(self) -> None:
-        if self._finished:
-            return
-        if self._attempt_span is not None:
-            self._tracer.finish(self._attempt_span.set(outcome="timeout"))
-            self._attempt_span = None
-        if self._report.attempts < self._policy.max_attempts:
+        self._timeout = None
+        if self.attempt_span is not None:
+            self._tracer.finish(self.attempt_span.set(outcome="timeout"))
+            self.attempt_span = None
+        if self.attempts < self._policy.max_attempts:
             self._start_attempt()
             return
-        self._report.timed_out = True
+        self.timed_out = True
         self._finish()
 
     def _finish(self) -> None:
-        self._finished = True
-        self._report.finished_at = self._simulator.now
-        self._timer.cancel()
-        if self._span is not None:
-            report = self._report
-            self._span.set(attempts=report.attempts,
-                           timed_out=report.timed_out)
-            if report.timed_out:
+        self.finished = True
+        self.finished_at = self._simulator.now
+        span = self._span
+        if span is not None:
+            span.set(attempts=self.attempts, timed_out=self.timed_out)
+            if self.timed_out:
                 # Every attempt the policy allowed has timed out: the
                 # exchange gave up for good, which is the signal chaos
                 # experiments grep traces for (distinct from a single
                 # attempt timing out and a retry succeeding).
-                self._span.set(gave_up=True)
-            if report.rtt is not None:
-                self._span.set(rtt=report.rtt)
-            self._tracer.finish(self._span)
+                span.set(gave_up=True)
+            if self.rtt is not None:
+                span.set(rtt=self.rtt)
+            self._tracer.finish(span)
         on_complete = self._on_complete
         self._release()
-        on_complete(self._report)
+        transport = self._transport
+        if transport._telemetry is not None:
+            transport._publish(self)
+        on_complete(self)
 
     def _release(self) -> None:
-        """Drop every reference back into the owner (its bound methods)
-        and the timer (whose callback is our own ``_on_timeout``), so a
-        finished exchange is freed by refcounting alone."""
+        """Cancel the pending timeout (whose callback is our own
+        ``_on_timeout``) and drop every reference back into the owner,
+        so a finished exchange is freed by refcounting alone."""
+        if self._timeout is not None:
+            self._timeout.cancel()
+            self._timeout = None
         self._begin_attempt = None
         self._on_complete = None
-        self._on_cancel = None
-        self._next_txid = None
-        self._timer = None
+        self._txids = None
 
 
-#: Transaction IDs are 16-bit, drawn as ``txids.randrange(TXID_SPACE)``.
-TXID_SPACE = 1 << 16
-
-# A classifier sees (datagram, attempt) and returns the accepted value,
-# or None to keep waiting (not ours / malformed / spoofed).
-ReplyClassifier = Callable[[Datagram, AttemptInfo], Optional[Any]]
-RequestBuilder = Callable[[AttemptInfo], bytes]
-CompletionCallback = Callable[[ExchangeReport], None]
-
-
-class DatagramExchange:
+class DatagramExchange(PendingExchange):
     """One datagram request/response exchange (created by
     :meth:`Transport.exchange`; not instantiated directly).
 
     Per attempt it closes the previous attempt's socket, binds a fresh
-    ephemeral one, builds the request (with a fresh transaction ID when
-    the exchange has a TXID stream) and sends it; the classifier filters
-    inbound datagrams. Closing the per-attempt socket is also what
-    suppresses late and duplicated replies: once the exchange finishes
-    (or retries onto a new port) the old port is unbound and the
-    network drops stragglers, exactly as a real stack would.
+    ephemeral one, builds the request with the attempt's txid and sends
+    it; the classifier filters inbound datagrams. Closing the
+    per-attempt socket is also what drops late and duplicated replies:
+    once the exchange finishes (or retries onto a new port) the old
+    port is unbound and the network drops stragglers, exactly as a real
+    stack would.
     """
 
-    __slots__ = ("_transport", "_destination", "_build_request", "_classify",
-                 "_on_complete", "_socket", "_attempt", "_pending",
-                 "__weakref__")
+    __slots__ = ("_destination", "_build_request", "_classify", "_socket",
+                 "_txid")
 
     def __init__(self, transport: "Transport", destination: Endpoint,
                  build_request: RequestBuilder, classify: ReplyClassifier,
                  on_complete: CompletionCallback, policy: RetryPolicy,
                  label: str, txids: Optional[random.Random]) -> None:
-        self._transport = transport
+        super().__init__(transport, policy, on_complete, label, txids=txids)
         self._destination = destination
         self._build_request = build_request
         self._classify = classify
-        self._on_complete = on_complete
         self._socket: Optional[UdpSocket] = None
-        self._attempt = AttemptInfo(index=0)
-        self._pending = PendingExchange(
-            transport.simulator, policy, self._begin_attempt, self._finish,
-            label=label,
-            next_txid=(None if txids is None
-                       else functools.partial(txids.randrange, TXID_SPACE)),
-            on_cancel=self._close_socket,
-            tracer=transport.tracer)
-
-    @property
-    def pending(self) -> PendingExchange:
-        return self._pending
-
-    @property
-    def report(self) -> ExchangeReport:
-        return self._pending.report
+        self._txid: Optional[int] = None
 
     def start(self) -> "DatagramExchange":
-        self._pending.start()
-        span = self._pending._span
-        if span is not None:
-            span.set(dest=str(self._destination))
+        super().start()
+        if self._span is not None:
+            self._span.set(dest=str(self._destination))
         return self
 
-    # ------------------------------------------------------------------
-    # Attempt plumbing.
-    # ------------------------------------------------------------------
-
-    def _begin_attempt(self, attempt: AttemptInfo) -> None:
-        self._attempt = attempt
-        self._close_socket()
-        self._socket = self._transport.host.ephemeral_socket(self._on_datagram)
-        payload = self._build_request(attempt)
-        self._pending.report.bytes_sent += len(payload)
-        self._socket.sendto(self._destination, payload)
+    def _attempt(self, txid: Optional[int]) -> None:
+        self._txid = txid
+        if self._socket is not None:
+            self._socket.close()
+        socket = self._socket = self._transport._host.ephemeral_socket(
+            self._on_datagram)
+        payload = self._build_request(txid)
+        self.bytes_sent += len(payload)
+        socket.sendto(self._destination, payload)
 
     def _on_datagram(self, datagram: Datagram) -> None:
-        report = self._pending.report
-        if self._pending.finished:
-            report.suppressed_replies += 1
-            return
-        report.bytes_received += datagram.size
-        # Delivery arrives through a simulator callback hop, so the
-        # attempt's trace context is re-activated here: decode spans
-        # emitted by the classifier parent under the attempt.
-        tracer = self._transport.tracer
-        attempt_span = self._pending.attempt_span
-        if tracer is not None and attempt_span is not None:
-            with tracer.scope(attempt_span):
-                value = self._classify(datagram, self._attempt)
+        self.bytes_received += datagram.size
+        attempt_span = self.attempt_span
+        if attempt_span is not None:
+            # Delivery arrives through a simulator callback hop, so the
+            # attempt's trace context is re-activated here: decode
+            # spans emitted by the classifier parent under the attempt.
+            with self._tracer.scope(attempt_span):
+                value = self._classify(datagram, self._txid)
         else:
-            value = self._classify(datagram, self._attempt)
+            value = self._classify(datagram, self._txid)
         if value is None:
-            report.rejected_replies += 1
+            self.rejected_replies += 1
             return
-        self._pending.resolve(value)
+        self.resolve(value)
 
-    def _finish(self, report: ExchangeReport) -> None:
-        self._close_socket()
-        self._on_complete(report)
-
-    def _close_socket(self) -> None:
+    def _release(self) -> None:
         if self._socket is not None:
             self._socket.close()
             self._socket = None
+        self._build_request = None
+        self._classify = None
+        super()._release()
 
 
 class Transport:
@@ -449,14 +393,6 @@ class Transport:
         # no tracer installed no exchange/attempt spans are allocated.
         self._telemetry = current_registry()
         self._tracer = current_tracer()
-
-    @property
-    def host(self) -> "Host":
-        return self._host
-
-    @property
-    def simulator(self) -> Simulator:
-        return self._simulator
 
     @property
     def telemetry(self) -> Optional[MetricsRegistry]:
@@ -480,19 +416,17 @@ class Transport:
                  label: str = "exchange",
                  txids: Optional[random.Random] = None) -> DatagramExchange:
         """Run a datagram request/response exchange; ``on_complete``
-        fires exactly once with the :class:`ExchangeReport`.
+        fires exactly once with the finished exchange.
 
         ``txids`` is the stream each attempt draws its transaction ID
         from (``txids.randrange(TXID_SPACE)``, one draw per attempt);
         without one the attempts carry none (NTP identifies its
         transaction by the origin timestamp, the recursive resolver
         draws its own)."""
-        exchange = DatagramExchange(
-            self, destination, build_request, classify,
-            self._finalize(on_complete, label), policy, label, txids)
-        return exchange.start()
+        return DatagramExchange(self, destination, build_request, classify,
+                                on_complete, policy, label, txids).start()
 
-    def supervise(self, *, begin_attempt: Callable[[AttemptInfo], None],
+    def supervise(self, *, begin_attempt: Callable[[], None],
                   on_complete: CompletionCallback,
                   policy: RetryPolicy,
                   label: str = "supervised") -> PendingExchange:
@@ -500,44 +434,31 @@ class Transport:
         that own their channel (DoH's per-query TLS connection). The
         caller starts its attempt in ``begin_attempt`` and reports the
         terminal value through :meth:`PendingExchange.resolve`."""
-        pending = PendingExchange(
-            self._simulator, policy, begin_attempt,
-            self._finalize(on_complete, label), label=label,
-            tracer=self._tracer)
-        return pending.start()
+        return PendingExchange(self, policy, on_complete, label,
+                               begin_attempt).start()
 
-    def _finalize(self, on_complete: CompletionCallback,
-                  label: str) -> CompletionCallback:
-        def wrapped(report: ExchangeReport) -> None:
-            if self._telemetry is not None:
-                self._publish(report, label)
-            on_complete(report)
-        return wrapped
-
-    def _publish(self, report: ExchangeReport, label: str) -> None:
+    def _publish(self, exchange: PendingExchange) -> None:
         """One completed exchange's metrics, keyed by exchange label."""
+        label = exchange.label
         counter = self._telemetry.counter
         counter("transport.exchanges", label=label).inc()
-        counter("transport.attempts", label=label).inc(report.attempts)
-        if report.timed_out:
+        counter("transport.attempts", label=label).inc(exchange.attempts)
+        if exchange.timed_out:
             counter("transport.timeouts", label=label).inc()
             # Retry exhaustion, named explicitly: the whole policy
             # budget (first attempt plus every retry) timed out and the
             # caller got nothing. Availability dashboards key on this
             # rather than inferring it from timeouts vs attempts.
             counter("transport.exhausted", label=label).inc()
-        elif report.rtt is not None:
+        elif exchange.rtt is not None:
             self._telemetry.histogram(
-                "transport.rtt", label=label).observe(report.rtt)
-        if report.bytes_sent:
+                "transport.rtt", label=label).observe(exchange.rtt)
+        if exchange.bytes_sent:
             counter("transport.bytes_sent",
-                    label=label).inc(report.bytes_sent)
-        if report.bytes_received:
+                    label=label).inc(exchange.bytes_sent)
+        if exchange.bytes_received:
             counter("transport.bytes_received",
-                    label=label).inc(report.bytes_received)
-        if report.rejected_replies:
+                    label=label).inc(exchange.bytes_received)
+        if exchange.rejected_replies:
             counter("transport.rejected_replies",
-                    label=label).inc(report.rejected_replies)
-        if report.suppressed_replies:
-            counter("transport.suppressed_replies",
-                    label=label).inc(report.suppressed_replies)
+                    label=label).inc(exchange.rejected_replies)

@@ -14,7 +14,7 @@ from repro.netsim.address import Endpoint, IPAddress
 from repro.netsim.host import Host
 from repro.netsim.packet import Datagram
 from repro.netsim.simulator import Simulator
-from repro.netsim.transport import AttemptInfo, ExchangeReport, retry_policy
+from repro.netsim.transport import PendingExchange, retry_policy
 from repro.ntp.clock import SimClock
 from repro.ntp.packet import (
     MODE_SERVER,
@@ -84,15 +84,14 @@ class NtpClient:
         self._queries += 1
         state = {"t1": 0.0}
 
-        def build_request(attempt: AttemptInfo) -> bytes:
+        def build_request(_: None) -> bytes:
             state["t1"] = self._clock.now()
             if self._tracer is not None:
                 self._tracer.event("ntp.encode",
                                    attrs={"server": str(address)})
             return NtpPacket(origin=state["t1"]).encode()
 
-        def classify(datagram: Datagram,
-                     attempt: AttemptInfo) -> Optional[NtpSample]:
+        def classify(datagram: Datagram, _: None) -> Optional[NtpSample]:
             try:
                 reply = NtpPacket.decode(datagram.payload)
             except NtpFormatError:
@@ -110,18 +109,18 @@ class NtpClient:
                                           "offset": offset, "delay": delay})
             return NtpSample(server=address, offset=offset, delay=delay)
 
-        def on_complete(report: ExchangeReport) -> None:
+        def on_complete(exchange: PendingExchange) -> None:
             telemetry = self._telemetry
             if telemetry is not None:
                 telemetry.counter("ntp.samples").inc()
-            if report.timed_out:
+            if exchange.timed_out:
                 self._timeouts += 1
                 if telemetry is not None:
                     telemetry.counter("ntp.timeouts").inc()
                 callback(NtpSample(server=address, offset=None, delay=None,
                                    timed_out=True))
                 return
-            sample: NtpSample = report.value
+            sample: NtpSample = exchange.value
             if telemetry is not None and sample.ok:
                 telemetry.histogram("ntp.delay").observe(sample.delay)
                 telemetry.histogram("ntp.offset_abs").observe(

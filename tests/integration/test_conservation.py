@@ -4,7 +4,7 @@ Every datagram the fabric accepts lands exactly once: after a drained
 run, the datagrams counted at send time equal the ``net.*`` deliveries
 plus drops counted at landing (duplicate copies are neither), and no
 event is left on the heap. No exchange outlives its world either: once
-the run is drained, no datagram exchange, exchange supervisor or TLS
+the run is drained, no exchange (datagram or supervised) or TLS
 connection the world started is still alive. Checked on smoke-size
 versions of the perf workloads' fleets, on the golden scenarios'
 worlds, and on every population point of the chaos (C1) and hierarchy
@@ -20,7 +20,7 @@ import pytest
 from benchmarks import bench_c1_chaos, bench_h1_hierarchy
 from benchmarks.perf.unit import SIZES, fleet_spec
 from repro.doh.tls import TlsClientConnection
-from repro.netsim.transport import DatagramExchange, PendingExchange
+from repro.netsim.transport import PendingExchange
 from repro.scenarios import materialize, set_path
 from repro.telemetry.registry import MetricsRegistry
 from tests.golden.scenarios import SPECS
@@ -32,12 +32,13 @@ FLEETS = ("udp-fleet", "doh-fleet", "iterative-chaos")
 
 @pytest.fixture
 def exchanges(monkeypatch):
-    """Weak references to every datagram exchange, exchange supervisor
-    and TLS client connection constructed while the test runs, with
-    the cyclic collector off: a finished exchange must die by
-    refcount, so one kept alive by a reference cycle stays visible."""
+    """Weak references to every exchange (a datagram exchange is a
+    :class:`PendingExchange` too) and TLS client connection constructed
+    while the test runs, with the cyclic collector off: a finished
+    exchange must die by refcount, so one kept alive by a reference
+    cycle stays visible."""
     refs = []
-    for cls in (PendingExchange, DatagramExchange, TlsClientConnection):
+    for cls in (PendingExchange, TlsClientConnection):
         def recording(self, *args, __init__=cls.__init__, **kwargs):
             __init__(self, *args, **kwargs)
             refs.append(weakref.ref(self))

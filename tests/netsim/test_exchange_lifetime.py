@@ -4,7 +4,7 @@ Every test runs with the cyclic collector disabled, so an object that
 survives only inside a reference cycle stays alive and its weak
 reference stays live. A fleet round fans out one exchange per provider
 plus an NTP sync; an exchange left in a cycle drags its closures,
-messages and report into the collector's oldest generation.
+messages and socket into the collector's oldest generation.
 """
 
 import collections
@@ -81,16 +81,14 @@ class _StubWorld:
 
 
 def record_exchanges(monkeypatch):
-    """Weak references to every datagram exchange started, its
-    supervisor and the supervisor's timer."""
+    """Weak references to every datagram exchange started (one object
+    per exchange: its supervision, record and socket slot)."""
     refs = []
     exchange = Transport.exchange
 
     def recording(self, *args, **kwargs):
         handle = exchange(self, *args, **kwargs)
-        pending = handle.pending
-        refs.extend([weakref.ref(handle), weakref.ref(pending),
-                     weakref.ref(pending._timer)])
+        refs.append(weakref.ref(handle))
         return handle
 
     monkeypatch.setattr(Transport, "exchange", recording)
@@ -103,13 +101,17 @@ class TestDatagramExchange:
         refs = record_exchanges(monkeypatch)
         outcomes = []
         world.stub.query("pool.ntp.org", RRType.A, outcomes.append)
-        assert len(refs) == 3
+        assert len(refs) == 1
         # Answered at t=0.02. The live event at 0.8 keeps the cancelled
         # 1 s timeout queued behind it, as a busy fleet's heap would.
         world.simulator.schedule_at(0.8, lambda: None)
         world.simulator.run(until=0.5)
         assert len(outcomes) == 1 and outcomes[0].ok
         assert world.simulator.pending_events == 1
+        dead = [event for _, _, event in world.simulator._queue
+                if event.cancelled]
+        assert [(event.time, event.callback) for event in dead] == [
+            (1.0, None)]
         assert_dead(refs)
 
     def test_exhausted_query_dies(self, monkeypatch):
@@ -117,6 +119,7 @@ class TestDatagramExchange:
         refs = record_exchanges(monkeypatch)
         outcomes = []
         world.stub.query("pool.ntp.org", RRType.A, outcomes.append)
+        assert len(refs) == 1
         world.simulator.run()
         assert len(outcomes) == 1 and outcomes[0].timed_out
         assert outcomes[0].attempts == 2
@@ -127,10 +130,10 @@ class TestDatagramExchange:
         refs = record_exchanges(monkeypatch)
         completions = []
         exchange = Transport(world.client, world.simulator).exchange(
-            world.server, build_request=lambda attempt: b"ping",
-            classify=lambda datagram, attempt: datagram.payload,
+            world.server, build_request=lambda txid: b"ping",
+            classify=lambda datagram, txid: datagram.payload,
             on_complete=completions.append, policy=RetryPolicy(timeout=1.0))
-        exchange.pending.cancel()
+        exchange.cancel()
         del exchange
         # Nothing ran: the cancelled timeout still sits in the heap.
         assert_dead(refs)
@@ -145,8 +148,8 @@ class TestDatagramExchange:
 
 
 def record_doh(monkeypatch):
-    """Weak references to every DoH query, its supervisor and timer,
-    and every TLS connection it opens."""
+    """Weak references to every DoH query, its exchange and every TLS
+    connection it opens."""
     refs = []
     start = _DoHQuery.start
     connect = TlsClientConnection.connect
@@ -154,8 +157,7 @@ def record_doh(monkeypatch):
     def recording_start(self):
         refs.append(weakref.ref(self))
         start(self)
-        refs.extend([weakref.ref(self._exchange),
-                     weakref.ref(self._exchange._timer)])
+        refs.append(weakref.ref(self._exchange))
 
     def recording_connect(self):
         refs.append(weakref.ref(self))
@@ -215,7 +217,7 @@ class TestDoHQuery:
         outcomes = []
         client.query(provider.endpoint, provider.name, "pool.ntp.org",
                      RRType.A, outcomes.append)
-        assert len(refs) == 4          # query, supervisor, timer, connection
+        assert len(refs) == 3          # query, exchange, connection
         pool_world.simulator.run()
         assert [outcome.status for outcome in outcomes] == [DoHStatus.OK]
         assert_dead(refs)

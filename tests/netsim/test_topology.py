@@ -1,9 +1,11 @@
 """Tests for the routed topology."""
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.netsim.link import LinkProfile
+from repro.netsim.link import FaultModel, Link, LinkProfile
 from repro.netsim.topology import RoutingError, Topology
 from repro.util.rng import RngRegistry
 
@@ -139,25 +141,52 @@ class TestLinkSampling:
     def test_no_loss_never_drops(self):
         topo = simple_line()
         link = topo.link_between("a", "b")
-        assert not any(link.sample_drop() for _ in range(100))
+        assert not any(link.transit(10)[0] for _ in range(100))
+        assert link.packets_dropped == 0
 
     def test_full_loss_always_drops(self):
         topo = Topology(RngRegistry(1))
         link = topo.add_link("a", "b", LinkProfile(loss=1.0))
-        assert all(link.sample_drop() for _ in range(10))
+        assert all(link.transit(10) == (True, None, 0.0) for _ in range(10))
+        assert link.packets_dropped == 10
 
     def test_delay_at_least_latency(self):
         topo = Topology(RngRegistry(1))
         link = topo.add_link("a", "b", LinkProfile(latency=0.02, jitter=0.005))
         for _ in range(50):
-            delay = link.sample_delay()
+            dropped, gap, delay = link.transit(10)
+            assert not dropped and gap is None
             assert 0.02 <= delay <= 0.025
 
     def test_accounting(self):
-        topo = simple_line()
-        link = topo.link_between("a", "b")
-        link.account(100, dropped=False)
-        link.account(50, dropped=True)
-        assert link.packets_carried == 2
-        assert link.packets_dropped == 1
-        assert link.bytes_carried == 150
+        topo = Topology(RngRegistry(1))
+        link = topo.add_link("a", "b", LinkProfile(loss=0.5))
+        outcomes = [link.transit(size)[0] for size in (100, 50, 25, 10, 5)]
+        # Dropped packets are carried (and their bytes counted) too.
+        assert link.packets_carried == 5
+        assert link.packets_dropped == outcomes.count(True)
+        assert 0 < link.packets_dropped < 5
+        assert link.bytes_carried == 190
+
+    def test_draw_order(self):
+        """transit draws in the order its docstring states, from the
+        link's stream and the fault stream."""
+        link = Link("a", "b", LinkProfile(latency=0.01, jitter=0.002,
+                                          loss=0.3), random.Random(5))
+        link.install_fault(FaultModel(loss_rate=0.2, jitter_s=0.001,
+                                      reorder_window=0.004, reorder_rate=0.5,
+                                      duplicate_rate=0.5,
+                                      duplicate_gap_s=0.003),
+                           random.Random(6))
+        intrinsic, fault = random.Random(5), random.Random(6)
+        for _ in range(200):
+            if intrinsic.random() < 0.3 or fault.random() < 0.2:
+                expected = (True, None, 0.0)
+            else:
+                gap = 0.003 if fault.random() < 0.5 else None
+                delay = 0.01 + intrinsic.uniform(0.0, 0.002)
+                extra = 0.0 + fault.uniform(0.0, 0.001)
+                if fault.random() < 0.5:
+                    extra += fault.uniform(0.0, 0.004)
+                expected = (False, gap, delay + extra)
+            assert link.transit(10) == expected

@@ -1,6 +1,8 @@
 """Unit tests for the unified request/response transport."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -81,9 +83,9 @@ def run_exchange(world, policy, responder=None, **kwargs):
     world.transport.exchange(
         world.server_endpoint,
         build_request=kwargs.pop("build_request",
-                                 lambda attempt: b"ping"),
+                                 lambda txid: b"ping"),
         classify=kwargs.pop("classify",
-                            lambda datagram, attempt: datagram.payload),
+                            lambda datagram, txid: datagram.payload),
         on_complete=reports.append, policy=policy,
         txids=kwargs.pop("txids", world.txids), **kwargs)
     world.simulator.run()
@@ -143,7 +145,7 @@ class TestDatagramExchange:
             socket.reply(datagram, b"garbage")
             socket.reply(datagram, b"pong")
 
-        def classify(datagram, attempt):
+        def classify(datagram, txid):
             return datagram.payload if datagram.payload == b"pong" else None
 
         report = run_exchange(world, RetryPolicy(timeout=1.0),
@@ -162,8 +164,8 @@ class TestDatagramExchange:
         world.serve(responder)
         world.transport.exchange(
             world.server_endpoint,
-            build_request=lambda attempt: b"ping",
-            classify=lambda datagram, attempt: datagram.payload,
+            build_request=lambda txid: b"ping",
+            classify=lambda datagram, txid: datagram.payload,
             on_complete=outcomes.append, policy=RetryPolicy(timeout=1.0))
         world.simulator.run()
         assert len(outcomes) == 1  # the duplicate never reaches the owner
@@ -172,32 +174,62 @@ class TestDatagramExchange:
         world = _World()
         seen = []
 
-        def build_request(attempt):
-            seen.append((attempt.index, attempt.txid))
+        def build_request(txid):
+            seen.append((world.simulator.now, txid))
             return b"ping"
 
-        run_exchange(world, RetryPolicy(timeout=0.2, retries=2),
-                     build_request=build_request)
-        assert [index for index, _ in seen] == [1, 2, 3]
-        assert all(txid is not None for _, txid in seen)
+        report = run_exchange(world, RetryPolicy(timeout=0.2, retries=2),
+                              build_request=build_request)
+        assert report.attempts == 3
+        # One fresh draw per attempt, at each attempt's start, from the
+        # exchange's own stream.
+        reference = RngRegistry(1).stream("txid")
+        assert seen == [(pytest.approx(at), reference.randrange(1 << 16))
+                        for at in (0.0, 0.2, 0.4)]
         # Deterministic: same seed, same txid sequence.
         world2 = _World()
         seen2 = []
         run_exchange(world2, RetryPolicy(timeout=0.2, retries=2),
-                     build_request=lambda a: (seen2.append((a.index, a.txid))
-                                              or b"ping"))
+                     build_request=lambda txid: (seen2.append(
+                         (world2.simulator.now, txid)) or b"ping"))
         assert seen == seen2
+
+    def test_classifier_sees_the_attempts_txid(self):
+        world = _World()
+        sent, classified = [], []
+
+        def build_request(txid):
+            sent.append(txid)
+            return b"ping"
+
+        def classify(datagram, txid):
+            classified.append(txid)
+            # Only the second attempt's reply is accepted.
+            return datagram.payload if len(sent) == 2 else None
+
+        def responder(socket, datagram):
+            socket.reply(datagram, b"pong")
+
+        report = run_exchange(world, RetryPolicy(timeout=0.2, retries=2),
+                              responder=responder,
+                              build_request=build_request,
+                              classify=classify)
+        assert report.value == b"pong"
+        assert report.rejected_replies == 1
+        reference = RngRegistry(1).stream("txid")
+        assert classified == sent == [reference.randrange(1 << 16)
+                                      for _ in range(2)]
 
     def test_cancel_releases_the_socket(self):
         world = _World()
         outcomes = []
         exchange = world.transport.exchange(
             world.server_endpoint,
-            build_request=lambda attempt: b"ping",
-            classify=lambda datagram, attempt: datagram.payload,
+            build_request=lambda txid: b"ping",
+            classify=lambda datagram, txid: datagram.payload,
             on_complete=outcomes.append, policy=RetryPolicy(timeout=1.0))
         assert len(world.client.open_sockets) == 1
-        exchange.pending.cancel()
+        exchange.cancel()
         assert world.client.open_sockets == []   # port released immediately
         world.simulator.run()
         assert outcomes == []                    # and no completion fires
@@ -227,8 +259,8 @@ class TestSupervise:
         attempts = []
         reports = []
 
-        def begin(attempt):
-            attempts.append(attempt.index)
+        def begin():
+            attempts.append(world.simulator.now)
             world.simulator.schedule_after(
                 0.05, lambda: pending.resolve("done"))
 
@@ -236,34 +268,121 @@ class TestSupervise:
             begin_attempt=begin, on_complete=reports.append,
             policy=RetryPolicy(timeout=1.0, retries=2))
         world.simulator.run()
-        assert attempts == [1]
-        assert reports[0].value == "done"
-        assert reports[0].rtt == pytest.approx(0.05)
+        assert attempts == [0.0]
+        assert reports == [pending]
+        assert pending.value == "done"
+        assert pending.attempts == 1
+        assert pending.rtt == pytest.approx(0.05)
 
     def test_timeout_retries_then_exhausts(self):
         world = _World()
         attempts = []
         reports = []
         world.transport.supervise(
-            begin_attempt=lambda attempt: attempts.append(attempt.index),
+            begin_attempt=lambda: attempts.append(world.simulator.now),
             on_complete=reports.append,
             policy=RetryPolicy(timeout=0.5, retries=2))
         world.simulator.run()
-        assert attempts == [1, 2, 3]
+        assert attempts == [0.0, 0.5, 1.0]
         assert reports[0].timed_out
+        assert reports[0].attempts == 3
 
     def test_late_resolve_is_suppressed(self):
         world = _World()
         reports = []
         pending = world.transport.supervise(
-            begin_attempt=lambda attempt: None,
-            on_complete=reports.append, policy=RetryPolicy(timeout=0.1))
+            begin_attempt=lambda: None,
+            on_complete=reports.append, policy=RetryPolicy(timeout=1.0))
+        world.simulator.schedule_after(0.05, lambda: pending.resolve("first"))
         world.simulator.run()
-        assert reports[0].timed_out
         pending.resolve("too late")
-        assert len(reports) == 1
-        assert reports[0].value is None
-        assert reports[0].suppressed_replies == 1
+        # The callback fired once, with the first value.
+        assert reports == [pending]
+        assert pending.value == "first"
+        assert pending.rtt == pytest.approx(0.05)
+        assert not pending.timed_out
+
+
+class TestTimeout:
+    """The exchange schedules its own timeout event, one per attempt."""
+
+    def test_rearmed_per_attempt(self):
+        world = _World()
+        simulator = world.simulator
+        starts = []
+        pending = world.transport.supervise(
+            begin_attempt=lambda: starts.append(
+                (simulator.now, simulator.pending_events)),
+            on_complete=lambda exchange: None,
+            policy=RetryPolicy(timeout=0.5, retries=2, backoff=2.0))
+        assert simulator.pending_events == 1
+        simulator.run()
+        # Each attempt starts once the previous timeout fired, with
+        # nothing armed, and arms one timeout of its own length.
+        assert starts == [(0.0, 0), (0.5, 0), (1.5, 0)]
+        assert simulator.executed_events == 3
+        assert pending.timed_out
+        assert pending.elapsed == pytest.approx(3.5)
+
+    def test_disarmed_on_resolve(self):
+        world = _World()
+        simulator = world.simulator
+        pending = world.transport.supervise(
+            begin_attempt=lambda: None, on_complete=lambda exchange: None,
+            policy=RetryPolicy(timeout=1.0, retries=2))
+        simulator.schedule_after(0.05, lambda: pending.resolve("done"))
+        simulator.run()
+        # The cancelled timeout was popped dead: it neither fired nor
+        # moved the clock.
+        assert simulator.executed_events == 1
+        assert simulator.now == pytest.approx(0.05)
+        assert pending.attempts == 1
+
+    def test_disarmed_on_cancel(self):
+        world = _World()
+        simulator = world.simulator
+        completions = []
+        pending = world.transport.supervise(
+            begin_attempt=lambda: None, on_complete=completions.append,
+            policy=RetryPolicy(timeout=1.0, retries=2))
+        pending.cancel()
+        assert simulator.pending_events == 0
+        simulator.run()
+        assert simulator.executed_events == 0
+        assert simulator.now == 0.0
+        assert completions == []
+        assert pending.attempts == 1
+
+    def test_cancelled_timeout_is_one_dead_entry_pinning_nothing(self):
+        world = _World()
+        world.serve(lambda socket, datagram: socket.reply(datagram, b"pong"))
+        simulator = world.simulator
+        outcomes = []
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            exchange = world.transport.exchange(
+                world.server_endpoint, build_request=lambda txid: b"ping",
+                classify=lambda datagram, txid: datagram.payload,
+                on_complete=lambda exchange: outcomes.append(exchange.value),
+                policy=RetryPolicy(timeout=1.0))
+            ref = weakref.ref(exchange)
+            del exchange
+            # A live event ahead of the timeout keeps the heap from
+            # popping it, as a busy world's heap would.
+            simulator.schedule_at(0.8, lambda: None)
+            simulator.run(until=0.5)
+            assert outcomes == [b"pong"]
+            # Answered at 0.02: the 1 s timeout is still queued, dead.
+            live, dead = sorted(simulator._queue)
+            assert live[0] == 0.8 and not live[2].cancelled
+            assert dead[0] == 1.0
+            assert dead[2].cancelled and dead[2].callback is None
+            assert simulator.pending_events == 1
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestTxidStream:
@@ -276,9 +395,9 @@ class TestTxidStream:
         for name in ("a", "b", "a"):
             world.transport.exchange(
                 world.server_endpoint,
-                build_request=lambda attempt, n=name: (
-                    seen.append((n, attempt.txid)) or b"ping"),
-                classify=lambda datagram, attempt: datagram.payload,
+                build_request=lambda txid, n=name: (
+                    seen.append((n, txid)) or b"ping"),
+                classify=lambda datagram, txid: datagram.payload,
                 on_complete=lambda report: None,
                 policy=RetryPolicy(timeout=1.0), txids=streams[name])
         world.simulator.run()
@@ -292,7 +411,7 @@ class TestTxidStream:
         world = _World()
         seen = []
         run_exchange(world, RetryPolicy(timeout=0.2, retries=1),
-                     build_request=lambda a: seen.append(a.txid) or b"ping",
+                     build_request=lambda txid: seen.append(txid) or b"ping",
                      txids=None)
         assert seen == [None, None]
 
@@ -358,8 +477,8 @@ class TestSharedInstruments:
         for transport in transports:
             transport.exchange(
                 world.server_endpoint,
-                build_request=lambda attempt: b"ping",
-                classify=lambda datagram, attempt: datagram.payload,
+                build_request=lambda txid: b"ping",
+                classify=lambda datagram, txid: datagram.payload,
                 on_complete=reports.append,
                 policy=RetryPolicy(timeout=1.0), label="probe")
         world.simulator.run()

@@ -1,8 +1,8 @@
 """Architecture rules as one table, checked by tier-1.
 
 Each row is a grep gate over the source tree: a pattern, the paths it
-searches (directories or single files), the files inside them it
-exempts, and the message printed when it fails.
+searches (directories or single files), the files or directories
+inside them it exempts, and the message printed when it fails.
 ``test_tree_obeys_rule`` runs every row over the tree; a second test
 feeds each row a line that breaks it, so a row whose pattern or scope
 rots into matching nothing fails here instead of passing silently.
@@ -27,21 +27,27 @@ class Rule:
     #: files searched.
     paths: Tuple[str, ...]
     message: str
-    #: Files inside ``paths`` the rule exempts.
+    #: Files or directories inside ``paths`` the rule exempts.
     allowed: Tuple[str, ...] = ()
 
     def violations(self, path: str, text: str) -> List[str]:
         """``path:line: text`` for every line of ``text`` that breaks
         the rule, if ``path`` is in its scope."""
-        if path in self.allowed or not any(
-                path == prefix or path.startswith(prefix + "/")
-                for prefix in self.paths):
+        if _under(path, self.allowed) or not _under(path, self.paths):
             return []
         compiled = re.compile(self.pattern)
         return [f"{path}:{number}: {line}"
                 for number, line in enumerate(text.splitlines(), 1)
                 if compiled.search(line)]
 
+
+def _under(path: str, prefixes: Tuple[str, ...]) -> bool:
+    return any(path == prefix or path.startswith(prefix + "/")
+               for prefix in prefixes)
+
+
+#: Everything the dependency and graph-search rows search.
+ALL_CODE = ("src", "tests", "examples", "benchmarks")
 
 RULES = (
     # Speed comes from freeing objects, not from steering the cyclic
@@ -117,6 +123,65 @@ RULES = (
          paths=("src/repro/population/fleet.py",),
          message="a per-client holder in population/fleet.py: keep "
                  "between-round state in the fleet's columns"),
+    # The per-packet fast path must never search the graph: every
+    # shortest-path computation belongs to Topology's route caches,
+    # and the search itself (a port of networkx's bidirectional
+    # Dijkstra, pinned by tests/netsim/fixtures/networkx_routes.json)
+    # lives only in topology.py. A call elsewhere reintroduces
+    # per-datagram graph searches.
+    Rule(name="shortest-path",
+         pattern=r"_shortest_path\(",
+         paths=ALL_CODE,
+         allowed=("src/repro/netsim/topology.py",),
+         message="graph search outside netsim/topology.py: route through "
+                 "Topology.route()/route_nodes()"),
+    # The runtime depends on cryptography alone (pyproject.toml);
+    # importing networkx, scipy or numpy brings back a dependency stack
+    # it does without.
+    Rule(name="removed-dependency",
+         pattern=r"^\s*(import|from)\s+(networkx|scipy|numpy)\b",
+         paths=ALL_CODE,
+         message="a removed dependency imported: use the standard library"),
+    # Virtual time is the simulation's only clock. The only sanctioned
+    # wall-clock reads in src/repro are the adaptive executors'
+    # calibration probes (they time the host, not the simulation);
+    # wall time per layer is measured from outside by benchmarks/perf.
+    # A wall-clock read anywhere else breaks determinism: trace
+    # timestamps, spans and metrics must be virtual.
+    Rule(name="wall-clock",
+         pattern=r"time\.time\(|perf_counter",
+         paths=("src/repro",),
+         allowed=("src/repro/campaign/runner.py",
+                  "src/repro/population/sharding.py"),
+         message="wall-clock read outside the sanctioned sites: use "
+                 "virtual time (Simulator.now / tracer.now()) instead"),
+    # Infrastructure failure is declared, never improvised: host
+    # crash/restart switches and partition topology edits belong to
+    # the chaos controller (repro/chaos/) and the netsim layer that
+    # implements them. Any other src/ caller flipping hosts or ripping
+    # out links is an unattributable failure no ChaosSpec (or its
+    # telemetry) can see.
+    Rule(name="chaos-mutation",
+         pattern=r"\.set_host_(down|up)\(|\.remove_link\(",
+         paths=("src",),
+         allowed=("src/repro/chaos", "src/repro/netsim"),
+         message="infrastructure mutation outside repro/chaos + "
+                 "repro/netsim: declare a ChaosSpec event (ServerOutage/"
+                 "Partition) instead"),
+    # One transport exchange is one object: PendingExchange (or its
+    # DatagramExchange subclass) carries its own record, draws its own
+    # TXIDs and schedules its own timeout event per attempt. A report
+    # object, per-attempt info object or timer beside it is a second
+    # allocation per exchange, ~12k exchanges per udp-fleet run. The
+    # simulator module keeps the unused Timer class, which the
+    # benchmark's layer profiler patches by name.
+    Rule(name="exchange-object",
+         pattern=r"\b(Timer|ExchangeReport|AttemptInfo)\b",
+         paths=("src",),
+         allowed=("src/repro/netsim/simulator.py",),
+         message="a second object per transport exchange: keep its "
+                 "record, attempt and timeout on the exchange "
+                 "(netsim/transport.py)"),
 )
 
 #: One line per rule that breaks it, at a path inside its scope.
@@ -129,6 +194,19 @@ SEEDED = {
     "client-stream": ("src/repro/population/fleet.py",
                       '        select = self._rng.stream("select")'),
     "fleet-row": ("src/repro/population/fleet.py", "class _FleetClient:"),
+    # Split so this file does not break the row it seeds.
+    "shortest-path": ("src/repro/netsim/internet.py",
+                      "        path = self._topology._shortest_"
+                      "path(src, dst)"),
+    "removed-dependency": ("tests/netsim/test_topology.py",
+                           "import networkx as nx"),
+    "wall-clock": ("src/repro/netsim/simulator.py",
+                   "        started = time.perf_counter()"),
+    "chaos-mutation": ("src/repro/scenarios/spec.py",
+                       "        world.internet.set_host_down(host)"),
+    "exchange-object": ("src/repro/netsim/transport.py",
+                        "        self._timer = Timer(simulator, "
+                        "self._on_timeout)"),
 }
 
 
@@ -160,7 +238,12 @@ def test_every_rule_has_a_seeded_violation():
 
 
 def test_rules_stay_inside_their_scope():
-    collector, identity, round_loop, _, client_stream, fleet_row = RULES
+    rules = {rule.name: rule for rule in RULES}
+    collector = rules["collector-tuning"]
+    identity = rules["span-identity"]
+    round_loop = rules["round-loop"]
+    client_stream = rules["client-stream"]
+    fleet_row = rules["fleet-row"]
     assert not collector.violations("tests/netsim/test_x.py", "gc.collect()")
     assert not identity.violations("src/repro/netsim/transport.py",
                                    "import random")
@@ -174,3 +257,22 @@ def test_rules_stay_inside_their_scope():
                                         'rng.stream("select")')
     assert not fleet_row.violations("src/repro/population/fleet_x.py",
                                     "class _FleetClient:")
+    # Directory exemptions cover their subtrees; the sanctioned
+    # wall-clock and graph-search sites are single files.
+    assert not rules["chaos-mutation"].violations(
+        "src/repro/chaos/controller.py", "internet.set_host_down(h)")
+    assert rules["chaos-mutation"].violations(
+        "src/repro/chaosx.py", "internet.set_host_down(h)")
+    assert not rules["wall-clock"].violations(
+        "src/repro/campaign/runner.py", "t = time.perf_counter()")
+    assert rules["wall-clock"].violations(
+        "src/repro/campaign/executors.py", "t = time.perf_counter()")
+    assert not rules["shortest-path"].violations(
+        "src/repro/netsim/topology.py", "p = self._shortest_" "path(a, b)")
+    assert not rules["exchange-object"].violations(
+        "src/repro/netsim/simulator.py", "class Timer:")
+    # The rules file searches itself without matching its seeded lines.
+    own = Path(__file__).resolve()
+    path = own.relative_to(ROOT).as_posix()
+    for name in ("shortest-path", "removed-dependency"):
+        assert not rules[name].violations(path, own.read_text())
