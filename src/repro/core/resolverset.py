@@ -2,14 +2,13 @@
 
 A :class:`ResolverSet` is the operator-supplied list the paper calls
 "a list of trusted DNS-over-HTTPS resolvers", together with the assumed
-fraction ``x`` of them that an attacker cannot corrupt. The set knows
-how many corrupted members the assumption tolerates and exposes the
-bound the security analysis (§III) needs.
+fraction ``x`` of them that an attacker cannot corrupt. The §III bounds
+over ``N`` resolvers and ``x`` live in :mod:`repro.analysis.model`
+(:func:`~repro.analysis.model.required_corrupted_resolvers`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, List, Sequence
 
@@ -69,30 +68,6 @@ class ResolverSet:
 
     def __getitem__(self, index: int) -> ResolverRef:
         return self._resolvers[index]
-
-    # ------------------------------------------------------------------
-    # Security bounds (§III).
-    # ------------------------------------------------------------------
-
-    @property
-    def max_tolerable_corrupted(self) -> int:
-        """Largest number of corrupted resolvers within the assumption.
-
-        With fraction ``x`` assumed secure, up to ``floor((1-x)·N)``
-        resolvers may be corrupted without voiding the guarantee.
-        """
-        return math.floor((1.0 - self._x) * len(self._resolvers) + 1e-9)
-
-    def attacker_must_corrupt(self, target_fraction: float) -> int:
-        """§III-a: resolvers an attacker must corrupt to control a
-        fraction ``y = target_fraction`` of the generated pool.
-
-        Because every resolver contributes exactly K of the N·K pool
-        addresses, owning fraction ``y`` needs at least ``⌈y·N⌉``
-        resolvers.
-        """
-        check_fraction(target_fraction, "target_fraction")
-        return math.ceil(target_fraction * len(self._resolvers) - 1e-9)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         names = ", ".join(ref.name for ref in self._resolvers)

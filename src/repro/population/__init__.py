@@ -2,30 +2,18 @@
 
 Where :mod:`repro.ntp.pool` deploys the *server* side of pool.ntp.org,
 this package deploys the *client* side: thousands of resolve→sync
-clients with arrival processes and churn, measured through the
-streaming telemetry registry. See :mod:`repro.population.fleet` for
-the single-world fleet (and the pure round loop it is a shell around)
-and :mod:`repro.population.sharding` for the K-world megafleet that
-scales the same population past 100k clients.
+clients with periodic or Poisson arrivals and churn, measured through
+the streaming telemetry registry. See :mod:`repro.population.fleet` for
+the single-world fleet, whose :class:`ClientFleet` runs every client
+round, and :mod:`repro.population.sharding` for the K-world megafleet
+that scales the same population past 100k clients by building each
+window with that same class.
 """
 
-from repro.population.arrivals import (
-    ArrivalProcess,
-    PeriodicArrivals,
-    PoissonArrivals,
-    make_arrivals,
-)
 from repro.population.fleet import (
-    ANSWERS_COMPLETE,
-    ROUND_BEGIN,
-    SYNC_COMPLETE,
     BatchDispatcher,
     ClientFleet,
-    ClientRoundState,
     PopulationOutcomes,
-    RoundRng,
-    RoundStep,
-    advance_round,
     population_outcomes,
 )
 from repro.population.sharding import (
@@ -36,22 +24,11 @@ from repro.population.sharding import (
 )
 
 __all__ = [
-    "ANSWERS_COMPLETE",
-    "ROUND_BEGIN",
-    "SYNC_COMPLETE",
-    "ArrivalProcess",
     "BatchDispatcher",
     "ClientFleet",
-    "ClientRoundState",
-    "PeriodicArrivals",
-    "PoissonArrivals",
     "PopulationOutcomes",
-    "RoundRng",
-    "RoundStep",
     "ShardPlan",
     "ShardedFleet",
-    "advance_round",
-    "make_arrivals",
     "plan_shards",
     "population_invariant",
     "population_outcomes",

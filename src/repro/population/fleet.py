@@ -43,24 +43,22 @@ Scale machinery:
   :class:`~repro.netsim.host.Host` plus one row of per-fleet columns
   indexed by window position: rounds done, the cached pool, the clock
   offset, and each stream's seed and word count (or a closed mark).
-  The objects only a round in flight reads (round state and
-  randomness, the clock view, the SNTP and DoH clients, the round's
-  trace span) are built when the client wakes and dropped when its
-  round concludes. The host stays registered, so a late reply to a
+  The objects only a round in flight reads (its streams, the clock
+  view, the SNTP and DoH clients, the round's trace span) are built
+  when the client wakes and dropped when its round concludes. The host stays registered, so a late reply to a
   finished round still lands on the host and drops as ``no-socket``.
 * **Streaming telemetry** — nothing per-client is accumulated in Python
   lists; every observation folds into the registry's counters,
   histograms and virtual-time series, and population outcomes are read
   back from there.
-* **A pure round loop** — every decision a round makes (resolve or
-  reuse, combine, pick, victim/shift classification, churn, next
-  delay) lives in the module-level :func:`advance_round` function over
-  explicit ``(spec, truncation, state, rng, phase event)`` inputs,
-  returning the effects as a :class:`RoundStep`. :class:`ClientFleet`
-  is the thin effectful shell (sockets, clocks, telemetry,
-  scheduling); the sharded engine (:mod:`repro.population.sharding`)
-  reuses the same function, so the round semantics cannot fork
-  between the two.
+* **A round in straight-line code** — a client round is a chain of
+  :class:`ClientFleet` methods, one per effect boundary: the wake-up
+  resolves or picks from the cached pool, :meth:`~ClientFleet._combine`
+  applies Algorithm 1's truncate-and-combine, :meth:`~ClientFleet._sync`
+  runs one SNTP exchange, and :meth:`~ClientFleet._conclude` counts the
+  round, decides stop, churn-leave or reschedule, records it and
+  schedules the next step. A shard world builds its window with the same
+  class, so the round semantics cannot fork between the two.
 
 Fleets can also be a *window* of a larger population: ``first_index``
 and ``population`` give each client its **global** identity — RNG
@@ -75,6 +73,7 @@ from __future__ import annotations
 import math
 import random
 from array import array
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 from typing import (
@@ -101,7 +100,6 @@ from repro.netsim.simulator import SimulationError, Simulator
 from repro.netsim.transport import Transport, retry_policy
 from repro.ntp.client import NtpClient, NtpSample
 from repro.ntp.clock import SimClock
-from repro.population.arrivals import ArrivalProcess, make_arrivals
 from repro.telemetry.registry import MetricsRegistry, use_registry
 from repro.telemetry.trace import current_tracer
 from repro.util.rng import ParkedStream, RngRegistry
@@ -130,6 +128,9 @@ _CLOSED = -1
 #: The port stream a client host holds between rounds: closed, so a
 #: port drawn outside a round raises instead of drawing out of turn.
 _NO_PORTS = ParkedStream(0, None)
+
+#: The scope an untraced round runs its steps in.
+_NO_SCOPE = nullcontext()
 
 
 def _doh_addresses(outcome) -> Optional[List[IPAddress]]:
@@ -214,137 +215,6 @@ class PopulationOutcomes:
     availability_curve: List[Tuple[float, float]] = field(default_factory=list)
 
 
-# ----------------------------------------------------------------------
-# The round loop, as a pure function.
-# ----------------------------------------------------------------------
-
-#: Phase events fed to :func:`advance_round` — one per effect boundary
-#: of a client round (the shell performs I/O between them).
-ROUND_BEGIN = "round-begin"
-ANSWERS_COMPLETE = "answers-complete"
-SYNC_COMPLETE = "sync-complete"
-
-
-@dataclass
-class ClientRoundState:
-    """Everything the round loop reads or advances for one client —
-    and nothing effectful (hosts, sockets, clocks and telemetry stay in
-    the shell)."""
-
-    pool: Optional[List[IPAddress]] = None
-    rounds_done: int = 0
-
-
-@dataclass(frozen=True)
-class RoundRng:
-    """The per-client randomness :func:`advance_round` draws from:
-    explicit inputs, so identical streams replay identical rounds."""
-
-    select: Any        # ParkedStream — pool-server selection
-    churn: Any         # ParkedStream — leave/stay (None: churn off)
-    arrivals: ArrivalProcess
-
-
-@dataclass(frozen=True)
-class RoundStep:
-    """What the shell must do next, as plain data.
-
-    ``action`` is one of:
-
-    * ``"resolve"`` — fan out one query per provider, then feed the
-      answers back as an :data:`ANSWERS_COMPLETE` event;
-    * ``"sync"`` — the round has a ``pool`` and a ``pick``; run one
-      SNTP exchange against the pick and feed the sample back as a
-      :data:`SYNC_COMPLETE` event;
-    * ``"stop"`` / ``"leave"`` / ``"reschedule"`` — the round
-      concluded; the flags say how (``failed`` resolve, ``synced``
-      exchange with its ``victim``/``shifted``/``clock_error``
-      classification, or a ``timed_out`` exchange) and ``delay`` says
-      when the client acts again (rejoin after churn, or the next
-      arrival).
-    """
-
-    action: str
-    pool: Optional[List[IPAddress]] = None
-    pick: Optional[IPAddress] = None
-    delay: float = 0.0
-    failed: bool = False
-    synced: bool = False
-    timed_out: bool = False
-    victim: bool = False
-    shifted: bool = False
-    clock_error: float = 0.0
-
-
-def advance_round(spec: FleetSpec, truncation: TruncationPolicy,
-                  state: ClientRoundState, rng: RoundRng, phase: str,
-                  answers: Optional[Dict[int, Optional[List[IPAddress]]]] = None,
-                  synced: bool = False, attacker: bool = False,
-                  clock_error: float = 0.0) -> RoundStep:
-    """Advance one client's round by one phase event.
-
-    This is the *entire* round-loop logic — resolve cadence,
-    truncate-and-combine, server selection, victim/shift
-    classification, churn and next-arrival scheduling — over explicit
-    inputs: the fleet ``spec``, the world's ``truncation`` policy
-    (``pool.truncation``), the client's ``state`` (advanced in place),
-    its ``rng`` streams and the phase payload. It touches no
-    simulator, no sockets, no telemetry; every effect comes back as a
-    :class:`RoundStep` for the shell to perform. Identical inputs
-    (including stream states) produce identical steps, which is what
-    makes shard execution mode irrelevant to fleet behaviour.
-
-    Phase payloads: :data:`ANSWERS_COMPLETE` takes ``answers`` (per
-    provider index, ``None`` for a failed resolver);
-    :data:`SYNC_COMPLETE` takes ``synced``, ``attacker`` (was the pick
-    attacker-controlled) and ``clock_error`` (|error| after stepping
-    the clock, when synced).
-    """
-    if phase == ROUND_BEGIN:
-        needs_resolve = (state.pool is None
-                         or state.rounds_done % spec.resolve_every == 0)
-        if needs_resolve:
-            return RoundStep("resolve")
-        return RoundStep("sync", pool=state.pool,
-                         pick=rng.select.choice(state.pool))
-    if phase == ANSWERS_COMPLETE:
-        # Truncate-and-combine under strict or quorum semantics —
-        # delegated to combine_with_quorum so the population can never
-        # drift from the single-client trials.
-        pool = combine_with_quorum(
-            {str(index): addresses
-             for index, addresses in sorted(answers.items())},
-            min_answers=spec.min_answers, policy=truncation)
-        state.pool = pool if pool else None
-        if not pool:
-            return _conclude(spec, state, rng, failed=True)
-        return RoundStep("sync", pool=pool, pick=rng.select.choice(pool))
-    if phase == SYNC_COMPLETE:
-        # A victim is a client that actually *synced* against an
-        # attacker server; a timed-out exchange shifts nothing.
-        return _conclude(
-            spec, state, rng, synced=synced, timed_out=not synced,
-            victim=synced and attacker,
-            shifted=synced and clock_error > spec.shift_threshold,
-            clock_error=clock_error if synced else 0.0)
-    raise ValueError(f"unknown round phase {phase!r}")
-
-
-def _conclude(spec: FleetSpec, state: ClientRoundState, rng: RoundRng,
-              **flags) -> RoundStep:
-    """Close the round: count it, then decide stop / churn-leave /
-    reschedule (drawing churn and arrival randomness in that order)."""
-    state.rounds_done += 1
-    if state.rounds_done >= spec.rounds:
-        return RoundStep("stop", **flags)
-    if spec.churn_rate and rng.churn.random() < spec.churn_rate:
-        # Leave now, rejoin later with the pool cache dropped (the
-        # rejoin is a fresh resolve — "churn forces re-resolution").
-        state.pool = None
-        return RoundStep("leave", delay=spec.rejoin_delay, **flags)
-    return RoundStep("reschedule", delay=rng.arrivals.next_delay(), **flags)
-
-
 def population_outcomes(registry: MetricsRegistry,
                         clients: int) -> PopulationOutcomes:
     """Read :class:`PopulationOutcomes` back from a registry.
@@ -387,12 +257,12 @@ class _LiveRound:
     concludes (:meth:`ClientFleet._close_round`)."""
 
     __slots__ = ("row", "index", "host", "transport", "clock", "ntp", "doh",
-                 "streams", "rng", "state", "span")
+                 "streams", "pool", "rounds_done", "span")
 
     def __init__(self, row: int, index: int, host: Host,
                  transport: Transport, clock: SimClock, ntp: NtpClient,
-                 doh, streams: List[ParkedStream], rng: RoundRng,
-                 state: ClientRoundState) -> None:
+                 doh, streams: List[ParkedStream],
+                 pool: Optional[List[IPAddress]], rounds_done: int) -> None:
         self.row = row                # window position: the column index
         self.index = index            # global index over the population
         self.host = host
@@ -402,10 +272,11 @@ class _LiveRound:
         self.doh = doh                # DoHClient in transport="doh" mode
         # One stream per column of the row, in ClientFleet._kinds order:
         # the query streams first (streams[pi] is provider pi's TXID
-        # stream in transport="udp" mode).
+        # stream in transport="udp" mode), then ports, select, churn and
+        # arrival, each read at its column index.
         self.streams = streams
-        self.rng = rng
-        self.state = state
+        self.pool = pool              # the cached pool (None: resolve)
+        self.rounds_done = rounds_done
         self.span = None              # live "client.round" trace span
 
 
@@ -509,6 +380,7 @@ class ClientFleet:
         kinds = ([("doh",)] if spec.transport == "doh"
                  else [("txid", str(pi)) for pi in range(len(self._servers))])
         self._ports_at = len(kinds)
+        self._select_at = self._ports_at + 1
         kinds += [("ports",), ("select",)]
         self._churn_at = self._arrival_at = None
         if spec.churn_rate:
@@ -598,37 +470,23 @@ class ClientFleet:
         return ParkedStream(self._seeds[at],
                             None if words == _CLOSED else words)
 
-    def _arrivals(self, g: int,
-                  stream: Optional[ParkedStream]) -> ArrivalProcess:
-        spec = self._spec
-        return make_arrivals(spec.arrival, spec.mean_interval, g,
-                             self._population, rng=stream)
-
     def _open_round(self, row: int) -> _LiveRound:
         """Build the objects a round of the client at ``row`` reads."""
-        spec = self._spec
         simulator = self._simulator
         streams = [self._stream(row, kind) for kind in range(self._stride)]
         host = self._hosts[row]
         host.rng = streams[self._ports_at]
         clock = SimClock(self._true_time, offset=self._offsets[row])
         doh = None
-        if spec.transport == "doh":
+        if self._spec.transport == "doh":
             from repro.doh.client import DoHClient
             doh = DoHClient(host, simulator, self._trust_store,
                             rng=streams[0], timeout=DNS_TIMEOUT,
                             retries=DNS_RETRIES)
-        g = self._first_index + row
-        rng = RoundRng(
-            select=streams[self._ports_at + 1],
-            churn=None if self._churn_at is None else streams[self._churn_at],
-            arrivals=self._arrivals(g, None if self._arrival_at is None
-                                    else streams[self._arrival_at]))
         return _LiveRound(
-            row, g, host, host.transport(simulator), clock,
-            NtpClient(host, simulator, clock, timeout=NTP_TIMEOUT), doh,
-            streams, rng, ClientRoundState(pool=self._pools[row],
-                                           rounds_done=self._rounds_done[row]))
+            row, self._first_index + row, host, host.transport(simulator),
+            clock, NtpClient(host, simulator, clock, timeout=NTP_TIMEOUT),
+            doh, streams, self._pools[row], self._rounds_done[row])
 
     def _close_round(self, client: _LiveRound, stop: bool) -> None:
         """Write a concluded round back into its row.
@@ -639,8 +497,8 @@ class ClientFleet:
         outside its row; a client out of rounds closes its row's
         streams for good and drops its pool."""
         row = client.row
-        self._rounds_done[row] = client.state.rounds_done
-        self._pools[row] = None if stop else client.state.pool
+        self._rounds_done[row] = client.rounds_done
+        self._pools[row] = None if stop else client.pool
         self._offsets[row] = client.clock.offset
         words = self._words
         at = row * self._stride
@@ -682,16 +540,20 @@ class ClientFleet:
             raise RuntimeError("fleet already started")
         self._started = True
         self._m_active.set(self._active_count, at=self._simulator.now)
+        spec = self._spec
         arrival_at = self._arrival_at
         for row in range(len(self._hosts)):
-            stream = (None if arrival_at is None
-                      else self._stream(row, arrival_at))
-            self._dispatcher.call_after(
-                self._arrivals(self._first_index + row, stream).first_delay(),
-                partial(self._wake, row))
-            if stream is not None:
-                # A Poisson first delay drew from the arrival stream.
+            if arrival_at is None:
+                # Periodic: phases spread evenly over the first period.
+                delay = (spec.mean_interval * (self._first_index + row)
+                         / self._population)
+            else:
+                # Poisson: the first delay is exponential too (PASTA),
+                # drawn from the arrival stream.
+                stream = self._stream(row, arrival_at)
+                delay = stream.expovariate(1.0 / spec.mean_interval)
                 self._words[row * self._stride + arrival_at] = stream.words
+            self._dispatcher.call_after(delay, partial(self._wake, row))
         return self
 
     def run(self, max_events: int = 5_000_000) -> PopulationOutcomes:
@@ -712,11 +574,29 @@ class ClientFleet:
         return self.outcomes()
 
     # ------------------------------------------------------------------
-    # One client round — the effectful shell around advance_round.
+    # One client round.
     # ------------------------------------------------------------------
 
     def _wake(self, row: int) -> None:
-        self._round(self._open_round(row))
+        """Begin a round: resolve, or sync against a pick from the
+        cached pool between the resolves ``resolve_every`` asks for."""
+        client = self._open_round(row)
+        self._m_rounds.inc()
+        tracer = self._tracer
+        if tracer is not None:
+            # The round span lives on the client until the round
+            # concludes (which happens through later simulator
+            # callbacks); scoping it here parents the resolve fan-out /
+            # cached-pool sync under it.
+            client.span = tracer.begin(
+                "client.round",
+                attrs={"client": client.index, "round": client.rounds_done})
+        with self._scope(client):
+            if (client.pool is None
+                    or client.rounds_done % self._spec.resolve_every == 0):
+                self._resolve(client)
+            else:
+                self._sync(client, client.pool)
 
     def _rejoin(self, row: int) -> None:
         self._m_joins.inc()
@@ -724,89 +604,20 @@ class ClientFleet:
         self._m_active.set(self._active_count, at=self._simulator.now)
         self._wake(row)
 
-    def _round(self, client: _LiveRound) -> None:
-        self._m_rounds.inc()
-        tracer = self._tracer
-        step = advance_round(self._spec, self._truncation, client.state,
-                             client.rng, ROUND_BEGIN)
-        if tracer is None:
-            self._apply(client, step)
-            return
-        # The round span lives on the client until the round concludes
-        # (which happens through later simulator callbacks); scoping it
-        # here parents the resolve fan-out / cached-pool sync under it.
-        client.span = tracer.begin(
-            "client.round",
-            attrs={"client": client.index,
-                   "round": client.state.rounds_done})
-        with tracer.scope(client.span):
-            self._apply(client, step)
-
-    def _apply(self, client: _LiveRound, step: RoundStep) -> None:
-        """Perform one :class:`RoundStep`: the I/O, telemetry and
-        scheduling half of the round loop."""
-        if step.action == "resolve":
-            self._resolve(client)
-            return
-        if step.action == "sync":
-            self._ts_avail.record(self._simulator.now, 1.0)
-            self._m_rounds_ok.inc()
-            pick = step.pick
-            if client.span is not None:
-                # Which pool member this round disciplines against —
-                # the pivot of the victim classification.
-                client.span.set(pick=str(pick))
-            client.ntp.sample(
-                pick,
-                lambda sample: self._after_sync(
-                    client, sample, attacker=pick in self._attackers))
-            return
-        # Concluding steps: record how the round ended...
-        now = self._simulator.now
-        if step.failed:
-            self._ts_avail.record(now, 0.0)
-            self._m_rounds_failed.inc()
-        if step.synced:
-            self._m_syncs.inc()
-            self._ts_victim.record(now, 1.0 if step.victim else 0.0)
-            if step.victim:
-                self._m_victims.inc()
-            self._h_abs_error.observe(step.clock_error)
-            self._ts_shifted.record(now, 1.0 if step.shifted else 0.0)
-        if step.timed_out:
-            self._m_sync_timeouts.inc()
-        if client.span is not None:
-            tracer = self._tracer
-            span = client.span
-            client.span = None
-            span.set(outcome=step.action, synced=step.synced,
-                     victim=step.victim, shifted=step.shifted)
-            if step.failed:
-                span.set(failed=True)
-            if step.timed_out:
-                span.set(timed_out=True)
-            if step.synced:
-                span.set(clock_error=step.clock_error)
-            tracer.finish(span)
-        # ...then fold the round back into its row and schedule what
-        # comes next.
-        self._close_round(client, stop=step.action == "stop")
-        if step.action == "stop":
-            return
-        if step.action == "leave":
-            self._m_leaves.inc()
-            self._active_count -= 1
-            self._m_active.set(self._active_count, at=now)
-            self._dispatcher.call_after(step.delay,
-                                        partial(self._rejoin, client.row))
-            return
-        self._dispatcher.call_after(step.delay,
-                                    partial(self._wake, client.row))
+    def _scope(self, client: _LiveRound):
+        """The client's round span as the current span, or a no-op
+        context untraced. Answers and samples arrive through delivery
+        callbacks whose active span is the inbound flight; re-activating
+        the round span parents what follows under the round, not the
+        wire."""
+        if client.span is None:
+            return _NO_SCOPE
+        return self._tracer.scope(client.span)
 
     def _resolve(self, client: _LiveRound) -> None:
         """Algorithm 1's fan-out: one query per provider (plain stub or
-        TLS-wrapped DoH, per the configured transport), then feed the
-        completed answer set back into the round loop."""
+        TLS-wrapped DoH, per the configured transport); the last answer
+        hands the set to :meth:`_combine`."""
         answers: Dict[int, Optional[List[IPAddress]]] = {}
         expected = len(self._servers)
         tracer = self._tracer
@@ -823,25 +634,8 @@ class ClientFleet:
                     else:
                         span.set(answers=[str(a) for a in addresses])
                     tracer.finish(span)
-            if len(answers) < expected:
-                return
-            step = advance_round(self._spec, self._truncation, client.state,
-                                 client.rng, ANSWERS_COMPLETE,
-                                 answers=answers)
-            if tracer is None or client.span is None:
-                self._apply(client, step)
-                return
-            # The last answer arrives through a delivery callback whose
-            # active span is the inbound flight; re-activate the round
-            # span so the combine record (and any follow-on sync
-            # exchange) parent under the round, not the wire.
-            with tracer.scope(client.span):
-                tracer.event(
-                    "client.combine",
-                    attrs={"client": client.index,
-                           "pool": [str(a) for a in (step.pool or [])],
-                           "ok": step.action == "sync"})
-                self._apply(client, step)
+            if len(answers) == expected:
+                self._combine(client, answers)
 
         def issue(provider_index: int, send: Callable[[], None]) -> None:
             if tracer is None:
@@ -872,26 +666,118 @@ class ClientFleet:
                                  on_answer(pi, outcome.addresses
                                            if outcome.ok else None)))
 
+    def _combine(self, client: _LiveRound,
+                 answers: Dict[int, Optional[List[IPAddress]]]) -> None:
+        """Truncate-and-combine the answers (``None`` for a failed
+        resolver) under strict or quorum semantics, then sync against
+        the pool, or fail the round and drop the cached pool when it
+        came out empty."""
+        # Delegated to combine_with_quorum so the population can never
+        # drift from the single-client trials.
+        pool = client.pool = combine_with_quorum(
+            {str(index): addresses
+             for index, addresses in sorted(answers.items())},
+            min_answers=self._spec.min_answers,
+            policy=self._truncation) or None
+        with self._scope(client):
+            if client.span is not None:
+                self._tracer.event(
+                    "client.combine",
+                    attrs={"client": client.index,
+                           "pool": [str(a) for a in pool or ()],
+                           "ok": pool is not None})
+            if pool is None:
+                self._conclude(client, failed=True)
+            else:
+                self._sync(client, pool)
+
+    def _sync(self, client: _LiveRound, pool: List[IPAddress]) -> None:
+        """Pick one pool member and run one SNTP exchange against it."""
+        pick = client.streams[self._select_at].choice(pool)
+        self._ts_avail.record(self._simulator.now, 1.0)
+        self._m_rounds_ok.inc()
+        if client.span is not None:
+            # Which pool member this round disciplines against — the
+            # pivot of the victim classification.
+            client.span.set(pick=str(pick))
+        client.ntp.sample(
+            pick,
+            lambda sample: self._after_sync(
+                client, sample, attacker=pick in self._attackers))
+
     def _after_sync(self, client: _LiveRound, sample: NtpSample,
                     attacker: bool) -> None:
-        clock_error = 0.0
-        if sample.ok:
-            # Stepping the clock is an effect of the *exchange*, not a
-            # round decision; the loop only classifies the result.
+        with self._scope(client):
+            if not sample.ok:
+                # A timed-out exchange shifts nothing and makes no victim.
+                self._conclude(client)
+                return
             client.clock.step(sample.offset)
-            clock_error = abs(client.clock.error())
-        step = advance_round(
-            self._spec, self._truncation, client.state, client.rng,
-            SYNC_COMPLETE, synced=sample.ok, attacker=attacker,
-            clock_error=clock_error)
-        tracer = self._tracer
-        if tracer is not None and client.span is not None:
-            # Sync completion also arrives through a callback hop —
-            # conclude the round under its own span.
-            with tracer.scope(client.span):
-                self._apply(client, step)
-            return
-        self._apply(client, step)
+            # A victim is a client that actually *synced* against an
+            # attacker server.
+            self._conclude(client, synced=True, victim=attacker,
+                           clock_error=abs(client.clock.error()))
+
+    def _conclude(self, client: _LiveRound, failed: bool = False,
+                  synced: bool = False, victim: bool = False,
+                  clock_error: float = 0.0) -> None:
+        """Close the round: count it, decide stop / churn-leave /
+        reschedule (drawing churn, then arrival randomness), record how
+        it ended, finish its span, write it back into its row and
+        schedule what comes next. A round that neither failed nor
+        synced timed out its exchange."""
+        spec = self._spec
+        client.rounds_done += 1
+        if client.rounds_done >= spec.rounds:
+            outcome = "stop"
+        elif (spec.churn_rate and client.streams[self._churn_at].random()
+              < spec.churn_rate):
+            # Leave now, rejoin later with the pool cache dropped (the
+            # rejoin is a fresh resolve — "churn forces re-resolution").
+            outcome, delay = "leave", spec.rejoin_delay
+            client.pool = None
+        else:
+            outcome = "reschedule"
+            delay = (spec.mean_interval if self._arrival_at is None
+                     else client.streams[self._arrival_at].expovariate(
+                         1.0 / spec.mean_interval))
+        shifted = synced and clock_error > spec.shift_threshold
+        timed_out = not (failed or synced)
+        now = self._simulator.now
+        if failed:
+            self._ts_avail.record(now, 0.0)
+            self._m_rounds_failed.inc()
+        if synced:
+            self._m_syncs.inc()
+            self._ts_victim.record(now, 1.0 if victim else 0.0)
+            if victim:
+                self._m_victims.inc()
+            self._h_abs_error.observe(clock_error)
+            self._ts_shifted.record(now, 1.0 if shifted else 0.0)
+        if timed_out:
+            self._m_sync_timeouts.inc()
+        span = client.span
+        if span is not None:
+            client.span = None
+            span.set(outcome=outcome, synced=synced, victim=victim,
+                     shifted=shifted)
+            if failed:
+                span.set(failed=True)
+            if timed_out:
+                span.set(timed_out=True)
+            if synced:
+                span.set(clock_error=clock_error)
+            self._tracer.finish(span)
+        self._close_round(client, stop=outcome == "stop")
+        if outcome == "leave":
+            self._m_leaves.inc()
+            self._active_count -= 1
+            self._m_active.set(self._active_count, at=now)
+            self._dispatcher.call_after(delay,
+                                        partial(self._rejoin, client.row))
+        elif outcome == "reschedule":
+            self._dispatcher.call_after(delay,
+                                        partial(self._wake, client.row))
 
     # ------------------------------------------------------------------
     # Outcomes (read back from the registry).

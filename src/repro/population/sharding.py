@@ -19,8 +19,11 @@ Why this is exact, not approximate:
   (see :class:`~repro.population.fleet.ClientFleet`'s window
   parameters), so client ``i`` behaves identically whether it lives in
   a ``shards=1`` world or in window ``k``.
-* The round loop is the pure :func:`~repro.population.fleet.advance_round`
-  function; execution mode cannot leak into round decisions.
+* Every window is built as the same
+  :class:`~repro.population.fleet.ClientFleet`, so each client runs the
+  one round implementation whatever its window, and a round draws only
+  from its own client's streams; execution mode cannot leak into round
+  decisions.
 * Shard results are JSON registry snapshots; the round trip is exact
   and :func:`~repro.telemetry.fold_snapshots` folds them in shard
   order, so serial and forked execution of the *same* shard split

@@ -36,6 +36,7 @@ Three operations close the loop:
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import (
@@ -356,8 +357,8 @@ FLEET_TRANSPORTS = ("udp", "doh")
 @dataclass(frozen=True)
 class FleetSpec(SpecBase):
     """A measured client population; the configuration
-    :class:`repro.population.ClientFleet` and its round loop
-    (:func:`repro.population.fleet.advance_round`) read.
+    :class:`repro.population.ClientFleet` reads, at construction and in
+    every client round. Every float setting must be finite.
 
     :param size: number of clients, at most
         :data:`repro.population.fleet.MAX_CLIENTS` (the fleet's
@@ -418,6 +419,14 @@ class FleetSpec(SpecBase):
                 f"10.120.0.0+ address range), got {self.size}")
         if self.rounds < 1:
             raise ConfigurationError("rounds must be >= 1")
+        # A non-finite value would fail mid-run (an infinite delay in
+        # the dispatcher) or silently zero a metric (a NaN clock error
+        # or threshold).
+        for name in ("mean_interval", "rejoin_delay", "initial_clock_error",
+                     "shift_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if not self.mean_interval > 0:
             raise ConfigurationError(
                 f"mean_interval must be > 0, got {self.mean_interval}")
@@ -460,8 +469,9 @@ class TelemetrySpec(SpecBase):
     time_bin: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.time_bin <= 0:
-            raise ConfigurationError("time_bin must be > 0")
+        if not 0 < self.time_bin < math.inf:
+            raise ConfigurationError(
+                f"time_bin must be finite and > 0, got {self.time_bin}")
 
 
 #: ClientSpec acquisition modes: Algorithm 1 over every provider's DoH

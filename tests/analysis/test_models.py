@@ -41,6 +41,23 @@ class TestRequiredResolvers:
     def test_full_fraction(self):
         assert required_corrupted_resolvers(7, 1.0) == 7
 
+    def test_majority_of_three(self):
+        """§III-a: controlling fraction y of the pool needs ⌈yN⌉
+        resolvers — a majority of a 3-resolver pool needs 2."""
+        assert required_corrupted_resolvers(3, 1 / 2) == 2
+
+    def test_scales_with_n(self):
+        assert [required_corrupted_resolvers(n, 0.5)
+                for n in (3, 5, 9, 15)] == [2, 3, 5, 8]
+
+    @pytest.mark.parametrize("n, x, tolerable", [
+        (4, 0.5, 2), (5, 0.5, 2), (3, 2 / 3, 1)])
+    def test_tolerable_corrupted_is_the_complement(self, n, x, tolerable):
+        """With fraction x assumed secure, ⌊(1-x)·N⌋ resolvers may be
+        corrupted: N minus the ⌈xN⌉ an attacker would need."""
+        assert n - required_corrupted_resolvers(n, x) == tolerable
+        assert tolerable == math.floor((1 - x) * n + 1e-9)
+
     def test_invalid_n(self):
         with pytest.raises(ValueError):
             required_corrupted_resolvers(0, 0.5)

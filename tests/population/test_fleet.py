@@ -2,6 +2,7 @@
 
 import gc
 import json
+import math
 import os
 import random
 import subprocess
@@ -11,13 +12,17 @@ import weakref
 import pytest
 
 from repro.core.errors import ConfigurationError
+from repro.core.policy import TruncationPolicy
+from repro.core.pool import combine_with_quorum
+from repro.netsim.address import IPAddress
 from repro.netsim.simulator import SimulationError, Simulator
 from repro.netsim.transport import retry_policy
 from repro.population import BatchDispatcher
 from repro.population import fleet as fleet_module
 from repro.population.fleet import MAX_CLIENTS, ClientFleet
 from repro.scenarios import materialize, population_spec, set_path
-from repro.scenarios.spec import FleetSpec
+from repro.scenarios.spec import FleetSpec, LinkSpec
+from repro.telemetry.trace import Tracer, use_tracer
 from repro.util.rng import (
     ParkedStream,
     StreamClosedError,
@@ -89,6 +94,31 @@ class TestFleetSpecValidation:
         # Caught at construction, not first at materialize.
         with pytest.raises(ConfigurationError, match="mean_interval"):
             population_spec(mean_interval=interval)
+
+    def test_rejects_unknown_arrival_kind(self):
+        with pytest.raises(ConfigurationError, match="arrival"):
+            FleetSpec(arrival="burst")
+
+    @pytest.mark.parametrize("path, value", [
+        # Each built a world that crashed mid-run: a periodic delay of
+        # inf (ValueError) or a Poisson rate of 1/inf (ZeroDivisionError)
+        # in the dispatcher, an infinite rejoin (OverflowError), or a
+        # NaN time bin (ValueError) in the first recorded series.
+        ("fleet.mean_interval", math.inf),
+        ("fleet.rejoin_delay", math.inf),
+        ("telemetry.time_bin", math.nan),
+        # Each ran and silently misreported: an infinite time bin dates
+        # every curve point NaN (and the snapshot cannot be exported),
+        # a NaN clock error reads mean_abs_clock_error 0.0, and a NaN
+        # threshold never counts a client as shifted.
+        ("telemetry.time_bin", math.inf),
+        ("fleet.initial_clock_error", math.nan),
+        ("fleet.shift_threshold", math.nan),
+    ])
+    def test_rejects_non_finite_values(self, path, value):
+        spec = population_spec(num_clients=5, rounds=2, churn_rate=1.0)
+        with pytest.raises(ConfigurationError, match=path.split(".")[1]):
+            set_path(spec, path, value)
 
 
 class TestPopulationSemantics:
@@ -237,6 +267,195 @@ class TestChurnAndReproducibility:
         assert dispatcher.batches < dispatcher.dispatched
 
 
+
+def _traced_run(spec, seed):
+    """Run a world under a tracer: the world, its outcomes, and its
+    ``client.round`` spans per client in round order, each with the
+    ``client.query`` spans and ``client.combine`` event under it."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        world = materialize(spec, seed)
+        outcomes = world.run()
+    spans = tracer.snapshot()["spans"]
+    rounds = {span["id"]: dict(span, queries=[], combine=None)
+              for span in spans if span["name"] == "client.round"}
+    for span in spans:
+        parent = rounds.get(span["parent"])
+        if span["name"] == "client.query":
+            parent["queries"].append(span)
+        elif span["name"] == "client.combine":
+            parent["combine"] = span
+    clients = {}
+    for span in rounds.values():
+        clients.setdefault(span["attrs"]["client"], []).append(span)
+    for client in clients.values():
+        assert [span["attrs"]["round"] for span in client] == list(
+            range(len(client)))
+    return world, outcomes, clients
+
+
+def _resolved(round_span):
+    return bool(round_span["queries"]) and round_span["combine"] is not None
+
+
+class TestClientRound:
+    """One client round, end to end through materialize: resolve or
+    reuse, combine, pick, sync, then stop, leave or reschedule."""
+
+    def test_first_round_resolves(self):
+        _, _, clients = _traced_run(
+            population_spec(num_clients=6, rounds=3, resolve_every=3), 40)
+        assert len(clients) == 6
+        for rounds in clients.values():
+            assert _resolved(rounds[0])
+            assert len(rounds[0]["queries"]) == 3
+
+    def test_cached_pool_reused_between_resolves(self):
+        _, outcomes, clients = _traced_run(
+            population_spec(num_clients=6, rounds=3, resolve_every=3), 40)
+        assert outcomes.availability == 1.0
+        for rounds in clients.values():
+            pool = rounds[0]["combine"]["attrs"]["pool"]
+            for cached in rounds[1:]:
+                assert not cached["queries"] and cached["combine"] is None
+                assert cached["attrs"]["pick"] in pool
+
+    def test_resolve_cadence_forces_requery(self):
+        _, _, clients = _traced_run(
+            population_spec(num_clients=6, rounds=4, resolve_every=2), 41)
+        for rounds in clients.values():
+            assert [_resolved(r) for r in rounds] == [True, False] * 2
+
+    def test_answers_combine_to_sync(self):
+        _, _, clients = _traced_run(
+            population_spec(num_clients=6, rounds=1, corrupted=1), 42)
+        for (round_span,) in clients.values():
+            answers = {str(q["attrs"]["provider"]):
+                       [IPAddress(a) for a in q["attrs"]["answers"]]
+                       for q in round_span["queries"]}
+            pool = combine_with_quorum(answers, min_answers=None,
+                                       policy=TruncationPolicy.SHORTEST)
+            combine = round_span["combine"]["attrs"]
+            assert combine["ok"]
+            assert combine["pool"] == [str(a) for a in pool]
+            assert round_span["attrs"]["pick"] in combine["pool"]
+            assert round_span["attrs"]["synced"]
+
+    @pytest.mark.parametrize("truncation, size", [
+        (TruncationPolicy.SHORTEST, 12), (TruncationPolicy.MEDIAN, 12),
+        (TruncationPolicy.NONE, 28)])
+    def test_combine_truncates_by_the_world_policy(self, truncation, size):
+        # One provider inflates to 20 answers against the honest 4: the
+        # world's pool.truncation decides how many reach the pool.
+        spec = set_path(population_spec(num_clients=4, rounds=1, corrupted=1,
+                                        behavior="inflate"),
+                        "pool.truncation", truncation.value)
+        _, _, clients = _traced_run(spec, 43)
+        for (round_span,) in clients.values():
+            assert len(round_span["combine"]["attrs"]["pool"]) == size
+
+    def test_empty_combine_fails_round_and_drops_the_pool(self):
+        # One provider answers empty, so every strict combine is empty:
+        # the round fails, and the dropped pool makes the next round
+        # resolve again although resolve_every would reuse it.
+        world, outcomes, clients = _traced_run(
+            population_spec(num_clients=6, rounds=3, resolve_every=3,
+                            corrupted=1, behavior="empty"), 44)
+        assert outcomes.rounds == 18 and outcomes.rounds_ok == 0
+        assert world.fleet.registry.value("pop.rounds_failed") == 18
+        for rounds in clients.values():
+            for round_span in rounds:
+                assert _resolved(round_span)
+                assert round_span["combine"]["attrs"] == {
+                    "client": round_span["attrs"]["client"], "pool": [],
+                    "ok": False}
+                assert round_span["attrs"]["failed"]
+                assert "pick" not in round_span["attrs"]
+            assert [r["attrs"]["outcome"] for r in rounds] == [
+                "reschedule", "reschedule", "stop"]
+
+    def test_sync_against_attacker_is_victim(self):
+        _, outcomes, clients = _traced_run(
+            population_spec(num_clients=6, rounds=2, corrupted=3), 45)
+        assert outcomes.victim_rounds == outcomes.syncs == 12
+        for rounds in clients.values():
+            for round_span in rounds:
+                attrs = round_span["attrs"]
+                assert attrs["synced"] and attrs["victim"] and attrs["shifted"]
+                assert attrs["clock_error"] > 1.0
+
+    def test_timeout_is_not_a_victim(self):
+        # Every provider lies, and a 0.6 s access link puts the SNTP
+        # round trip past its 1 s timeout (DNS waits 3 s, so it still
+        # answers): each round picks an attacker server and times out.
+        spec = set_path(population_spec(num_clients=6, rounds=2, corrupted=3),
+                        "network.access", LinkSpec(latency=0.6, jitter=0.0))
+        world, outcomes, clients = _traced_run(spec, 46)
+        assert outcomes.rounds_ok == 12
+        assert outcomes.syncs == outcomes.victim_rounds == 0
+        assert world.fleet.registry.value("pop.sync_timeouts") == 12
+        for rounds in clients.values():
+            for round_span in rounds:
+                attrs = round_span["attrs"]
+                assert attrs["timed_out"] and "pick" in attrs
+                assert not (attrs["synced"] or attrs["victim"]
+                            or attrs["shifted"])
+                assert "clock_error" not in attrs
+
+    def test_final_round_stops(self):
+        world, outcomes, clients = _traced_run(
+            population_spec(num_clients=6, rounds=3), 47)
+        assert outcomes.rounds == 18
+        for rounds in clients.values():
+            assert [r["attrs"]["outcome"] for r in rounds] == [
+                "reschedule", "reschedule", "stop"]
+        # A stopped client closes its row's streams and drops its pool.
+        assert set(world.fleet._words) == {-1}
+        assert world.fleet._pools == [None] * 6
+
+    def test_churn_leaves_and_drops_pool(self):
+        world, outcomes, clients = _traced_run(
+            population_spec(num_clients=6, rounds=3, resolve_every=3,
+                            churn_rate=1.0, rejoin_delay=30.0), 48)
+        assert outcomes.churn_leaves == outcomes.churn_joins == 12
+        for rounds in clients.values():
+            assert [r["attrs"]["outcome"] for r in rounds] == [
+                "leave", "leave", "stop"]
+            # The rejoin resolves afresh: the pool left with the client.
+            assert all(_resolved(r) for r in rounds)
+            for left, rejoined in zip(rounds, rounds[1:]):
+                gap = rejoined["start"] - left["end"]
+                assert 30.0 - 1e-9 <= gap <= 30.05 + 1e-9
+
+    def test_identical_streams_replay_identically(self):
+        spec = population_spec(num_clients=10, rounds=4, arrival="poisson",
+                               churn_rate=0.4, resolve_every=2, corrupted=1)
+        runs = [_traced_run(spec, seed)[2] for seed in (49, 49, 50)]
+        assert runs[0] == runs[1]
+        assert runs[0] != runs[2]
+
+    def test_periodic_phases_spread_over_the_first_period(self):
+        _, _, clients = _traced_run(
+            population_spec(num_clients=5, rounds=2, mean_interval=10.0), 51)
+        for index, (first, second) in sorted(clients.items()):
+            # Wake-ups run at the next 50 ms dispatch bin.
+            assert 2.0 * index - 1e-9 <= first["start"] <= 2.0 * index + 0.05
+            gap = second["start"] - first["end"]
+            assert 10.0 - 1e-9 <= gap <= 10.05 + 1e-9
+
+    def test_poisson_first_delays_come_from_the_arrival_stream(self):
+        seed = 52
+        _, _, clients = _traced_run(
+            population_spec(num_clients=6, rounds=2, arrival="poisson"), seed)
+        for index, (first, second) in clients.items():
+            arrival = make_rng(seed, "population", str(index), "arrival")
+            delay = arrival.expovariate(1 / 16.0)
+            assert delay - 1e-9 <= first["start"] <= delay + 0.05
+            delay = arrival.expovariate(1 / 16.0)
+            gap = second["start"] - first["end"]
+            assert delay - 1e-9 <= gap <= delay + 0.05 + 1e-9
+
+
 def _live_randoms() -> int:
     gc.collect()
     return sum(1 for obj in gc.get_objects()
@@ -288,10 +507,11 @@ class TestClientStreams:
         large.run()
         assert _live_randoms() - after == 0
         assert small.fleet.clients == 50 and large.fleet.clients == 100
+        select = large.fleet._kinds.index(("select",))
         for row in (0, 99):
             client = large.fleet._open_round(row)
             with pytest.raises(StreamClosedError):
-                client.rng.select.random()
+                client.streams[select].random()
             for stream in client.streams:
                 with pytest.raises(StreamClosedError):
                     stream.getrandbits(32)
@@ -353,14 +573,17 @@ class TestClientStreams:
         scenario = materialize(population_spec(
             num_clients=6, rounds=2, arrival="poisson", churn_rate=0.3), seed)
         fleet = scenario.fleet
+        arrival_at = fleet._kinds.index(("arrival",))
+        churn_at = fleet._kinds.index(("churn",))
         for row in range(fleet.clients):
             client = fleet._open_round(row)
             tag = str(client.index)
             arrival = make_rng(seed, "population", tag, "arrival")
             churn = make_rng(seed, "population", tag, "churn")
-            assert [client.rng.arrivals.next_delay() for _ in range(3)] == [
+            assert [client.streams[arrival_at].expovariate(1 / 16.0)
+                    for _ in range(3)] == [
                 arrival.expovariate(1 / 16.0) for _ in range(3)]
-            assert [client.rng.churn.random() for _ in range(3)] == [
+            assert [client.streams[churn_at].random() for _ in range(3)] == [
                 churn.random() for _ in range(3)]
 
 

@@ -46,8 +46,11 @@ def _under(path: str, prefixes: Tuple[str, ...]) -> bool:
                for prefix in prefixes)
 
 
-#: Everything the dependency and graph-search rows search.
+#: Everything the dependency, graph-search and DH-exchange rows search.
 ALL_CODE = ("src", "tests", "examples", "benchmarks")
+
+#: Where DoH providers are deployed, with their one key-minting line.
+PROVIDERS = "src/repro/doh/providers.py"
 
 RULES = (
     # Speed comes from freeing objects, not from steering the cyclic
@@ -72,18 +75,19 @@ RULES = (
          paths=("src/repro/telemetry",),
          message="telemetry layer reaching for randomness: span IDs must "
                  "stay counter-derived (deterministic)"),
-    # The client round loop lives in exactly one place: the pure
-    # advance_round function in population/fleet.py. Its decision
-    # markers reappearing anywhere else in src/ means someone
-    # re-inlined round logic a shard world would then diverge from.
+    # The client round lives in exactly one place: ClientFleet's round
+    # methods in population/fleet.py, which every shard window runs
+    # too. Its decision markers reappearing anywhere else in src/
+    # means someone re-inlined round logic a shard world would then
+    # diverge from.
     Rule(name="round-loop",
          pattern=r"rounds_done %|rng\.select\.choice|rng\.churn\.random",
          paths=("src",),
          allowed=("src/repro/population/fleet.py",),
-         message="round-loop logic outside population/fleet.py: drive "
-                 "rounds through advance_round() instead"),
+         message="round-loop logic outside population/fleet.py: run "
+                 "rounds through ClientFleet instead"),
     # One definition per setting: FleetSpec is the fleet's
-    # configuration (ClientFleet and advance_round read it),
+    # configuration (ClientFleet reads it),
     # ResolverSpec is a ResolverConfig plus the world's resolution
     # mode, and DoHProviderProfile is the spec ProviderSpec holds. A
     # runtime copy of a spec, its field-by-field converters, or a
@@ -182,6 +186,90 @@ RULES = (
          message="a second object per transport exchange: keep its "
                  "record, attempt and timeout on the exchange "
                  "(netsim/transport.py)"),
+    # DNS trees served to scenario worlds are compiled in one place,
+    # dns/hierarchy.py (compile_hierarchy / compile_legacy_tree). A Zone
+    # or AuthoritativeServer built by the scenario, campaign,
+    # population or DoH layers is a hand-built tree the HierarchySpec
+    # axis (and its goldens) cannot see.
+    Rule(name="hierarchy-construction",
+         pattern=r"\bZone\(|\bAuthoritativeServer\(",
+         paths=("src/repro/scenarios", "src/repro/campaign",
+                "src/repro/population", "src/repro/doh"),
+         message="DNS tree construction outside dns/hierarchy.py: declare "
+                 "a HierarchySpec (or extend compile_hierarchy) instead"),
+    # The TLS handshake's 2048-bit modular exponentiations run in
+    # OpenSSL (doh/tls.py's exchange helper, through the cryptography
+    # package), and a completed handshake pays two of them: the client
+    # mints its public value, the server derives the shared secret,
+    # and the client reads that derivation from the memo
+    # KeyPair.shared_secret keeps for generated pairs. The next three
+    # rows confine that path. A three-argument pow() under
+    # src/repro/doh/ puts a pure-Python modexp, ~8x slower, back on
+    # the handshake path.
+    Rule(name="dh-modexp",
+         pattern=r"\bpow\([^,]*,[^,]*,",
+         paths=("src/repro/doh",),
+         message="pure-Python modexp under src/repro/doh: derive DH "
+                 "values through KeyPair.generate / KeyPair.shared_secret"),
+    # A call of the exchange helper outside doh/tls.py skips both the
+    # degenerate-secret check and the memo, so only KeyPair may call
+    # it.
+    Rule(name="dh-exchange",
+         pattern=r"\b_exchange\(",
+         paths=ALL_CODE,
+         allowed=("src/repro/doh/tls.py",),
+         message="the DH exchange helper called outside doh/tls.py: go "
+                 "through KeyPair.generate / KeyPair.shared_secret"),
+    # A provider mints its static key pair in exactly one place, the
+    # lazy identity in doh/providers.py (_ProviderIdentity.__call__),
+    # on the first ClientHello or read of deployment.keypair or
+    # .certificate; test_one_provider_key_site pins that one line. A
+    # KeyPair.generate( anywhere else in providers.py mints keys at
+    # deployment: every DoH-serving world then imports cryptography
+    # (6.8 MiB of RSS) even when no client opens a TLS connection, as
+    # udp-fleet and every campaign-sweep trial do.
+    Rule(name="dh-keypair",
+         pattern=r"^(?! +keypair = KeyPair\.generate\(self\._keys\)$)"
+                 r".*KeyPair\.generate\(",
+         paths=(PROVIDERS,),
+         message="a provider key pair minted outside the lazy identity "
+                 "in doh/providers.py: mint it only in "
+                 "_ProviderIdentity.__call__"),
+    # Campaign trials are pure Python and hold the GIL, so a thread
+    # pool can at best tie serial: on a 2-core machine it ran E3's
+    # ~1 ms trials no faster than serial (3600 trials: 3.34 s vs
+    # 2.91 s serial, 2.01 s fork pool). Parallelism is the fork pool's
+    # job (campaign/executors.py run_processes).
+    Rule(name="executor",
+         pattern=r"ThreadPoolExecutor|concurrent\.futures",
+         paths=("src/repro",),
+         message="thread-pool execution in src/repro: run trials serially "
+                 "or on the fork pool instead"),
+    # The DNS codec keeps one content-keyed message memo: _DECODE_MEMO
+    # in dns/message.py (the reader's _NAME_POOL only interns names).
+    # Measured on a 2-core machine, deleting it cut udp-fleet from 1255
+    # to 865 rounds/s, while deleting the encode memo, its RDATA cache
+    # keys and the stub's query-tail cache cost nothing (udp-fleet
+    # 1243 -> 1301 rounds/s). A cold encode is struct packs plus RDATA
+    # bytes each value renders once (Rdata.wire), so an encode memo
+    # only adds key-building.
+    Rule(name="codec-memo",
+         pattern=r"_ENCODE_MEMO|_content_key|cache_key\(|_query_tails",
+         paths=("src/repro/dns",),
+         message="an encode-side memo under src/repro/dns: encode through "
+                 "Message.encode and Rdata.wire; only decode is memoized"),
+    # Attacked worlds are built only by materialize: provider
+    # compromise is ProviderSpec.corrupted and every other attack an
+    # AttackSpec installer, both wired in scenarios/spec.py. An
+    # attacker constructed by hand anywhere else in src/ is a world no
+    # spec (and no spec_bytes fingerprint) describes.
+    Rule(name="attack-wiring",
+         pattern=r"OnPathAttacker\(|compromise_provider\(|corrupt_first_k\(",
+         paths=("src",),
+         allowed=("src/repro/attacks", "src/repro/scenarios/spec.py"),
+         message="attack wiring outside repro/attacks + scenarios/spec.py: "
+                 "declare it in the spec (provider.corrupted or an "
+                 "AttackSpec) instead"),
 )
 
 #: One line per rule that breaks it, at a path inside its scope.
@@ -207,6 +295,20 @@ SEEDED = {
     "exchange-object": ("src/repro/netsim/transport.py",
                         "        self._timer = Timer(simulator, "
                         "self._on_timeout)"),
+    "hierarchy-construction": ("src/repro/scenarios/spec.py",
+                               "        zone = Zone(origin)"),
+    "dh-modexp": ("src/repro/doh/tls.py",
+                  "        shared = pow(peer_public, self.secret, DH_PRIME)"),
+    # Split so this file does not break the row it seeds.
+    "dh-exchange": ("examples/quickstart.py",
+                    "    secret = _exch" "ange(secret, peer)"),
+    "dh-keypair": (PROVIDERS,
+                   "        self._keypair = KeyPair.generate(rng)"),
+    "executor": ("src/repro/campaign/executors.py",
+                 "from concurrent.futures import ThreadPoolExecutor"),
+    "codec-memo": ("src/repro/dns/message.py", "_ENCODE_MEMO = {}"),
+    "attack-wiring": ("src/repro/population/fleet.py",
+                      "        attacker = OnPathAttacker(internet, links)"),
 }
 
 
@@ -235,6 +337,14 @@ def test_rule_catches_a_seeded_violation(rule):
 
 def test_every_rule_has_a_seeded_violation():
     assert sorted(SEEDED) == sorted(rule.name for rule in RULES)
+
+
+def test_one_provider_key_site():
+    # The dh-keypair row exempts one line; it must exist exactly once,
+    # so the exemption cannot cover a second minting site.
+    site = re.compile(r"^ +keypair = KeyPair\.generate\(self\._keys\)$")
+    lines = (ROOT / PROVIDERS).read_text().splitlines()
+    assert sum(1 for line in lines if site.search(line)) == 1
 
 
 def test_rules_stay_inside_their_scope():
@@ -271,8 +381,18 @@ def test_rules_stay_inside_their_scope():
         "src/repro/netsim/topology.py", "p = self._shortest_" "path(a, b)")
     assert not rules["exchange-object"].violations(
         "src/repro/netsim/simulator.py", "class Timer:")
+    # The one key-minting line the dh-keypair row exempts, and the one
+    # file the exchange helper may be called in.
+    assert not rules["dh-keypair"].violations(
+        PROVIDERS, "            keypair = KeyPair.generate(self._keys)")
+    assert rules["dh-keypair"].violations(
+        PROVIDERS, "            keypair = KeyPair.generate(self._keys)  #")
+    assert not rules["dh-exchange"].violations(
+        "src/repro/doh/tls.py", "        public = _exch" "ange(secret, g)")
+    assert not rules["attack-wiring"].violations(
+        "src/repro/attacks/compromise.py", "    compromise_provider(p, c)")
     # The rules file searches itself without matching its seeded lines.
     own = Path(__file__).resolve()
     path = own.relative_to(ROOT).as_posix()
-    for name in ("shortest-path", "removed-dependency"):
+    for name in ("shortest-path", "removed-dependency", "dh-exchange"):
         assert not rules[name].violations(path, own.read_text())
