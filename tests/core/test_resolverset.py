@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis.model import required_corrupted_resolvers
 from repro.core.errors import ConfigurationError
 from repro.core.resolverset import ResolverRef, ResolverSet
 from repro.netsim.address import Endpoint, ip
@@ -39,3 +40,9 @@ class TestResolverSet:
         assert [r.name for r in rs] == [f"doh{i}.example" for i in range(3)]
         assert rs[0].name == "doh0.example"
 
+
+class TestSecurityBounds:
+    def test_attacker_must_corrupt_full_pool(self):
+        # Controlling every answer takes every resolver in the set.
+        rs = ResolverSet(refs(7))
+        assert required_corrupted_resolvers(len(rs), 1.0) == len(rs) == 7

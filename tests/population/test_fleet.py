@@ -95,10 +95,6 @@ class TestFleetSpecValidation:
         with pytest.raises(ConfigurationError, match="mean_interval"):
             population_spec(mean_interval=interval)
 
-    def test_rejects_unknown_arrival_kind(self):
-        with pytest.raises(ConfigurationError, match="arrival"):
-            FleetSpec(arrival="burst")
-
     @pytest.mark.parametrize("path, value", [
         # Each built a world that crashed mid-run: a periodic delay of
         # inf (ValueError) or a Poisson rate of 1/inf (ZeroDivisionError)
@@ -426,22 +422,6 @@ class TestClientRound:
             for left, rejoined in zip(rounds, rounds[1:]):
                 gap = rejoined["start"] - left["end"]
                 assert 30.0 - 1e-9 <= gap <= 30.05 + 1e-9
-
-    def test_identical_streams_replay_identically(self):
-        spec = population_spec(num_clients=10, rounds=4, arrival="poisson",
-                               churn_rate=0.4, resolve_every=2, corrupted=1)
-        runs = [_traced_run(spec, seed)[2] for seed in (49, 49, 50)]
-        assert runs[0] == runs[1]
-        assert runs[0] != runs[2]
-
-    def test_periodic_phases_spread_over_the_first_period(self):
-        _, _, clients = _traced_run(
-            population_spec(num_clients=5, rounds=2, mean_interval=10.0), 51)
-        for index, (first, second) in sorted(clients.items()):
-            # Wake-ups run at the next 50 ms dispatch bin.
-            assert 2.0 * index - 1e-9 <= first["start"] <= 2.0 * index + 0.05
-            gap = second["start"] - first["end"]
-            assert 10.0 - 1e-9 <= gap <= 10.05 + 1e-9
 
     def test_poisson_first_delays_come_from_the_arrival_stream(self):
         seed = 52

@@ -24,6 +24,7 @@ from repro.scenarios.spec import (
     population_spec,
     set_path,
 )
+from repro.telemetry.trace import Tracer, use_tracer
 
 
 # ----------------------------------------------------------------------
@@ -129,6 +130,34 @@ class TestWindowValidation:
         names = {host.name for host in world.internet.hosts
                  if host.name.startswith("pop-")}
         assert names == {"pop-2", "pop-3"}
+
+
+# ----------------------------------------------------------------------
+# Round replay.
+# ----------------------------------------------------------------------
+
+def _client_rounds(spec, seed):
+    """Every ``client.round`` span's client, times and attributes."""
+    tracer = Tracer()
+    with use_tracer(tracer):
+        materialize(spec, seed).run()
+    return sorted((span["attrs"]["client"], span["attrs"]["round"],
+                   span["start"], span["end"], sorted(span["attrs"].items()))
+                  for span in tracer.snapshot()["spans"]
+                  if span["name"] == "client.round")
+
+
+class TestAdvanceRound:
+    """The fleet advances each client's rounds from its own named
+    streams: the same seed replays every round, another diverges."""
+
+    def test_identical_streams_replay_identically(self):
+        spec = population_spec(num_clients=10, rounds=4, arrival="poisson",
+                               churn_rate=0.4, resolve_every=2, corrupted=1)
+        runs = [_client_rounds(spec, seed) for seed in (49, 49, 50)]
+        assert len(runs[0]) == 40
+        assert runs[0] == runs[1]
+        assert runs[0] != runs[2]
 
 
 # ----------------------------------------------------------------------
