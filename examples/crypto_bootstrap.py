@@ -20,9 +20,8 @@ from repro.attacks.compromise import (
     CompromisedResolverBehavior,
     corrupt_first_k,
 )
-from repro.core.majority import MajorityVoteCombiner
-from repro.core.pool import PoolGeneratorConfig, SecurePoolGenerator
-from repro.core.resolverset import ResolverRef, ResolverSet
+from repro.core.majority import majority_vote
+from repro.core.pool import ResolverRef, SecurePoolGenerator
 from repro.dns.name import Name
 from repro.dns.rdata import ARdata
 from repro.dns.rrtype import RRType
@@ -100,11 +99,8 @@ def main() -> None:
 
     doh = DoHClient(node, simulator, trust,
                     rng=registry.stream("node-doh"))
-    resolver_set = ResolverSet(
-        [ResolverRef(p.name, p.endpoint) for p in providers],
-        assumed_secure_fraction=3 / 5)
-    generator = SecurePoolGenerator(doh, resolver_set, simulator,
-                                    PoolGeneratorConfig())
+    generator = SecurePoolGenerator(
+        doh, [ResolverRef(p.name, p.endpoint) for p in providers], simulator)
 
     pools = []
     generator.generate(SEED_DOMAIN.to_text(), pools.append)
@@ -121,7 +117,7 @@ def main() -> None:
     assert attacker_share <= 2 / 5 + 1e-9
 
     # A paranoid node: only connect to majority-vouched peers.
-    voted = MajorityVoteCombiner().combine(pool.contributions)
+    voted = majority_vote(pool.contributions)
     voted_attacker = sum(1 for a in voted if a in eclipse)
     print(f"Majority-vouched peers: {len(voted)} "
           f"({voted_attacker} attacker-controlled)")

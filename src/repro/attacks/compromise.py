@@ -18,7 +18,6 @@ import enum
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
-from repro.core.resolverset import ResolverRef
 from repro.dns.message import Message, Question, ResourceRecord
 from repro.dns.name import Name
 from repro.dns.rdata import address_rdata

@@ -7,7 +7,10 @@ trial)`` identity. Every trial's seed derives from that same identity,
 never from execution order or worker assignment, which is what keeps
 the two modes' records bit-identical.
 
-The interesting part is :func:`choose_executor`, the adaptive policy
+:func:`decide_executor` and :func:`dispatch` are the one executor
+decision both the campaign runner and the sharded megafleet
+(:class:`~repro.population.sharding.ShardedFleet`) make. The
+interesting part is :func:`choose_executor`, the adaptive policy
 that fixed the 0.9× parallel-campaign regression: the old runner paid
 fork-pool startup and per-chunk IPC unconditionally, which *loses* to
 serial for short sweeps and on low-core machines. The adaptive policy
@@ -35,6 +38,7 @@ from __future__ import annotations
 import math
 import os
 import pickle
+import time
 from dataclasses import dataclass
 from typing import Any, Callable, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -47,6 +51,9 @@ Spec = Tuple[TrialFn, int, str, Mapping[str, Any], int, int]
 
 #: Sink the executors emit finished records into, in completion order.
 EmitFn = Callable[[TrialRecord], None]
+
+#: The executor policies :func:`decide_executor` accepts.
+EXECUTORS = ("adaptive", "serial", "processes")
 
 #: Approximate cost of standing up a fork pool and tearing it down
 #: (process spawn + interpreter/module state duplication). A campaign
@@ -136,6 +143,64 @@ def choose_executor(per_spec_s: float, pending: int, workers_cap: int,
     if saving <= POOL_STARTUP_S:
         return ExecutorChoice("serial", 1)
     return ExecutorChoice("processes", workers)
+
+
+def decide_executor(specs: Sequence[Spec], executor: str,
+                    workers: Optional[int],
+                    emit: EmitFn) -> Tuple[ExecutorChoice, Sequence[Spec]]:
+    """Fix the executor for ``specs``; returns the choice and the specs
+    still to run.
+
+    :param executor: ``"serial"``; ``"processes"``, a forced pool of up
+        to ``workers`` processes; or ``"adaptive"``, which runs the
+        first spec here as the calibration probe (emitting its record)
+        and lets :func:`choose_executor` pick from its measured cost.
+    :param workers: worker cap (``None``: ``os.cpu_count()``); ``0`` or
+        ``1`` means serial.
+
+    Inside a daemonic process (a fork-pool worker, which may not start
+    children) every mode runs serially; the records are identical.
+    """
+    if executor not in EXECUTORS:
+        raise ValueError(f"executor must be one of {EXECUTORS}, "
+                         f"got {executor!r}")
+    cap = workers if workers is not None else (os.cpu_count() or 1)
+    if (cap <= 1 or executor == "serial" or len(specs) <= 1
+            or _in_daemon_process()):
+        return ExecutorChoice("serial", 1), specs
+    if executor == "processes":
+        # The forced pool honours the explicit worker count (capped
+        # only by the amount of work there is to share).
+        return ExecutorChoice("processes", min(cap, len(specs))), specs
+    started = time.perf_counter()
+    emit(execute_spec(specs[0]))
+    per_spec_s = time.perf_counter() - started
+    return choose_executor(per_spec_s, len(specs) - 1, cap), specs[1:]
+
+
+def dispatch(specs: Sequence[Spec], choice: ExecutorChoice,
+             emit: EmitFn) -> ExecutorChoice:
+    """Run ``specs`` on ``choice``; returns the executor that ran them.
+
+    That is serial when the pool is unavailable (unpicklable specs, no
+    process support): the serial path gives identical records, only
+    slower.
+    """
+    if not specs:
+        return choice
+    if choice.kind == "processes" and run_processes(specs, choice.workers,
+                                                    emit):
+        return choice
+    run_serial(specs, emit)
+    return ExecutorChoice("serial", 1)
+
+
+def _in_daemon_process() -> bool:
+    try:
+        import multiprocessing
+        return multiprocessing.current_process().daemon
+    except Exception:
+        return False
 
 
 def chunk_specs(specs: Sequence[Spec], workers: int) -> List[List[Spec]]:

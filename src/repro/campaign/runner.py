@@ -13,7 +13,7 @@ aggregation (performed in spec order in every mode) is bit-identical.
 By default the executor is chosen *adaptively*: the first executed spec
 doubles as a calibration probe, and the measured per-trial cost decides
 whether the fork pool can amortise its startup (process pool) or not
-(serial) — see :func:`repro.campaign.executors.choose_executor`. Pass
+(serial) — see :func:`repro.campaign.executors.decide_executor`. Pass
 ``executor=`` to force a mode; ``workers=0/1`` always forces serial.
 
 Trial functions must be module-level callables of the form
@@ -53,7 +53,6 @@ import hashlib
 import inspect
 import json
 import logging
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -61,13 +60,12 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.campaign.aggregate import Aggregator, CampaignResult, TrialRecord
 from repro.campaign.executors import (
+    EXECUTORS,
     ExecutorChoice,
     Spec,
     TrialFn,
-    choose_executor,
-    execute_spec,
-    run_processes,
-    run_serial,
+    decide_executor,
+    dispatch,
 )
 from repro.campaign.grid import GridPoint, ParameterGrid
 from repro.campaign.journal import CampaignJournal, rehydrate, sweep
@@ -76,9 +74,6 @@ from repro.util.rng import derive_seed
 from repro.util.stats import RunningStats
 
 logger = logging.getLogger("repro.campaign")
-
-#: The executor policies ``CampaignRunner(executor=...)`` accepts.
-EXECUTORS = ("adaptive", "serial", "processes")
 
 
 @dataclass(frozen=True)
@@ -235,8 +230,12 @@ class _Execution:
 
         if pending:
             if self._choice is None:
-                pending = self._decide(pending, emit)
-            self._dispatch(pending, emit)
+                runner = self._runner
+                self._choice, pending = decide_executor(
+                    pending, runner._executor, runner._workers, emit)
+                logger.debug("campaign %r: executor %s", self._name,
+                             self._choice.mode)
+            self._choice = dispatch(pending, self._choice, emit)
         assert all(record is not None for record in slots)
         return slots  # type: ignore[return-value]
 
@@ -248,44 +247,6 @@ class _Execution:
         _, point_index, key, params, trial, seed = spec
         return rehydrate(self._recovered.get((key, trial)), point_index,
                          key, params, trial, seed)
-
-    def _decide(self, pending: List[Spec],
-                emit: Callable[[TrialRecord], None]) -> List[Spec]:
-        """Fix the executor choice; returns the specs still to run
-        (adaptive mode consumes the first one as its timing probe)."""
-        runner = self._runner
-        cap = runner._workers if runner._workers is not None \
-            else (os.cpu_count() or 1)
-        if cap <= 1 or runner._executor == "serial" or len(pending) == 1:
-            self._choice = ExecutorChoice("serial", 1)
-            return pending
-        if runner._executor == "processes":
-            # The forced pool honours the explicit worker count (capped
-            # only by the amount of work there is to share).
-            self._choice = ExecutorChoice("processes",
-                                          max(1, min(cap, len(pending))))
-            return pending
-        started = time.perf_counter()
-        emit(execute_spec(pending[0]))
-        per_spec_s = time.perf_counter() - started
-        self._choice = choose_executor(per_spec_s, len(pending) - 1, cap)
-        logger.debug("campaign %r: calibration probe %.3gs/trial -> %s",
-                     self._name, per_spec_s, self._choice.mode)
-        return pending[1:]
-
-    def _dispatch(self, pending: List[Spec],
-                  emit: Callable[[TrialRecord], None]) -> None:
-        if not pending:
-            return
-        choice = self._choice
-        assert choice is not None
-        if choice.kind == "processes":
-            if run_processes(pending, choice.workers, emit):
-                return
-            # Unpicklable specs or no process support: the serial path
-            # gives identical results, only slower.
-            self._choice = ExecutorChoice("serial", 1)
-        run_serial(pending, emit)
 
     def _tick(self, report: bool = True) -> None:
         self._completed += 1

@@ -25,7 +25,7 @@ from typing import Any, Dict, List, Mapping
 
 from repro.analysis.advantage import security_bits
 from repro.attacks.offpath import OffPathPoisoner
-from repro.core.majority import MajorityVoteCombiner
+from repro.core.majority import majority_vote
 from repro.dns.client import StubResolver
 from repro.dns.rrtype import RRType
 from repro.netsim.address import Endpoint, IPAddress
@@ -93,8 +93,7 @@ def _pool_metrics(spec: ScenarioSpec, world: PoolScenario) -> Dict[str, float]:
     for attack in spec.attacks:
         forged.update(IPAddress(a) for a in attack.param("forged", ()))
     pool = world.generate_pool_sync()
-    voted = (MajorityVoteCombiner().combine(pool.contributions)
-             if pool.contributions else [])
+    voted = majority_vote(pool.contributions) if pool.contributions else []
     v4 = [a for a in pool.addresses if a.family == 4]
     v6 = [a for a in pool.addresses if a.family == 6]
     benign_fraction = (world.directory.benign_fraction(pool.addresses)

@@ -12,9 +12,9 @@ keeps working.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Iterable, Set
 
-from repro.core.majority import MajorityVoteCombiner
+from repro.core.majority import majority_vote
 from repro.core.pool import GeneratedPool, SecurePoolGenerator
 from repro.dns.message import Message, ResourceRecord, make_response
 from repro.dns.name import Name
@@ -38,14 +38,15 @@ class MajorityDnsFrontend:
     :param generator: the Algorithm 1 engine.
     :param doh_client: transport reused for proxying non-pool queries.
     :param pool_domains: names that get the secure-pool treatment.
-    :param majority: optional per-address vote applied on top of
+    :param majority: apply the per-address strict-majority vote
+        (:func:`~repro.core.majority.majority_vote`) on top of
         Algorithm 1's combination before answering.
     """
 
     def __init__(self, host: Host, generator: SecurePoolGenerator,
                  doh_client: DoHClient,
                  pool_domains: Iterable["Name | str"],
-                 majority: Optional[MajorityVoteCombiner] = None,
+                 majority: bool = False,
                  port: int = DNS_PORT) -> None:
         self._host = host
         self._generator = generator
@@ -107,8 +108,8 @@ class MajorityDnsFrontend:
                     recursion_available=True).encode())
                 return
             addresses = pool.addresses
-            if self._majority is not None:
-                addresses = self._majority.combine(pool.contributions)
+            if self._majority:
+                addresses = majority_vote(pool.contributions)
                 if not addresses:
                     self._failures += 1
                     self._socket.reply(datagram, make_response(
@@ -133,7 +134,7 @@ class MajorityDnsFrontend:
 
     def _proxy_query(self, datagram: Datagram, query: Message) -> None:
         self._proxied_queries += 1
-        upstream = self._generator.resolver_set[0]
+        upstream = self._generator.resolvers[0]
         question = query.question
 
         def respond(outcome: DoHQueryOutcome) -> None:

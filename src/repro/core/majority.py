@@ -15,32 +15,26 @@ backward-compatible front-end can use it for applications that do.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.core.errors import ConfigurationError
 from repro.netsim.address import IPAddress
 
 
-def majority_vote(answer_lists: Dict[str, Sequence[IPAddress]],
-                  quorum: Optional[int] = None) -> List[IPAddress]:
-    """Return the addresses included by at least ``quorum`` resolvers.
+def majority_vote(answer_lists: Dict[str, Sequence[IPAddress]]
+                  ) -> List[IPAddress]:
+    """Return the addresses included by a strict majority
+    ``N // 2 + 1`` of the ``N`` resolvers *consulted* (not of those
+    that answered — silent resolvers effectively vote against).
 
     :param answer_lists: per-resolver address lists. An address counts
         once per resolver no matter how often that resolver repeated it.
-    :param quorum: required vote count; defaults to a strict majority
-        ``floor(N/2) + 1`` of the resolvers *consulted* (not of those
-        that answered — silent resolvers effectively vote against).
     :returns: addresses sorted by (votes desc, address) for determinism.
     """
     if not answer_lists:
         raise ConfigurationError("no answer lists to vote on")
-    n = len(answer_lists)
-    if quorum is None:
-        quorum = n // 2 + 1
-    if not 1 <= quorum <= n:
-        raise ConfigurationError(f"quorum must be in [1, {n}], got {quorum}")
+    quorum = len(answer_lists) // 2 + 1
     votes: Counter = Counter()
     for addresses in answer_lists.values():
         for address in set(addresses):
@@ -50,29 +44,3 @@ def majority_vote(answer_lists: Dict[str, Sequence[IPAddress]],
     winners.sort(key=lambda item: (-item[0], str(item[1])))
     return [address for _, address in winners]
 
-
-class MajorityVoteCombiner:
-    """A reusable combiner with a fixed quorum rule.
-
-    :param quorum_fraction: fraction of consulted resolvers whose vote
-        is required (strictly more than 1/2 by default).
-    """
-
-    def __init__(self, quorum_fraction: float = 0.5) -> None:
-        if not 0.0 < quorum_fraction < 1.0:
-            raise ConfigurationError(
-                f"quorum_fraction must be in (0, 1), got {quorum_fraction}")
-        self._quorum_fraction = quorum_fraction
-
-    @property
-    def quorum_fraction(self) -> float:
-        return self._quorum_fraction
-
-    def quorum_for(self, resolver_count: int) -> int:
-        """Votes required given how many resolvers were consulted."""
-        return math.floor(self._quorum_fraction * resolver_count) + 1
-
-    def combine(self, answer_lists: Dict[str, Sequence[IPAddress]]) -> List[IPAddress]:
-        """Vote with the configured quorum rule."""
-        return majority_vote(answer_lists,
-                             quorum=self.quorum_for(len(answer_lists)))

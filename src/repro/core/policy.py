@@ -16,9 +16,7 @@ implemented.
 from __future__ import annotations
 
 import enum
-from typing import Dict, List, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import Sequence
 
 
 class TruncationPolicy(enum.Enum):
@@ -38,11 +36,6 @@ class TruncationPolicy(enum.Enum):
             ordered = sorted(lengths)
             return ordered[(len(ordered) - 1) // 2]
         return max(lengths)
-
-    def apply(self, lists: Dict[str, List[T]]) -> Dict[str, List[T]]:
-        """Truncate every list to the policy's bound."""
-        limit = self.truncate_length([len(v) for v in lists.values()])
-        return {key: list(values[:limit]) for key, values in lists.items()}
 
 
 class DualStackPolicy(enum.Enum):

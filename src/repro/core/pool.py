@@ -1,9 +1,9 @@
 """Algorithm 1: secure server-pool generation (the paper's core).
 
-The lookup queries the pool domain through every resolver in the
-configured :class:`~repro.core.resolverset.ResolverSet` in parallel,
-truncates every answer list to the length of the shortest, and returns
-the multiset combination::
+The lookup queries the pool domain through every configured trusted
+DoH resolver (a :class:`ResolverRef` each) in parallel, truncates
+every answer list to the length of the shortest, and returns the
+multiset combination::
 
     results = [], lengths = [], addresspool = []
     for res in resolvers:
@@ -40,10 +40,9 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.errors import ConfigurationError
 from repro.core.policy import DualStackPolicy, TruncationPolicy
-from repro.core.resolverset import ResolverRef, ResolverSet
 from repro.dns.rrtype import RRType
 from repro.doh.client import DoHClient, DoHQueryOutcome
-from repro.netsim.address import IPAddress
+from repro.netsim.address import Endpoint, IPAddress
 from repro.netsim.simulator import Simulator
 from repro.telemetry.trace import current_tracer
 
@@ -132,6 +131,18 @@ def combine_with_quorum(
 
 
 @dataclass(frozen=True)
+class ResolverRef:
+    """One trusted DoH resolver: where to reach it and what name its
+    certificate must present."""
+
+    name: str
+    endpoint: Endpoint
+
+    def __str__(self) -> str:
+        return f"{self.name} ({self.endpoint})"
+
+
+@dataclass(frozen=True)
 class PoolGeneratorConfig:
     """Behavioural knobs for :class:`SecurePoolGenerator`.
 
@@ -201,32 +212,34 @@ class SecurePoolGenerator:
     """Algorithm 1 over live DoH resolvers.
 
     :param doh_client: transport for the secure per-resolver queries.
-    :param resolver_set: the trusted resolvers and assumption ``x``.
+    :param resolvers: the paper's "list of trusted DoH resolvers", in
+        query order; non-empty, with distinct names.
     :param simulator: virtual clock for elapsed-time accounting.
     :param config: policy knobs.
     """
 
-    def __init__(self, doh_client: DoHClient, resolver_set: ResolverSet,
-                 simulator: Simulator,
+    def __init__(self, doh_client: DoHClient,
+                 resolvers: Sequence[ResolverRef], simulator: Simulator,
                  config: Optional[PoolGeneratorConfig] = None) -> None:
+        if not resolvers:
+            raise ConfigurationError("resolver list cannot be empty")
+        names = [ref.name for ref in resolvers]
+        if len(set(names)) != len(names):
+            raise ConfigurationError(f"duplicate resolver names in {names}")
         self._doh = doh_client
-        self._resolvers = resolver_set
+        self._resolvers = tuple(resolvers)
         self._simulator = simulator
         self._config = config or PoolGeneratorConfig()
         self._tracer = current_tracer()
         min_answers = self._config.min_answers
-        if min_answers is not None and not 1 <= min_answers <= len(resolver_set):
+        if min_answers is not None and not 1 <= min_answers <= len(names):
             raise ConfigurationError(
-                f"min_answers must be in [1, {len(resolver_set)}], "
+                f"min_answers must be in [1, {len(names)}], "
                 f"got {min_answers}")
 
     @property
-    def resolver_set(self) -> ResolverSet:
+    def resolvers(self) -> Tuple[ResolverRef, ...]:
         return self._resolvers
-
-    @property
-    def config(self) -> PoolGeneratorConfig:
-        return self._config
 
     # ------------------------------------------------------------------
     # Lookup.
@@ -334,7 +347,7 @@ class _Generation:
         self._span = None
 
     def start(self) -> None:
-        resolvers = self._generator._resolvers.resolvers
+        resolvers = self._generator._resolvers
         self._pending = len(resolvers) * len(self._qtypes)
         tracer = self._generator._tracer
         if tracer is not None:

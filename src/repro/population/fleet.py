@@ -12,12 +12,15 @@ directly.
 Each client runs the paper's distributed-resolver lookup as rounds:
 query the pool domain through every configured provider, apply
 Algorithm 1's truncate-and-combine, pick one pool server, and discipline
-its clock with one SNTP exchange. Clients ride the plain-DNS stub
-query (:func:`repro.dns.client.stub_query`) rather than per-query TLS —
-the provider-corruption threat model lives behind the recursion engine
-(see ``RecursiveResolver.serve_engine``), so the DNS-layer outcome is
-identical to the DoH path while the hot loop stays cheap enough for
-thousands of clients.
+its clock with one SNTP exchange. ``FleetSpec.transport`` picks how a
+client reaches the providers: ``"udp"`` (the default) rides the
+plain-DNS stub query (:func:`repro.dns.client.stub_query`), and
+``"doh"`` sends each query as RFC 8484 over a fresh TLS connection,
+paying the per-query handshake. The provider-corruption threat model
+lives behind the recursion engine (see
+``RecursiveResolver.serve_engine``), so both transports see the same
+DNS-layer outcome; the plain-DNS default keeps the hot loop cheap
+enough for thousands of clients.
 
 Scale machinery:
 
@@ -111,6 +114,14 @@ if TYPE_CHECKING:
 #: Ceiling of the fleet's ``10.120+`` address scheme: 200 hosts per
 #: /24 block, 256 blocks per second octet, second octets 10.120-10.255.
 MAX_CLIENTS = 136 * 256 * 200
+
+#: Ceiling (s, about 31.7 years) of a fleet's ``mean_interval`` and
+#: ``rejoin_delay``. A wake-up lands in dispatcher bin
+#: ``ceil(t / 0.05)``, which overflowed mid-run for delays near 1e308;
+#: a Poisson gap is at most ~36.7 mean intervals (``expovariate`` of a
+#: 53-bit uniform), so under this bound a run would need ~1e296 rounds
+#: to get there.
+MAX_DELAY = 1e9
 
 #: A client's patience: per-attempt timeout (s) and retries of each
 #: stub or DoH query, and the SNTP exchange's timeout (s).

@@ -8,9 +8,10 @@ splits the population into K contiguous *windows* and materializes each
 window as its own complete world from the same :class:`ScenarioSpec`
 and seed: same backbone, same DNS tree, same providers, same pool
 directory — only the resident client window differs. Shards execute
-through the campaign executor layer (serial or fork pool, chosen
-adaptively exactly like a campaign) and their telemetry
-snapshots fold back, in shard order, into one registry.
+through the campaign executor layer (serial or fork pool, chosen by
+the campaign's own :func:`~repro.campaign.executors.decide_executor`)
+and their telemetry snapshots fold back, in shard order, into one
+registry.
 
 Why this is exact, not approximate:
 
@@ -43,8 +44,6 @@ and ``benchmarks/bench_p3_megafleet.py`` for the pinned check).
 
 from __future__ import annotations
 
-import os
-import time
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -222,40 +221,18 @@ class ShardedFleet:
         if self._ran:
             raise RuntimeError("sharded fleet already ran")
         self._ran = True
-        from repro.campaign.executors import (
-            choose_executor,
-            execute_spec,
-            run_processes,
-            run_serial,
-        )
+        from repro.campaign.executors import decide_executor, dispatch
 
-        specs = self._specs(max_events)
         records: Dict[int, Any] = {}
 
         def emit(record) -> None:
             records[record.point_index] = record
 
-        workers = (self.workers if self.workers is not None
-                   else (os.cpu_count() or 1))
-        mode = self.executor
-        if mode == "adaptive":
-            # Probe shard 0 in-parent (it doubles as the calibration
-            # measurement), then pick the executor for the rest exactly
-            # the way a campaign would.
-            started = time.perf_counter()
-            emit(execute_spec(specs[0]))
-            per_spec_s = time.perf_counter() - started
-            specs = specs[1:]
-            choice = choose_executor(per_spec_s, len(specs), workers)
-            mode, workers = choice.kind, choice.workers
-        if mode == "processes" and _in_daemon_process():
-            # Fork-pool workers are daemonic and may not spawn their
-            # own children; the serial path is bit-identical.
-            mode = "serial"
-        if mode != "processes" or not run_processes(specs, workers, emit):
-            mode = "serial"
-            run_serial(specs, emit)
-        self.executed_mode = mode
+        # The campaign's own decision: adaptive mode probes shard 0
+        # in-parent as the calibration measurement.
+        choice, specs = decide_executor(self._specs(max_events),
+                                        self.executor, self.workers, emit)
+        self.executed_mode = dispatch(specs, choice, emit).kind
         missing = [plan.shard for plan in self.plans
                    if plan.shard not in records]
         if missing:
@@ -351,10 +328,3 @@ def shard_invariant_spec(population: int, rounds: int = 2,
                         mean_interval=interval, shards=shards),
         telemetry=TelemetrySpec(time_bin=10.0))
 
-
-def _in_daemon_process() -> bool:
-    try:
-        import multiprocessing
-        return multiprocessing.current_process().daemon
-    except Exception:
-        return False

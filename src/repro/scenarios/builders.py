@@ -81,46 +81,34 @@ class PoolScenario:
     # Core-layer conveniences (import locally to avoid layering cycles).
     # ------------------------------------------------------------------
 
-    def make_resolver_set(self, assumed_secure_fraction: float = 0.5):
-        """A :class:`repro.core.ResolverSet` over this scenario's
-        providers."""
-        from repro.core.resolverset import ResolverRef, ResolverSet
-        refs = [ResolverRef(name=deployment.name,
-                            endpoint=deployment.endpoint)
-                for deployment in self.providers]
-        return ResolverSet(refs, assumed_secure_fraction)
-
-    def make_doh_client(self, stream: str = "doh-client", method: str = "GET",
+    def make_doh_client(self, stream: str = "doh-client",
                         timeout: float = 4.0, retries: int = 2):
         """A :class:`repro.doh.DoHClient` on this scenario's client."""
         from repro.doh.client import DoHClient
         return DoHClient(self.client, self.simulator, self.trust_store,
-                         rng=self.rng.stream(stream), method=method,
-                         timeout=timeout, retries=retries)
+                         rng=self.rng.stream(stream), timeout=timeout,
+                         retries=retries)
 
-    def make_generator(self, config=None, assumed_secure_fraction: float = 0.5,
-                       method: str = "GET", timeout: float = 4.0,
-                       retries: int = 2):
-        """A ready-to-use :class:`repro.core.SecurePoolGenerator`,
-        combining by ``config`` or, when none is passed, by the world's
+    def make_generator(self, timeout: float = 4.0, retries: int = 2):
+        """A ready-to-use :class:`repro.core.SecurePoolGenerator` over
+        this scenario's providers, combining by the world's
         :attr:`policy`."""
-        from repro.core.pool import SecurePoolGenerator
+        from repro.core.pool import ResolverRef, SecurePoolGenerator
         return SecurePoolGenerator(
-            self.make_doh_client(method=method, timeout=timeout,
-                                 retries=retries),
-            self.make_resolver_set(assumed_secure_fraction),
-            self.simulator, config or self.policy)
+            self.make_doh_client(timeout=timeout, retries=retries),
+            [ResolverRef(name=deployment.name, endpoint=deployment.endpoint)
+             for deployment in self.providers],
+            self.simulator, self.policy)
 
-    def generate_pool_sync(self, generator=None, domain: Optional[str] = None):
+    def generate_pool_sync(self, generator=None):
         """Run one Algorithm 1 generation to completion and return it."""
         engine = generator or self.make_generator()
         results: List = []
-        engine.generate(domain or self.pool_domain.to_text(), results.append)
+        engine.generate(self.pool_domain.to_text(), results.append)
         self.simulator.run()
         if len(results) != 1:
             raise RuntimeError("pool generation did not complete")
         return results[0]
-
 
 @dataclass
 class PopulationScenario:

@@ -365,7 +365,9 @@ class FleetSpec(SpecBase):
         ``10.120.0.0+`` address range).
     :param rounds: resolve→sync rounds each client performs.
     :param mean_interval: seconds between one client's rounds (the
-        period for ``periodic`` arrivals, the mean for ``poisson``).
+        period for ``periodic`` arrivals, the mean for ``poisson``);
+        at most :data:`repro.population.fleet.MAX_DELAY`, like
+        ``rejoin_delay``.
     :param arrival: ``"periodic"`` or ``"poisson"``.
     :param resolve_every: re-query DNS every k-th round; between
         re-resolutions a client reuses its cached pool (real SNTP
@@ -412,7 +414,7 @@ class FleetSpec(SpecBase):
 
     def __post_init__(self) -> None:
         # Imported here: repro.population imports this module.
-        from repro.population.fleet import MAX_CLIENTS
+        from repro.population.fleet import MAX_CLIENTS, MAX_DELAY
         if not 1 <= self.size <= MAX_CLIENTS:
             raise ConfigurationError(
                 f"fleet size must be in [1, {MAX_CLIENTS}] (the fleet's "
@@ -430,6 +432,11 @@ class FleetSpec(SpecBase):
         if not self.mean_interval > 0:
             raise ConfigurationError(
                 f"mean_interval must be > 0, got {self.mean_interval}")
+        for name in ("mean_interval", "rejoin_delay"):
+            if getattr(self, name) > MAX_DELAY:
+                raise ConfigurationError(
+                    f"{name} must be <= {MAX_DELAY:g} s, "
+                    f"got {getattr(self, name)}")
         if self.arrival not in ("periodic", "poisson"):
             raise ConfigurationError(
                 f"arrival must be 'periodic' or 'poisson', "

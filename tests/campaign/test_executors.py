@@ -1,10 +1,11 @@
 """The executor subsystem: adaptive choice + serial/process bit-equality."""
 
+import multiprocessing
 import random
 
 import pytest
 
-from repro.campaign import CampaignRunner, ParameterGrid
+from repro.campaign import CampaignRunner, ParameterGrid, executors
 from repro.campaign.executors import (
     POOL_STARTUP_S,
     choose_executor,
@@ -12,6 +13,7 @@ from repro.campaign.executors import (
     probe_picklable,
 )
 from repro.campaign.trials import spec_trial
+from repro.population.sharding import ShardedFleet
 from repro.scenarios.spec import pool_spec, population_spec
 
 FORGED = tuple(f"203.0.113.{i + 1}" for i in range(4))
@@ -181,3 +183,46 @@ class TestAdaptiveSelection:
         serial = CampaignRunner(noisy_trial, trials_per_point=2,
                                 base_seed=11, executor="serial").run(grid)
         assert adaptive.records == serial.records
+
+
+def forced_pool_campaign(_):
+    """A forced-pool campaign; run inside a fork-pool worker below."""
+    grid = ParameterGrid({"offset": (0.0, 1.0)}, name="in-daemon")
+    result = CampaignRunner(noisy_trial, trials_per_point=2, base_seed=5,
+                            workers=2, executor="processes").run(grid)
+    return result.mode, result.records
+
+
+class TestOneDecision:
+    """The campaign runner and the sharded megafleet reach one executor
+    decision (executors.decide_executor)."""
+
+    def test_campaign_in_a_daemon_process_runs_serially(self):
+        # A fork-pool worker may not start children; the campaign used
+        # to fail there inside multiprocessing instead of running serially.
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            mode, records = pool.map(forced_pool_campaign, [0])[0]
+        grid = ParameterGrid({"offset": (0.0, 1.0)}, name="in-daemon")
+        serial = CampaignRunner(noisy_trial, trials_per_point=2,
+                                base_seed=5, executor="serial").run(grid)
+        assert mode == "serial"
+        assert records == serial.records
+
+    def test_both_callers_take_the_daemon_guard(self, monkeypatch):
+        monkeypatch.setattr(executors, "_in_daemon_process", lambda: True)
+        grid = ParameterGrid({"offset": (0.0, 1.0)}, name="guarded")
+        result = CampaignRunner(noisy_trial, workers=2,
+                                executor="processes").run(grid)
+        assert result.mode == "serial"
+        fleet = ShardedFleet(population_spec(num_clients=4, rounds=1), 3,
+                             shards=2, workers=2)
+        fleet.executor = "processes"
+        fleet.run()
+        assert fleet.executed_mode == "serial"
+
+    def test_sharded_fleet_rejects_an_unknown_executor(self):
+        fleet = ShardedFleet(population_spec(num_clients=4, rounds=1), 3,
+                             shards=2)
+        fleet.executor = "threads"
+        with pytest.raises(ValueError, match="executor"):
+            fleet.run()

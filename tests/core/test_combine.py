@@ -94,9 +94,10 @@ class TestTruncationPolicies:
             TruncationPolicy.SHORTEST.truncate_length([])
 
     def test_policy_apply(self):
-        cut = TruncationPolicy.SHORTEST.apply({
-            "a": [1, 2, 3], "b": [4]})
-        assert cut == {"a": [1], "b": [4]}
+        _, _, cut = combine_answer_lists({
+            "a": addresses(1, 2, 3), "b": addresses(4)},
+            TruncationPolicy.SHORTEST)
+        assert cut == {"a": addresses(1), "b": addresses(4)}
 
 
 # Hypothesis strategies for answer-list maps.

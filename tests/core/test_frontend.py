@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.frontend import MajorityDnsFrontend
-from repro.core.majority import MajorityVoteCombiner
 from repro.dns.client import StubResolver
 from repro.dns.rcode import RCode
 from repro.dns.rrtype import RRType
@@ -65,7 +64,7 @@ class TestPoolDomainPath:
         frontend = MajorityDnsFrontend(
             scenario.client, generator, scenario.make_doh_client("fe"),
             pool_domains=[scenario.pool_domain],
-            majority=MajorityVoteCombiner())
+            majority=True)
         from repro.netsim.address import ip
         from repro.netsim.host import Host
         app_host = scenario.internet.add_host(

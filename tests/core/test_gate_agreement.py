@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 from repro.core.pool import (
     PoolGeneratorConfig,
     ResolverAnswer,
+    ResolverRef,
     SecurePoolGenerator,
     combine_with_quorum,
 )
-from repro.core.resolverset import ResolverRef, ResolverSet
 from repro.dns.message import make_query, make_response
 from repro.dns.rrtype import RRType
 from repro.doh.client import DoHQueryOutcome, DoHStatus
@@ -54,7 +54,7 @@ def _resolver_answer(index, addresses):
 def generator_combine(values, min_answers):
     answers = [_resolver_answer(i, v) for i, v in enumerate(values)]
     generator = SecurePoolGenerator(
-        None, ResolverSet([a.resolver for a in answers]), Simulator(),
+        None, tuple(a.resolver for a in answers), Simulator(),
         PoolGeneratorConfig(min_answers=min_answers))
     return generator._combine(answers, started_at=0.0)
 

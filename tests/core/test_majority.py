@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.errors import ConfigurationError
-from repro.core.majority import MajorityVoteCombiner, majority_vote
+from repro.core.majority import majority_vote
 from repro.netsim.address import IPAddress
 
 
@@ -56,20 +56,18 @@ class TestMajorityVote:
         })
         assert result == []
 
-    def test_custom_quorum(self):
-        lists = {"r1": [a(1)], "r2": [a(2)], "r3": [a(1)]}
-        assert majority_vote(lists, quorum=1) == [a(1), a(2)]
-        assert majority_vote(lists, quorum=3) == []
-
-    def test_quorum_validation(self):
-        with pytest.raises(ConfigurationError):
-            majority_vote({"r1": [a(1)]}, quorum=2)
-        with pytest.raises(ConfigurationError):
-            majority_vote({"r1": [a(1)]}, quorum=0)
-
     def test_empty_input_rejected(self):
         with pytest.raises(ConfigurationError):
             majority_vote({})
+
+    def test_default_majority_rule(self):
+        # An address needs N // 2 + 1 of the N consulted resolvers.
+        for n, quorum in ((3, 2), (4, 3), (5, 3)):
+            def lists(votes):
+                return {f"r{i}": [a(1)] if i < votes else [a(2)]
+                        for i in range(n)}
+            assert majority_vote(lists(quorum)) == [a(1)]
+            assert a(1) not in majority_vote(lists(quorum - 1))
 
     def test_deterministic_ordering(self):
         result = majority_vote({
@@ -80,31 +78,14 @@ class TestMajorityVote:
 
 
 class TestMajorityVoteCombiner:
-    def test_default_majority_rule(self):
-        combiner = MajorityVoteCombiner()
-        assert combiner.quorum_for(3) == 2
-        assert combiner.quorum_for(4) == 3
-        assert combiner.quorum_for(5) == 3
-
-    def test_supermajority_rule(self):
-        combiner = MajorityVoteCombiner(quorum_fraction=2 / 3)
-        assert combiner.quorum_for(3) == 3
-        assert combiner.quorum_for(6) == 5
-
     def test_combine(self):
-        combiner = MajorityVoteCombiner()
-        result = combiner.combine({
+        # Combining three resolvers' lists keeps what two of them agree on.
+        result = majority_vote({
             "r1": [a(1)],
             "r2": [a(1)],
             "r3": [a(2)],
         })
         assert result == [a(1)]
-
-    def test_fraction_validation(self):
-        with pytest.raises(ConfigurationError):
-            MajorityVoteCombiner(quorum_fraction=1.0)
-        with pytest.raises(ConfigurationError):
-            MajorityVoteCombiner(quorum_fraction=0.0)
 
 
 class TestMajorityProperties:

@@ -3,9 +3,47 @@
 import pytest
 
 from repro.core.errors import ConfigurationError
-from repro.core.policy import DualStackPolicy, TruncationPolicy
-from repro.core.pool import PoolGeneratorConfig, SecurePoolGenerator
-from repro.scenarios import materialize, pool_spec
+from repro.core.pool import (
+    PoolGeneratorConfig,
+    ResolverRef,
+    SecurePoolGenerator,
+)
+from repro.netsim.address import Endpoint, ip
+from repro.scenarios import materialize, pool_spec, set_path
+
+
+def refs(count):
+    return [ResolverRef(name=f"doh{i}.example",
+                        endpoint=Endpoint(ip(f"10.53.0.{i + 1}"), 443))
+            for i in range(count)]
+
+
+def with_policy(spec, **pool):
+    """``spec`` with the given ``pool.*`` Algorithm 1 policy fields."""
+    for name, value in pool.items():
+        spec = set_path(spec, f"pool.{name}", value)
+    return spec
+
+
+class TestGeneratorResolvers:
+    def test_basic_construction(self):
+        generator = SecurePoolGenerator(None, refs(3), None)
+        assert len(generator.resolvers) == 3
+
+    def test_empty_rejected(self):
+        with pytest.raises(ConfigurationError):
+            SecurePoolGenerator(None, [], None)
+
+    def test_duplicate_names_rejected(self):
+        duplicated = refs(2) + [refs(1)[0]]
+        with pytest.raises(ConfigurationError):
+            SecurePoolGenerator(None, duplicated, None)
+
+    def test_iteration_and_indexing(self):
+        generator = SecurePoolGenerator(None, refs(3), None)
+        assert [r.name for r in generator.resolvers] == [
+            f"doh{i}.example" for i in range(3)]
+        assert generator.resolvers[0].name == "doh0.example"
 
 
 class TestGenerationHappyPath:
@@ -50,9 +88,9 @@ class TestGenerationHappyPath:
 
 class TestGenerationFailures:
     def make_partitioned_scenario(self, seed=27, num_providers=3,
-                                  cut_provider_index=0, **kwargs):
-        scenario = materialize(pool_spec(num_providers=num_providers, **kwargs),
-                               seed)
+                                  cut_provider_index=0, **pool):
+        scenario = materialize(
+            with_policy(pool_spec(num_providers=num_providers), **pool), seed)
         victim = scenario.providers[cut_provider_index]
         topology = scenario.internet.topology
         # Cutting the provider region would also cut co-located ones;
@@ -79,9 +117,9 @@ class TestGenerationFailures:
         assert victim.name in pool.failed_resolvers
 
     def test_quorum_mode_degrades_gracefully(self):
-        scenario, victim = self.make_partitioned_scenario(seed=28)
-        config = PoolGeneratorConfig(min_answers=2)
-        generator = scenario.make_generator(config=config, timeout=1.0)
+        scenario, victim = self.make_partitioned_scenario(seed=28,
+                                                          min_answers=2)
+        generator = scenario.make_generator(timeout=1.0)
         pool = scenario.generate_pool_sync(generator)
         assert pool.ok
         assert pool.degraded
@@ -89,17 +127,17 @@ class TestGenerationFailures:
         assert len(pool.contributions) == 2
 
     def test_min_answers_validation(self):
-        scenario = materialize(pool_spec(), 29)
         with pytest.raises(ConfigurationError):
-            scenario.make_generator(config=PoolGeneratorConfig(min_answers=4))
+            SecurePoolGenerator(None, refs(3), None,
+                                PoolGeneratorConfig(min_answers=4))
 
 
 class TestDualStack:
     def test_union_policy_pools_both_families(self):
-        scenario = materialize(pool_spec(dual_stack=True, pool_size=12,
-                                         answers_per_query=3), 30)
-        config = PoolGeneratorConfig(dual_stack=DualStackPolicy.UNION)
-        pool = scenario.generate_pool_sync(scenario.make_generator(config=config))
+        scenario = materialize(with_policy(
+            pool_spec(dual_stack=True, pool_size=12, answers_per_query=3),
+            dual_stack_policy="union"), 30)
+        pool = scenario.generate_pool_sync()
         assert pool.ok
         families = {address.family for address in pool.addresses}
         assert families == {4, 6}
@@ -107,10 +145,10 @@ class TestDualStack:
         assert pool.truncate_length == 6
 
     def test_per_family_policy(self):
-        scenario = materialize(pool_spec(dual_stack=True, pool_size=12,
-                                         answers_per_query=3), 31)
-        config = PoolGeneratorConfig(dual_stack=DualStackPolicy.PER_FAMILY)
-        pool = scenario.generate_pool_sync(scenario.make_generator(config=config))
+        scenario = materialize(with_policy(
+            pool_spec(dual_stack=True, pool_size=12, answers_per_query=3),
+            dual_stack_policy="per-family"), 31)
+        pool = scenario.generate_pool_sync()
         assert pool.ok
         v4 = [a for a in pool.addresses if a.family == 4]
         v6 = [a for a in pool.addresses if a.family == 6]
@@ -121,9 +159,9 @@ class TestDualStack:
 
 class TestTruncationAblation:
     def test_none_policy_lets_long_answers_through(self):
-        scenario = materialize(pool_spec(num_providers=3), 32)
-        config = PoolGeneratorConfig(truncation=TruncationPolicy.NONE)
-        pool = scenario.generate_pool_sync(scenario.make_generator(config=config))
+        scenario = materialize(with_policy(pool_spec(num_providers=3),
+                                           truncation="none"), 32)
+        pool = scenario.generate_pool_sync()
         assert pool.ok
         # All resolvers answer 4 here, so sizes agree with SHORTEST...
         assert len(pool.addresses) == 12

@@ -19,7 +19,7 @@ from repro.netsim.simulator import SimulationError, Simulator
 from repro.netsim.transport import retry_policy
 from repro.population import BatchDispatcher
 from repro.population import fleet as fleet_module
-from repro.population.fleet import MAX_CLIENTS, ClientFleet
+from repro.population.fleet import MAX_CLIENTS, MAX_DELAY, ClientFleet
 from repro.scenarios import materialize, population_spec, set_path
 from repro.scenarios.spec import FleetSpec, LinkSpec
 from repro.telemetry.trace import Tracer, use_tracer
@@ -115,6 +115,29 @@ class TestFleetSpecValidation:
         spec = population_spec(num_clients=5, rounds=2, churn_rate=1.0)
         with pytest.raises(ConfigurationError, match=path.split(".")[1]):
             set_path(spec, path, value)
+
+    @pytest.mark.parametrize("kwargs", [
+        # Each passed validation, then run() raised OverflowError in
+        # BatchDispatcher.call_after: the bin index ceil(t / 0.05) of a
+        # finite delay near 1e308 is infinite.
+        dict(rejoin_delay=1e308, churn_rate=1.0),
+        dict(mean_interval=1e308),
+        dict(mean_interval=1e308, arrival="poisson"),
+    ])
+    def test_rejects_delays_the_dispatcher_cannot_bin(self, kwargs):
+        name = "rejoin_delay" if "rejoin_delay" in kwargs else "mean_interval"
+        with pytest.raises(ConfigurationError, match=name):
+            population_spec(num_clients=5, rounds=2, **kwargs)
+
+    def test_longest_delays_still_run(self):
+        # At the bound, a Poisson fleet that churns every round (its
+        # longest gaps: up to ~36.7 mean intervals plus a rejoin) runs
+        # every round to a synced pool.
+        spec = population_spec(num_clients=5, rounds=2, arrival="poisson",
+                               mean_interval=MAX_DELAY, churn_rate=1.0,
+                               rejoin_delay=MAX_DELAY)
+        outcomes = materialize(spec, 1).run()
+        assert outcomes.rounds == outcomes.rounds_ok == outcomes.syncs == 10
 
 
 class TestPopulationSemantics:

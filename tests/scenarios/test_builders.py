@@ -57,11 +57,11 @@ class TestBuildPoolScenario:
         for node in topology.nodes:
             topology.route("client-edge", node)  # must not raise
 
-    def test_make_resolver_set(self):
+    def test_make_generator_over_providers(self):
         scenario = materialize(pool_spec(), 1)
-        resolver_set = scenario.make_resolver_set(2 / 3)
-        assert len(resolver_set) == 3
-        assert resolver_set.assumed_secure_fraction == 2 / 3
+        generator = scenario.make_generator()
+        assert [(ref.name, ref.endpoint) for ref in generator.resolvers] == [
+            (p.name, p.endpoint) for p in scenario.providers]
 
     def test_generate_pool_sync_runs_once(self):
         scenario = materialize(pool_spec(), 1)

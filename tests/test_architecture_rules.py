@@ -147,17 +147,16 @@ RULES = (
          paths=ALL_CODE,
          message="a removed dependency imported: use the standard library"),
     # Virtual time is the simulation's only clock. The only sanctioned
-    # wall-clock reads in src/repro are the adaptive executors'
-    # calibration probes (they time the host, not the simulation);
+    # wall-clock read in src/repro is the adaptive executor decision's
+    # calibration probe (it times the host, not the simulation);
     # wall time per layer is measured from outside by benchmarks/perf.
     # A wall-clock read anywhere else breaks determinism: trace
     # timestamps, spans and metrics must be virtual.
     Rule(name="wall-clock",
          pattern=r"time\.time\(|perf_counter",
          paths=("src/repro",),
-         allowed=("src/repro/campaign/runner.py",
-                  "src/repro/population/sharding.py"),
-         message="wall-clock read outside the sanctioned sites: use "
+         allowed=("src/repro/campaign/executors.py",),
+         message="wall-clock read outside the sanctioned site: use "
                  "virtual time (Simulator.now / tracer.now()) instead"),
     # Infrastructure failure is declared, never improvised: host
     # crash/restart switches and partition topology edits belong to
@@ -270,6 +269,17 @@ RULES = (
          message="attack wiring outside repro/attacks + scenarios/spec.py: "
                  "declare it in the spec (provider.corrupted or an "
                  "AttackSpec) instead"),
+    # Algorithm 1's resolvers are a plain sequence of ResolverRef that
+    # SecurePoolGenerator validates, and the §II vote is majority_vote
+    # with its fixed N // 2 + 1 quorum. The deleted wrappers held only
+    # state no caller read: the §III assumption x (the bounds take N
+    # and x directly, in analysis/model.py) and a re-spelt quorum.
+    Rule(name="deleted-core-wrapper",
+         pattern=r"class ResolverSet\b|class MajorityVoteCombiner\b"
+                 r"|assumed_secure_fraction",
+         paths=("src",),
+         message="a deleted repro.core wrapper is back: pass a sequence "
+                 "of ResolverRef and call majority_vote directly"),
 )
 
 #: One line per rule that breaks it, at a path inside its scope.
@@ -309,6 +319,8 @@ SEEDED = {
     "codec-memo": ("src/repro/dns/message.py", "_ENCODE_MEMO = {}"),
     "attack-wiring": ("src/repro/population/fleet.py",
                       "        attacker = OnPathAttacker(internet, links)"),
+    "deleted-core-wrapper": ("src/repro/core/pool.py",
+                             "class ResolverSet:"),
 }
 
 
@@ -374,9 +386,11 @@ def test_rules_stay_inside_their_scope():
     assert rules["chaos-mutation"].violations(
         "src/repro/chaosx.py", "internet.set_host_down(h)")
     assert not rules["wall-clock"].violations(
-        "src/repro/campaign/runner.py", "t = time.perf_counter()")
-    assert rules["wall-clock"].violations(
         "src/repro/campaign/executors.py", "t = time.perf_counter()")
+    for path in ("src/repro/campaign/runner.py",
+                 "src/repro/population/sharding.py"):
+        assert rules["wall-clock"].violations(path,
+                                              "t = time.perf_counter()")
     assert not rules["shortest-path"].violations(
         "src/repro/netsim/topology.py", "p = self._shortest_" "path(a, b)")
     assert not rules["exchange-object"].violations(
@@ -391,6 +405,13 @@ def test_rules_stay_inside_their_scope():
         "src/repro/doh/tls.py", "        public = _exch" "ange(secret, g)")
     assert not rules["attack-wiring"].violations(
         "src/repro/attacks/compromise.py", "    compromise_provider(p, c)")
+    # Every deleted wrapper name is caught, under src/ only.
+    wrapper = rules["deleted-core-wrapper"]
+    for line in ("class MajorityVoteCombiner:",
+                 "        self.assumed_secure_fraction = x"):
+        assert wrapper.violations("src/repro/core/majority.py", line)
+    assert not wrapper.violations("tests/core/test_x.py",
+                                  "class ResolverSet:")
     # The rules file searches itself without matching its seeded lines.
     own = Path(__file__).resolve()
     path = own.relative_to(ROOT).as_posix()
