@@ -37,10 +37,14 @@ from repro.chaos.spec import (
 )
 from repro.core.errors import ConfigurationError
 from repro.netsim.link import FaultModel
+from repro.telemetry.registry import InstrumentSchema
 from repro.telemetry.trace import current_tracer
 
 #: Bin width (virtual seconds) of the ``chaos.active`` series.
 ACTIVE_BIN = 1.0
+
+#: What each applied chaos event publishes, per event kind.
+_EVENT_METRICS = InstrumentSchema(count=("counter", "chaos.events"))
 
 
 class ChaosController:
@@ -76,6 +80,8 @@ class ChaosController:
         self._overloaded: Dict[int, List] = {}
         self._ts_active = (registry.timeseries("chaos.active", ACTIVE_BIN)
                           if registry is not None else None)
+        self._events = (registry.bound[_EVENT_METRICS, "kind"]
+                        if registry is not None else None)
 
     @property
     def spec(self) -> ChaosSpec:
@@ -140,7 +146,7 @@ class ChaosController:
               targets: Tuple[str, ...]) -> None:
         self.windows.append((kind, at, end, targets))
         if self._registry is not None:
-            self._registry.counter("chaos.events", kind=kind).inc()
+            self._events[kind].count.inc()
             if self._ts_active is not None:
                 self._ts_active.record(at, 1.0)
         if self._tracer is not None:
@@ -272,8 +278,7 @@ class ChaosController:
         now = self._simulator.now
         self.windows.append((CacheWipe.KIND, now, now, tuple(targets)))
         if self._registry is not None:
-            self._registry.counter("chaos.events",
-                                   kind=CacheWipe.KIND).inc()
+            self._events[CacheWipe.KIND].count.inc()
         if self._tracer is not None:
             self._tracer.event("chaos.event", at=now,
                                attrs={"kind": CacheWipe.KIND,

@@ -30,8 +30,18 @@ from repro.netsim.transport import (
     Transport,
     retry_policy,
 )
+from repro.telemetry.registry import InstrumentSchema
 
 DNS_PORT = 53
+
+#: What a stub query publishes.
+_STUB_METRICS = InstrumentSchema(
+    queries=("counter", "dns.stub.queries"),
+    responses=("counter", "dns.stub.responses"),
+    timeouts=("counter", "dns.stub.timeouts"),
+    spoofs_rejected=("counter", "dns.stub.spoofs_rejected"),
+    poisoned=("counter", "dns.stub.poisoned"),
+)
 
 
 def validate_reply(datagram: Datagram, txid: int, server: Endpoint,
@@ -151,6 +161,7 @@ def stub_query(transport: Transport, server: Endpoint, policy: RetryPolicy,
     """
     qname = Name(qname)
     telemetry = transport.telemetry
+    metrics = None if telemetry is None else telemetry.bound[_STUB_METRICS]
     tracer = transport.tracer
 
     def build_request(txid: Optional[int]) -> bytes:
@@ -184,26 +195,25 @@ def stub_query(transport: Transport, server: Endpoint, policy: RetryPolicy,
                 decode.set(spoofed=True)
         if datagram.spoofed:
             stats.poisoned_acceptances += 1
-            if telemetry is not None:
-                telemetry.counter("dns.stub.poisoned").inc()
+            if metrics is not None:
+                metrics.poisoned.inc()
         return response
 
     def on_complete(exchange: PendingExchange) -> None:
-        if telemetry is not None:
+        if metrics is not None:
             # Per attempt, mirroring StubStats.queries.
-            telemetry.counter("dns.stub.queries").inc(exchange.attempts)
+            metrics.queries.inc(exchange.attempts)
             if exchange.rejected_replies:
-                telemetry.counter("dns.stub.spoofs_rejected").inc(
-                    exchange.rejected_replies)
+                metrics.spoofs_rejected.inc(exchange.rejected_replies)
         if exchange.timed_out:
             stats.timeouts += 1
-            if telemetry is not None:
-                telemetry.counter("dns.stub.timeouts").inc()
+            if metrics is not None:
+                metrics.timeouts.inc()
             callback(StubOutcome(response=None, timed_out=True,
                                  attempts=exchange.attempts))
             return
-        if telemetry is not None:
-            telemetry.counter("dns.stub.responses").inc()
+        if metrics is not None:
+            metrics.responses.inc()
         callback(StubOutcome(response=exchange.value,
                              attempts=exchange.attempts))
 

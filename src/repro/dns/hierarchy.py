@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.dns.message import MAX_TTL
 from repro.util.errors import ConfigurationError
 from repro.util.specbase import SpecBase
 
@@ -102,8 +103,11 @@ class HierarchySpec(SpecBase):
         if not 1 <= self.ns_count <= 200:
             raise ConfigurationError(
                 f"ns_count must be in [1, 200], got {self.ns_count}")
-        if self.root_ttl < 1 or self.tld_ttl < 1:
-            raise ConfigurationError("delegation TTLs must be >= 1s")
+        for name in ("root_ttl", "tld_ttl"):
+            if not 1 <= getattr(self, name) <= MAX_TTL:
+                raise ConfigurationError(
+                    f"{name} must be in [1, {MAX_TTL}] s, "
+                    f"got {getattr(self, name)}")
 
     @property
     def pool_name(self) -> str:

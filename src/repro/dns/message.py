@@ -35,6 +35,12 @@ from repro.dns.wire import WireFormatError, WireReader, WireWriter
 
 MAX_TXID = 0xFFFF
 
+#: The largest TTL a record may carry (RFC 2181 section 8: TTLs are
+#: 0 .. 2**31 - 1). Specs refuse larger TTL leaves when built, and the
+#: decoder reads a TTL with the top bit set as zero, so every record
+#: keeps its TTL in range.
+MAX_TTL = 0x7FFFFFFF
+
 # TXID-independent decode memo (see module docstring). Bounded by
 # wholesale clearing: the working set of distinct messages in any run
 # is tiny, and clearing never changes results — only re-parses once.
@@ -46,6 +52,17 @@ _DECODE_MEMO_MAX = 1024
 _HEADER = struct.Struct("!HHHHHH")
 _QUESTION_TAIL = struct.Struct("!HH")
 _RR_FIXED = struct.Struct("!HHIH")
+
+# Wire code -> enum member, so a decode maps each code with a dict hit
+# instead of an enum call.
+_RRTYPES = {member.value: member for member in RRType}
+_RRCLASSES = {member.value: member for member in RRClass}
+_RCODES = {member.value: member for member in RCode}
+
+# Decoded values are built field by field, past the generated
+# __init__ and its coercing __post_init__ (see _checked_record).
+_new = object.__new__
+_set = object.__setattr__
 
 
 @dataclass(frozen=True)
@@ -78,21 +95,11 @@ class Flags:
 
     @classmethod
     def from_wire(cls, value: int) -> "Flags":
-        rcode_value = value & 0xF
-        try:
-            rcode = RCode(rcode_value)
-        except ValueError:
-            # Unknown RCODEs are treated as SERVFAIL-equivalent failures.
-            rcode = RCode.SERVFAIL
-        return cls(
-            qr=bool(value & 0x8000),
-            opcode=(value >> 11) & 0xF,
-            aa=bool(value & 0x0400),
-            tc=bool(value & 0x0200),
-            rd=bool(value & 0x0100),
-            ra=bool(value & 0x0080),
-            rcode=rcode,
-        )
+        # Unknown RCODEs are treated as SERVFAIL-equivalent failures.
+        rcode = _RCODES.get(value & 0xF, RCode.SERVFAIL)
+        return cls(bool(value & 0x8000), (value >> 11) & 0xF,
+                   bool(value & 0x0400), bool(value & 0x0200),
+                   bool(value & 0x0100), bool(value & 0x0080), rcode)
 
 
 @dataclass(frozen=True)
@@ -121,15 +128,19 @@ class Question:
     def from_wire(cls, reader: WireReader) -> "Question":
         qname = reader.read_name()
         qtype_value, qclass_value = reader.unpack(_QUESTION_TAIL)
-        try:
-            qtype = RRType(qtype_value)
-        except ValueError:
-            raise WireFormatError(f"unsupported QTYPE {qtype_value}") from None
-        try:
-            qclass = RRClass(qclass_value)
-        except ValueError:
-            raise WireFormatError(f"unsupported QCLASS {qclass_value}") from None
-        return cls(qname, qtype, qclass)
+        qtype = _RRTYPES.get(qtype_value)
+        if qtype is None:
+            raise WireFormatError(f"unsupported QTYPE {qtype_value}")
+        qclass = _RRCLASSES.get(qclass_value)
+        if qclass is None:
+            raise WireFormatError(f"unsupported QCLASS {qclass_value}")
+        # The reader returns a Name and the maps return members, so
+        # the coercing __post_init__ has nothing to do.
+        question = _new(cls)
+        _set(question, "qname", qname)
+        _set(question, "qtype", qtype)
+        _set(question, "qclass", qclass)
+        return question
 
     def __str__(self) -> str:
         return f"{self.qname} {self.qclass.name} {self.qtype.name}"
@@ -152,7 +163,7 @@ class ResourceRecord:
             object.__setattr__(self, "rrtype", RRType(self.rrtype))
         if type(self.rrclass) is not RRClass:
             object.__setattr__(self, "rrclass", RRClass(self.rrclass))
-        if not 0 <= self.ttl <= 0x7FFFFFFF:
+        if not 0 <= self.ttl <= MAX_TTL:
             raise ValueError(f"TTL out of range: {self.ttl}")
 
     def to_wire(self, writer: WireWriter) -> None:
@@ -171,20 +182,17 @@ class ResourceRecord:
     def from_wire(cls, reader: WireReader) -> "ResourceRecord":
         name = reader.read_name()
         type_code, class_code, ttl, rdlength = reader.unpack(_RR_FIXED)
-        if ttl > 0x7FFFFFFF:
+        if ttl > MAX_TTL:
             # RFC 2181 section 8: a TTL with the top bit set is read as
             # zero.
             ttl = 0
         rdata = decode_rdata(type_code, reader, rdlength)
-        try:
-            rrtype = RRType(type_code)
-        except ValueError:
-            rrtype = RRType.OPT  # opaque carrier; rdata keeps the real code
-        try:
-            rrclass = RRClass(class_code)
-        except ValueError:
-            raise WireFormatError(f"unsupported CLASS {class_code}") from None
-        return cls(name, rrtype, ttl, rdata, rrclass)
+        # An unknown TYPE gets the opaque carrier; rdata keeps the code.
+        rrtype = _RRTYPES.get(type_code, RRType.OPT)
+        rrclass = _RRCLASSES.get(class_code)
+        if rrclass is None:
+            raise WireFormatError(f"unsupported CLASS {class_code}")
+        return _checked_record(cls, name, rrtype, ttl, rdata, rrclass)
 
     def with_ttl(self, ttl: int) -> "ResourceRecord":
         """A copy with the TTL replaced.
@@ -196,19 +204,28 @@ class ResourceRecord:
         """
         if ttl == self.ttl:
             return self
-        if not 0 <= ttl <= 0x7FFFFFFF:
+        if not 0 <= ttl <= MAX_TTL:
             raise ValueError(f"TTL out of range: {ttl}")
-        clone = object.__new__(ResourceRecord)
-        object.__setattr__(clone, "name", self.name)
-        object.__setattr__(clone, "rrtype", self.rrtype)
-        object.__setattr__(clone, "ttl", ttl)
-        object.__setattr__(clone, "rdata", self.rdata)
-        object.__setattr__(clone, "rrclass", self.rrclass)
-        return clone
+        return _checked_record(ResourceRecord, self.name, self.rrtype, ttl,
+                               self.rdata, self.rrclass)
 
     def __str__(self) -> str:
         return (f"{self.name} {self.ttl} {self.rrclass.name} "
                 f"{self.rrtype.name} {self.rdata.to_text()}")
+
+
+def _checked_record(cls, name: Name, rrtype: RRType, ttl: int,
+                    rdata: Rdata, rrclass: RRClass) -> ResourceRecord:
+    """A record of values already typed and range-checked (by the wire
+    decoder or by :meth:`ResourceRecord.with_ttl`), built without the
+    coercing ``__post_init__``."""
+    record = _new(cls)
+    _set(record, "name", name)
+    _set(record, "rrtype", rrtype)
+    _set(record, "ttl", ttl)
+    _set(record, "rdata", rdata)
+    _set(record, "rrclass", rrclass)
+    return record
 
 
 @dataclass
@@ -276,11 +293,10 @@ class Message:
     def decode(cls, data: bytes) -> "Message":
         template = _DECODE_MEMO.get(data[2:])
         if template is not None:
-            return cls(txid=(data[0] << 8) | data[1], flags=template.flags,
-                       questions=list(template.questions),
-                       answers=list(template.answers),
-                       authority=list(template.authority),
-                       additional=list(template.additional))
+            return _decoded(cls, (data[0] << 8) | data[1], template.flags,
+                            list(template.questions), list(template.answers),
+                            list(template.authority),
+                            list(template.additional))
         reader = WireReader(data)
         txid, flag_bits, qdcount, ancount, nscount, arcount = \
             reader.unpack(_HEADER)
@@ -297,13 +313,11 @@ class Message:
             # lists so callers may mutate their message freely.
             if len(_DECODE_MEMO) >= _DECODE_MEMO_MAX:
                 _DECODE_MEMO.clear()
-            _DECODE_MEMO[bytes(data[2:])] = cls(
-                txid=txid, flags=flags, questions=list(questions),
-                answers=list(answers), authority=list(authority),
-                additional=list(additional))
-        return cls(txid=txid, flags=flags, questions=questions,
-                   answers=answers, authority=authority,
-                   additional=additional)
+            _DECODE_MEMO[bytes(data[2:])] = _decoded(
+                cls, txid, flags, list(questions), list(answers),
+                list(authority), list(additional))
+        return _decoded(cls, txid, flags, questions, answers, authority,
+                        additional)
 
     def __str__(self) -> str:  # pragma: no cover - debug aid
         parts = [f"txid={self.txid:#06x} rcode={self.rcode.name}"
@@ -317,6 +331,21 @@ class Message:
         for record in self.additional:
             parts.append(f"  + {record}")
         return "\n".join(parts)
+
+
+def _decoded(cls, txid: int, flags: Flags, questions: List[Question],
+             answers: List[ResourceRecord], authority: List[ResourceRecord],
+             additional: List[ResourceRecord]) -> Message:
+    """A decoded message, built without ``__post_init__``: a TXID read
+    from two wire bytes is always in range."""
+    message = _new(cls)
+    message.txid = txid
+    message.flags = flags
+    message.questions = questions
+    message.answers = answers
+    message.authority = authority
+    message.additional = additional
+    return message
 
 
 def make_query(txid: int, qname: "Name | str", qtype: RRType,

@@ -22,6 +22,13 @@ from repro.dns.rrtype import RRType
 from repro.dns.wire import WireFormatError, WireReader, WireWriter
 from repro.netsim.address import IPAddress
 
+# Decoded A/AAAA rdata interned by their packed bytes (4 bytes for A,
+# 16 for AAAA, so the two never share a key): a pool zone hands the
+# same few addresses to every client. Bounded (cleared wholesale when
+# full) like the decoded-name pool in repro.dns.wire.
+_ADDRESS_POOL: "Dict[bytes, Rdata]" = {}
+_ADDRESS_POOL_MAX = 256
+
 
 class Rdata:
     """Base class for typed RDATA."""
@@ -77,7 +84,7 @@ class ARdata(Rdata):
     def from_wire(cls, reader: WireReader, rdlength: int) -> "ARdata":
         if rdlength != 4:
             raise WireFormatError(f"A RDATA must be 4 bytes, got {rdlength}")
-        return cls(IPAddress.from_packed(reader.read_bytes(4)))
+        return _pooled_address(cls, reader.read_bytes(4))
 
     def to_text(self) -> str:
         return str(self.address)
@@ -103,7 +110,7 @@ class AAAARdata(Rdata):
     def from_wire(cls, reader: WireReader, rdlength: int) -> "AAAARdata":
         if rdlength != 16:
             raise WireFormatError(f"AAAA RDATA must be 16 bytes, got {rdlength}")
-        return cls(IPAddress.from_packed(reader.read_bytes(16)))
+        return _pooled_address(cls, reader.read_bytes(16))
 
     def to_text(self) -> str:
         return str(self.address)
@@ -124,7 +131,7 @@ class NSRdata(Rdata):
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "NSRdata":
-        return cls(reader.read_name())
+        return _checked(cls, target=reader.read_name())
 
     def to_text(self) -> str:
         return self.target.to_text()
@@ -145,7 +152,7 @@ class CNAMERdata(Rdata):
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "CNAMERdata":
-        return cls(reader.read_name())
+        return _checked(cls, target=reader.read_name())
 
     def to_text(self) -> str:
         return self.target.to_text()
@@ -166,7 +173,7 @@ class PTRRdata(Rdata):
 
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "PTRRdata":
-        return cls(reader.read_name())
+        return _checked(cls, target=reader.read_name())
 
     def to_text(self) -> str:
         return self.target.to_text()
@@ -207,7 +214,9 @@ class SOARdata(Rdata):
         retry = reader.read_u32()
         expire = reader.read_u32()
         minimum = reader.read_u32()
-        return cls(mname, rname, serial, refresh, retry, expire, minimum)
+        return _checked(cls, mname=mname, rname=rname, serial=serial,
+                        refresh=refresh, retry=retry, expire=expire,
+                        minimum=minimum)
 
     def to_text(self) -> str:
         return (f"{self.mname} {self.rname} {self.serial} {self.refresh} "
@@ -234,7 +243,8 @@ class MXRdata(Rdata):
     @classmethod
     def from_wire(cls, reader: WireReader, rdlength: int) -> "MXRdata":
         preference = reader.read_u16()
-        return cls(preference, reader.read_name())
+        return _checked(cls, preference=preference,
+                        exchange=reader.read_name())
 
     def to_text(self) -> str:
         return f"{self.preference} {self.exchange}"
@@ -300,6 +310,27 @@ class OpaqueRdata(Rdata):
 
     def to_text(self) -> str:
         return f"\\# {len(self.data)} {self.data.hex()}"
+
+
+def _checked(cls, **fields) -> Rdata:
+    """``cls`` built from decoded fields, without the coercing
+    ``__post_init__``: the wire reader already returns a :class:`Name`
+    for every name and an in-range integer for every fixed field."""
+    rdata = object.__new__(cls)
+    for attr, value in fields.items():
+        object.__setattr__(rdata, attr, value)
+    return rdata
+
+
+def _pooled_address(cls, packed: bytes) -> Rdata:
+    """The interned A/AAAA rdata of ``packed`` (see ``_ADDRESS_POOL``)."""
+    rdata = _ADDRESS_POOL.get(packed)
+    if rdata is None:
+        if len(_ADDRESS_POOL) >= _ADDRESS_POOL_MAX:
+            _ADDRESS_POOL.clear()
+        rdata = _ADDRESS_POOL[packed] = _checked(
+            cls, address=IPAddress.from_packed(packed))
+    return rdata
 
 
 _DECODERS: Dict[int, Callable[[WireReader, int], Rdata]] = {

@@ -34,7 +34,13 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.dns.cache import DnsCache
 from repro.dns.client import validate_reply
-from repro.dns.message import Message, ResourceRecord, make_query, make_response
+from repro.dns.message import (
+    MAX_TTL,
+    Message,
+    ResourceRecord,
+    make_query,
+    make_response,
+)
 from repro.dns.name import Name
 from repro.dns.rcode import RCode
 from repro.dns.rdata import CNAMERdata, NSRdata
@@ -91,6 +97,10 @@ class ResolverConfig(SpecBase):
             raise ConfigurationError("txid_bits must be in [1, 16]")
         if self.retry_backoff < 1.0:
             raise ConfigurationError("retry_backoff must be >= 1.0")
+        if not 0 <= self.negative_ttl_cap <= MAX_TTL:
+            raise ConfigurationError(
+                f"negative_ttl_cap must be in [0, {MAX_TTL}], "
+                f"got {self.negative_ttl_cap}")
 
     def retry_policy(self) -> RetryPolicy:
         """The transport schedule for one server's retry budget."""

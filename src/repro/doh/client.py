@@ -31,6 +31,13 @@ from repro.netsim.address import Endpoint
 from repro.netsim.host import Host
 from repro.netsim.simulator import Simulator
 from repro.netsim.transport import TXID_SPACE, PendingExchange, retry_policy
+from repro.telemetry.registry import InstrumentSchema
+
+#: What one DoH query publishes: ``_DOH_METRICS`` unlabelled,
+#: ``_DOH_OUTCOMES`` per outcome status.
+_DOH_METRICS = InstrumentSchema(queries=("counter", "doh.queries"),
+                                latency=("histogram", "doh.latency"))
+_DOH_OUTCOMES = InstrumentSchema(count=("counter", "doh.outcomes"))
 
 
 class DoHStatus(enum.Enum):
@@ -101,7 +108,11 @@ class DoHClient:
         self._policy = retry_policy(timeout, retries)
         self._transport = host.transport(simulator)
         self._stats = DoHClientStats()
-        self._telemetry = self._transport.telemetry
+        telemetry = self._transport.telemetry
+        self._metrics = (None if telemetry is None
+                         else telemetry.bound[_DOH_METRICS])
+        self._outcomes = (None if telemetry is None
+                          else telemetry.bound[_DOH_OUTCOMES, "status"])
         self._tracer = self._transport.tracer
 
     @property
@@ -273,13 +284,12 @@ class _DoHQuery:
             self._client._stats.timeouts += 1
             outcome = DoHQueryOutcome(DoHStatus.TIMEOUT)
         outcome.latency = exchange.elapsed
-        telemetry = self._client._telemetry
-        if telemetry is not None:
-            telemetry.counter("doh.queries").inc()
-            telemetry.counter("doh.outcomes",
-                              status=outcome.status.value).inc()
+        metrics = self._client._metrics
+        if metrics is not None:
+            metrics.queries.inc()
+            self._client._outcomes[outcome.status.value].count.inc()
             if outcome.ok:
-                telemetry.histogram("doh.latency").observe(outcome.latency)
+                metrics.latency.observe(outcome.latency)
         self._connection.close()
         self._connection = None
         self._callback(outcome)

@@ -61,11 +61,27 @@ from repro.netsim.address import Endpoint
 from repro.netsim.packet import Datagram
 from repro.netsim.simulator import Event, Simulator
 from repro.netsim.socket import UdpSocket
-from repro.telemetry.registry import MetricsRegistry, current_registry
+from repro.telemetry.registry import (
+    InstrumentSchema,
+    MetricsRegistry,
+    current_registry,
+)
 from repro.telemetry.trace import Span, Tracer, current_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.netsim.host import Host
+
+#: What one completed exchange publishes, labelled by exchange label.
+_EXCHANGE_METRICS = InstrumentSchema(
+    exchanges=("counter", "transport.exchanges"),
+    attempts=("counter", "transport.attempts"),
+    timeouts=("counter", "transport.timeouts"),
+    exhausted=("counter", "transport.exhausted"),
+    rtt=("histogram", "transport.rtt"),
+    bytes_sent=("counter", "transport.bytes_sent"),
+    bytes_received=("counter", "transport.bytes_received"),
+    rejected_replies=("counter", "transport.rejected_replies"),
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -291,7 +307,7 @@ class PendingExchange:
         on_complete = self._on_complete
         self._release()
         transport = self._transport
-        if transport._telemetry is not None:
+        if transport._metrics is not None:
             transport._publish(self)
         on_complete(self)
 
@@ -393,6 +409,9 @@ class Transport:
         # no tracer installed no exchange/attempt spans are allocated.
         self._telemetry = current_registry()
         self._tracer = current_tracer()
+        # Shared by every transport publishing into the same registry.
+        self._metrics = (None if self._telemetry is None else
+                         self._telemetry.bound[_EXCHANGE_METRICS, "label"])
 
     @property
     def telemetry(self) -> Optional[MetricsRegistry]:
@@ -439,26 +458,21 @@ class Transport:
 
     def _publish(self, exchange: PendingExchange) -> None:
         """One completed exchange's metrics, keyed by exchange label."""
-        label = exchange.label
-        counter = self._telemetry.counter
-        counter("transport.exchanges", label=label).inc()
-        counter("transport.attempts", label=label).inc(exchange.attempts)
+        metrics = self._metrics[exchange.label]
+        metrics.exchanges.inc()
+        metrics.attempts.inc(exchange.attempts)
         if exchange.timed_out:
-            counter("transport.timeouts", label=label).inc()
+            metrics.timeouts.inc()
             # Retry exhaustion, named explicitly: the whole policy
             # budget (first attempt plus every retry) timed out and the
             # caller got nothing. Availability dashboards key on this
             # rather than inferring it from timeouts vs attempts.
-            counter("transport.exhausted", label=label).inc()
+            metrics.exhausted.inc()
         elif exchange.rtt is not None:
-            self._telemetry.histogram(
-                "transport.rtt", label=label).observe(exchange.rtt)
+            metrics.rtt.observe(exchange.rtt)
         if exchange.bytes_sent:
-            counter("transport.bytes_sent",
-                    label=label).inc(exchange.bytes_sent)
+            metrics.bytes_sent.inc(exchange.bytes_sent)
         if exchange.bytes_received:
-            counter("transport.bytes_received",
-                    label=label).inc(exchange.bytes_received)
+            metrics.bytes_received.inc(exchange.bytes_received)
         if exchange.rejected_replies:
-            counter("transport.rejected_replies",
-                    label=label).inc(exchange.rejected_replies)
+            metrics.rejected_replies.inc(exchange.rejected_replies)

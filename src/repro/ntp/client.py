@@ -23,6 +23,16 @@ from repro.ntp.packet import (
     NtpPacket,
     offset_and_delay,
 )
+from repro.telemetry.registry import InstrumentSchema
+
+#: What one NTP sample publishes.
+_NTP_METRICS = InstrumentSchema(
+    samples=("counter", "ntp.samples"),
+    timeouts=("counter", "ntp.timeouts"),
+    delay=("histogram", "ntp.delay"),
+    offset_abs=("histogram", "ntp.offset_abs"),
+    offset=("timeseries", "ntp.offset"),
+)
 
 
 @dataclass
@@ -61,7 +71,9 @@ class NtpClient:
         self._transport = host.transport(simulator)
         self._queries = 0
         self._timeouts = 0
-        self._telemetry = self._transport.telemetry
+        telemetry = self._transport.telemetry
+        self._metrics = (None if telemetry is None
+                         else telemetry.bound[_NTP_METRICS])
         self._tracer = self._transport.tracer
 
     @property
@@ -110,23 +122,21 @@ class NtpClient:
             return NtpSample(server=address, offset=offset, delay=delay)
 
         def on_complete(exchange: PendingExchange) -> None:
-            telemetry = self._telemetry
-            if telemetry is not None:
-                telemetry.counter("ntp.samples").inc()
+            metrics = self._metrics
+            if metrics is not None:
+                metrics.samples.inc()
             if exchange.timed_out:
                 self._timeouts += 1
-                if telemetry is not None:
-                    telemetry.counter("ntp.timeouts").inc()
+                if metrics is not None:
+                    metrics.timeouts.inc()
                 callback(NtpSample(server=address, offset=None, delay=None,
                                    timed_out=True))
                 return
             sample: NtpSample = exchange.value
-            if telemetry is not None and sample.ok:
-                telemetry.histogram("ntp.delay").observe(sample.delay)
-                telemetry.histogram("ntp.offset_abs").observe(
-                    abs(sample.offset))
-                telemetry.timeseries("ntp.offset").record(
-                    self._simulator.now, sample.offset)
+            if metrics is not None and sample.ok:
+                metrics.delay.observe(sample.delay)
+                metrics.offset_abs.observe(abs(sample.offset))
+                metrics.offset.record(self._simulator.now, sample.offset)
             callback(sample)
 
         self._transport.exchange(

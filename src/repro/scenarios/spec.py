@@ -53,9 +53,11 @@ from typing import (
 
 from repro.chaos.spec import ChaosSpec
 from repro.core.errors import ConfigurationError
+from repro.dns.message import MAX_TTL
 from repro.dns.resolver import ResolverConfig
 from repro.doh.providers import DoHProviderProfile
 from repro.netsim.link import FaultModel, LinkProfile
+from repro.telemetry.metrics import MIN_BIN_WIDTH
 
 
 # ----------------------------------------------------------------------
@@ -103,6 +105,14 @@ class FaultSpec(SpecBase):
     reorder_rate: float = 0.25
     duplicate_rate: float = 0.0
     duplicate_gap_s: float = 0.002
+
+    def __post_init__(self) -> None:
+        # FaultModel owns the bounds (rates in [0, 1], no negative
+        # delays); checking them here refuses a bad spec when built.
+        try:
+            self.to_model()
+        except ValueError as error:
+            raise ConfigurationError(str(error)) from None
 
     @property
     def active(self) -> bool:
@@ -289,18 +299,20 @@ class ProviderSpec(SpecBase):
         if self.profiles is not None:
             object.__setattr__(self, "profiles", tuple(self.profiles))
             if len(self.profiles) != self.count:
-                raise ValueError("profiles length must equal num_providers")
+                raise ConfigurationError(
+                    f"profiles length ({len(self.profiles)}) must equal "
+                    f"count ({self.count})")
         object.__setattr__(self, "forged", tuple(self.forged))
         if self.serve not in PROVIDER_SERVE_MODES:
             raise ConfigurationError(
                 f"serve must be one of {PROVIDER_SERVE_MODES}, "
                 f"got {self.serve!r}")
         if self.behavior not in _BEHAVIORS:
-            raise ValueError(
+            raise ConfigurationError(
                 f"{self.behavior!r} is not a valid "
                 f"CompromisedResolverBehavior")
         if not 0 <= self.corrupted <= self.count:
-            raise ValueError(
+            raise ConfigurationError(
                 f"corrupted must be in [0, {self.count}], "
                 f"got {self.corrupted}")
 
@@ -335,6 +347,10 @@ class PoolSpec(SpecBase):
             raise ConfigurationError("pool size must be >= 1")
         if self.answers_per_query < 1:
             raise ConfigurationError("answers_per_query must be >= 1")
+        if not 0 <= self.ttl <= MAX_TTL:
+            raise ConfigurationError(
+                f"pool ttl must be in [0, {MAX_TTL}] s (RFC 2181 section "
+                f"8), got {self.ttl}")
         if self.truncation not in _TRUNCATIONS:
             raise ConfigurationError(
                 f"truncation must be one of {_TRUNCATIONS}, "
@@ -476,9 +492,10 @@ class TelemetrySpec(SpecBase):
     time_bin: float = 10.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.time_bin < math.inf:
+        if not MIN_BIN_WIDTH <= self.time_bin < math.inf:
             raise ConfigurationError(
-                f"time_bin must be finite and > 0, got {self.time_bin}")
+                f"time_bin must be finite and >= {MIN_BIN_WIDTH:g} s, "
+                f"got {self.time_bin}")
 
 
 #: ClientSpec acquisition modes: Algorithm 1 over every provider's DoH
@@ -970,7 +987,7 @@ def pool_spec(
 ) -> ScenarioSpec:
     """The single-client Figure 1 spec, from flat keywords."""
     if num_providers < 1:
-        raise ValueError("need at least one provider")
+        raise ConfigurationError("need at least one provider")
     return ScenarioSpec(
         network=NetworkSpec(
             access=(None if access_link is None

@@ -19,6 +19,7 @@ spec order is bit-identical to serial accumulation.
 from __future__ import annotations
 
 import math
+from math import floor as _floor, log10 as _log10
 from typing import Dict, List, Optional, Tuple
 
 # ----------------------------------------------------------------------
@@ -32,6 +33,13 @@ BUCKETS_PER_DECADE = 8
 #: far wider than anything the simulation produces).
 MIN_BUCKET_INDEX = -9 * BUCKETS_PER_DECADE
 MAX_BUCKET_INDEX = 9 * BUCKETS_PER_DECADE
+
+
+#: The narrowest :class:`TimeSeries` bin (virtual seconds). A nanosecond
+#: is far below any delay the simulation models, and keeps the bin
+#: index ``when // bin_width`` a finite float for any virtual time under
+#: 1e299 s; a 1e-307 s bin overflows it at a virtual time of 100 s.
+MIN_BIN_WIDTH = 1e-9
 
 
 def bucket_index(value: float) -> int:
@@ -156,8 +164,14 @@ class LogBucketHistogram:
         if value <= 0.0:
             self.underflow += 1
             return
-        index = bucket_index(value)
-        self.buckets[index] = self.buckets.get(index, 0) + 1
+        # bucket_index(value), inline: this runs once per observation.
+        index = _floor(_log10(value) * BUCKETS_PER_DECADE)
+        if index < MIN_BUCKET_INDEX:
+            index = MIN_BUCKET_INDEX
+        elif index > MAX_BUCKET_INDEX:
+            index = MAX_BUCKET_INDEX
+        buckets = self.buckets
+        buckets[index] = buckets.get(index, 0) + 1
 
     @property
     def mean(self) -> float:
@@ -228,8 +242,9 @@ class TimeSeries:
     __slots__ = ("bin_width", "bins")
 
     def __init__(self, bin_width: float = 1.0) -> None:
-        if bin_width <= 0:
-            raise ValueError(f"bin_width must be > 0, got {bin_width}")
+        if not bin_width >= MIN_BIN_WIDTH:
+            raise ValueError(f"bin_width must be >= {MIN_BIN_WIDTH:g}, "
+                             f"got {bin_width}")
         self.bin_width = float(bin_width)
         self.bins: Dict[int, List[float]] = {}
 

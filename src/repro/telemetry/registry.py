@@ -1,8 +1,15 @@
 """The metrics registry and its process-wide installation point.
 
-A :class:`MetricsRegistry` names instruments by ``(name, labels)`` and
-memoises them, so every publisher incrementing
-``registry.counter("net.datagrams_sent")`` shares one accumulator.
+A :class:`MetricsRegistry` names instruments by ``(name, labels)``, so
+every publisher incrementing ``registry.counter("net.datagrams_sent")``
+shares one accumulator. The accessors build a label-sorted key per call,
+so no per-event path calls them: a publisher names its instruments once
+in a module-level :class:`InstrumentSchema` and reads them through the
+registry's :attr:`~MetricsRegistry.bound` mapping, which hands every
+publisher of one registry the same :class:`Instruments` per label set
+(a fleet's thousands of transports share one). A bound instrument is
+created in the registry at its first read and is a plain attribute
+after that, so a snapshot lists exactly the instruments that were used.
 
 Publishers do not take a registry parameter; they look up the *active*
 registry (:func:`current_registry`) once, at construction time, and
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import json
 import warnings
+import weakref
 from contextlib import contextmanager
 from contextvars import ContextVar
 from typing import Dict, Iterator, Optional, Tuple
@@ -79,7 +87,7 @@ def _parse_key(rendered: str) -> _Key:
 class MetricsRegistry:
     """A deterministic namespace of metric instruments.
 
-    Instruments are created on first use and memoised by
+    Instruments are created on first use and kept by
     ``(name, labels)``. Snapshots render every instrument's state with
     sorted keys, so two runs that made the same observations produce
     byte-identical snapshots — the property the telemetry tests pin.
@@ -88,12 +96,16 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments: Dict[_Key, object] = {}
         self._kinds: Dict[_Key, str] = {}
-        # (kind, name, labels as passed) -> instrument: the accessors'
-        # hot path is one dict hit, with no label-sorted key built.
-        self._memo: Dict[tuple, object] = {}
+        #: ``bound[schema]`` is ``schema``'s :class:`Instruments`;
+        #: ``bound[schema, label]`` maps each value ``v`` of ``label``
+        #: to the instruments labelled ``label=v``. Either is built at
+        #: its first lookup and then shared by every publisher.
+        self.bound: Dict[object, object] = _Bindings(self)
 
     # ------------------------------------------------------------------
-    # Instrument accessors.
+    # Instrument accessors. Each call builds the label-sorted key, so
+    # per-event publishers read bound instruments (``bound``) instead
+    # and reach these only at an instrument's first use.
     # ------------------------------------------------------------------
 
     def counter(self, name: str, **labels) -> Counter:
@@ -123,10 +135,6 @@ class MetricsRegistry:
         return series
 
     def _get(self, kind: str, name: str, labels: Dict[str, object]):
-        memo_key = (kind, name, tuple(labels.items()))
-        instrument = self._memo.get(memo_key)
-        if instrument is not None:
-            return instrument
         key = _key(name, labels)
         instrument = self._instruments.get(key)
         if instrument is None:
@@ -137,7 +145,6 @@ class MetricsRegistry:
             raise TypeError(
                 f"metric {_render_key(key)} already registered as "
                 f"{self._kinds[key]}, requested as {kind}")
-        self._memo[memo_key] = instrument
         return instrument
 
     # ------------------------------------------------------------------
@@ -248,6 +255,99 @@ class MetricsRegistry:
                 registry._instruments[key] = loader(state)
                 registry._kinds[key] = kind
         return registry
+
+
+class InstrumentSchema:
+    """The instruments one publisher publishes, each named once as
+    ``attribute=(kind, metric name)`` with ``kind`` one of the
+    registry's accessors. A schema is a module-level constant and
+    compares by identity, so looking up its binding hashes one pointer.
+
+    >>> schema = InstrumentSchema(hits=("counter", "demo.hits"))
+    >>> registry = MetricsRegistry()
+    >>> zones = registry.bound[schema, "zone"]
+    >>> len(registry)
+    0
+    >>> zones["a"].hits.inc()
+    >>> registry.value("demo.hits", zone="a")
+    1
+    """
+
+    __slots__ = ("instruments",)
+
+    def __init__(self, **instruments: Tuple[str, str]) -> None:
+        self.instruments = instruments
+
+
+class Instruments:
+    """One schema's instruments under one label set, in one registry
+    (see :attr:`MetricsRegistry.bound`).
+
+    The first read of attribute ``x`` creates (or finds) the instrument
+    the schema names for ``x`` and keeps it in the instance dict, so
+    every later read is a plain attribute load.
+    """
+
+    def __init__(self, registry: MetricsRegistry, schema: InstrumentSchema,
+                 labels: Dict[str, object]) -> None:
+        self._registry = registry
+        self._schema = schema
+        self._labels = labels
+
+    def __getattr__(self, attr: str):
+        entry = (None if attr.startswith("_")
+                 else self._schema.instruments.get(attr))
+        if entry is None:
+            raise AttributeError(attr)
+        kind, name = entry
+        instrument = getattr(self._registry, kind)(name, **self._labels)
+        self.__dict__[attr] = instrument
+        return instrument
+
+
+class _Bindings(dict):
+    """:attr:`MetricsRegistry.bound`: ``schema`` -> :class:`Instruments`
+    and ``(schema, label)`` -> :class:`_ByLabel`, each built at its
+    first lookup.
+
+    The bindings reach their registry through a weak proxy: a strong
+    reference back would put every registry in a reference cycle, so
+    it (and every instrument in it) would wait for the cyclic
+    collector instead of dying by refcount."""
+
+    __slots__ = ("_registry",)
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        super().__init__()
+        self._registry = weakref.proxy(registry)
+
+    def __missing__(self, key):
+        if type(key) is tuple:
+            schema, label = key
+            bound = _ByLabel(self._registry, schema, label)
+        else:
+            bound = Instruments(self._registry, key, {})
+        self[key] = bound
+        return bound
+
+
+class _ByLabel(dict):
+    """Label value -> :class:`Instruments` of one schema under that
+    one label, each built at its first lookup."""
+
+    __slots__ = ("_registry", "_schema", "_label")
+
+    def __init__(self, registry: MetricsRegistry, schema: InstrumentSchema,
+                 label: str) -> None:
+        super().__init__()
+        self._registry = registry
+        self._schema = schema
+        self._label = label
+
+    def __missing__(self, value) -> Instruments:
+        bound = self[value] = Instruments(self._registry, self._schema,
+                                          {self._label: value})
+        return bound
 
 
 def fold_snapshots(snapshots, select=None) -> MetricsRegistry:

@@ -7,14 +7,22 @@ of the seeded corpus must still encode to those bytes, compressed and
 uncompressed, and decode back to itself.
 """
 
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
-from repro.dns.message import Message
-from repro.dns.rdata import OpaqueRdata
-from repro.dns.rrtype import RRType
+from repro.dns.message import (
+    _DECODE_MEMO,
+    Flags,
+    Message,
+    Question,
+    ResourceRecord,
+)
+from repro.dns.name import Name
+from repro.dns.rdata import AAAARdata, ARdata, OpaqueRdata
+from repro.dns.rrtype import RRClass, RRType
 
 from tests.dns.record_wire_corpus import (
     COUNT,
@@ -73,4 +81,44 @@ def test_every_message_encodes_to_recorded_digest(compress):
 def test_decode_inverts_encode(compress):
     mismatches = [index for index, message in enumerate(MESSAGES)
                   if Message.decode(message.encode(compress)) != message]
+    assert mismatches == []
+
+
+def _validated(record: ResourceRecord) -> ResourceRecord:
+    """``record`` rebuilt from plain values through the coercing
+    constructors: labels, int codes and text addresses."""
+    rdata = record.rdata
+    if type(rdata) in (ARdata, AAAARdata):
+        rdata = type(rdata)(str(rdata.address))
+    else:
+        rdata = type(rdata)(**{field.name: getattr(rdata, field.name)
+                               for field in dataclasses.fields(rdata)})
+    return ResourceRecord(Name(record.name.labels), int(record.rrtype),
+                          record.ttl, rdata, int(record.rrclass))
+
+
+@pytest.mark.parametrize("compress", [True, False])
+def test_decode_builds_what_the_validating_constructors_build(compress):
+    """Decoding skips the coercing __post_init__ of records, questions
+    and rdata; what it builds must equal what they build, field types
+    included."""
+    mismatches = []
+    for index, message in enumerate(MESSAGES):
+        _DECODE_MEMO.clear()
+        decoded = Message.decode(message.encode(compress))
+        flags = decoded.flags
+        if flags != Flags(**dataclasses.asdict(flags)):
+            mismatches.append((index, "flags"))
+        for question in decoded.questions:
+            rebuilt = Question(Name(question.qname.labels),
+                               int(question.qtype), int(question.qclass))
+            if (question != rebuilt or type(question.qtype) is not RRType
+                    or type(question.qclass) is not RRClass):
+                mismatches.append((index, str(question)))
+        for record in decoded.section_records():
+            if (record != _validated(record)
+                    or type(record.name) is not Name
+                    or type(record.rrtype) is not RRType
+                    or type(record.rrclass) is not RRClass):
+                mismatches.append((index, str(record)))
     assert mismatches == []

@@ -7,6 +7,7 @@ DoH transport, plain-DNS provider serving).
 """
 
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError, UnknownPresetError
-from repro.doh.providers import DoHProviderProfile
+from repro.dns.message import MAX_TTL
+from repro.doh.providers import CLOUDFLARE, DoHProviderProfile
 from repro.netsim.address import IPAddress
 from repro.scenarios.presets import (
     ATTACKER,
@@ -48,6 +50,7 @@ from repro.scenarios.spec import (
     population_spec,
     set_path,
 )
+from repro.telemetry.metrics import MIN_BIN_WIDTH
 
 
 # ----------------------------------------------------------------------
@@ -273,6 +276,81 @@ class TestValidation:
     def test_duplicate_region_names_rejected(self):
         with pytest.raises(ConfigurationError, match="unique"):
             NetworkSpec(regions=(RegionSpec(name="a"), RegionSpec(name="a")))
+
+
+def _tiny_fleet():
+    return population_spec(num_clients=5, rounds=2)
+
+
+def _iterative(spec):
+    return set_path(spec, "provider.resolver", ResolverSpec(
+        mode="iterative", hierarchy=HierarchySpec()))
+
+
+class TestBoundsAtConstruction:
+    """Finite specs that used to build and then fail inside materialize
+    or run() are refused with ConfigurationError when built."""
+
+    @pytest.mark.parametrize("time_bin", [1e-307, 5e-324,
+                                          MIN_BIN_WIDTH / 2])
+    def test_time_bin_too_small_to_index(self, time_bin):
+        # 1e-307 used to raise OverflowError in TimeSeries.record
+        # mid-run: the bin index of a virtual time of 100 s overflowed.
+        with pytest.raises(ConfigurationError, match="time_bin"):
+            set_path(_tiny_fleet(), "telemetry.time_bin", time_bin)
+
+    def test_smallest_time_bin_still_runs(self):
+        spec = set_path(_tiny_fleet(), "telemetry.time_bin", MIN_BIN_WIDTH)
+        world = materialize(spec, 1)
+        world.run()
+        json.loads(world.telemetry.snapshot_json())
+
+    @pytest.mark.parametrize("build, path", [
+        # pool.ttl = 2**31 used to raise "TTL out of range" at run time
+        # on every world kind.
+        (_tiny_fleet, "pool.ttl"),
+        (pool_spec, "pool.ttl"),
+        (lambda: _iterative(_tiny_fleet()),
+         "provider.resolver.hierarchy.root_ttl"),
+        (lambda: _iterative(_tiny_fleet()),
+         "provider.resolver.hierarchy.tld_ttl"),
+        (lambda: _iterative(_tiny_fleet()),
+         "provider.resolver.negative_ttl_cap"),
+    ])
+    def test_ttl_above_rfc2181_cap(self, build, path):
+        spec = build()
+        assert get_path(set_path(spec, path, MAX_TTL), path) == MAX_TTL
+        with pytest.raises(ConfigurationError, match=path.split(".")[-1]):
+            set_path(spec, path, MAX_TTL + 1)
+
+    def test_largest_pool_ttl_still_runs(self):
+        spec = set_path(_tiny_fleet(), "pool.ttl", MAX_TTL)
+        materialize(spec, 1).run()
+
+    @pytest.mark.parametrize("path, value", [
+        ("provider.corrupted", 9),
+        ("provider.behavior", "bogus"),
+        ("network.fault.loss_rate", 2.0),
+        ("network.fault.reorder_rate", 1.5),
+        ("network.fault.duplicate_rate", 1.01),
+        ("network.fault.loss_rate", -0.1),
+        ("network.fault.loss_rate", math.nan),
+    ])
+    def test_bad_provider_and_fault_leaves(self, path, value):
+        # Each raised a plain ValueError, the fault rates only inside
+        # materialize. ConfigurationError subclasses ValueError, so
+        # handlers of the old error still catch it.
+        for spec in (_tiny_fleet(), pool_spec()):
+            with pytest.raises(ConfigurationError):
+                set_path(spec, path, value)
+
+    def test_profiles_length_must_equal_count(self):
+        with pytest.raises(ConfigurationError, match="profiles length"):
+            ProviderSpec(count=2, profiles=(CLOUDFLARE,))
+
+    def test_pool_spec_needs_a_provider(self):
+        with pytest.raises(ConfigurationError, match="at least one"):
+            pool_spec(num_providers=0)
 
 
 class TestDottedPaths:

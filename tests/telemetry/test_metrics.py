@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.telemetry import (
     BUCKETS_PER_DECADE,
@@ -13,6 +14,7 @@ from repro.telemetry import (
     bucket_index,
     bucket_upper_edge,
 )
+from repro.telemetry.metrics import MAX_BUCKET_INDEX, MIN_BUCKET_INDEX
 
 
 class TestCounter:
@@ -73,6 +75,40 @@ class TestBucketGeometry:
     def test_rejects_non_positive(self):
         with pytest.raises(ValueError):
             bucket_index(0.0)
+
+
+def _observed_bucket(value: float) -> int:
+    """The bucket LogBucketHistogram.observe files ``value`` under."""
+    histogram = LogBucketHistogram()
+    histogram.observe(value)
+    (index,) = histogram.buckets
+    return index
+
+
+class TestInlineBucket:
+    """observe computes its bucket inline; it must agree with
+    bucket_index on every positive float."""
+
+    @settings(deadline=None, max_examples=500)
+    @given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_equals_bucket_index(self, value):
+        assert _observed_bucket(value) == bucket_index(value)
+
+    def test_equals_bucket_index_at_every_edge(self):
+        # Each edge 10 ** (i / 8) and its float neighbours, over the
+        # clamped range and one decade beyond it on either side.
+        for i in range(MIN_BUCKET_INDEX - BUCKETS_PER_DECADE,
+                       MAX_BUCKET_INDEX + BUCKETS_PER_DECADE + 1):
+            edge = 10 ** (i / BUCKETS_PER_DECADE)
+            for value in (math.nextafter(edge, 0.0), edge,
+                          math.nextafter(edge, math.inf)):
+                assert _observed_bucket(value) == bucket_index(value), value
+
+    def test_clamps_like_bucket_index(self):
+        for value in (5e-324, 1e-300, 1e300, 1.7e308):
+            assert _observed_bucket(value) == bucket_index(value)
+        assert _observed_bucket(5e-324) == MIN_BUCKET_INDEX
+        assert _observed_bucket(1.7e308) == MAX_BUCKET_INDEX
 
 
 # Dyadic rationals: every partial float sum is exact, so histogram

@@ -280,6 +280,17 @@ RULES = (
          paths=("src",),
          message="a deleted repro.core wrapper is back: pass a sequence "
                  "of ResolverRef and call majority_vote directly"),
+    # Per-event publishers read instruments bound once per registry
+    # (MetricsRegistry.bound); the name-keyed accessors run only at an
+    # instrument's first use, so the memo that made them a dict hit
+    # per event went with its last per-event caller.
+    Rule(name="registry-memo",
+         pattern=r"_memo\b",
+         paths=("src/repro/telemetry",),
+         message="a lookup memo under src/repro/telemetry: publish "
+                 "through an InstrumentSchema bound via "
+                 "MetricsRegistry.bound instead of per-event accessor "
+                 "calls"),
 )
 
 #: One line per rule that breaks it, at a path inside its scope.
@@ -321,6 +332,8 @@ SEEDED = {
                       "        attacker = OnPathAttacker(internet, links)"),
     "deleted-core-wrapper": ("src/repro/core/pool.py",
                              "class ResolverSet:"),
+    "registry-memo": ("src/repro/telemetry/registry.py",
+                      "        self._memo: Dict[tuple, object] = {}"),
 }
 
 
